@@ -1,21 +1,39 @@
-"""Shared JSON-over-HTTP plumbing.
+"""Shared JSON-over-HTTP plumbing, stdlib only.
 
-One ThreadingHTTPServer carries many mounted services, each under a path
-prefix. Services implement `dispatch(request) -> (status, payload)` and
-signal failures with HttpError; the handler turns both into JSON bodies.
-Every error body has the shape {"code": ..., "message": ...}.
+Server: one ThreadingHTTPServer carries many mounted services, each under a
+path prefix; a request goes to the mount with the longest prefix of its
+path. Services implement `dispatch(request) -> (status, payload)` and signal
+failures with HttpError; the handler turns both into JSON bodies. Every
+error body has the shape {"code": ..., "message": ...}.
+
+Connections are kept alive (HTTP/1.1), one handler thread per connection:
+- each response's head and body leave in a single send on a TCP_NODELAY
+  socket, so no part of it waits on the peer's delayed ACK (about 40 ms);
+- the request body is read in full before any answer, so the next request
+  on the connection starts where it should; a body whose length is unknown
+  (bad `Content-Length`, or chunked) gets a 400, one above MAX_BODY_BYTES a
+  413, and the connection is closed after either;
+- a connection idle for IDLE_TIMEOUT_S is closed, and stopping the server
+  closes every connection it accepted.
+
+Client: `http_json` keeps one `http.client` connection per thread and per
+(scheme, host:port), at most POOL_SIZE per thread. A kept-alive socket that
+the server closed in the meantime fails before any byte of the response
+arrives; the request is then sent exactly once more on a new connection. A
+`Connection: close` response drops the socket, so the next call connects
+afresh.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Optional
 from urllib.parse import parse_qsl, urlsplit
-
-import requests
 
 __all__ = [
     "ApiRequest",
@@ -28,6 +46,10 @@ __all__ = [
     "expect_json",
     "http_json",
 ]
+
+IDLE_TIMEOUT_S = 60.0  # a kept-alive connection idle this long is closed
+MAX_BODY_BYTES = 64 * 1024 * 1024  # request bodies above this get a 413
+POOL_SIZE = 8  # kept-alive client connections per thread
 
 
 class HttpError(Exception):
@@ -83,11 +105,13 @@ def bearer_token(headers: Mapping[str, str]) -> Optional[str]:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "twinaudit"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, fmt: str, *args: Any) -> None:  # quiet by design
         pass
 
-    def _respond(self, status: int, payload: Any) -> None:
+    def _respond(self, status: int, payload: Any, close: bool = False) -> None:
         if status == 204 or payload is None and status < 400:
             body = b""
         else:
@@ -95,11 +119,33 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+        if close:
+            self.send_header("Connection", "close")
+        # end_headers() would send the head on its own; join the body to it.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
+    def _read_body(self) -> Optional[bytes]:
+        """The whole request body, or None once a framing error is answered."""
+        lengths = self.headers.get_all("Content-Length") or ["0"]
+        raw = lengths[0].strip() if len(set(lengths)) == 1 else ""
+        if "Transfer-Encoding" in self.headers or not (raw.isascii() and raw.isdigit()):
+            # Where this body ends is unknown, so the connection cannot go on.
+            self._respond(400, {"code": "bad_request",
+                                "message": "a request body needs one non-negative "
+                                           "integer Content-Length"}, close=True)
+            return None
+        if int(raw) > MAX_BODY_BYTES:
+            self._respond(413, {"code": "payload_too_large",
+                                "message": f"request body exceeds {MAX_BODY_BYTES} bytes"},
+                          close=True)
+            return None
+        return self.rfile.read(int(raw))
 
     def _handle(self, method: str) -> None:
+        raw = self._read_body()
+        if raw is None:
+            return
         parts = urlsplit(self.path)
         path = parts.path or "/"
         mount = self.server.resolve(path)  # type: ignore[attr-defined]
@@ -110,9 +156,7 @@ class _Handler(BaseHTTPRequestHandler):
         prefix, api = mount
         sub_path = path[len(prefix):] or "/"
         body: Any = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            raw = self.rfile.read(length)
+        if raw:
             try:
                 body = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -156,13 +200,52 @@ class _Server(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self._mounts: dict[str, JsonApi] = {}
         self._mounts_lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+        self._handlers: set[threading.Thread] = set()
+        self._live_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._live_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request: Any, client_address: Any) -> None:
+        thread = threading.current_thread()
+        with self._live_lock:
+            self._handlers.add(thread)
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._live_lock:
+                self._handlers.discard(thread)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._live_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut down every accepted connection and wait for its handler."""
+        with self._live_lock:
+            connections, handlers = list(self._connections), list(self._handlers)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
+        for thread in handlers:
+            if thread is not threading.current_thread():
+                thread.join(timeout)
 
     def resolve(self, path: str) -> Optional[tuple[str, JsonApi]]:
+        # Longest prefix first: the path itself, then each cut before a "/".
         with self._mounts_lock:
-            candidates = sorted(self._mounts, key=len, reverse=True)
-            for prefix in candidates:
-                if path == prefix or path.startswith(prefix + "/"):
-                    return prefix, self._mounts[prefix]
+            prefix = path
+            while prefix:
+                api = self._mounts.get(prefix)
+                if api is not None:
+                    return prefix, api
+                prefix = prefix.rpartition("/")[0]
         return None
 
     def add_mount(self, prefix: str, api: JsonApi) -> None:
@@ -204,11 +287,14 @@ class SharedJsonServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then end every open connection: a kept-alive
+        client must not reach these services once the server is stopped."""
         if self._thread is not None:
             self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
         self._server.server_close()
+        self._server.close_connections(timeout=5)
 
     def mount(self, prefix: str, api: JsonApi) -> str:
         if not prefix.startswith("/") or prefix.endswith("/"):
@@ -227,6 +313,38 @@ class SharedJsonServer:
         return mount[1] if mount is not None and mount[0] == prefix else None
 
 
+class _Pool(dict):
+    """One thread's kept-alive connections by (scheme, host:port), least
+    recently used first. They are closed when the thread ends and its pool
+    is dropped."""
+
+    def take(self, key: tuple[str, str]) -> Optional[http.client.HTTPConnection]:
+        connection = self.pop(key, None)
+        if connection is not None:
+            self[key] = connection
+        return connection
+
+    def put(self, key: tuple[str, str], connection: http.client.HTTPConnection) -> None:
+        while len(self) >= POOL_SIZE:
+            self.pop(next(iter(self))).close()
+        self[key] = connection
+
+    def __del__(self) -> None:
+        for connection in self.values():
+            connection.close()
+
+
+_local = threading.local()
+_CONNECTION_TYPES = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+
+def _pool() -> _Pool:
+    pool = getattr(_local, "pool", None)
+    if pool is None:
+        pool = _local.pool = _Pool()
+    return pool
+
+
 def http_json(
     method: str,
     url: str,
@@ -236,21 +354,55 @@ def http_json(
 ) -> tuple[int, Any]:
     """One JSON request/response exchange. Connection-level failures raise
     TransportUnavailable; error statuses are returned, not raised."""
+    parts = urlsplit(url)
+    connection_type = _CONNECTION_TYPES.get(parts.scheme)
+    if connection_type is None or not parts.netloc:
+        raise TransportUnavailable(f"not an http(s) URL: {url!r}")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     headers = {"Accept": "application/json"}
+    data = None
+    if body is not None:
+        data = json.dumps(body).encode("utf-8")
+        headers["Content-Type"] = "application/json"
     if token is not None:
         headers["Authorization"] = f"Bearer {token}"
+
+    pool, key = _pool(), (parts.scheme, parts.netloc)
+    while True:
+        connection = pool.take(key)
+        if connection is None:
+            try:
+                connection = connection_type(parts.netloc, timeout=timeout)
+            except http.client.InvalidURL as err:
+                raise TransportUnavailable(str(err)) from err
+            pool.put(key, connection)
+        connection.timeout = timeout
+        reused = connection.sock is not None
+        if reused and connection.sock.gettimeout() != timeout:
+            connection.sock.settimeout(timeout)
+        response = None
+        try:
+            connection.request(method, target, body=data, headers=headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as err:
+            connection.close()
+            # A reused socket the server has closed fails before any byte of
+            # a response; the retry runs on a fresh socket, so at most once.
+            stale = isinstance(err, (ConnectionResetError, BrokenPipeError))
+            if reused and response is None and stale:
+                continue
+            raise TransportUnavailable(str(err) or type(err).__name__) from err
+        except BaseException:
+            connection.close()
+            raise
+        break
+    if not raw:
+        return response.status, None
     try:
-        response = requests.request(
-            method, url, json=body, headers=headers, timeout=timeout
-        )
-    except requests.RequestException as err:
-        raise TransportUnavailable(str(err)) from err
-    if not response.content:
-        return response.status_code, None
-    try:
-        return response.status_code, response.json()
+        return response.status, json.loads(raw)
     except ValueError:
-        return response.status_code, None
+        return response.status, None
 
 
 def expect_json(
