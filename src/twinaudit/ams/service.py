@@ -26,7 +26,8 @@ from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from
 
 __all__ = ["AuditService", "PeriodicSync", "UnknownRun"]
 
-BOMS = "boms"
+# One record per run id: its documents in run.bom_serials order.
+RUN_DOCUMENTS = "run_documents"
 
 
 class UnknownRun(KeyError):
@@ -46,7 +47,12 @@ def _filtered(bundle: EvidenceBundle, categories: tuple[str, ...]) -> EvidenceBu
 
 
 class AuditService:
-    """Stateless over a document store: every run survives a restart."""
+    """Stateless over a document store: every run survives a restart.
+
+    A run's documents are one store record keyed by its run id, so runs of
+    one profile keep their own documents, and a rescan reads the set once
+    and replaces it with one atomic write.
+    """
 
     def __init__(
         self,
@@ -87,27 +93,19 @@ class AuditService:
     def list_runs(self) -> list[AuditRun]:
         return [AuditRun.from_dict(d) for d in self.store.query(RUNS).values()]
 
-    def stored_bom(self, serial: str) -> Optional[Bom]:
-        doc = self.store.get(BOMS, serial)
-        if doc is None:
-            return None
-        return parse_bom(doc["text"])
-
     def run_boms(self, run: AuditRun) -> list[Bom]:
-        boms = []
-        for serial in run.bom_serials:
-            bom = self.stored_bom(serial)
-            if bom is not None:
-                boms.append(bom)
-        return boms
+        return [parse_bom(doc["text"]) for doc in self.store.get(RUN_DOCUMENTS, run.run_id) or ()]
 
-    def _persist_boms(self, boms: Iterable[Bom]) -> None:
-        for bom in boms:
-            self.store.put(
-                BOMS,
-                bom.serial_number,
-                {"serial": bom.serial_number, "version": bom.version, "text": serialize_bom(bom)},
-            )
+    def _persist_boms(self, run_id: str, boms: list[Bom], texts: list[str]) -> None:
+        """One record per run: a single atomic put replaces the whole set."""
+        self.store.put(
+            RUN_DOCUMENTS,
+            run_id,
+            [
+                {"serial": bom.serial_number, "version": bom.version, "text": text}
+                for bom, text in zip(boms, texts)
+            ],
+        )
 
     # -- evidence collection ----------------------------------------------
 
@@ -171,7 +169,8 @@ class AuditService:
         for host_id in sorted(bundles):
             host_docs.extend(self._forge_host(bundles[host_id], profile.categories))
         linked = link_to_profile(host_docs, profile_id)
-        self._persist_boms(linked)
+        texts = [serialize_bom(b) for b in linked]
+        self._persist_boms(run.run_id, linked, texts)
         run.bom_serials = tuple(b.serial_number for b in linked)
         run.advance(RunState.BOMS_BUILT, self.clock())
         self._save_run(run)
@@ -181,7 +180,7 @@ class AuditService:
         try:
             created = self.manager.create(
                 profile_id,
-                [serialize_bom(b) for b in linked],
+                texts,
                 options=self.sdt_options or None,
             )
         except TransportUnavailable:
@@ -202,7 +201,8 @@ class AuditService:
         """Rescan, diff against the persisted documents, and push deltas.
 
         Stored documents are replaced only after the manager accepts the
-        update, so a failed push leaves the previous inventory intact.
+        update, and all in one write, so a failed push or a failed write
+        leaves the previous inventory intact.
         """
         run = self.load_run(run_id)
         profile = get_profile(self.store, run.profile_id)
@@ -224,15 +224,21 @@ class AuditService:
             self._save_run(run)
             return run
 
-        previous: dict[str, Bom] = {}
+        record = self.store.get(RUN_DOCUMENTS, run_id) or ()
+        stored = {doc["serial"]: doc["text"] for doc in record}
         for serial in run.bom_serials:
-            stored = self.stored_bom(serial)
-            if stored is None:
+            if serial not in stored:
                 raise UnknownRun(f"{run_id}: stored document {serial} is missing")
-            previous[serial] = stored
+        parsed: dict[str, Bom] = {}
+
+        def previous(serial: str) -> Bom:
+            # Parsed on first use, so a no-op rescan parses only its own hosts.
+            if serial not in parsed:
+                parsed[serial] = parse_bom(stored[serial])
+            return parsed[serial]
+
         # link_to_profile puts the profile manifest first.
-        manifest = previous[run.bom_serials[0]]
-        old_hosts = {s: b for s, b in previous.items() if b is not manifest}
+        manifest_serial, *host_serials = run.bom_serials
 
         # Rebuild rescanned hosts at the old document version first so an
         # unchanged host compares byte-equal and is carried over untouched.
@@ -240,7 +246,7 @@ class AuditService:
         rebuilt: dict[str, Bom] = {}
         for host_id in rescan_ids:
             for doc in self._forge_host(bundles[host_id], profile.categories):
-                old = old_hosts[doc.serial_number]
+                old = previous(doc.serial_number)
                 candidate = replace(doc, version=old.version)
                 if serialize_bom(candidate) != serialize_bom(old.with_links(())):
                     changed = True
@@ -251,14 +257,17 @@ class AuditService:
             return run
 
         new_docs: list[Bom] = []
-        for serial, old in old_hosts.items():
+        for serial in host_serials:
+            old = previous(serial)
             fresh = rebuilt.get(serial)
             if fresh is not None:
                 new_docs.append(replace(fresh, version=old.version + 1))
             else:
                 new_docs.append(replace(old.with_links(()), version=old.version + 1))
-        linked = link_to_profile(new_docs, run.profile_id, version=manifest.version + 1)
-        deltas = [diff_boms(previous[b.serial_number], b) for b in linked]
+        linked = link_to_profile(
+            new_docs, run.profile_id, version=previous(manifest_serial).version + 1
+        )
+        deltas = [diff_boms(previous(b.serial_number), b) for b in linked]
 
         try:
             result = self.manager.update(
@@ -275,7 +284,7 @@ class AuditService:
             self._save_run(run)
             return run
 
-        self._persist_boms(linked)
+        self._persist_boms(run.run_id, linked, [serialize_bom(b) for b in linked])
         run.representation_version = int(result["representationVersion"])
         run.advance(RunState.SDT_READY, self.clock())
         self._save_run(run)

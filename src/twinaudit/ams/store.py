@@ -2,7 +2,9 @@
 
 The file-backed default keeps one file per document and writes atomically
 (temp file + rename), so a crash mid-write never corrupts a stored
-document and restarts see only complete states.
+document and restarts see only complete states. What must change together
+goes in one document: the audit service keeps each run's whole document
+set in one record keyed by run id, so one put replaces it.
 """
 
 from __future__ import annotations

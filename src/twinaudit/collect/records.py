@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 
 class EvidenceCategory(str, Enum):
@@ -75,6 +75,3 @@ class EvidenceBundle:
 
     def by_category(self, category: EvidenceCategory) -> tuple[EvidenceRecord, ...]:
         return tuple(r for r in self.records if r.category == category)
-
-    def merged_with(self, extra: Iterable[EvidenceRecord]) -> "EvidenceBundle":
-        return EvidenceBundle(host=self.host, records=self.records + tuple(extra))

@@ -275,11 +275,6 @@ class StoredRepresentation:
             },
         }
 
-    def serialized_bytes(self) -> bytes:
-        return json.dumps(self.snapshot_doc(), sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-
 
 def build_representation(boms: Iterable[Bom]) -> StoredRepresentation:
     """Project documents to things and open their histories at revision 1."""

@@ -133,9 +133,6 @@ class SdtManager:
         ordered = sorted(descriptors, key=lambda d: (d.created_at, d.sdt_id))
         return [d.to_dict() for d in ordered]
 
-    def current_boms(self, sdt_id: str) -> dict[str, Bom]:
-        return dict(self._record(sdt_id).boms)
-
     # -- create ---------------------------------------------------------------
 
     def _parse_boms(self, texts: Any) -> list[Bom]:
@@ -355,6 +352,9 @@ class SdtManager:
             if descriptor.endpoint and record.runtime is not None:
                 record.runtime.destroy_instance(descriptor.endpoint)
             descriptor.state = SdtState.DESTROYED
+            # The descriptor stays for GET and an idempotent DELETE; the
+            # parsed documents are released.
+            record.boms = {}
             self._touch(descriptor)
 
     def footprint(self, sdt_id: str) -> int:

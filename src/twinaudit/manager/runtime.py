@@ -103,13 +103,6 @@ class InProcessRuntime(RuntimeAdapter):
         service = self._server.service_at(urlsplit(endpoint).path)
         return service if isinstance(service, InstanceService) else None
 
-    def live_endpoints(self) -> list[str]:
-        return [
-            self._server.url_for(prefix)
-            for prefix in self._server.mounts()
-            if prefix.startswith("/sdt/")
-        ]
-
     def close(self) -> None:
         if self._owns_server and self._started:
             self._server.stop()

@@ -196,14 +196,3 @@ class VulnerabilityStore:
         return [
             adv for adv in self.advisories() if adv.matches(name, version)
         ]
-
-    def findings_for_inventory(
-        self, packages: Iterable[tuple[str, str]]
-    ) -> dict[str, list[Advisory]]:
-        """Batch lookup: {"name@version": [advisories]} over unique pairs."""
-        out: dict[str, list[Advisory]] = {}
-        for name, version in packages:
-            key = f"{normalize_package_name(name)}@{version}"
-            if key not in out:
-                out[key] = self.findings_for(name, version)
-        return out

@@ -30,7 +30,8 @@ from twinaudit.ams import (
     topology_from_store,
 )
 from twinaudit.ams.profiles import create_profile, get_profile, list_profiles
-from twinaudit.bom import BomKind, parse_bom
+import twinaudit.ams.service as service_module
+from twinaudit.bom import BomKind, parse_bom, serialize_bom
 from twinaudit.fixtures import data_path
 from twinaudit.jsonhttp import SharedJsonServer
 from twinaudit.manager import (
@@ -185,6 +186,36 @@ def service(tmp_path, env):
     )
     svc._snapshots = snapshots
     return svc
+
+
+def change_web_01(snapshots: Path, lodash: str) -> None:
+    """Rewrite the service fixture's host with another lodash release."""
+    write_snapshot(
+        snapshots,
+        "web-01",
+        packages={"lodash": lodash, "requests": "2.28.0"},
+        cert_pem=data_path("web-01.pem").read_bytes(),
+        sysctl={"net.ipv4.ip_forward": "0"},
+    )
+
+
+class DyingStore(FileDocumentStore):
+    """A store whose disk dies part-way through writing a document set.
+
+    Once `budget` is set, writes outside the runs collection go through
+    until they have put down that many bytes; the write that would cross
+    it fails and leaves nothing behind, as FileDocumentStore.put does.
+    """
+
+    budget = None
+
+    def put(self, collection, key, doc):
+        if self.budget is not None and collection != "runs":
+            size = len(json.dumps(doc))
+            if size > self.budget:
+                raise OSError("injected: disk failed while writing documents")
+            self.budget -= size
+        super().put(collection, key, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +591,7 @@ class TestRunAudit:
         assert run.error == "transport"
         # Evidence work is kept: documents were persisted before the send.
         assert len(run.bom_serials) == 3
-        assert all(svc.stored_bom(s) is not None for s in run.bom_serials)
+        assert [b.serial_number for b in svc.run_boms(run)] == list(run.bom_serials)
 
     def test_restart_durability(self, service, env):
         run = service.run_audit("profile-web")
@@ -640,7 +671,7 @@ class TestUpdateAudit:
 
     def test_rejected_update_keeps_previous_documents(self, service):
         run = service.run_audit("profile-web")
-        before = {s: service.stored_bom(s).version for s in run.bom_serials}
+        before = {b.serial_number: b.version for b in service.run_boms(run)}
         service.manager.destroy(run.sdt_id)
         write_snapshot(
             service._snapshots,
@@ -651,8 +682,58 @@ class TestUpdateAudit:
         updated = service.update_audit(run.run_id)
         assert updated.state is RunState.FAILED
         assert updated.error.startswith("update_rejected")
-        after = {s: service.stored_bom(s).version for s in run.bom_serials}
+        after = {b.serial_number: b.version for b in service.run_boms(run)}
         assert after == before
+
+    def test_runs_of_one_profile_keep_their_own_documents(self, service):
+        """Runs of one profile share document serials; a later run must not
+        overwrite an earlier run's documents."""
+        first = service.run_audit("profile-web")
+        change_web_01(service._snapshots, "4.17.21")
+        first = service.update_audit(first.run_id)
+        assert first.state is RunState.SDT_READY
+        second = service.run_audit("profile-web")
+        assert second.bom_serials == first.bom_serials
+
+        change_web_01(service._snapshots, "4.17.19")
+        first = service.update_audit(first.run_id)
+        assert first.state is RunState.SDT_READY, first.error
+        assert first.representation_version == 3
+        assert {b.version for b in service.run_boms(first)} == {3}
+        assert {b.version for b in service.run_boms(second)} == {1}
+
+    def test_failed_document_write_leaves_the_previous_set(self, service):
+        """A write that dies part-way through an accepted update leaves every
+        stored document at the previous version, never a mix."""
+        store = DyingStore(service.store.root)
+        svc = AuditService(store, service.manager, vulnerabilities=vuln_store())
+        run = svc.run_audit("profile-web")
+        before = {b.serial_number: b.version for b in svc.run_boms(run)}
+        assert set(before.values()) == {1}
+        store.budget = sum(len(serialize_bom(b)) for b in svc.run_boms(run)) // 2
+        change_web_01(service._snapshots, "4.17.21")
+        with pytest.raises(OSError, match="injected"):
+            svc.update_audit(run.run_id)
+        after = {b.serial_number: b.version for b in svc.run_boms(run)}
+        assert after == before
+
+    def test_rescans_parse_and_write_only_what_they_need(self, service, monkeypatch):
+        run = service.run_audit("profile-web")
+        parsed, puts = [], []
+        parse, put = service_module.parse_bom, service.store.put
+        monkeypatch.setattr(service_module, "parse_bom", lambda t: parsed.append(t) or parse(t))
+        monkeypatch.setattr(
+            service.store, "put", lambda c, k, d: puts.append(c) or put(c, k, d)
+        )
+
+        service.update_audit(run.run_id)
+        # The host's two documents; the manifest is not parsed.
+        assert len(parsed) == 2
+        assert [c for c in puts if c != "runs"] == []
+
+        change_web_01(service._snapshots, "4.17.21")
+        assert service.update_audit(run.run_id).state is RunState.SDT_READY
+        assert [c for c in puts if c != "runs"] == ["run_documents"]
 
     def test_update_after_failure_is_rejected(self, service):
         run = service.run_audit("profile-web")

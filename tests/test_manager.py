@@ -249,6 +249,21 @@ class TestDestroy:
         client.destroy(sdt_id)  # second call: no-op success
         assert client.get(sdt_id)["state"] == "DESTROYED"
 
+    def test_destroyed_twins_release_their_documents(self, env):
+        manager, client, _ = env.make_manager()
+        texts = bom_texts("cycled-host")
+        ids = []
+        for _ in range(30):
+            sdt_id = client.create("profile-a", texts)["sdtId"]
+            client.destroy(sdt_id)
+            ids.append(sdt_id)
+        live = client.create("profile-a", texts)["sdtId"]
+        assert all(manager._records[i].boms == {} for i in ids)
+        assert len(manager._records[live].boms) == len(texts)
+        # The descriptors stay: GET shows DESTROYED and DELETE is idempotent.
+        assert {client.get(i)["state"] for i in ids} == {"DESTROYED"}
+        client.destroy(ids[0])
+
     def test_update_after_destroy_rejected(self, env):
         _, client, _ = env.make_manager()
         created = client.create("profile-a", bom_texts("dead-host"))
