@@ -11,8 +11,14 @@ from .profiles import (
     selected_hosts,
 )
 from .runs import TRANSITIONS, AuditRun, InvalidTransition, RunState
-from .service import AuditService, PeriodicSync, UnknownRun
-from .store import DocumentStore, FileDocumentStore
+from .service import (
+    AuditService,
+    PeriodicSync,
+    UnknownRun,
+    collect_evidence,
+    forge_documents,
+)
+from .store import FileDocumentStore
 from .topology import (
     HostRecord,
     InventoryError,
@@ -31,7 +37,6 @@ __all__ = [
     "AuditProfile",
     "AuditRun",
     "AuditService",
-    "DocumentStore",
     "FileDocumentStore",
     "HostRecord",
     "InvalidTransition",
@@ -45,7 +50,9 @@ __all__ = [
     "SyncPolicy",
     "TopologyGraph",
     "UnknownRun",
+    "collect_evidence",
     "create_profile",
+    "forge_documents",
     "get_profile",
     "ingest_inventory",
     "list_profiles",

@@ -10,7 +10,7 @@ from typing import Any, Optional, Union
 import yaml
 
 from ..collect import EvidenceCategory
-from .store import DocumentStore
+from .store import FileDocumentStore
 from .topology import TopologyGraph, topology_from_store
 
 __all__ = [
@@ -112,7 +112,7 @@ def selected_hosts(profile: AuditProfile, topology: TopologyGraph) -> list[str]:
     return sorted(chosen)
 
 
-def create_profile(store: DocumentStore, profile: AuditProfile) -> AuditProfile:
+def create_profile(store: FileDocumentStore, profile: AuditProfile) -> AuditProfile:
     """Validate against the stored topology, persist, and derive per-host
     profiles listing the categories each host will be scanned for."""
     topology = topology_from_store(store)
@@ -128,12 +128,12 @@ def create_profile(store: DocumentStore, profile: AuditProfile) -> AuditProfile:
     return profile
 
 
-def get_profile(store: DocumentStore, profile_id: str) -> Optional[AuditProfile]:
+def get_profile(store: FileDocumentStore, profile_id: str) -> Optional[AuditProfile]:
     doc = store.get(PROFILES, profile_id)
     return AuditProfile.from_dict(doc) if doc is not None else None
 
 
-def list_profiles(store: DocumentStore) -> list[AuditProfile]:
+def list_profiles(store: FileDocumentStore) -> list[AuditProfile]:
     return [AuditProfile.from_dict(doc) for doc in store.query(PROFILES).values()]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Optional, Union
 
@@ -21,10 +20,16 @@ from ..manager import ManagerClient
 from ..vulnstore import VulnerabilityStore
 from .profiles import AuditProfile, ProfileError, create_profile, get_profile, selected_hosts
 from .runs import RUNS, AuditRun, RunState
-from .store import DocumentStore
+from .store import FileDocumentStore
 from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from_store
 
-__all__ = ["AuditService", "PeriodicSync", "UnknownRun"]
+__all__ = [
+    "AuditService",
+    "PeriodicSync",
+    "UnknownRun",
+    "collect_evidence",
+    "forge_documents",
+]
 
 # One record per run id: its documents in run.bom_serials order.
 RUN_DOCUMENTS = "run_documents"
@@ -46,6 +51,57 @@ def _filtered(bundle: EvidenceBundle, categories: tuple[str, ...]) -> EvidenceBu
     )
 
 
+# One path from snapshots to documents: run_audit, update_audit and
+# `twinaudit bench deploy` all go through these functions.
+
+
+def collect_evidence(
+    hosts: list[HostRecord],
+) -> tuple[dict[str, EvidenceBundle], dict[str, str]]:
+    """Scan each host in turn; one bad snapshot fails only itself."""
+    bundles: dict[str, EvidenceBundle] = {}
+    errors: dict[str, str] = {}
+    for record in hosts:
+        try:
+            if not record.snapshot_ref:
+                raise ValueError("host has no snapshot reference")
+            bundles[record.host_id] = scan_host(HostSnapshot.open(record.snapshot_ref))
+        except Exception as exc:
+            errors[record.host_id] = str(exc)
+    return bundles, errors
+
+
+def forge_host(
+    bundle: EvidenceBundle,
+    categories: tuple[str, ...],
+    vulnerabilities: VulnerabilityStore,
+    version: int = 1,
+) -> list[Bom]:
+    """The host's SBOM and CBOM over the profile's evidence categories."""
+    scoped = _filtered(bundle, categories)
+    sbom = build_sbom(scoped.host, scoped.records, version=version)
+    graph = build_graph(scoped.records)
+    cbom = build_cbom(scoped.host, graph, scoped.records, version=version)
+    return [
+        enrich_with_vulnerabilities(sbom, vulnerabilities),
+        enrich_with_vulnerabilities(cbom, vulnerabilities),
+    ]
+
+
+def forge_documents(
+    bundles: dict[str, EvidenceBundle],
+    profile: AuditProfile,
+    vulnerabilities: VulnerabilityStore,
+) -> tuple[list[Bom], list[str]]:
+    """Forge each host in host-id order, link the set to the profile, and
+    serialize each document once: the documents and their texts."""
+    host_docs: list[Bom] = []
+    for host_id in sorted(bundles):
+        host_docs.extend(forge_host(bundles[host_id], profile.categories, vulnerabilities))
+    linked = link_to_profile(host_docs, profile.profile_id)
+    return linked, [serialize_bom(b) for b in linked]
+
+
 class AuditService:
     """Stateless over a document store: every run survives a restart.
 
@@ -56,18 +112,16 @@ class AuditService:
 
     def __init__(
         self,
-        store: DocumentStore,
+        store: FileDocumentStore,
         manager: ManagerClient,
         vulnerabilities: Optional[VulnerabilityStore] = None,
         clock: Callable[[], float] = time.time,
-        max_workers: int = 8,
         sdt_options: Optional[dict[str, Any]] = None,
     ) -> None:
         self.store = store
         self.manager = manager
         self.vulnerabilities = vulnerabilities or VulnerabilityStore()
         self.clock = clock
-        self.max_workers = max_workers
         # Passed through on twin creation, e.g. consumer access tokens.
         self.sdt_options = dict(sdt_options or {})
 
@@ -79,19 +133,28 @@ class AuditService:
     def create_profile(self, profile: AuditProfile) -> AuditProfile:
         return create_profile(self.store, profile)
 
+    def _profile(self, profile_id: str) -> AuditProfile:
+        profile = get_profile(self.store, profile_id)
+        if profile is None:
+            raise ProfileError(f"unknown profile {profile_id!r}")
+        return profile
+
     # -- persistence helpers ----------------------------------------------
 
     def _save_run(self, run: AuditRun) -> None:
         self.store.put(RUNS, run.run_id, run.to_dict())
+
+    def _advance(self, run: AuditRun, state: RunState, error: Optional[str] = None) -> AuditRun:
+        """Move the run to state and save it."""
+        run.advance(state, self.clock(), error=error)
+        self._save_run(run)
+        return run
 
     def load_run(self, run_id: str) -> AuditRun:
         doc = self.store.get(RUNS, run_id)
         if doc is None:
             raise UnknownRun(run_id)
         return AuditRun.from_dict(doc)
-
-    def list_runs(self) -> list[AuditRun]:
-        return [AuditRun.from_dict(d) for d in self.store.query(RUNS).values()]
 
     def run_boms(self, run: AuditRun) -> list[Bom]:
         return [parse_bom(doc["text"]) for doc in self.store.get(RUN_DOCUMENTS, run.run_id) or ()]
@@ -107,76 +170,28 @@ class AuditService:
             ],
         )
 
-    # -- evidence collection ----------------------------------------------
-
-    def _collect(
-        self, hosts: list[HostRecord]
-    ) -> tuple[dict[str, EvidenceBundle], dict[str, str]]:
-        """Scan every host in parallel; one bad snapshot fails only itself."""
-
-        def scan_one(record: HostRecord) -> EvidenceBundle:
-            if not record.snapshot_ref:
-                raise ValueError("host has no snapshot reference")
-            return scan_host(HostSnapshot.open(record.snapshot_ref))
-
-        bundles: dict[str, EvidenceBundle] = {}
-        errors: dict[str, str] = {}
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {record.host_id: pool.submit(scan_one, record) for record in hosts}
-            for host_id, future in futures.items():
-                try:
-                    bundles[host_id] = future.result()
-                except Exception as exc:
-                    errors[host_id] = str(exc)
-        return bundles, errors
-
-    def _forge_host(
-        self, bundle: EvidenceBundle, categories: tuple[str, ...], version: int = 1
-    ) -> list[Bom]:
-        scoped = _filtered(bundle, categories)
-        sbom = build_sbom(scoped.host, scoped.records, version=version)
-        graph = build_graph(scoped.records)
-        cbom = build_cbom(scoped.host, graph, scoped.records, version=version)
-        return [
-            enrich_with_vulnerabilities(sbom, self.vulnerabilities),
-            enrich_with_vulnerabilities(cbom, self.vulnerabilities),
-        ]
-
     # -- run lifecycle ------------------------------------------------------
 
     def run_audit(self, profile_id: str) -> AuditRun:
-        profile = get_profile(self.store, profile_id)
-        if profile is None:
-            raise ProfileError(f"unknown profile {profile_id!r}")
+        profile = self._profile(profile_id)
         topology = topology_from_store(self.store)
         host_ids = selected_hosts(profile, topology)
-        host_records = [topology.host(h) for h in host_ids]
 
         run = AuditRun.new(profile_id, self.clock())
         run.hosts = tuple(host_ids)
         self._save_run(run)
 
-        run.advance(RunState.COLLECTING, self.clock())
-        self._save_run(run)
-        bundles, errors = self._collect(host_records)
-        run.host_errors = errors
+        self._advance(run, RunState.COLLECTING)
+        bundles, run.host_errors = collect_evidence([topology.host(h) for h in host_ids])
         if not bundles:
-            run.advance(RunState.FAILED, self.clock(), error="no_evidence")
-            self._save_run(run)
-            return run
+            return self._advance(run, RunState.FAILED, "no_evidence")
 
-        host_docs: list[Bom] = []
-        for host_id in sorted(bundles):
-            host_docs.extend(self._forge_host(bundles[host_id], profile.categories))
-        linked = link_to_profile(host_docs, profile_id)
-        texts = [serialize_bom(b) for b in linked]
+        linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
         self._persist_boms(run.run_id, linked, texts)
         run.bom_serials = tuple(b.serial_number for b in linked)
-        run.advance(RunState.BOMS_BUILT, self.clock())
-        self._save_run(run)
+        self._advance(run, RunState.BOMS_BUILT)
 
-        run.advance(RunState.SDT_REQUESTED, self.clock())
-        self._save_run(run)
+        self._advance(run, RunState.SDT_REQUESTED)
         try:
             created = self.manager.create(
                 profile_id,
@@ -184,114 +199,103 @@ class AuditService:
                 options=self.sdt_options or None,
             )
         except TransportUnavailable:
-            run.advance(RunState.FAILED, self.clock(), error="transport")
-            self._save_run(run)
-            return run
+            return self._advance(run, RunState.FAILED, "transport")
         except RequestRejected as exc:
-            run.advance(RunState.FAILED, self.clock(), error=f"update_rejected:{exc.code}")
-            self._save_run(run)
-            return run
+            return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
         run.sdt_id = created["sdtId"]
         run.representation_version = int(created["representationVersion"])
-        run.advance(RunState.SDT_READY, self.clock())
-        self._save_run(run)
-        return run
+        return self._advance(run, RunState.SDT_READY)
 
     def update_audit(self, run_id: str, hosts: Optional[Iterable[str]] = None) -> AuditRun:
         """Rescan, diff against the persisted documents, and push deltas.
 
         Stored documents are replaced only after the manager accepts the
         update, and all in one write, so a failed push or a failed write
-        leaves the previous inventory intact.
+        leaves the previous inventory intact. Whatever raises once the run
+        is UPDATING ends it FAILED, with an error naming the step, before
+        the exception propagates.
         """
         run = self.load_run(run_id)
-        profile = get_profile(self.store, run.profile_id)
-        if profile is None:
-            raise ProfileError(f"unknown profile {run.profile_id!r}")
+        profile = self._profile(run.profile_id)
         rescan_ids = sorted(set(hosts) if hosts is not None else set(run.hosts))
         unknown = [h for h in rescan_ids if h not in run.hosts]
         if unknown:
             raise ProfileError(f"hosts not part of this run: {', '.join(unknown)}")
 
         topology = topology_from_store(self.store)
-        run.advance(RunState.UPDATING, self.clock())
-        self._save_run(run)
-
-        bundles, errors = self._collect([topology.host(h) for h in rescan_ids])
-        if errors:
-            run.host_errors = {**run.host_errors, **errors}
-            run.advance(RunState.FAILED, self.clock(), error="no_evidence")
-            self._save_run(run)
-            return run
-
-        record = self.store.get(RUN_DOCUMENTS, run_id) or ()
-        stored = {doc["serial"]: doc["text"] for doc in record}
-        for serial in run.bom_serials:
-            if serial not in stored:
-                raise UnknownRun(f"{run_id}: stored document {serial} is missing")
-        parsed: dict[str, Bom] = {}
-
-        def previous(serial: str) -> Bom:
-            # Parsed on first use, so a no-op rescan parses only its own hosts.
-            if serial not in parsed:
-                parsed[serial] = parse_bom(stored[serial])
-            return parsed[serial]
-
-        # link_to_profile puts the profile manifest first.
-        manifest_serial, *host_serials = run.bom_serials
-
-        # Rebuild rescanned hosts at the old document version first so an
-        # unchanged host compares byte-equal and is carried over untouched.
-        changed = False
-        rebuilt: dict[str, Bom] = {}
-        for host_id in rescan_ids:
-            for doc in self._forge_host(bundles[host_id], profile.categories):
-                old = previous(doc.serial_number)
-                candidate = replace(doc, version=old.version)
-                if serialize_bom(candidate) != serialize_bom(old.with_links(())):
-                    changed = True
-                    rebuilt[doc.serial_number] = doc
-        if not changed:
-            run.advance(RunState.SDT_READY, self.clock())
-            self._save_run(run)
-            return run
-
-        new_docs: list[Bom] = []
-        for serial in host_serials:
-            old = previous(serial)
-            fresh = rebuilt.get(serial)
-            if fresh is not None:
-                new_docs.append(replace(fresh, version=old.version + 1))
-            else:
-                new_docs.append(replace(old.with_links(()), version=old.version + 1))
-        linked = link_to_profile(
-            new_docs, run.profile_id, version=previous(manifest_serial).version + 1
-        )
-        deltas = [diff_boms(previous(b.serial_number), b) for b in linked]
-
+        self._advance(run, RunState.UPDATING)
+        step = "collect"
         try:
-            result = self.manager.update(
-                run.sdt_id or "",
-                expected_version=run.representation_version,
-                deltas=[delta_to_dict(d) for d in deltas],
+            bundles, errors = collect_evidence([topology.host(h) for h in rescan_ids])
+            if errors:
+                run.host_errors = {**run.host_errors, **errors}
+                return self._advance(run, RunState.FAILED, "no_evidence")
+
+            step = "load"
+            record = self.store.get(RUN_DOCUMENTS, run_id) or ()
+            stored = {doc["serial"]: doc["text"] for doc in record}
+            for serial in run.bom_serials:
+                if serial not in stored:
+                    raise UnknownRun(f"{run_id}: stored document {serial} is missing")
+            parsed: dict[str, Bom] = {}
+
+            def previous(serial: str) -> Bom:
+                # Parsed on first use, so a no-op rescan parses only its own hosts.
+                if serial not in parsed:
+                    parsed[serial] = parse_bom(stored[serial])
+                return parsed[serial]
+
+            # link_to_profile puts the profile manifest first.
+            manifest_serial, *host_serials = run.bom_serials
+
+            # Rebuild rescanned hosts at the old document version first so an
+            # unchanged host compares byte-equal and is carried over untouched.
+            step = "forge"
+            changed = False
+            rebuilt: dict[str, Bom] = {}
+            for host_id in rescan_ids:
+                for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities):
+                    old = previous(doc.serial_number)
+                    candidate = replace(doc, version=old.version)
+                    if serialize_bom(candidate) != serialize_bom(old.with_links(())):
+                        changed = True
+                        rebuilt[doc.serial_number] = doc
+            if not changed:
+                return self._advance(run, RunState.SDT_READY)
+
+            new_docs: list[Bom] = []
+            for serial in host_serials:
+                old = previous(serial)
+                fresh = rebuilt.get(serial)
+                if fresh is not None:
+                    new_docs.append(replace(fresh, version=old.version + 1))
+                else:
+                    new_docs.append(replace(old.with_links(()), version=old.version + 1))
+            linked = link_to_profile(
+                new_docs, run.profile_id, version=previous(manifest_serial).version + 1
             )
-        except TransportUnavailable:
-            run.advance(RunState.FAILED, self.clock(), error="transport")
-            self._save_run(run)
-            return run
-        except RequestRejected as exc:
-            run.advance(RunState.FAILED, self.clock(), error=f"update_rejected:{exc.code}")
-            self._save_run(run)
-            return run
+            deltas = [diff_boms(previous(b.serial_number), b) for b in linked]
 
-        self._persist_boms(run.run_id, linked, [serialize_bom(b) for b in linked])
-        run.representation_version = int(result["representationVersion"])
-        run.advance(RunState.SDT_READY, self.clock())
-        self._save_run(run)
-        return run
+            step = "push"
+            try:
+                result = self.manager.update(
+                    run.sdt_id or "",
+                    expected_version=run.representation_version,
+                    deltas=[delta_to_dict(d) for d in deltas],
+                )
+            except TransportUnavailable:
+                return self._advance(run, RunState.FAILED, "transport")
+            except RequestRejected as exc:
+                return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
 
-    def status(self, run_id: str) -> AuditRun:
-        return self.load_run(run_id)
+            step = "persist"
+            self._persist_boms(run.run_id, linked, [serialize_bom(b) for b in linked])
+            run.representation_version = int(result["representationVersion"])
+            return self._advance(run, RunState.SDT_READY)
+        except Exception as exc:
+            if run.state is RunState.UPDATING:
+                self._advance(run, RunState.FAILED, f"{step}_failed:{exc}")
+            raise
 
 
 class PeriodicSync:

@@ -1,6 +1,6 @@
 """Document store: collections of JSON documents addressed by key.
 
-The file-backed default keeps one file per document and writes atomically
+The store keeps one file per document and writes atomically
 (temp file + rename), so a crash mid-write never corrupts a stored
 document and restarts see only complete states. What must change together
 goes in one document: the audit service keeps each run's whole document
@@ -13,27 +13,11 @@ import json
 import os
 import tempfile
 import threading
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Any, Optional
 from urllib.parse import quote, unquote
 
-__all__ = ["DocumentStore", "FileDocumentStore"]
-
-
-class DocumentStore(ABC):
-    @abstractmethod
-    def put(self, collection: str, key: str, doc: Any) -> None: ...
-
-    @abstractmethod
-    def get(self, collection: str, key: str) -> Optional[Any]: ...
-
-    @abstractmethod
-    def query(self, collection: str) -> dict[str, Any]:
-        """All documents in the collection, keyed, in sorted key order."""
-
-    @abstractmethod
-    def delete(self, collection: str, key: str) -> bool: ...
+__all__ = ["FileDocumentStore"]
 
 
 def _encode(name: str) -> str:
@@ -42,7 +26,7 @@ def _encode(name: str) -> str:
     return quote(name, safe="")
 
 
-class FileDocumentStore(DocumentStore):
+class FileDocumentStore:
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -78,6 +62,7 @@ class FileDocumentStore(DocumentStore):
             return None
 
     def query(self, collection: str) -> dict[str, Any]:
+        """All documents in the collection, keyed, in sorted key order."""
         directory = self.root / _encode(collection)
         if not directory.is_dir():
             return {}

@@ -11,7 +11,7 @@ from typing import Any, Iterable, Union
 
 import yaml
 
-from .store import DocumentStore
+from .store import FileDocumentStore
 
 __all__ = [
     "HostRecord",
@@ -148,7 +148,7 @@ def load_inventory(path: Union[str, Path]) -> TopologyGraph:
     return parse_inventory(data)
 
 
-def ingest_inventory(store: DocumentStore, source: Union[str, Path, dict]) -> TopologyGraph:
+def ingest_inventory(store: FileDocumentStore, source: Union[str, Path, dict]) -> TopologyGraph:
     """Parse and persist an inventory; hosts upsert by host_id."""
     graph = parse_inventory(source) if isinstance(source, dict) else load_inventory(source)
     for host in graph.hosts:
@@ -162,7 +162,7 @@ def ingest_inventory(store: DocumentStore, source: Union[str, Path, dict]) -> To
     return graph
 
 
-def topology_from_store(store: DocumentStore) -> TopologyGraph:
+def topology_from_store(store: FileDocumentStore) -> TopologyGraph:
     hosts = tuple(
         HostRecord.from_dict(doc) for doc in store.query(HOSTS).values()
     )

@@ -19,14 +19,15 @@ from typing import Callable, Iterator, Optional
 import click
 
 from .ams import (
-    AuditProfile,
     AuditRun,
     AuditService,
     FileDocumentStore,
     ProfileError,
     RunState,
     UnknownRun,
+    collect_evidence,
     create_profile,
+    forge_documents,
     ingest_inventory,
     load_inventory,
     load_profile_file,
@@ -34,18 +35,9 @@ from .ams import (
     topology_from_store,
 )
 from .bench import BenchError, run_benchmark
-from .bom import serialize_bom
-from .collect import HostSnapshot, scan_host
 from .config import AppConfig, load_config
 from .fixtures.catalog import GROUP_ORDER, ROLE_GROUPS
 from .fixtures.generator import FIXTURE_SPECS, generate
-from .forge import (
-    build_cbom,
-    build_graph,
-    build_sbom,
-    enrich_with_vulnerabilities,
-    link_to_profile,
-)
 from .jsonhttp import RequestRejected, SharedJsonServer, TransportUnavailable
 from .manager import InProcessRuntime, ManagerClient, ManagerService, SdtManager
 from .report import render_report, report_counts
@@ -368,30 +360,6 @@ def bench() -> None:
     """Measure twin deployment against a live manager."""
 
 
-def _fixture_payload(
-    manifest: dict, include_collection: bool
-) -> tuple[str, list[str], Optional[Callable[[], list[str]]]]:
-    topology = load_inventory(manifest["inventory"])
-    audit_profile: AuditProfile = load_profile_file(manifest["profile"])
-    vulnerabilities = VulnerabilityStore()
-    vulnerabilities.load_feed(manifest["feed"])
-    host_ids = selected_hosts(audit_profile, topology)
-
-    def build() -> list[str]:
-        docs = []
-        for host_id in host_ids:
-            bundle = scan_host(HostSnapshot.open(topology.host(host_id).snapshot_ref))
-            sbom = build_sbom(bundle.host, bundle.records)
-            cbom = build_cbom(bundle.host, build_graph(bundle.records), bundle.records)
-            docs.append(enrich_with_vulnerabilities(sbom, vulnerabilities))
-            docs.append(enrich_with_vulnerabilities(cbom, vulnerabilities))
-        return [
-            serialize_bom(b) for b in link_to_profile(docs, audit_profile.profile_id)
-        ]
-
-    return audit_profile.profile_id, build(), build if include_collection else None
-
-
 @bench.command("deploy")
 @click.option(
     "--fixture",
@@ -422,20 +390,35 @@ def bench_deploy(
     out: Optional[str],
     include_collection: bool,
 ) -> None:
-    """Timed create/destroy cycles over a generated fixture estate."""
+    """Timed create/destroy cycles over a generated fixture estate.
+
+    The documents are collected and forged as `audit run` forges them.
+    """
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="twinaudit-bench-") as tmp:
         manifest = generate(fixture_spec, seed, tmp)
-        profile_id, texts, build = _fixture_payload(manifest, include_collection)
+        topology = load_inventory(manifest["inventory"])
+        audit_profile = load_profile_file(manifest["profile"])
+        vulnerabilities = VulnerabilityStore()
+        vulnerabilities.load_feed(manifest["feed"])
+        hosts = [topology.host(h) for h in selected_hosts(audit_profile, topology)]
+
+        def build() -> list[str]:
+            bundles, errors = collect_evidence(hosts)
+            if errors:
+                raise click.ClickException(f"collection failed: {errors}")
+            return forge_documents(bundles, audit_profile, vulnerabilities)[1]
+
+        texts = build()
         with _manager_session(config) as client:
             try:
                 result = run_benchmark(
                     client,
-                    profile_id,
+                    audit_profile.profile_id,
                     texts,
                     iterations=iterations,
-                    build_payload=build,
+                    build_payload=build if include_collection else None,
                 )
             except (BenchError, TransportUnavailable, RequestRejected) as err:
                 raise click.ClickException(str(err))

@@ -8,7 +8,6 @@ from .representation import (
     StoredRepresentation,
     UnknownThing,
     VersionConflict,
-    build_representation,
     thing_states_from_boms,
 )
 from .service import InstanceService
@@ -22,6 +21,5 @@ __all__ = [
     "StoredRepresentation",
     "UnknownThing",
     "VersionConflict",
-    "build_representation",
     "thing_states_from_boms",
 ]

@@ -2,15 +2,19 @@
 
 Default-deny: a request is allowed only when its token is known and the
 token's scopes include the one the route requires. Every decision is
-appended to an in-memory log so tests can assert totality.
+appended to an in-memory log, which keeps the latest DECISION_LOG_SIZE, so
+tests can assert totality while a long-lived instance stays bounded.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
 
-__all__ = ["AccessPolicy", "Scope"]
+__all__ = ["AccessPolicy", "DECISION_LOG_SIZE", "Scope"]
+
+DECISION_LOG_SIZE = 1024
 
 
 class Scope(str, Enum):
@@ -34,7 +38,7 @@ class AccessPolicy:
         self._tokens: dict[str, frozenset[Scope]] = {}
         for token, scopes in dict(tokens).items():
             self.grant(token, scopes)
-        self.decisions: list[tuple[str, str, bool]] = []
+        self.decisions: deque[tuple[str, str, bool]] = deque(maxlen=DECISION_LOG_SIZE)
 
     def grant(self, token: str, scopes: Iterable[Union[Scope, str]]) -> None:
         if not token:

@@ -21,7 +21,6 @@ __all__ = [
     "StoredRepresentation",
     "UnknownThing",
     "VersionConflict",
-    "build_representation",
     "thing_states_from_boms",
 ]
 
@@ -274,8 +273,3 @@ class StoredRepresentation:
                 for thing_id, history in sorted(self._things.items())
             },
         }
-
-
-def build_representation(boms: Iterable[Bom]) -> StoredRepresentation:
-    """Project documents to things and open their histories at revision 1."""
-    return StoredRepresentation.build(thing_states_from_boms(boms))

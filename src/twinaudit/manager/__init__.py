@@ -1,35 +1,25 @@
-"""Lifecycle manager: create, update, and destroy twin instances over a
-pluggable runtime, pushing BOM-derived state through the Data Adapter."""
+"""Lifecycle manager: create, update, and destroy twin instances on a
+runtime, pushing BOM-derived state through the Data Adapter."""
 
 from .adapter import DataAdapter
 from .api import ManagerService
 from .client import ManagerClient
 from .core import ID_PATTERN, SdtDescriptor, SdtManager, SdtState
-from .runtime import (
-    DeployError,
-    InProcessRuntime,
-    InstanceConfig,
-    PlacementStrategy,
-    RuntimeAdapter,
-    SingleRuntimePlacement,
-)
+from .runtime import InProcessRuntime, InstanceConfig, RuntimeAdapter
 from .trace import CREATE_STAGES, UPDATE_STAGES, TraceRecorder, TraceSpan, is_subsequence
 
 __all__ = [
     "CREATE_STAGES",
     "DataAdapter",
-    "DeployError",
     "ID_PATTERN",
     "InProcessRuntime",
     "InstanceConfig",
     "ManagerClient",
     "ManagerService",
-    "PlacementStrategy",
     "RuntimeAdapter",
     "SdtDescriptor",
     "SdtManager",
     "SdtState",
-    "SingleRuntimePlacement",
     "TraceRecorder",
     "TraceSpan",
     "UPDATE_STAGES",

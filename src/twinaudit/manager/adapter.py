@@ -11,11 +11,10 @@ from ..jsonhttp import RequestRejected, expect_json
 
 __all__ = ["DataAdapter"]
 
+TIMEOUT_S = 30.0
+
 
 class DataAdapter:
-    def __init__(self, timeout: float = 30.0):
-        self.timeout = timeout
-
     def process(self, boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
         """Pure projection; raises RepresentationError on inconsistent input."""
         return thing_states_from_boms(boms)
@@ -35,13 +34,13 @@ class DataAdapter:
             endpoint + "/representation",
             body={"version": version, "things": states},
             token=token,
-            timeout=self.timeout,
+            timeout=TIMEOUT_S,
         )
 
     def export(self, endpoint: str, token: str) -> dict[str, Any]:
         """Full serialized representation (admin route); used for footprint."""
         payload = expect_json(
-            "GET", endpoint + "/representation", token=token, timeout=self.timeout
+            "GET", endpoint + "/representation", token=token, timeout=TIMEOUT_S
         )
         if not isinstance(payload, dict):
             raise RequestRejected(502, "bad_payload", "instance returned a non-object export")

@@ -21,12 +21,7 @@ from ..bom.diff import DeltaMismatch, apply_delta, delta_from_dict
 from ..instance import RepresentationError, Scope
 from ..jsonhttp import HttpError, RequestRejected, TransportUnavailable
 from .adapter import DataAdapter
-from .runtime import (
-    InstanceConfig,
-    PlacementStrategy,
-    RuntimeAdapter,
-    SingleRuntimePlacement,
-)
+from .runtime import InstanceConfig, RuntimeAdapter
 from .trace import TraceRecorder, TraceSpan
 
 __all__ = ["SdtDescriptor", "SdtManager", "SdtState"]
@@ -72,7 +67,6 @@ class SdtDescriptor:
 class _SdtRecord:
     descriptor: SdtDescriptor
     write_token: str
-    runtime: Optional[RuntimeAdapter] = None
     boms: dict[str, Bom] = field(default_factory=dict)
     lock: threading.RLock = field(default_factory=threading.RLock)
 
@@ -90,16 +84,13 @@ class SdtManager:
         self,
         runtimes: Sequence[RuntimeAdapter],
         tracer: Optional[TraceRecorder] = None,
-        placement: Optional[PlacementStrategy] = None,
-        adapter: Optional[DataAdapter] = None,
         clock: Callable[[], float] = time.time,
     ):
-        if not runtimes:
-            raise ValueError("at least one runtime is required")
-        self._runtimes = tuple(runtimes)
+        if len(runtimes) != 1:
+            raise ValueError("exactly one runtime is required")
+        (self._runtime,) = runtimes
         self.tracer = tracer or TraceRecorder()
-        self._placement = placement or SingleRuntimePlacement()
-        self._adapter = adapter or DataAdapter()
+        self._adapter = DataAdapter()
         self._clock = clock
         self._records: dict[str, _SdtRecord] = {}
         self._registry_lock = threading.RLock()
@@ -213,10 +204,8 @@ class SdtManager:
             descriptor = record.descriptor
             config = InstanceConfig(sdt_id=sdt_id, tokens=tokens)
             span.record("lcm")
-            runtime = self._placement.choose(self._runtimes, config)
-            record.runtime = runtime
             try:
-                endpoint = runtime.deploy_instance(config)
+                endpoint = self._runtime.deploy_instance(config)
             except Exception as err:
                 descriptor.state = SdtState.ERROR
                 descriptor.error = "deploy"
@@ -229,7 +218,7 @@ class SdtManager:
             try:
                 self._adapter.push(endpoint, write_token, 1, states)
             except (TransportUnavailable, RequestRejected) as err:
-                runtime.destroy_instance(endpoint)  # no orphans
+                self._runtime.destroy_instance(endpoint)  # no orphans
                 descriptor.endpoint = None
                 descriptor.state = SdtState.ERROR
                 descriptor.error = "representation"
@@ -349,8 +338,8 @@ class SdtManager:
             descriptor = record.descriptor
             if descriptor.state == SdtState.DESTROYED:
                 return  # idempotent
-            if descriptor.endpoint and record.runtime is not None:
-                record.runtime.destroy_instance(descriptor.endpoint)
+            if descriptor.endpoint:
+                self._runtime.destroy_instance(descriptor.endpoint)
             descriptor.state = SdtState.DESTROYED
             # The descriptor stays for GET and an idempotent DELETE; the
             # parsed documents are released.
@@ -373,9 +362,3 @@ class SdtManager:
         except RequestRejected as err:
             raise HttpError(502, "export_failed", str(err)) from err
         return len(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-
-    def close(self) -> None:
-        for runtime in self._runtimes:
-            closer = getattr(runtime, "close", None)
-            if callable(closer):
-                closer()

@@ -7,7 +7,6 @@ the expected chains as a strict subsequence.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,22 +45,21 @@ class TraceSpan:
 
 
 class TraceRecorder:
+    """Keeps only the latest span of each kind, so it stays small however
+    long the manager runs."""
+
     def __init__(self) -> None:
-        self.spans: list[TraceSpan] = []
-        self._lock = threading.Lock()
+        self._latest: dict[str, TraceSpan] = {}
 
     def span(self, kind: str) -> TraceSpan:
-        span = TraceSpan(kind=kind)
-        with self._lock:
-            self.spans.append(span)
+        span = self._latest[kind] = TraceSpan(kind=kind)
         return span
 
     def last(self, kind: str) -> TraceSpan:
-        with self._lock:
-            for span in reversed(self.spans):
-                if span.kind == kind:
-                    return span
-        raise LookupError(f"no span of kind {kind!r}")
+        span = self._latest.get(kind)
+        if span is None:
+            raise LookupError(f"no span of kind {kind!r}")
+        return span
 
 
 def is_subsequence(expected: Sequence[str], observed: Sequence[str]) -> bool:

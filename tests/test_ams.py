@@ -597,14 +597,14 @@ class TestRunAudit:
         run = service.run_audit("profile-web")
         _, fresh_client = env.make_manager_client()
         reopened = AuditService(FileDocumentStore(service.store.root), fresh_client)
-        loaded = reopened.status(run.run_id)
+        loaded = reopened.load_run(run.run_id)
         assert loaded.state is RunState.SDT_READY
         assert loaded.sdt_id == run.sdt_id
         assert loaded.bom_serials == run.bom_serials
 
     def test_unknown_run(self, service):
         with pytest.raises(UnknownRun):
-            service.status("missing")
+            service.load_run("missing")
 
 
 class TestUpdateAudit:
@@ -716,6 +716,42 @@ class TestUpdateAudit:
             svc.update_audit(run.run_id)
         after = {b.serial_number: b.version for b in svc.run_boms(run)}
         assert after == before
+
+    def test_failure_after_updating_ends_the_run_failed(self, service, monkeypatch):
+        """Whatever raises once a rescan has saved UPDATING ends the run
+        FAILED, with the step named, instead of leaving it UPDATING."""
+        store = DyingStore(service.store.root)
+        svc = AuditService(store, service.manager, vulnerabilities=vuln_store())
+
+        def failed_update(run, match):
+            with pytest.raises(Exception, match=match):
+                svc.update_audit(run.run_id)
+            stored = svc.load_run(run.run_id)
+            assert stored.state is RunState.FAILED
+            with pytest.raises(InvalidTransition):
+                svc.update_audit(run.run_id)
+            return stored.error
+
+        # The manager accepts the update, then the document write fails.
+        run = svc.run_audit("profile-web")
+        store.budget = sum(len(serialize_bom(b)) for b in svc.run_boms(run)) // 2
+        change_web_01(service._snapshots, "4.17.21")
+        assert failed_update(run, "injected").startswith("persist_failed:")
+        store.budget = None
+
+        # The run's stored documents are gone.
+        run = svc.run_audit("profile-web")
+        store.delete("run_documents", run.run_id)
+        assert failed_update(run, "is missing").startswith("load_failed:")
+
+        # Forging a rescanned host fails.
+        run = svc.run_audit("profile-web")
+
+        def broken_forge(*args, **kwargs):
+            raise RuntimeError("injected forge failure")
+
+        monkeypatch.setattr(service_module, "build_sbom", broken_forge)
+        assert failed_update(run, "injected forge").startswith("forge_failed:")
 
     def test_rescans_parse_and_write_only_what_they_need(self, service, monkeypatch):
         run = service.run_audit("profile-web")

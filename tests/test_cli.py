@@ -7,6 +7,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import twinaudit.cli as cli_module
+from twinaudit.ams import FileDocumentStore
 from twinaudit.cli import main
 from twinaudit.fixtures.generator import generate
 from twinaudit.jsonhttp import SharedJsonServer
@@ -328,6 +330,45 @@ class TestBenchCommand:
             )
         )
         assert "iterations: 2 ok, 0 failed" in result.output
+
+
+    def test_deploy_payload_is_what_audit_run_stores(
+        self, runner, tmp_path, store_env, monkeypatch
+    ):
+        """For one fixture and seed the bench sends, with and without
+        collection in the timed window, the documents `audit run` stores,
+        evidence categories of the profile included."""
+
+        def with_categories(spec, seed, out):
+            fx = generate(spec, seed, out)
+            profile = json.loads(Path(fx["profile"]).read_text())
+            profile["categories"] = ["CERTIFICATE", "SOFTWARE_COMPONENT"]
+            Path(fx["profile"]).write_text(json.dumps(profile))
+            return fx
+
+        run = run_audit(runner, store_env, with_categories("minimal", 3, tmp_path / "fx"))
+        record = FileDocumentStore(store_env["TWINAUDIT_STORE"]).get("run_documents", run["run_id"])
+        stored = [doc["text"] for doc in record]
+
+        sent, run_benchmark = [], cli_module.run_benchmark
+
+        def recording(client, profile_id, texts, **kwargs):
+            sent.extend([texts, kwargs["build_payload"]()])
+            return run_benchmark(client, profile_id, texts, **kwargs)
+
+        monkeypatch.setattr(cli_module, "generate", with_categories)
+        monkeypatch.setattr(cli_module, "run_benchmark", recording)
+        ok(
+            runner.invoke(
+                main,
+                [
+                    "bench", "deploy", "--fixture", "minimal", "--seed", "3",
+                    "--iterations", "1", "--include-collection",
+                ],
+                env=store_env,
+            )
+        )
+        assert sent == [stored, stored]
 
 
 class TestHelp:

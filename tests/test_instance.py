@@ -17,7 +17,6 @@ from twinaudit.instance import (
     StoredRepresentation,
     UnknownThing,
     VersionConflict,
-    build_representation,
     thing_states_from_boms,
 )
 from twinaudit.jsonhttp import ApiRequest, HttpError
@@ -80,7 +79,7 @@ class TestThingStates:
 
     def test_empty_rejected(self):
         with pytest.raises(RepresentationError):
-            build_representation([])
+            StoredRepresentation.build({})
 
     def test_vulnerability_projection(self):
         import json as _json

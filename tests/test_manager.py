@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinaudit.bom import serialize_bom
-from twinaudit.jsonhttp import HttpError, SharedJsonServer
+from twinaudit.instance.policy import DECISION_LOG_SIZE
+from twinaudit.jsonhttp import HttpError, SharedJsonServer, TransportUnavailable, http_json
 from twinaudit.manager import (
     CREATE_STAGES,
     ID_PATTERN,
@@ -49,8 +50,13 @@ class SabotageRuntime(RuntimeAdapter):
         self.inner.destroy_instance(endpoint)
         self.deployed.discard(endpoint)
 
-    def probe(self, endpoint: str) -> bool:
-        return self.inner.probe(endpoint)
+
+def health_status(endpoint):
+    """The instance's /health status code, or None when nothing answers."""
+    try:
+        return http_json("GET", endpoint + "/health", timeout=5)[0]
+    except TransportUnavailable:
+        return None
 
 
 class Env:
@@ -123,7 +129,7 @@ class TestCreate:
         assert descriptor["state"] == "READY"
         assert descriptor["representationVersion"] == 1
         assert re.fullmatch(ID_PATTERN, descriptor["sdtId"])
-        assert runtime.probe(descriptor["endpoint"])
+        assert health_status(descriptor["endpoint"]) == 200
         # the instance serves the WoT interface with a provisioned token
         tokens = {"operator": ["READ"]}
         described = client.create("profile-a", bom_texts("db-01"), options={"tokens": tokens})
@@ -242,9 +248,9 @@ class TestDestroy:
         manager, client, runtime = env.make_manager()
         created = client.create("profile-a", bom_texts("gone-host"))
         sdt_id, endpoint = created["sdtId"], created["endpoint"]
-        assert runtime.probe(endpoint)
+        assert health_status(endpoint) == 200
         client.destroy(sdt_id)
-        assert not runtime.probe(endpoint)
+        assert health_status(endpoint) != 200
         assert client.get(sdt_id)["state"] == "DESTROYED"
         client.destroy(sdt_id)  # second call: no-op success
         assert client.get(sdt_id)["state"] == "DESTROYED"
@@ -277,6 +283,22 @@ class TestDestroy:
         with pytest.raises(Exception) as err:
             client.destroy("0" * 32)
         assert getattr(err.value, "status", None) == 404
+
+
+class TestBoundedMemory:
+    def test_trace_and_access_logs_stay_bounded(self, env):
+        """A long-lived manager keeps one trace span per kind, and each
+        instance keeps only its latest access decisions."""
+        manager, _, runtime = env.make_manager()
+        created = manager.handle_create(create_payload("long-lived-host"))
+        decisions = runtime.instance_service(created["endpoint"]).policy.decisions
+        updates = 2 * DECISION_LOG_SIZE
+        for version in range(1, updates + 1):
+            manager.handle_update(created["sdtId"], {"expectedVersion": version})
+        assert manager.get_descriptor(created["sdtId"])["representationVersion"] == updates + 1
+        assert len(decisions) == DECISION_LOG_SIZE
+        assert sorted(manager.tracer._latest) == ["create", "update"]
+        assert is_subsequence(UPDATE_STAGES[1:-1], manager.tracer.last("update").stages)
 
 
 class TestHttpContract:

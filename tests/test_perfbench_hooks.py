@@ -1,0 +1,63 @@
+"""The traced benchmark run (perfbench/layers.py) wraps program entry points
+by the names their callers look up. A refactor that drops or bypasses one
+of those names fails here instead of silently emptying a layer of the
+traced run."""
+
+from pathlib import Path
+
+from twinaudit.ams import AuditService, FileDocumentStore, RunState, load_profile_file
+from twinaudit.fixtures.generator import generate
+from twinaudit.jsonhttp import SharedJsonServer
+from twinaudit.manager import InProcessRuntime, ManagerClient, ManagerService, SdtManager
+from twinaudit.vulnstore import VulnerabilityStore
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+EXPECTED_SPANS = {
+    "collect.scan_host",
+    "forge.build_sbom",
+    "forge.link",
+    "bom.serialize",
+    "manager.project",
+    "manager.push",
+}
+
+
+def test_traced_audit_and_rescan_record_every_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    fx = generate("minimal", 1, tmp_path / "fx")
+    requirements = Path(fx["snapshots"]["solo-01"]) / "opt" / "app" / "requirements.txt"
+    server = SharedJsonServer().start()
+    tracer = Tracer()
+    patches = layers.install(tracer)
+    try:
+        manager = SdtManager(runtimes=[InProcessRuntime(server)])
+        client = ManagerClient(server.mount("/manager", ManagerService(manager)))
+        vulnerabilities = VulnerabilityStore()
+        vulnerabilities.load_feed(fx["feed"])
+        service = AuditService(
+            FileDocumentStore(tmp_path / "store"), client, vulnerabilities=vulnerabilities
+        )
+        service.ingest_inventory(fx["inventory"])
+        service.create_profile(load_profile_file(fx["profile"]))
+
+        run = service.run_audit(fx["profile_id"])
+        assert run.state is RunState.SDT_READY, run.error
+        audit_spans = set(tracer.layer_table())
+        tracer.reset()
+        with requirements.open("a", encoding="utf-8") as handle:
+            handle.write("hookcheck==1.0.0\n")
+        run = service.update_audit(run.run_id)
+        assert run.state is RunState.SDT_READY, run.error
+        assert run.representation_version == 2
+        rescan_spans = set(tracer.layer_table())
+    finally:
+        patches.undo()
+        server.stop()
+
+    # Each operation on its own, so that bypassing a name on one path fails.
+    assert EXPECTED_SPANS - audit_spans == set()
+    assert EXPECTED_SPANS - rescan_spans == set()
