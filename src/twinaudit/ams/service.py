@@ -173,6 +173,11 @@ class AuditService:
     # -- run lifecycle ------------------------------------------------------
 
     def run_audit(self, profile_id: str) -> AuditRun:
+        """Collect, forge, store the documents and create the twin.
+
+        Whatever raises once the run is COLLECTING ends it FAILED, with an
+        error naming the step, before the exception propagates.
+        """
         profile = self._profile(profile_id)
         topology = topology_from_store(self.store)
         host_ids = selected_hosts(profile, topology)
@@ -182,29 +187,38 @@ class AuditService:
         self._save_run(run)
 
         self._advance(run, RunState.COLLECTING)
-        bundles, run.host_errors = collect_evidence([topology.host(h) for h in host_ids])
-        if not bundles:
-            return self._advance(run, RunState.FAILED, "no_evidence")
-
-        linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
-        self._persist_boms(run.run_id, linked, texts)
-        run.bom_serials = tuple(b.serial_number for b in linked)
-        self._advance(run, RunState.BOMS_BUILT)
-
-        self._advance(run, RunState.SDT_REQUESTED)
+        step = "collect"
         try:
-            created = self.manager.create(
-                profile_id,
-                texts,
-                options=self.sdt_options or None,
-            )
-        except TransportUnavailable:
-            return self._advance(run, RunState.FAILED, "transport")
-        except RequestRejected as exc:
-            return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
-        run.sdt_id = created["sdtId"]
-        run.representation_version = int(created["representationVersion"])
-        return self._advance(run, RunState.SDT_READY)
+            bundles, run.host_errors = collect_evidence([topology.host(h) for h in host_ids])
+            if not bundles:
+                return self._advance(run, RunState.FAILED, "no_evidence")
+
+            step = "forge"
+            linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
+            step = "persist"
+            self._persist_boms(run.run_id, linked, texts)
+            run.bom_serials = tuple(b.serial_number for b in linked)
+            self._advance(run, RunState.BOMS_BUILT)
+
+            step = "create"
+            self._advance(run, RunState.SDT_REQUESTED)
+            try:
+                created = self.manager.create(
+                    profile_id,
+                    texts,
+                    options=self.sdt_options or None,
+                )
+            except TransportUnavailable:
+                return self._advance(run, RunState.FAILED, "transport")
+            except RequestRejected as exc:
+                return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
+            run.sdt_id = created["sdtId"]
+            run.representation_version = int(created["representationVersion"])
+            return self._advance(run, RunState.SDT_READY)
+        except Exception as exc:
+            if run.state not in (RunState.FAILED, RunState.SDT_READY):
+                self._advance(run, RunState.FAILED, f"{step}_failed:{exc}")
+            raise
 
     def update_audit(self, run_id: str, hosts: Optional[Iterable[str]] = None) -> AuditRun:
         """Rescan, diff against the persisted documents, and push deltas.

@@ -175,9 +175,13 @@ class Revision:
 
 
 class StoredRepresentation:
-    """Thing states keyed by id, each with gap-free revision history."""
+    """Thing states keyed by id, each with gap-free revision history.
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic):
+    Revisions are stamped by `clock`, Unix epoch seconds by default, the
+    unit of the `?at=T` query.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.time):
         self._things: dict[str, list[Revision]] = {}
         self._version = 0
         self._clock = clock
@@ -188,7 +192,7 @@ class StoredRepresentation:
 
     @classmethod
     def build(
-        cls, states: dict[str, dict[str, Any]], clock: Callable[[], float] = time.monotonic
+        cls, states: dict[str, dict[str, Any]], clock: Callable[[], float] = time.time
     ) -> "StoredRepresentation":
         if not states:
             raise RepresentationError("representation requires at least one thing")

@@ -4,6 +4,7 @@ Routes (bearer-token auth, except /health):
   GET  /health                          liveness, unauthenticated
   GET  /things                          thing id list            [READ]
   GET  /things/{id}?rev=N|at=T          state at revision/time   [READ]
+                                        (T in Unix epoch seconds)
   GET  /things/{id}/history             revision metadata        [READ]
   PUT  /representation                  build or update          [WRITE_REPRESENTATION]
   GET  /representation                  full export (footprint)  [ADMIN]

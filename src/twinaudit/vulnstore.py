@@ -5,12 +5,18 @@ One advisory per line: {"cve", "summary", "cvss": {"score", "vector"},
 introduced is inclusive, fixed exclusive; a missing bound leaves that side
 open. Lookups normalize package names (case and -/_ separators) so feed and
 inventory spellings do not have to agree.
+
+The store indexes advisories by CVE id and by normalized package name, so a
+lookup tests only the advisories that name the package: its cost follows
+the inventory, not the size of the feed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -29,7 +35,10 @@ def normalize_package_name(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
-def parse_version(text: str) -> tuple[tuple[int, str], ...]:
+Version = tuple[tuple[int, str], ...]
+
+
+def parse_version(text: str) -> Version:
     """Dotted segments as (numeric, suffix) pairs: "1.2rc1" -> ((1,""),(2,"rc1")).
 
     Missing digits count as 0, so purely alphabetic segments order by suffix
@@ -49,27 +58,38 @@ def parse_version(text: str) -> tuple[tuple[int, str], ...]:
     return tuple(segments)
 
 
-def compare_versions(a: str, b: str) -> int:
-    pa, pb = parse_version(a), parse_version(b)
+def _compare_parsed(pa: Version, pb: Version) -> int:
     width = max(len(pa), len(pb))
     pa += ((0, ""),) * (width - len(pa))
     pb += ((0, ""),) * (width - len(pb))
     return (pa > pb) - (pa < pb)
 
 
+def compare_versions(a: str, b: str) -> int:
+    return _compare_parsed(parse_version(a), parse_version(b))
+
+
 @dataclass(frozen=True)
 class VersionRange:
     introduced: Optional[str] = None
     fixed: Optional[str] = None
+    # Bounds parsed once at construction; equality and repr use the texts.
+    _introduced: Optional[Version] = field(init=False, repr=False, compare=False)
+    _fixed: Optional[Version] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, bound in (("_introduced", self.introduced), ("_fixed", self.fixed)):
+            object.__setattr__(self, name, None if bound is None else parse_version(bound))
 
     def contains(self, version: str) -> bool:
         if not version:
             # Unversioned inventory entries only match advisories that affect
             # every version of the package.
             return self.introduced is None and self.fixed is None
-        if self.introduced is not None and compare_versions(version, self.introduced) < 0:
+        parsed = parse_version(version)
+        if self._introduced is not None and _compare_parsed(parsed, self._introduced) < 0:
             return False
-        if self.fixed is not None and compare_versions(version, self.fixed) >= 0:
+        if self._fixed is not None and _compare_parsed(parsed, self._fixed) >= 0:
             return False
         return True
 
@@ -152,10 +172,17 @@ def _parse_record(line_number: int, data: dict) -> Advisory:
 
 
 class VulnerabilityStore:
-    """In-memory advisory index keyed by CVE id; re-ingest replaces in place."""
+    """In-memory advisories keyed by CVE id and indexed by package name.
+
+    Re-ingesting a CVE replaces its advisory in place, and the package index
+    follows: names the old record affected and the new one does not lose it.
+    """
 
     def __init__(self) -> None:
         self._advisories: dict[str, Advisory] = {}
+        # Normalized package name -> (CVE id, that package's ranges) for each
+        # advisory naming it, in CVE-id order.
+        self._by_package: dict[str, list[tuple[str, tuple[VersionRange, ...]]]] = {}
 
     def __len__(self) -> int:
         return len(self._advisories)
@@ -182,10 +209,23 @@ class VulnerabilityStore:
                 raise FeedError(i, f"invalid JSON: {exc.msg}") from exc
             if not isinstance(data, dict):
                 raise FeedError(i, "record must be a JSON object")
-            advisory = _parse_record(i, data)
-            self._advisories[advisory.cve_id] = advisory
+            self._put(_parse_record(i, data))
             count += 1
         return count
+
+    def _put(self, advisory: Advisory) -> None:
+        cve_id = advisory.cve_id
+        old = self._advisories.get(cve_id)
+        if old is not None:
+            for pkg in old.affects:
+                entries = self._by_package[pkg.name]
+                del entries[bisect_left(entries, cve_id, key=itemgetter(0))]
+                if not entries:
+                    del self._by_package[pkg.name]
+        self._advisories[cve_id] = advisory
+        for pkg in advisory.affects:
+            entries = self._by_package.setdefault(pkg.name, [])
+            insort(entries, (cve_id, pkg.ranges), key=itemgetter(0))
 
     def load_feed(self, path: Union[str, Path]) -> int:
         with open(path, "r", encoding="utf-8") as fh:
@@ -194,5 +234,7 @@ class VulnerabilityStore:
     def findings_for(self, name: str, version: str) -> list[Advisory]:
         """All advisories affecting the package at that version, by CVE id."""
         return [
-            adv for adv in self.advisories() if adv.matches(name, version)
+            self._advisories[cve_id]
+            for cve_id, ranges in self._by_package.get(normalize_package_name(name), ())
+            if any(r.contains(version) for r in ranges)
         ]

@@ -1,6 +1,7 @@
 """Audit orchestration: inventory, profiles, run lifecycle, twin sync."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -606,6 +607,32 @@ class TestRunAudit:
         with pytest.raises(UnknownRun):
             service.load_run("missing")
 
+    def test_forge_failure_ends_the_run_failed(self, service, monkeypatch):
+        """A run that raises once COLLECTING is saved ends FAILED, with the
+        step named, instead of staying COLLECTING."""
+
+        def broken_forge(*args, **kwargs):
+            raise RuntimeError("injected forge failure")
+
+        monkeypatch.setattr(service_module, "build_sbom", broken_forge)
+        with pytest.raises(RuntimeError, match="injected forge"):
+            service.run_audit("profile-web")
+        (stored,) = service.store.query("runs").values()
+        assert stored["state"] == RunState.FAILED.value
+        assert stored["error"] == "forge_failed:injected forge failure"
+
+    def test_failed_document_write_ends_the_run_failed(self, service):
+        store = DyingStore(service.store.root)
+        store.budget = 0
+        svc = AuditService(store, service.manager, vulnerabilities=vuln_store())
+        with pytest.raises(OSError, match="injected"):
+            svc.run_audit("profile-web")
+        (run_id,) = store.query("runs")
+        stored = svc.load_run(run_id)
+        assert stored.state is RunState.FAILED
+        assert stored.error.startswith("persist_failed:")
+        assert store.get("run_documents", run_id) is None
+
 
 class TestUpdateAudit:
     def test_no_change_is_a_cheap_no_op(self, service):
@@ -668,6 +695,25 @@ class TestUpdateAudit:
         assert ("lodash", "4.17.21") in [(c.name, c.version) for c in sbom.components]
         # The fixed release closes the advisory match.
         assert sbom.vulnerabilities == ()
+
+    def test_time_travel_takes_epoch_seconds(self, service):
+        """`?at=T` is a Unix epoch timestamp, as a client's clock gives it."""
+        run = service.run_audit("profile-web")
+        taken = time.time()
+        change_web_01(service._snapshots, "4.17.21")
+        assert service.update_audit(run.run_id).representation_version == 2
+
+        endpoint = service.manager.get(run.sdt_id)["endpoint"]
+        headers = {"Authorization": "Bearer operator-token"}
+
+        def lodash_at(**params):
+            state = requests.get(
+                f"{endpoint}/things/web-01", params=params, headers=headers, timeout=5
+            ).json()
+            return {e["version"] for e in state["properties"]["software"] if e["name"] == "lodash"}
+
+        assert lodash_at(at=taken) == {"4.17.20"}
+        assert lodash_at() == {"4.17.21"}
 
     def test_rejected_update_keeps_previous_documents(self, service):
         run = service.run_audit("profile-web")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinaudit import vulnstore
 from twinaudit.bom import Severity
 from twinaudit.vulnstore import (
     FeedError,
@@ -173,41 +174,101 @@ class TestIngest:
 versions_st = st.lists(st.integers(0, 9), min_size=1, max_size=3).map(
     lambda parts: ".".join(map(str, parts))
 )
+PACKAGES = ["lib-a", "lib-b", "libc"]
+
+
+@st.composite
+def spellings(draw, name):
+    """The package name in mixed case, with any "-" possibly written "_"."""
+    chars = [
+        draw(st.sampled_from(["-", "_"])) if ch == "-" else draw(st.sampled_from([ch, ch.upper()]))
+        for ch in name
+    ]
+    return "".join(chars)
 
 
 @st.composite
 def feeds(draw):
-    names = draw(st.lists(st.sampled_from(["liba", "libb", "libc"]), min_size=1, max_size=6))
+    """Lines over a few CVE ids, so later lines re-ingest an id, often for
+    other packages than the line it replaces."""
     lines = []
-    for i, name in enumerate(names):
-        bounds = sorted(
-            [draw(versions_st), draw(versions_st)], key=lambda v: parse_version(v)
-        )
-        introduced = draw(st.one_of(st.none(), st.just(bounds[0])))
-        fixed = draw(st.one_of(st.none(), st.just(bounds[1])))
-        lines.append(record(f"CVE-2024-{1000 + i}", name, introduced, fixed))
+    for _ in range(draw(st.integers(1, 8))):
+        affects = []
+        for name in draw(st.lists(st.sampled_from(PACKAGES), min_size=1, max_size=2)):
+            bounds = sorted([draw(versions_st), draw(versions_st)], key=parse_version)
+            entry = {"name": draw(spellings(name))}
+            if draw(st.booleans()):
+                entry["introduced"] = bounds[0]
+            if draw(st.booleans()):
+                entry["fixed"] = bounds[1]
+            affects.append(entry)
+        cve = f"CVE-2024-{1000 + draw(st.integers(0, 3))}"
+        lines.append(json.dumps({"cve": cve, "cvss": {"score": 5.0}, "affects": affects}))
     return lines
 
 
+def oracle_findings(lines, name, version):
+    """Linear scan over the raw lines: the last line of a CVE id wins."""
+    latest = {}
+    for raw in lines:
+        data = json.loads(raw)
+        latest[data["cve"]] = data
+    wanted = normalize_package_name(name)
+    hits = []
+    for cve in sorted(latest):
+        for entry in latest[cve]["affects"]:
+            if normalize_package_name(entry["name"]) != wanted:
+                continue
+            intro, fixed = entry.get("introduced"), entry.get("fixed")
+            if not version:
+                affected = intro is None and fixed is None
+            else:
+                affected = (intro is None or compare_versions(version, intro) >= 0) and (
+                    fixed is None or compare_versions(version, fixed) < 0
+                )
+            if affected:
+                hits.append(cve)
+                break
+    return hits
+
+
 class TestOracleEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(feeds(), st.sampled_from(["liba", "libb", "libc"]), versions_st)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        feeds(),
+        st.sampled_from(PACKAGES).flatmap(spellings),
+        st.one_of(st.just(""), versions_st),
+    )
     def test_matches_linear_scan(self, lines, name, version):
         store = VulnerabilityStore()
         store.ingest_lines(lines)
+        found = [a.cve_id for a in store.findings_for(name, version)]
+        assert found == oracle_findings(lines, name, version)
+        assert found == [a.cve_id for a in store.advisories() if a.matches(name, version)]
 
-        expected = []
-        for raw in lines:
-            data = json.loads(raw)
-            for entry in data["affects"]:
-                if entry["name"] != name:
-                    continue
-                intro, fixed = entry.get("introduced"), entry.get("fixed")
-                if intro is not None and compare_versions(version, intro) < 0:
-                    continue
-                if fixed is not None and compare_versions(version, fixed) >= 0:
-                    continue
-                expected.append(data["cve"])
-                break
-        # Later lines replace earlier ones for the same CVE; ids here are unique.
-        assert [a.cve_id for a in store.findings_for(name, version)] == sorted(set(expected))
+    def test_lookup_tests_only_the_packages_advisories(self, monkeypatch):
+        lines = [
+            record(f"CVE-2023-{10000 + i}", f"unrelated-{i % 700}", "1.0", "2.0")
+            for i in range(5000)
+        ]
+        lines += [
+            record("CVE-2024-1000", "Flask", "0", "2.1"),
+            record("CVE-2024-1001", "flask", "2.0", "2.0.2"),
+            record("CVE-2024-1002", "flask", "3.0"),
+            # Re-ingested for another package: flask no longer names it.
+            record("CVE-2024-0999", "flask"),
+            record("CVE-2024-0999", "django"),
+        ]
+        store = store_with(*lines)
+        contains, normalize = VersionRange.contains, vulnstore.normalize_package_name
+        tested, normalized = [], []
+        monkeypatch.setattr(
+            VersionRange, "contains", lambda rng, v: tested.append(rng) or contains(rng, v)
+        )
+        monkeypatch.setattr(
+            vulnstore, "normalize_package_name", lambda n: normalized.append(n) or normalize(n)
+        )
+        hits = store.findings_for("FLASK", "2.0.1")
+        assert [a.cve_id for a in hits] == ["CVE-2024-1000", "CVE-2024-1001"]
+        assert len(tested) == 3
+        assert normalized == ["FLASK"]
