@@ -2,7 +2,9 @@
 
 A snapshot is either a plain directory tree or a tar archive (optionally
 gzipped) of one. Scanners only ever see this facade, which exposes no write
-operations, so collection cannot alter the captured evidence.
+operations, so collection cannot alter the captured evidence. Only regular
+files are read: symlinks in a directory and link members of a tar are
+skipped, so nothing outside the snapshot is ever read.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import fnmatch
 import json
 import tarfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 
 class SnapshotError(ValueError):
@@ -50,7 +52,7 @@ class HostSnapshot:
         path = Path(path)
         if path.is_dir():
             files: dict[str, bytes] = {}
-            for file in sorted(p for p in path.rglob("*") if p.is_file()):
+            for file in sorted(p for p in path.rglob("*") if p.is_file() and not p.is_symlink()):
                 files[_clean(str(file.relative_to(path)))] = file.read_bytes()
             return cls(str(path), files)
         if path.is_file():
@@ -100,10 +102,3 @@ class HostSnapshot:
         if not isinstance(raw, dict):
             return {}
         return {str(k): str(v) for k, v in raw.items()}
-
-    def os_release(self) -> Optional[str]:
-        os_info = self.facts.get("os")
-        if isinstance(os_info, dict) and os_info.get("name"):
-            version = os_info.get("version", "")
-            return f"{os_info['name']} {version}".strip()
-        return None

@@ -280,14 +280,6 @@ class CryptoHierarchyGraph:
             key=lambda n: n.name,
         )
 
-    def refines_parent(self, node_id: NodeId) -> Optional[NodeId]:
-        parents = [
-            e.target
-            for e in self._edges
-            if e.source == node_id and e.kind == EdgeKind.REFINES
-        ]
-        return parents[0] if parents else None
-
     def is_acyclic(self) -> bool:
         """True when edges carry no directed cycle (checked over all kinds)."""
         adjacency: dict[NodeId, list[NodeId]] = {}

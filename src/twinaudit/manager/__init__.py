@@ -5,7 +5,7 @@ from .adapter import DataAdapter
 from .api import ManagerService
 from .client import ManagerClient
 from .core import ID_PATTERN, SdtDescriptor, SdtManager, SdtState
-from .runtime import InProcessRuntime, InstanceConfig, RuntimeAdapter
+from .runtime import InProcessRuntime
 from .trace import CREATE_STAGES, UPDATE_STAGES, TraceRecorder, TraceSpan, is_subsequence
 
 __all__ = [
@@ -13,10 +13,8 @@ __all__ = [
     "DataAdapter",
     "ID_PATTERN",
     "InProcessRuntime",
-    "InstanceConfig",
     "ManagerClient",
     "ManagerService",
-    "RuntimeAdapter",
     "SdtDescriptor",
     "SdtManager",
     "SdtState",

@@ -1,5 +1,5 @@
-"""Data Adapter: turns BOM documents into thing states and pushes them
-into a running instance over its service interface."""
+"""Data Adapter: turns BOM documents into thing states and hands them to a
+mounted instance through its service interface, in-process."""
 
 from __future__ import annotations
 
@@ -7,17 +7,37 @@ from typing import Any, Iterable
 
 from ..bom import Bom
 from ..instance import thing_states_from_boms
-from ..jsonhttp import RequestRejected, expect_json
+from ..jsonhttp import ApiRequest, HttpError, RequestRejected, TransportUnavailable
+from .runtime import InProcessRuntime
 
 __all__ = ["DataAdapter"]
 
-TIMEOUT_S = 30.0
-
 
 class DataAdapter:
+    def __init__(self, runtime: InProcessRuntime):
+        self._runtime = runtime
+
     def process(self, boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
         """Pure projection; raises RepresentationError on inconsistent input."""
         return thing_states_from_boms(boms)
+
+    def _call(self, endpoint: str, method: str, token: str, body: Any = None) -> Any:
+        """One `/representation` request through the instance's dispatch, so
+        token scopes, version checks and atomic apply are the HTTP route's.
+        Raises TransportUnavailable when nothing is mounted at endpoint and
+        RequestRejected when the instance refuses or fails."""
+        service = self._runtime.instance_service(endpoint)
+        if service is None:
+            raise TransportUnavailable(f"no instance mounted at {endpoint}")
+        request = ApiRequest(
+            method, "/representation", headers={"Authorization": f"Bearer {token}"}, body=body
+        )
+        try:
+            return service.dispatch(request)[1]
+        except HttpError as err:
+            raise RequestRejected(err.status, err.code, err.message) from err
+        except Exception as err:  # instance bug: reported as the HTTP handler would
+            raise RequestRejected(500, "internal", str(err)) from err
 
     def push(
         self,
@@ -26,22 +46,11 @@ class DataAdapter:
         version: int,
         states: dict[str, dict[str, Any]],
     ) -> dict[str, Any]:
-        """PUT the states as representation `version`. Raises
-        TransportUnavailable when the instance cannot be reached and
-        RequestRejected when it refuses the update."""
-        return expect_json(
-            "PUT",
-            endpoint + "/representation",
-            body={"version": version, "things": states},
-            token=token,
-            timeout=TIMEOUT_S,
-        )
+        """Apply the states as representation `version`; returns the
+        instance's {"version", "revisedThings"}."""
+        return self._call(endpoint, "PUT", token, {"version": version, "things": states})
 
     def export(self, endpoint: str, token: str) -> dict[str, Any]:
-        """Full serialized representation (admin route); used for footprint."""
-        payload = expect_json(
-            "GET", endpoint + "/representation", token=token, timeout=TIMEOUT_S
-        )
-        if not isinstance(payload, dict):
-            raise RequestRejected(502, "bad_payload", "instance returned a non-object export")
-        return payload
+        """Full representation, history included (admin scope); used for
+        footprint."""
+        return self._call(endpoint, "GET", token)

@@ -21,7 +21,7 @@ from ..bom.diff import DeltaMismatch, apply_delta, delta_from_dict
 from ..instance import RepresentationError, Scope
 from ..jsonhttp import HttpError, RequestRejected, TransportUnavailable
 from .adapter import DataAdapter
-from .runtime import InstanceConfig, RuntimeAdapter
+from .runtime import InProcessRuntime
 from .trace import TraceRecorder, TraceSpan
 
 __all__ = ["SdtDescriptor", "SdtManager", "SdtState"]
@@ -82,7 +82,7 @@ def _scope_names(values: Iterable[Any]) -> tuple[str, ...]:
 class SdtManager:
     def __init__(
         self,
-        runtimes: Sequence[RuntimeAdapter],
+        runtimes: Sequence[InProcessRuntime],
         tracer: Optional[TraceRecorder] = None,
         clock: Callable[[], float] = time.time,
     ):
@@ -90,7 +90,7 @@ class SdtManager:
             raise ValueError("exactly one runtime is required")
         (self._runtime,) = runtimes
         self.tracer = tracer or TraceRecorder()
-        self._adapter = DataAdapter()
+        self._adapter = DataAdapter(self._runtime)
         self._clock = clock
         self._records: dict[str, _SdtRecord] = {}
         self._registry_lock = threading.RLock()
@@ -202,10 +202,9 @@ class SdtManager:
 
         with record.lock:
             descriptor = record.descriptor
-            config = InstanceConfig(sdt_id=sdt_id, tokens=tokens)
             span.record("lcm")
             try:
-                endpoint = self._runtime.deploy_instance(config)
+                endpoint = self._runtime.deploy_instance(sdt_id, tokens)
             except Exception as err:
                 descriptor.state = SdtState.ERROR
                 descriptor.error = "deploy"

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import tarfile
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinaudit.collect import (
     EvidenceCategory,
@@ -119,6 +123,72 @@ class TestSnapshot:
             name.startswith(("write", "delete", "remove", "unlink", "mkdir"))
             for name in dir(snapshot)
         )
+
+
+SENTINEL = b"OUTSIDE-THE-SNAPSHOT"
+
+# An in-root regular file, or a link pointing out of the root. Hard links
+# are tar members only: in a directory a hard link is a regular file.
+ENTRY_KINDS = ("file", "symlink", "relative_symlink", "dir_symlink", "tar_hardlink")
+
+snapshot_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["etc", "etc/ssl/certs", "srv/app"]),
+        st.sampled_from(ENTRY_KINDS),
+        st.binary(max_size=32).filter(lambda b: SENTINEL not in b),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSnapshotConfinement:
+    @settings(max_examples=60, deadline=None)
+    @given(snapshot_entries)
+    def test_nothing_outside_the_root_is_read(self, entries):
+        """Directory and tar input return exactly the in-root regular files;
+        no byte of a file or directory outside the root ever comes back."""
+        with tempfile.TemporaryDirectory() as scratch:
+            base = Path(scratch)
+            outside = write_tree(
+                base / "outside",
+                {"secret.txt": SENTINEL + b" file", "dir/secret.txt": SENTINEL + b" dir"},
+            )
+            facts = json.dumps(FACTS).encode()
+            root = write_tree(base / "host", {"facts.json": facts})
+            expected = {"facts.json": facts}
+            hardlinks = []
+            for index, (folder, kind, content) in enumerate(entries):
+                name = f"{folder}/entry{index}"
+                target = root / name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                if kind == "file":
+                    target.write_bytes(content)
+                    expected[name] = content
+                elif kind == "symlink":
+                    target.symlink_to(outside / "secret.txt")
+                elif kind == "relative_symlink":
+                    target.symlink_to(os.path.relpath(outside / "secret.txt", target.parent))
+                elif kind == "dir_symlink":
+                    target.symlink_to(outside / "dir", target_is_directory=True)
+                else:
+                    hardlinks.append(name)
+
+            archive = base / "host.tar"
+            with tarfile.open(archive, "w") as tar:
+                tar.add(root, arcname=".")  # symlinks become symlink members
+                for name in hardlinks:
+                    for suffix, linkname in (("", str(outside / "secret.txt")),
+                                             (".rel", "../outside/secret.txt")):
+                        member = tarfile.TarInfo(name + suffix)
+                        member.type = tarfile.LNKTYPE
+                        member.linkname = linkname
+                        tar.addfile(member)
+
+            for snapshot in (HostSnapshot.open(root), HostSnapshot.open(archive)):
+                read = {path: snapshot.read_bytes(path) for path in snapshot.iter_files()}
+                assert not any(SENTINEL in data for data in read.values())
+                assert read == expected
 
 
 class TestTokenExtraction:

@@ -8,17 +8,17 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinaudit import jsonhttp
 from twinaudit.bom import serialize_bom
 from twinaudit.instance.policy import DECISION_LOG_SIZE
+from twinaudit.instance.representation import StoredRepresentation
 from twinaudit.jsonhttp import HttpError, SharedJsonServer, TransportUnavailable, http_json
 from twinaudit.manager import (
     CREATE_STAGES,
     ID_PATTERN,
     InProcessRuntime,
-    InstanceConfig,
     ManagerClient,
     ManagerService,
-    RuntimeAdapter,
     SdtManager,
     TraceRecorder,
     UPDATE_STAGES,
@@ -28,27 +28,30 @@ from twinaudit.manager import (
 from .test_instance import linked_set
 
 
-class SabotageRuntime(RuntimeAdapter):
+class SabotageRuntime:
     """Wraps a real runtime; can fail deploys or poison instance tokens."""
 
-    def __init__(self, inner: RuntimeAdapter):
+    def __init__(self, inner: InProcessRuntime):
         self.inner = inner
         self.fail_deploy = False
         self.poison_tokens = False
         self.deployed: set[str] = set()
 
-    def deploy_instance(self, config: InstanceConfig) -> str:
+    def deploy_instance(self, sdt_id: str, tokens) -> str:
         if self.fail_deploy:
             raise RuntimeError("injected deploy failure")
         if self.poison_tokens:
-            config = InstanceConfig(sdt_id=config.sdt_id, tokens={"decoy": ("READ",)})
-        endpoint = self.inner.deploy_instance(config)
+            tokens = {"decoy": ("READ",)}
+        endpoint = self.inner.deploy_instance(sdt_id, tokens)
         self.deployed.add(endpoint)
         return endpoint
 
     def destroy_instance(self, endpoint: str) -> None:
         self.inner.destroy_instance(endpoint)
         self.deployed.discard(endpoint)
+
+    def instance_service(self, endpoint: str):
+        return self.inner.instance_service(endpoint)
 
 
 def health_status(endpoint):
@@ -299,6 +302,54 @@ class TestBoundedMemory:
         assert len(decisions) == DECISION_LOG_SIZE
         assert sorted(manager.tracer._latest) == ["create", "update"]
         assert is_subsequence(UPDATE_STAGES[1:-1], manager.tracer.last("update").stages)
+
+
+class TestInProcessDelivery:
+    """The manager hands states to its instances through the runtime."""
+
+    def test_manager_sends_no_http_to_its_instances(self, env, monkeypatch):
+        manager, _, _ = env.make_manager()
+
+        def no_http(*args, **kwargs):
+            raise AssertionError(f"unexpected HTTP request: {args}")
+
+        monkeypatch.setattr(jsonhttp, "http_json", no_http)
+        created = manager.handle_create(create_payload("inproc-host"))
+        result = manager.handle_update(created["sdtId"], {"expectedVersion": 1})
+        assert result["representationVersion"] == 2
+        assert manager.footprint(created["sdtId"]) > 0
+        manager.handle_destroy(created["sdtId"])
+
+    def test_vanished_instance_is_unreachable(self, env):
+        manager, _, runtime = env.make_manager()
+        created = manager.handle_create(create_payload("vanish-host"))
+        sdt_id = created["sdtId"]
+        runtime.destroy_instance(created["endpoint"])  # behind the manager's back
+        with pytest.raises(HttpError) as err:
+            manager.footprint(sdt_id)
+        assert (err.value.status, err.value.code) == (502, "unreachable")
+        with pytest.raises(HttpError) as err:
+            manager.handle_update(sdt_id, {"expectedVersion": 1})
+        assert (err.value.status, err.value.code) == (502, "unreachable")
+        descriptor = manager.get_descriptor(sdt_id)
+        assert (descriptor["state"], descriptor["error"]) == ("ERROR", "unreachable")
+        manager.handle_destroy(sdt_id)
+
+    def test_instance_failure_on_create_leaves_no_instance(self, env, monkeypatch):
+        manager, _, _ = env.make_manager()
+
+        def broken_build(*args, **kwargs):
+            raise RuntimeError("injected build failure")
+
+        monkeypatch.setattr(StoredRepresentation, "build", broken_build)
+        mounts_before = env.server.mounts()
+        with pytest.raises(HttpError) as err:
+            manager.handle_create(create_payload("broken-host"))
+        assert (err.value.status, err.value.code) == (502, "representation")
+        assert env.server.mounts() == mounts_before
+        (descriptor,) = manager.list_descriptors()
+        assert (descriptor["state"], descriptor["error"]) == ("ERROR", "representation")
+        assert descriptor["endpoint"] is None
 
 
 class TestHttpContract:
