@@ -6,7 +6,7 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Optional, Union
 
-from ..bom import Bom, delta_to_dict, diff_boms, parse_bom, serialize_bom
+from ..bom import Bom, BomLink, delta_to_dict, diff_boms, parse_bom, serialize_bom
 from ..collect import EvidenceBundle, EvidenceCategory, HostSnapshot, scan_host
 from ..forge import (
     build_cbom,
@@ -14,6 +14,7 @@ from ..forge import (
     build_sbom,
     enrich_with_vulnerabilities,
     link_to_profile,
+    profile_manifest,
 )
 from ..jsonhttp import RequestRejected, TransportUnavailable
 from ..manager import ManagerClient
@@ -102,6 +103,11 @@ def forge_documents(
     return linked, [serialize_bom(b) for b in linked]
 
 
+def _entry(bom: Bom, text: str) -> dict[str, Any]:
+    """A document as the run's record stores it."""
+    return {"serial": bom.serial_number, "version": bom.version, "text": text}
+
+
 class AuditService:
     """Stateless over a document store: every run survives a restart.
 
@@ -159,17 +165,6 @@ class AuditService:
     def run_boms(self, run: AuditRun) -> list[Bom]:
         return [parse_bom(doc["text"]) for doc in self.store.get(RUN_DOCUMENTS, run.run_id) or ()]
 
-    def _persist_boms(self, run_id: str, boms: list[Bom], texts: list[str]) -> None:
-        """One record per run: a single atomic put replaces the whole set."""
-        self.store.put(
-            RUN_DOCUMENTS,
-            run_id,
-            [
-                {"serial": bom.serial_number, "version": bom.version, "text": text}
-                for bom, text in zip(boms, texts)
-            ],
-        )
-
     # -- run lifecycle ------------------------------------------------------
 
     def run_audit(self, profile_id: str) -> AuditRun:
@@ -196,7 +191,12 @@ class AuditService:
             step = "forge"
             linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
             step = "persist"
-            self._persist_boms(run.run_id, linked, texts)
+            # One record per run: a single atomic put replaces the whole set.
+            self.store.put(
+                RUN_DOCUMENTS,
+                run.run_id,
+                [_entry(bom, text) for bom, text in zip(linked, texts)],
+            )
             run.bom_serials = tuple(b.serial_number for b in linked)
             self._advance(run, RunState.BOMS_BUILT)
 
@@ -223,18 +223,23 @@ class AuditService:
     def update_audit(self, run_id: str, hosts: Optional[Iterable[str]] = None) -> AuditRun:
         """Rescan, diff against the persisted documents, and push deltas.
 
-        Stored documents are replaced only after the manager accepts the
-        update, and all in one write, so a failed push or a failed write
-        leaves the previous inventory intact. Whatever raises once the run
-        is UPDATING ends it FAILED, with an error naming the step, before
-        the exception propagates.
+        By default every host with documents in the run is rescanned. Only
+        documents whose text changed, and the manifest that indexes them,
+        get a new version, a delta and a parse; the others are carried over
+        as stored. Stored documents are replaced only after the manager
+        accepts the update, and all in one write, so a failed push or a
+        failed write leaves the previous inventory intact. Whatever raises
+        once the run is UPDATING ends it FAILED, with an error naming the
+        step, before the exception propagates.
         """
         run = self.load_run(run_id)
         profile = self._profile(run.profile_id)
-        rescan_ids = sorted(set(hosts) if hosts is not None else set(run.hosts))
-        unknown = [h for h in rescan_ids if h not in run.hosts]
+        # Hosts that failed the audit have no documents to diff against.
+        documented = [h for h in run.hosts if h not in run.host_errors]
+        rescan_ids = sorted(set(hosts) if hosts is not None else set(documented))
+        unknown = [h for h in rescan_ids if h not in documented]
         if unknown:
-            raise ProfileError(f"hosts not part of this run: {', '.join(unknown)}")
+            raise ProfileError(f"hosts without documents in this run: {', '.join(unknown)}")
 
         topology = topology_from_store(self.store)
         self._advance(run, RunState.UPDATING)
@@ -246,49 +251,34 @@ class AuditService:
                 return self._advance(run, RunState.FAILED, "no_evidence")
 
             step = "load"
-            record = self.store.get(RUN_DOCUMENTS, run_id) or ()
-            stored = {doc["serial"]: doc["text"] for doc in record}
+            stored = {doc["serial"]: doc for doc in self.store.get(RUN_DOCUMENTS, run_id) or ()}
             for serial in run.bom_serials:
                 if serial not in stored:
                     raise UnknownRun(f"{run_id}: stored document {serial} is missing")
-            parsed: dict[str, Bom] = {}
 
-            def previous(serial: str) -> Bom:
-                # Parsed on first use, so a no-op rescan parses only its own hosts.
-                if serial not in parsed:
-                    parsed[serial] = parse_bom(stored[serial])
-                return parsed[serial]
+            # Rebuild each rescanned document at its stored version: an
+            # unchanged one serializes to its stored text and is not parsed.
+            step = "forge"
+            revised: list[Bom] = []
+            for host_id in rescan_ids:
+                for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities):
+                    old = stored[doc.serial_number]
+                    if serialize_bom(replace(doc, version=old["version"])) != old["text"]:
+                        revised.append(replace(doc, version=old["version"] + 1))
+            if not revised:
+                return self._advance(run, RunState.SDT_READY)
 
             # link_to_profile puts the profile manifest first.
             manifest_serial, *host_serials = run.bom_serials
-
-            # Rebuild rescanned hosts at the old document version first so an
-            # unchanged host compares byte-equal and is carried over untouched.
-            step = "forge"
-            changed = False
-            rebuilt: dict[str, Bom] = {}
-            for host_id in rescan_ids:
-                for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities):
-                    old = previous(doc.serial_number)
-                    candidate = replace(doc, version=old.version)
-                    if serialize_bom(candidate) != serialize_bom(old.with_links(())):
-                        changed = True
-                        rebuilt[doc.serial_number] = doc
-            if not changed:
-                return self._advance(run, RunState.SDT_READY)
-
-            new_docs: list[Bom] = []
-            for serial in host_serials:
-                old = previous(serial)
-                fresh = rebuilt.get(serial)
-                if fresh is not None:
-                    new_docs.append(replace(fresh, version=old.version + 1))
-                else:
-                    new_docs.append(replace(old.with_links(()), version=old.version + 1))
-            linked = link_to_profile(
-                new_docs, run.profile_id, version=previous(manifest_serial).version + 1
+            versions = {serial: stored[serial]["version"] for serial in host_serials}
+            versions.update((b.serial_number, b.version) for b in revised)
+            manifest = profile_manifest(
+                run.profile_id,
+                (BomLink(target_serial=s, target_version=versions[s]) for s in host_serials),
+                version=stored[manifest_serial]["version"] + 1,
             )
-            deltas = [diff_boms(previous(b.serial_number), b) for b in linked]
+            revised.insert(0, manifest)
+            deltas = [diff_boms(parse_bom(stored[b.serial_number]["text"]), b) for b in revised]
 
             step = "push"
             try:
@@ -303,7 +293,10 @@ class AuditService:
                 return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
 
             step = "persist"
-            self._persist_boms(run.run_id, linked, [serialize_bom(b) for b in linked])
+            fresh = {b.serial_number: _entry(b, serialize_bom(b)) for b in revised}
+            self.store.put(
+                RUN_DOCUMENTS, run_id, [fresh.get(s) or stored[s] for s in run.bom_serials]
+            )
             run.representation_version = int(result["representationVersion"])
             return self._advance(run, RunState.SDT_READY)
         except Exception as exc:

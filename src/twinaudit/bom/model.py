@@ -9,7 +9,7 @@ equal regardless of the order a producer emitted it in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
@@ -245,9 +245,6 @@ class Bom:
             if c.bom_ref == bom_ref:
                 return c
         return None
-
-    def with_links(self, links: Iterable[BomLink]) -> "Bom":
-        return replace(self, links=tuple(links))
 
 
 _CERT_FIELDS = (

@@ -22,18 +22,21 @@ from .ams import (
     AuditRun,
     AuditService,
     FileDocumentStore,
+    PeriodicSync,
     ProfileError,
     RunState,
     UnknownRun,
     collect_evidence,
     create_profile,
     forge_documents,
+    get_profile,
     ingest_inventory,
     load_inventory,
     load_profile_file,
     selected_hosts,
     topology_from_store,
 )
+from .ams.profiles import PERIODIC
 from .bench import BenchError, run_benchmark
 from .config import AppConfig, load_config
 from .fixtures.catalog import GROUP_ORDER, ROLE_GROUPS
@@ -285,6 +288,38 @@ def audit_update(
         except (ProfileError, UnknownRun) as err:
             raise click.ClickException(str(err))
     _finish_run(run, as_json)
+
+
+@audit.command("watch")
+@click.argument("run_id")
+@click.option("--count", type=click.IntRange(min=1), default=None, help="stop after N rescans")
+@click.pass_obj
+def audit_watch(config: AppConfig, run_id: str, count: Optional[int]) -> None:
+    """Rescan on the profile's PERIODIC interval, as `audit update` does.
+
+    Runs until --count rescans are done, or until a rescan leaves the run
+    other than SDT_READY, which exits 1.
+    """
+    with _manager_session(config) as client:
+        service = _service(config, client)
+        try:
+            profile_id = service.load_run(run_id).profile_id
+        except UnknownRun as err:
+            raise click.ClickException(str(err))
+        profile = get_profile(service.store, profile_id)
+        if profile is None or profile.sync_policy.kind != PERIODIC:
+            raise click.ClickException(f"profile {profile_id} has no PERIODIC sync policy")
+        sync = PeriodicSync(service, run_id, profile.sync_policy.interval_seconds)
+        done = 0
+        while count is None or done < count:
+            time.sleep(max(0.0, sync.last_sync + sync.interval_seconds - time.time()))
+            try:
+                run = sync.tick()
+            except (ProfileError, UnknownRun) as err:
+                raise click.ClickException(str(err))
+            if run is not None:
+                done += 1
+                _finish_run(run, as_json=False)
 
 
 # -- sdt ----------------------------------------------------------------------

@@ -312,12 +312,24 @@ def enrich_with_vulnerabilities(bom: Bom, store: VulnerabilityStore) -> Bom:
     return replace(bom, vulnerabilities=tuple(entries.values()))
 
 
-def link_to_profile(boms: list[Bom], profile_id: str, version: int = 1) -> list[Bom]:
-    """Join host documents under one profile manifest via BOM-Links.
+def profile_manifest(profile_id: str, links: Iterable[BomLink], version: int = 1) -> Bom:
+    """The profile's manifest: the one index of a run's document set, a
+    BOM-Link to each host document at that document's version."""
+    return Bom(
+        serial_number=document_serial("profile", profile_id),
+        version=version,
+        kind=BomKind.MIXED,
+        metadata=BomMetadata(subject_kind=SubjectKind.PROFILE, subject_name=profile_id),
+        links=tuple(links),
+    )
 
-    Returns [manifest, *host boms with back-links]; every link in the result
-    resolves against a registry of the returned documents. `version` is the
-    manifest's document version (bump it when relinking after an update).
+
+def link_to_profile(boms: list[Bom], profile_id: str, version: int = 1) -> list[Bom]:
+    """Index host documents under one profile manifest.
+
+    Returns [manifest, *boms]; host documents carry no link back, so a
+    change to one host re-versions that host's documents and the manifest
+    only. `version` is the manifest's document version.
     """
     serials = [b.serial_number for b in boms]
     duplicates = {s for s in serials if serials.count(s) > 1}
@@ -326,20 +338,8 @@ def link_to_profile(boms: list[Bom], profile_id: str, version: int = 1) -> list[
             Violation("serialNumber", f"duplicate document serial {serial}")
             for serial in sorted(duplicates)
         )
-
-    manifest_serial = document_serial("profile", profile_id)
-    manifest = Bom(
-        serial_number=manifest_serial,
-        version=version,
-        kind=BomKind.MIXED,
-        metadata=BomMetadata(subject_kind=SubjectKind.PROFILE, subject_name=profile_id),
-        links=tuple(
-            BomLink(target_serial=b.serial_number, target_version=b.version) for b in boms
-        ),
-    )
-    back_link = BomLink(target_serial=manifest_serial, target_version=version)
-    linked = [bom.with_links(tuple(bom.links) + (back_link,)) for bom in boms]
-    return [manifest, *linked]
+    links = (BomLink(target_serial=b.serial_number, target_version=b.version) for b in boms)
+    return [profile_manifest(profile_id, links, version), *boms]
 
 
 @dataclass(frozen=True)

@@ -236,11 +236,16 @@ class SdtManager:
 
     # -- update ---------------------------------------------------------------
 
-    def _updated_boms(self, record: _SdtRecord, payload: dict[str, Any]) -> dict[str, Bom]:
+    def _updated_boms(
+        self, record: _SdtRecord, payload: dict[str, Any]
+    ) -> tuple[dict[str, Bom], set[str]]:
+        """The document set after the payload, and the serials it touched."""
         new_boms = dict(record.boms)
+        touched: set[str] = set()
         if payload.get("boms"):
             for bom in self._parse_boms(payload["boms"]):
                 new_boms[bom.serial_number] = bom
+                touched.add(bom.serial_number)
         deltas = payload.get("deltas") or []
         if not isinstance(deltas, list):
             raise HttpError(400, "bad_request", "deltas must be a list")
@@ -262,7 +267,8 @@ class SdtManager:
                 new_boms[delta.base_serial] = apply_delta(base, delta)
             except DeltaMismatch as err:
                 raise HttpError(409, "delta_mismatch", f"deltas[{index}]: {err}") from err
-        return new_boms
+            touched.add(delta.base_serial)
+        return new_boms, touched
 
     def handle_update(
         self, sdt_id: str, payload: Any, span: Optional[TraceSpan] = None
@@ -292,9 +298,21 @@ class SdtManager:
                 )
 
             # Validation failures leave the descriptor READY and unchanged.
-            new_boms = self._updated_boms(record, payload)
+            new_boms, touched = self._updated_boms(record, payload)
+            # Re-project only the subjects of touched documents, old and new.
+            # The set was unique before, so any duplicate (subject, kind)
+            # pairs a touched document with another of the same subject:
+            # the projection's uniqueness check still covers the whole set.
+            subjects = {
+                boms[serial].metadata.subject_name
+                for serial in touched
+                for boms in (record.boms, new_boms)
+                if serial in boms
+            }
             try:
-                states = self._adapter.process(new_boms.values())
+                states = self._adapter.process(
+                    b for b in new_boms.values() if b.metadata.subject_name in subjects
+                )
             except RepresentationError as err:
                 raise HttpError(400, "invalid_bom", str(err)) from err
 

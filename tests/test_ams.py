@@ -1,7 +1,9 @@
 """Audit orchestration: inventory, profiles, run lifecycle, twin sync."""
 
 import json
+import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,9 +34,12 @@ from twinaudit.ams import (
 )
 from twinaudit.ams.profiles import create_profile, get_profile, list_profiles
 import twinaudit.ams.service as service_module
-from twinaudit.bom import BomKind, parse_bom, serialize_bom
+from twinaudit.bom import BomKind, parse_bom, resolve_bom_link, serialize_bom
+from twinaudit.collect import HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
-from twinaudit.jsonhttp import SharedJsonServer
+from twinaudit.forge import link_to_profile
+from twinaudit.instance import thing_states_from_boms
+from twinaudit.jsonhttp import SharedJsonServer, http_json
 from twinaudit.manager import (
     InProcessRuntime,
     ManagerClient,
@@ -528,7 +533,9 @@ class TestRunAudit:
         assert run.error == "no_evidence"
         assert "ghost-01" in run.host_errors
 
-    def test_partial_failure_keeps_good_hosts(self, tmp_path, env):
+    @staticmethod
+    def audit_losing_a_host(tmp_path, env):
+        """An audit of good-01 and a bad-01 whose snapshot has no facts."""
         store = FileDocumentStore(tmp_path / "store")
         snapshots = tmp_path / "snapshots"
         write_snapshot(snapshots, "good-01", packages={"mako": "1.1.4"})
@@ -545,9 +552,32 @@ class TestRunAudit:
         create_profile(
             store, AuditProfile(profile_id="p", name="p", host_selector=("web-server",))
         )
-        run = svc.run_audit("p")
+        return svc, snapshots, svc.run_audit("p")
+
+    def test_partial_failure_keeps_good_hosts(self, tmp_path, env):
+        svc, _, run = self.audit_losing_a_host(tmp_path, env)
         assert run.state is RunState.SDT_READY
         assert set(run.host_errors) == {"bad-01"}
+        subjects = {b.metadata.subject_name for b in svc.run_boms(run)}
+        assert subjects == {"good-01", "p"}
+
+    def test_a_host_the_audit_lost_is_not_rescanned(self, tmp_path, env):
+        """A lost host has no documents to diff against: a default rescan
+        covers the other hosts, and naming it fails before the run moves,
+        whether its snapshot is still broken or has recovered."""
+        svc, snapshots, run = self.audit_losing_a_host(tmp_path, env)
+        assert run.state is RunState.SDT_READY
+        run = svc.update_audit(run.run_id)
+        assert (run.state, run.error) == (RunState.SDT_READY, None)
+
+        write_snapshot(snapshots, "bad-01", packages={"mako": "1.1.4"})
+        write_snapshot(snapshots, "good-01", packages={"mako": "1.2.2"})
+        with pytest.raises(ProfileError, match="bad-01"):
+            svc.update_audit(run.run_id, hosts=["bad-01"])
+        assert svc.load_run(run.run_id).state is RunState.SDT_READY
+        run = svc.update_audit(run.run_id)
+        assert (run.state, run.error) == (RunState.SDT_READY, None)
+        assert run.representation_version == 2
         subjects = {b.metadata.subject_name for b in svc.run_boms(run)}
         assert subjects == {"good-01", "p"}
 
@@ -745,7 +775,9 @@ class TestUpdateAudit:
         first = service.update_audit(first.run_id)
         assert first.state is RunState.SDT_READY, first.error
         assert first.representation_version == 3
-        assert {b.version for b in service.run_boms(first)} == {3}
+        # Each lodash change re-versions the SBOM and the manifest only.
+        versions = {b.kind: b.version for b in service.run_boms(first)}
+        assert versions == {BomKind.MIXED: 3, BomKind.SBOM: 3, BomKind.CBOM: 1}
         assert {b.version for b in service.run_boms(second)} == {1}
 
     def test_failed_document_write_leaves_the_previous_set(self, service):
@@ -809,13 +841,22 @@ class TestUpdateAudit:
         )
 
         service.update_audit(run.run_id)
-        # The host's two documents; the manifest is not parsed.
-        assert len(parsed) == 2
+        # Rebuilt documents compare equal to their stored text: no parse.
+        assert parsed == []
         assert [c for c in puts if c != "runs"] == []
 
+        before = service.store.get("run_documents", run.run_id)
         change_web_01(service._snapshots, "4.17.21")
         assert service.update_audit(run.run_id).state is RunState.SDT_READY
         assert [c for c in puts if c != "runs"] == ["run_documents"]
+        after = service.store.get("run_documents", run.run_id)
+        # Only the changed SBOM and the manifest are parsed and re-versioned;
+        # the CBOM's entry is carried over verbatim.
+        revised = [old for old, new in zip(before, after) if new != old]
+        assert [d["version"] for d in revised] == [1, 1]
+        assert sorted(parsed) == sorted(d["text"] for d in revised)
+        assert before[0] in revised
+        assert len(parsed) == 2
 
     def test_update_after_failure_is_rejected(self, service):
         run = service.run_audit("profile-web")
@@ -830,6 +871,111 @@ class TestUpdateAudit:
         run = service.run_audit("profile-web")
         with pytest.raises(ProfileError, match="mail-99"):
             service.update_audit(run.run_id, hosts=["mail-99"])
+
+
+PINS = ("4.17.20", "4.17.21")
+
+
+class TestStoreTwinAgreement:
+    """After any sequence of pin flips and rescans, the stored set is a fresh
+    forge of what was last scanned, at the versions the protocol assigns,
+    and the twin shows exactly the projection of that set."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        host_count=st.integers(2, 3),
+        steps=st.lists(
+            st.tuples(
+                st.sets(st.integers(0, 2)),  # hosts whose pin flips
+                st.one_of(st.none(), st.sets(st.integers(0, 2), min_size=1)),  # rescanned
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_stored_set_and_twin_follow_the_snapshots(self, host_count, steps):
+        hosts = [f"h-{i}" for i in range(host_count)]
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshots = Path(tmp) / "snapshots"
+            vulnerabilities = vuln_store()
+
+            def pin(host, version):
+                write_snapshot(snapshots, host, packages={"lodash": version, "requests": "2.28.0"})
+
+            # Each host's documents at either pin, forged at version 1.
+            forged = {}
+            for host in hosts:
+                for version in reversed(PINS):
+                    pin(host, version)
+                    bundle = scan_host(HostSnapshot.open(snapshots / host))
+                    forged[host, version] = service_module.forge_host(bundle, (), vulnerabilities)
+
+            store = FileDocumentStore(Path(tmp) / "store")
+            ingest_inventory(
+                store, inventory_doc(snapshots, [(h, "web-server", "DMZ") for h in hosts])
+            )
+            create_profile(store, AuditProfile(profile_id="p", name="p", host_selector=("web-server",)))
+            _, client = _ENV.make_manager_client()
+            svc = AuditService(
+                store,
+                client,
+                vulnerabilities=vulnerabilities,
+                sdt_options={"tokens": {"operator-token": ["READ"]}},
+            )
+            run = svc.run_audit("p")
+            assert run.state is RunState.SDT_READY, run.error
+            endpoint = client.get(run.sdt_id)["endpoint"]
+
+            current = {h: PINS[0] for h in hosts}  # on disk
+            scanned = dict(current)  # as last rescanned
+            versions = {b.serial_number: 1 for h in hosts for b in forged[h, PINS[0]]}
+            changed_rescans = 0
+            try:
+                for flips, rescanned in steps:
+                    for i in flips & set(range(host_count)):
+                        current[hosts[i]] = PINS[1 - PINS.index(current[hosts[i]])]
+                        pin(hosts[i], current[hosts[i]])
+                    subset = None if rescanned is None else [hosts[i % host_count] for i in rescanned]
+                    run = svc.update_audit(run.run_id, hosts=subset)
+                    assert run.state is RunState.SDT_READY, run.error
+
+                    changed = False
+                    for host in subset or hosts:
+                        old, new = forged[host, scanned[host]], forged[host, current[host]]
+                        for before, after in zip(old, new):
+                            if serialize_bom(before) != serialize_bom(after):
+                                versions[after.serial_number] += 1
+                                changed = True
+                        scanned[host] = current[host]
+                    changed_rescans += changed
+                    assert run.representation_version == 1 + changed_rescans
+
+                    expected = link_to_profile(
+                        [
+                            replace(b, version=versions[b.serial_number])
+                            for h in hosts
+                            for b in forged[h, scanned[h]]
+                        ],
+                        "p",
+                        version=1 + changed_rescans,
+                    )
+                    record = store.get("run_documents", run.run_id)
+                    assert [d["text"] for d in record] == [serialize_bom(b) for b in expected]
+
+                    boms = svc.run_boms(run)
+                    manifest, *host_docs = boms
+                    registry = {(b.serial_number, b.version): b for b in boms}
+                    assert all(resolve_bom_link(l, registry) for l in manifest.links)
+                    assert all(b.links == () for b in host_docs)
+
+                    projected = json.loads(json.dumps(thing_states_from_boms(boms)))
+                    for thing, state in projected.items():
+                        status, body = http_json(
+                            "GET", f"{endpoint}/things/{thing}", token="operator-token"
+                        )
+                        assert (status, body) == (200, state)
+            finally:
+                client.destroy(run.sdt_id)
 
 
 class TestPeriodicSync:

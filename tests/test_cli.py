@@ -1,6 +1,7 @@
 """End-to-end command line flows, embedded and external manager modes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,48 @@ class TestExternalManager:
         )
         assert result.exit_code == 1
         assert "ghost-99" in result.output
+
+
+class TestWatch:
+    @pytest.fixture()
+    def periodic_env(self, runner, tmp_path, tmp_path_factory):
+        fx = generate("minimal", 13, tmp_path_factory.mktemp("cli-watch"))
+        profile = json.loads(Path(fx["profile"]).read_text())
+        profile["sync_policy"] = {"kind": "PERIODIC", "interval_seconds": 0.05}
+        Path(fx["profile"]).write_text(json.dumps(profile))
+        env = {
+            "TWINAUDIT_STORE": str(tmp_path / "store"),
+            "TWINAUDIT_MANAGER_URL": _ENV.manager_url,
+            "TWINAUDIT_FEED": fx["feed"],
+        }
+        return env, fx, run_audit(runner, env, fx)
+
+    def test_rescans_on_the_profile_interval(self, runner, periodic_env):
+        env, fx, run = periodic_env
+        requirements = Path(fx["snapshots"]["solo-01"]) / "opt" / "app" / "requirements.txt"
+        requirements.write_text(requirements.read_text().replace("miniweb==0.3.2", "miniweb==0.4.0"))
+        started = time.monotonic()
+        result = ok(runner.invoke(main, ["audit", "watch", run["run_id"], "--count", "2"], env=env))
+        assert time.monotonic() - started >= 0.1
+        # The first rescan pushes the change; the second finds nothing new.
+        assert result.output.count("state: SDT_READY") == 2
+        assert "representation v2" in result.output.splitlines()[-1]
+
+    def test_stops_with_exit_1_when_the_run_leaves_ready(self, runner, periodic_env):
+        env, fx, run = periodic_env
+        ok(runner.invoke(main, ["sdt", "destroy", run["sdt_id"]], env=env))
+        requirements = Path(fx["snapshots"]["solo-01"]) / "opt" / "app" / "requirements.txt"
+        requirements.write_text(requirements.read_text().replace("miniweb==0.3.2", "miniweb==0.4.0"))
+        result = runner.invoke(main, ["audit", "watch", run["run_id"], "--count", "3"], env=env)
+        assert result.exit_code == 1
+        assert result.output.count("state: FAILED") == 1
+        assert "update_rejected" in result.output
+
+    def test_on_demand_profile_is_refused(self, runner, store_env, minimal_fx):
+        run = run_audit(runner, store_env, minimal_fx)
+        result = runner.invoke(main, ["audit", "watch", run["run_id"]], env=store_env)
+        assert result.exit_code == 1
+        assert "no PERIODIC sync policy" in result.output
 
 
 class TestBenchCommand:

@@ -468,8 +468,12 @@ class TestProfileLinking:
         for bom in linked:
             for link in bom.links:
                 assert resolve_bom_link(link, registry) is not None
-        for bom in rest:
-            assert any(link.target_serial == manifest.serial_number for link in bom.links)
+        # The manifest is the only index: each host document at its exact
+        # version, and no host document links back.
+        assert [(l.target_serial, l.target_version) for l in manifest.links] == [
+            (b.serial_number, b.version) for b in boms
+        ]
+        assert all(bom.links == () for bom in rest)
 
     def test_duplicate_serials_rejected(self):
         bom = self.host_boms()[0]

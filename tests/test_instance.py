@@ -69,8 +69,9 @@ class TestThingStates:
 
     def test_links_rendered(self):
         states = thing_states_from_boms(linked_set())
-        assert all(link.startswith("urn:cdx:") for link in states["web-01"]["links"])
-        assert states["web-01"]["links"]
+        assert all(link.startswith("urn:cdx:") for link in states["profile-a"]["links"])
+        assert len(states["profile-a"]["links"]) == 2
+        assert states["web-01"]["links"] == []
 
     def test_duplicate_host_document_rejected(self):
         sbom = host_boms()[0]

@@ -2,6 +2,7 @@
 
 import re
 import threading
+from dataclasses import replace
 
 import pytest
 import requests
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinaudit import jsonhttp
-from twinaudit.bom import serialize_bom
+from twinaudit.bom import delta_to_dict, diff_boms, serialize_bom
+from twinaudit.forge import document_serial, link_to_profile
 from twinaudit.instance.policy import DECISION_LOG_SIZE
 from twinaudit.instance.representation import StoredRepresentation
 from twinaudit.jsonhttp import HttpError, SharedJsonServer, TransportUnavailable, http_json
@@ -25,7 +27,7 @@ from twinaudit.manager import (
     is_subsequence,
 )
 
-from .test_instance import linked_set
+from .test_instance import host_boms, linked_set
 
 
 class SabotageRuntime:
@@ -244,6 +246,47 @@ class TestUpdate:
         versions = [e["version"] for e in state["properties"]["software"]]
         assert versions == ["3.0.0"]
         assert len(service.representation().history("repl-host")) == 2
+
+    def test_update_creating_a_duplicate_is_invalid(self, env):
+        """An update re-projects only the subjects it touches, yet a document
+        that repeats another's (subject, kind) anywhere in the set is
+        refused, whether a delta moves it or a payload document adds it."""
+        _, client, _ = env.make_manager()
+        a_sbom, a_cbom = host_boms("dup-a")
+        b_sbom, b_cbom = host_boms("dup-b")
+        created = client.create(
+            "profile-a",
+            [serialize_bom(b) for b in link_to_profile([a_sbom, a_cbom, b_sbom, b_cbom], "profile-a")],
+        )
+        moved = replace(a_sbom, version=2, metadata=replace(a_sbom.metadata, subject_name="dup-b"))
+        added = replace(b_sbom, serial_number=document_serial("sbom", "dup-c"))
+        for payload in (
+            {"deltas": [delta_to_dict(diff_boms(a_sbom, moved))]},
+            {"bom_texts": [serialize_bom(added)]},
+        ):
+            with pytest.raises(Exception) as err:
+                client.update(created["sdtId"], expected_version=1, **payload)
+            assert (err.value.status, err.value.code) == (400, "invalid_bom")
+        descriptor = client.get(created["sdtId"])
+        assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+
+    def test_moved_document_leaves_its_old_subject(self, env):
+        """A delta that moves a document to another subject re-projects the
+        subject it left as well as the one it joined."""
+        _, client, runtime = env.make_manager()
+        a_sbom, a_cbom = host_boms("move-a")
+        _, b_cbom = host_boms("move-b")
+        created = client.create(
+            "profile-a",
+            [serialize_bom(b) for b in link_to_profile([a_sbom, a_cbom, b_cbom], "profile-a")],
+        )
+        moved = replace(a_sbom, version=2, metadata=replace(a_sbom.metadata, subject_name="move-b"))
+        client.update(
+            created["sdtId"], expected_version=1, deltas=[delta_to_dict(diff_boms(a_sbom, moved))]
+        )
+        rep = runtime.instance_service(created["endpoint"]).representation()
+        assert "software" not in rep.latest("move-a")["properties"]
+        assert rep.latest("move-b")["properties"]["software"]
 
 
 class TestDestroy:
