@@ -15,6 +15,7 @@ from .service import (
     AuditService,
     PeriodicSync,
     UnknownRun,
+    UnsummarizedRun,
     collect_evidence,
     forge_documents,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "SyncPolicy",
     "TopologyGraph",
     "UnknownRun",
+    "UnsummarizedRun",
     "collect_evidence",
     "create_profile",
     "forge_documents",

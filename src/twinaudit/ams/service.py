@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Optional, Union
@@ -15,6 +16,7 @@ from ..forge import (
     enrich_with_vulnerabilities,
     link_to_profile,
     profile_manifest,
+    summarize_bom,
 )
 from ..jsonhttp import RequestRejected, TransportUnavailable
 from ..manager import ManagerClient
@@ -28,17 +30,30 @@ __all__ = [
     "AuditService",
     "PeriodicSync",
     "UnknownRun",
+    "UnsummarizedRun",
     "collect_evidence",
     "forge_documents",
 ]
 
-# One record per run id: its documents in run.bom_serials order.
+# One record per run id: its documents in run.bom_serials order, each with
+# the summary that reports read.
 RUN_DOCUMENTS = "run_documents"
 
 
 class UnknownRun(KeyError):
     def __init__(self, run_id: str) -> None:
         super().__init__(run_id)
+        self.run_id = run_id
+
+
+class UnsummarizedRun(ValueError):
+    """The run's documents were stored without the summaries reports read."""
+
+    def __init__(self, run_id: str) -> None:
+        super().__init__(
+            f"run {run_id} was stored without document summaries;"
+            " start a fresh `audit run` to report on it"
+        )
         self.run_id = run_id
 
 
@@ -104,8 +119,14 @@ def forge_documents(
 
 
 def _entry(bom: Bom, text: str) -> dict[str, Any]:
-    """A document as the run's record stores it."""
-    return {"serial": bom.serial_number, "version": bom.version, "text": text}
+    """A document as the run's record stores it, with its summarize_bom.
+
+    The summary is one compact JSON string: the store writes indented JSON,
+    which the json module encodes in pure Python, and a nested summary would
+    make every record put several times slower.
+    """
+    summary = json.dumps(summarize_bom(bom), sort_keys=True, separators=(",", ":"))
+    return {"serial": bom.serial_number, "version": bom.version, "text": text, "summary": summary}
 
 
 class AuditService:
@@ -113,7 +134,8 @@ class AuditService:
 
     A run's documents are one store record keyed by its run id, so runs of
     one profile keep their own documents, and a rescan reads the set once
-    and replaces it with one atomic write.
+    and replaces it with one atomic write. Each entry carries its document's
+    summary, written with its text, so reports parse no document.
     """
 
     def __init__(
@@ -162,8 +184,19 @@ class AuditService:
             raise UnknownRun(run_id)
         return AuditRun.from_dict(doc)
 
-    def run_boms(self, run: AuditRun) -> list[Bom]:
-        return [parse_bom(doc["text"]) for doc in self.store.get(RUN_DOCUMENTS, run.run_id) or ()]
+    def run_boms(self, run: AuditRun) -> list[dict[str, Any]]:
+        """The summarize_bom of each of the run's documents, in
+        run.bom_serials order, from one store read; no document is parsed.
+
+        Raises UnsummarizedRun for a record stored without summaries.
+        """
+        try:
+            return [
+                json.loads(doc["summary"])
+                for doc in self.store.get(RUN_DOCUMENTS, run.run_id) or ()
+            ]
+        except KeyError:
+            raise UnsummarizedRun(run.run_id) from None
 
     # -- run lifecycle ------------------------------------------------------
 

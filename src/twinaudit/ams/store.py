@@ -37,13 +37,14 @@ class FileDocumentStore:
 
     def put(self, collection: str, key: str, doc: Any) -> None:
         path = self._doc_path(collection, key)
-        body = json.dumps(doc, sort_keys=True, indent=1)
         with self._write_lock:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(body)
+                    # Streamed, so a run's document record is never held
+                    # in memory a second time as one encoded string.
+                    json.dump(doc, handle, sort_keys=True, indent=1)
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp_name, path)

@@ -22,10 +22,12 @@ from .ams import (
     AuditRun,
     AuditService,
     FileDocumentStore,
+    InvalidTransition,
     PeriodicSync,
     ProfileError,
     RunState,
     UnknownRun,
+    UnsummarizedRun,
     collect_evidence,
     create_profile,
     forge_documents,
@@ -235,10 +237,9 @@ def audit_report(config: AppConfig, run_id: str, as_json: bool, top: int) -> Non
     """Artifact counts, worst vulnerabilities, certificate expiry."""
     service = _store_service(config)
     try:
-        run = service.load_run(run_id)
-    except UnknownRun as err:
+        boms = service.run_boms(service.load_run(run_id))
+    except (UnknownRun, UnsummarizedRun) as err:
         raise click.ClickException(str(err))
-    boms = service.run_boms(run)
     if not boms:
         raise click.ClickException(f"run {run_id} has no stored documents")
     roles = {h.host_id: h.role for h in topology_from_store(service.store).hosts}
@@ -285,7 +286,7 @@ def audit_update(
         service = _service(config, client, feed)
         try:
             run = service.update_audit(run_id, hosts=subset)
-        except (ProfileError, UnknownRun) as err:
+        except (ProfileError, UnknownRun, InvalidTransition) as err:
             raise click.ClickException(str(err))
     _finish_run(run, as_json)
 
@@ -315,7 +316,7 @@ def audit_watch(config: AppConfig, run_id: str, count: Optional[int]) -> None:
             time.sleep(max(0.0, sync.last_sync + sync.interval_seconds - time.time()))
             try:
                 run = sync.tick()
-            except (ProfileError, UnknownRun) as err:
+            except (ProfileError, UnknownRun, InvalidTransition) as err:
                 raise click.ClickException(str(err))
             if run is not None:
                 done += 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Any, Iterable
 
 from ..bom import (
     Bom,
@@ -358,35 +358,63 @@ class ArtifactCounts:
         )
 
 
-def count_artifacts(boms: Iterable[Bom]) -> tuple[dict[str, ArtifactCounts], ArtifactCounts]:
-    """Per-host artifact tallies plus the grand total.
+def summarize_bom(bom: Bom) -> dict[str, Any]:
+    """What reports read of one valid document, as plain JSON values.
 
-    algorithms: distinct algorithm asset names; components: SBOM components;
-    vulnerabilities: VEX entries; certificates: certificate components.
-    Profile manifests pass through untallied.
+    algorithms: distinct algorithm asset names; components: every component;
+    certificates: [bom-ref, subject, not-after] rows; vulnerabilities:
+    [CVE, score, severity, affected refs] rows. Rows rather than objects
+    keep the stored summary small, since every rescan reads and writes it.
+    The document is not validated again: serialize_bom and parse_bom already
+    did, and count_artifacts does.
+    """
+    return {
+        "subject_kind": bom.metadata.subject_kind.value,
+        "subject": bom.metadata.subject_name,
+        "kind": bom.kind.value,
+        "algorithms": sorted(
+            {
+                c.name
+                for c in bom.components
+                if c.crypto is not None and c.crypto.asset_kind == CryptoAssetKind.ALGORITHM
+            }
+        ),
+        "components": len(bom.components),
+        "certificates": [
+            [c.bom_ref, c.crypto.certificate_subject or c.name, c.crypto.not_after or ""]
+            for c in bom.components
+            if c.component_type == ComponentType.CERTIFICATE
+        ],
+        "vulnerabilities": [
+            [v.cve_id, v.cvss_score, v.severity.value, list(v.affects)]
+            for v in bom.vulnerabilities
+        ],
+    }
+
+
+def count_summaries(
+    summaries: Iterable[dict[str, Any]],
+) -> tuple[dict[str, ArtifactCounts], ArtifactCounts]:
+    """Per-host artifact tallies plus the grand total, over summarize_bom
+    results.
+
+    algorithms and vulnerabilities are distinct per host across its
+    documents; components count SBOM components only. Profile manifests
+    pass through untallied.
     """
     per_host: dict[str, dict] = {}
-    for bom in boms:
-        problems = validate_bom(bom)
-        if problems:
-            raise BomValidationError(problems)
-        if bom.metadata.subject_kind != SubjectKind.HOST:
+    for summary in summaries:
+        if summary["subject_kind"] != SubjectKind.HOST.value:
             continue
         slot = per_host.setdefault(
-            bom.metadata.subject_name,
+            summary["subject"],
             {"algorithms": set(), "cves": set(), "components": 0, "certificates": 0},
         )
-        for component in bom.components:
-            if component.component_type == ComponentType.CERTIFICATE:
-                slot["certificates"] += 1
-            elif (
-                component.crypto is not None
-                and component.crypto.asset_kind == CryptoAssetKind.ALGORITHM
-            ):
-                slot["algorithms"].add(component.name)
-        if bom.kind == BomKind.SBOM:
-            slot["components"] += len(bom.components)
-        slot["cves"].update(v.cve_id for v in bom.vulnerabilities)
+        slot["algorithms"].update(summary["algorithms"])
+        slot["certificates"] += len(summary["certificates"])
+        if summary["kind"] == BomKind.SBOM.value:
+            slot["components"] += summary["components"]
+        slot["cves"].update(cve for cve, *_ in summary["vulnerabilities"])
 
     counts = {
         host: ArtifactCounts(
@@ -401,3 +429,18 @@ def count_artifacts(boms: Iterable[Bom]) -> tuple[dict[str, ArtifactCounts], Art
     for value in counts.values():
         total = total + value
     return counts, total
+
+
+def count_artifacts(boms: Iterable[Bom]) -> tuple[dict[str, ArtifactCounts], ArtifactCounts]:
+    """Per-host artifact tallies plus the grand total, as count_summaries
+    gives them for each document's summarize_bom.
+
+    Raises BomValidationError for a document with violations.
+    """
+    summaries = []
+    for bom in boms:
+        problems = validate_bom(bom)
+        if problems:
+            raise BomValidationError(problems)
+        summaries.append(summarize_bom(bom))
+    return count_summaries(summaries)

@@ -1,15 +1,16 @@
-"""Human-readable audit reports rendered from forged documents.
+"""Human-readable audit reports rendered from document summaries.
 
-All tallies come from count_artifacts; the report never counts on its own.
+Reports read the summarize_bom results the audit service stores with each
+run, and all tallies come from count_summaries; the report never counts on
+its own and parses no document.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
-from .bom import Bom, ComponentType, VulnerabilityEntry
-from .forge import ArtifactCounts, count_artifacts
+from .forge import ArtifactCounts, count_summaries
 
 __all__ = ["render_report", "report_counts"]
 
@@ -48,33 +49,39 @@ def _group_counts(
     return grouped
 
 
-def _merged_vulnerabilities(boms: Iterable[Bom]) -> list[VulnerabilityEntry]:
-    merged: dict[str, VulnerabilityEntry] = {}
-    for bom in boms:
-        for entry in bom.vulnerabilities:
-            known = merged.get(entry.cve_id)
-            if known is None:
-                merged[entry.cve_id] = entry
-            else:
-                base = known if known.cvss_score >= entry.cvss_score else entry
-                merged[entry.cve_id] = VulnerabilityEntry(
-                    cve_id=base.cve_id,
-                    cvss_score=base.cvss_score,
-                    cvss_vector=base.cvss_vector,
-                    severity=base.severity,
-                    affects=tuple(set(known.affects) | set(entry.affects)),
-                    analysis_state=base.analysis_state,
-                )
-    return sorted(merged.values(), key=lambda v: (-v.cvss_score, v.cve_id))
+def _merged_vulnerabilities(
+    summaries: Iterable[dict[str, Any]],
+) -> list[tuple[str, float, str, int]]:
+    """(CVE, score, severity, affected components) per CVE, worst first.
+
+    A CVE found in several documents keeps the first highest score with its
+    severity, and counts the union of its affected refs.
+    """
+    merged: dict[str, tuple[float, str, Any]] = {}
+    for summary in summaries:
+        for cve, score, severity, affects in summary["vulnerabilities"]:
+            known = merged.get(cve)
+            if known is not None:
+                if known[0] >= score:
+                    score, severity = known[0], known[1]
+                affects = set(known[2]) | set(affects)
+            merged[cve] = (score, severity, affects)
+    return sorted(
+        ((cve, score, severity, len(affects)) for cve, (score, severity, affects) in merged.items()),
+        key=lambda v: (-v[1], v[0]),
+    )
 
 
 def report_counts(
-    boms: list[Bom],
+    boms: list[dict[str, Any]],
     roles: Optional[dict[str, str]] = None,
     group_labels: Optional[dict[str, str]] = None,
 ) -> dict:
-    """Machine-readable tally block: per host, per group, and total."""
-    counts, total = count_artifacts(boms)
+    """Machine-readable tally block: per host, per group, and total.
+
+    boms are the documents' summaries, as AuditService.run_boms returns them.
+    """
+    counts, total = count_summaries(boms)
 
     def as_dict(c: ArtifactCounts) -> dict:
         return {
@@ -95,15 +102,18 @@ def report_counts(
 
 
 def render_report(
-    boms: list[Bom],
+    boms: list[dict[str, Any]],
     roles: Optional[dict[str, str]] = None,
     group_labels: Optional[dict[str, str]] = None,
     group_order: Optional[list[str]] = None,
     top: int = 10,
     now: Optional[str] = None,
 ) -> str:
-    """Markdown report: tallies, worst vulnerabilities, certificate expiry."""
-    counts, total = count_artifacts(boms)
+    """Markdown report: tallies, worst vulnerabilities, certificate expiry.
+
+    boms are the documents' summaries, as AuditService.run_boms returns them.
+    """
+    counts, total = count_summaries(boms)
     now = now or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
     lines: list[str] = ["# Audit report", ""]
@@ -130,30 +140,25 @@ def render_report(
             "| CVE | CVSS | Severity | Affected components |",
             "|---|---:|---|---:|",
         ]
-        for entry in vulnerabilities[:top]:
-            lines.append(
-                f"| {entry.cve_id} | {entry.cvss_score:.1f}"
-                f" | {entry.severity.value} | {len(entry.affects)} |"
-            )
+        for cve, score, severity, affected in vulnerabilities[:top]:
+            lines.append(f"| {cve} | {score:.1f} | {severity} | {affected} |")
     else:
         lines.append("No known vulnerabilities matched the inventory.")
     lines.append("")
 
-    certificates = []
-    for bom in boms:
-        for component in bom.components:
-            if component.component_type == ComponentType.CERTIFICATE and component.crypto:
-                certificates.append((bom.metadata.subject_name, component))
+    certificates = [
+        (summary["subject"], certificate)
+        for summary in boms
+        for certificate in summary["certificates"]
+    ]
     lines += ["## Certificates", ""]
     if certificates:
         lines += [
             "| Host | Subject | Not valid after | Status |",
             "|---|---|---|---|",
         ]
-        for host, component in sorted(certificates, key=lambda t: (t[0], t[1].bom_ref)):
-            not_after = component.crypto.not_after or ""
+        for host, (_, subject, not_after) in sorted(certificates, key=lambda t: (t[0], t[1][0])):
             status = "EXPIRED" if not_after and not_after <= now else "valid"
-            subject = component.crypto.certificate_subject or component.name
             lines.append(f"| {host} | {subject} | {not_after} | {status} |")
     else:
         lines.append("No certificates observed.")

@@ -16,6 +16,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from twinaudit.ams import (
+    AuditService,
+    FileDocumentStore,
+    RunState,
+    create_profile,
+    ingest_inventory,
+    load_profile_file,
+)
 from twinaudit.bench import run_benchmark
 from twinaudit.bom import serialize_bom
 from twinaudit.cli import main as cli_main
@@ -26,6 +34,7 @@ from twinaudit.forge import (
     build_graph,
     build_sbom,
     count_artifacts,
+    count_summaries,
     enrich_with_vulnerabilities,
     link_to_profile,
 )
@@ -309,7 +318,24 @@ def _linear_scan(feed, name, version):
     return hits
 
 
-def test_criterion_5_oracle_equivalence(smb, minimal):
+def audited_counts(manifest, vulnerabilities, root):
+    """Per-host tallies of the summaries an audit run stores, as
+    `audit report` reads them."""
+    store = FileDocumentStore(root)
+    ingest_inventory(store, manifest["inventory"])
+    create_profile(store, load_profile_file(manifest["profile"]))
+    _, client = _ENV.make_manager_client()
+    service = AuditService(store, client, vulnerabilities=vulnerabilities)
+    run = service.run_audit(manifest["profile_id"])
+    try:
+        assert run.state is RunState.SDT_READY, run.error
+        counts, _ = count_summaries(service.run_boms(run))
+    finally:
+        client.destroy(run.sdt_id)
+    return counts
+
+
+def test_criterion_5_oracle_equivalence(smb, minimal, tmp_path):
     hosts_checked = 0
     lookups_checked = 0
     for manifest in (smb, minimal):
@@ -320,6 +346,7 @@ def test_criterion_5_oracle_equivalence(smb, minimal):
         ]
         store = VulnerabilityStore()
         store.load_feed(manifest["feed"])
+        stored = audited_counts(manifest, store, tmp_path / manifest["spec"])
         for host, ref in sorted(manifest["snapshots"].items()):
             bundle = scan_host(HostSnapshot.open(ref))
             sbom = enrich_with_vulnerabilities(
@@ -359,6 +386,13 @@ def test_criterion_5_oracle_equivalence(smb, minimal):
                 got.certificates,
             )
             assert produced == recounted, host
+            summarized = stored[host]
+            assert (
+                summarized.algorithms,
+                summarized.vulnerabilities,
+                summarized.components,
+                summarized.certificates,
+            ) == recounted, host
             hosts_checked += 1
 
             for name, version in sorted(packages):
@@ -368,7 +402,7 @@ def test_criterion_5_oracle_equivalence(smb, minimal):
 
     announce(
         5,
-        f"counts match brute-force recounts on {hosts_checked} hosts; "
+        f"counts and stored summaries match brute-force recounts on {hosts_checked} hosts; "
         f"{lookups_checked} advisory lookups equal a linear feed scan",
     )
 

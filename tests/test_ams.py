@@ -37,7 +37,7 @@ import twinaudit.ams.service as service_module
 from twinaudit.bom import BomKind, parse_bom, resolve_bom_link, serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
-from twinaudit.forge import link_to_profile
+from twinaudit.forge import link_to_profile, summarize_bom
 from twinaudit.instance import thing_states_from_boms
 from twinaudit.jsonhttp import SharedJsonServer, http_json
 from twinaudit.manager import (
@@ -47,6 +47,7 @@ from twinaudit.manager import (
     SdtManager,
     TraceRecorder,
 )
+from twinaudit.report import render_report, report_counts
 from twinaudit.vulnstore import VulnerabilityStore
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,11 @@ def write_snapshot(
         lines = "".join(f"{key} = {value}\n" for key, value in sysctl.items())
         (etc / "sysctl.conf").write_text(lines, encoding="utf-8")
     return host_dir
+
+
+def stored_boms(service, run):
+    """The run's stored documents, parsed; run_boms returns their summaries."""
+    return [parse_bom(doc["text"]) for doc in service.store.get("run_documents", run.run_id)]
 
 
 def inventory_doc(snapshot_root: Path, hosts):
@@ -255,6 +261,15 @@ class TestFileDocumentStore:
         store.put("profiles_derived", key, {"ok": True})
         assert store.get("profiles_derived", key) == {"ok": True}
         assert key in store.query("profiles_derived")
+
+    def test_failed_put_keeps_the_previous_document(self, tmp_path):
+        store = FileDocumentStore(tmp_path)
+        store.put("runs", "abc", {"x": 1})
+        # The document is streamed to disk, so this fails part-way through.
+        with pytest.raises(TypeError):
+            store.put("runs", "abc", {"a": "x" * 100_000, "b": object()})
+        assert store.get("runs", "abc") == {"x": 1}
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["abc.json"]
 
     def test_restart_durability(self, tmp_path):
         FileDocumentStore(tmp_path).put("runs", "r1", {"state": "CREATED"})
@@ -475,7 +490,7 @@ class TestRunAudit:
         assert run.representation_version == 1
         # Manifest first, then the host's inventory and crypto documents.
         assert len(run.bom_serials) == 3
-        boms = service.run_boms(run)
+        boms = stored_boms(service, run)
         kinds = sorted(b.kind.value for b in boms)
         assert kinds == ["CBOM", "MIXED", "SBOM"]
         descriptor = service.manager.get(run.sdt_id)
@@ -483,7 +498,7 @@ class TestRunAudit:
 
     def test_vulnerabilities_attached(self, service):
         run = service.run_audit("profile-web")
-        sbom = next(b for b in service.run_boms(run) if b.kind is BomKind.SBOM)
+        sbom = next(b for b in stored_boms(service, run) if b.kind is BomKind.SBOM)
         assert [v.cve_id for v in sbom.vulnerabilities] == ["CVE-2021-23337"]
 
     def test_twin_is_queryable_with_consumer_token(self, service):
@@ -507,8 +522,8 @@ class TestRunAudit:
         )
         run = service.run_audit("profile-crypto")
         assert run.state is RunState.SDT_READY
-        sbom = next(b for b in service.run_boms(run) if b.kind is BomKind.SBOM)
-        cbom = next(b for b in service.run_boms(run) if b.kind is BomKind.CBOM)
+        sbom = next(b for b in stored_boms(service, run) if b.kind is BomKind.SBOM)
+        cbom = next(b for b in stored_boms(service, run) if b.kind is BomKind.CBOM)
         assert sbom.components == ()
         refs = [c.bom_ref for c in cbom.components]
         assert any(ref.startswith("cert:") for ref in refs)
@@ -558,7 +573,7 @@ class TestRunAudit:
         svc, _, run = self.audit_losing_a_host(tmp_path, env)
         assert run.state is RunState.SDT_READY
         assert set(run.host_errors) == {"bad-01"}
-        subjects = {b.metadata.subject_name for b in svc.run_boms(run)}
+        subjects = {b.metadata.subject_name for b in stored_boms(svc, run)}
         assert subjects == {"good-01", "p"}
 
     def test_a_host_the_audit_lost_is_not_rescanned(self, tmp_path, env):
@@ -578,7 +593,7 @@ class TestRunAudit:
         run = svc.update_audit(run.run_id)
         assert (run.state, run.error) == (RunState.SDT_READY, None)
         assert run.representation_version == 2
-        subjects = {b.metadata.subject_name for b in svc.run_boms(run)}
+        subjects = {b.metadata.subject_name for b in stored_boms(svc, run)}
         assert subjects == {"good-01", "p"}
 
     def test_corrupt_snapshot_does_not_taint_other_host(self, tmp_path, env):
@@ -604,7 +619,7 @@ class TestRunAudit:
         run = svc.run_audit("p")
         sbom = next(
             b
-            for b in svc.run_boms(run)
+            for b in stored_boms(svc, run)
             if b.kind is BomKind.SBOM and b.metadata.subject_name == "good-01"
         )
         assert [(c.name, c.version) for c in sbom.components] == [("mako", "1.1.4")]
@@ -622,7 +637,7 @@ class TestRunAudit:
         assert run.error == "transport"
         # Evidence work is kept: documents were persisted before the send.
         assert len(run.bom_serials) == 3
-        assert [b.serial_number for b in svc.run_boms(run)] == list(run.bom_serials)
+        assert [b.serial_number for b in stored_boms(svc, run)] == list(run.bom_serials)
 
     def test_restart_durability(self, service, env):
         run = service.run_audit("profile-web")
@@ -675,7 +690,7 @@ class TestUpdateAudit:
 
     def test_certificate_rotation_flows_to_twin(self, service):
         run = service.run_audit("profile-web")
-        old_cbom = next(b for b in service.run_boms(run) if b.kind is BomKind.CBOM)
+        old_cbom = next(b for b in stored_boms(service, run) if b.kind is BomKind.CBOM)
         old_cert = next(c for c in old_cbom.components if c.bom_ref.startswith("cert:"))
 
         write_snapshot(
@@ -689,7 +704,7 @@ class TestUpdateAudit:
         assert updated.state is RunState.SDT_READY
         assert updated.representation_version == 2
 
-        new_cbom = next(b for b in service.run_boms(updated) if b.kind is BomKind.CBOM)
+        new_cbom = next(b for b in stored_boms(service, updated) if b.kind is BomKind.CBOM)
         assert new_cbom.version == old_cbom.version + 1
         new_cert = next(c for c in new_cbom.components if c.bom_ref.startswith("cert:"))
         assert new_cert.bom_ref == old_cert.bom_ref
@@ -721,7 +736,7 @@ class TestUpdateAudit:
         )
         updated = service.update_audit(run.run_id)
         assert updated.state is RunState.SDT_READY
-        sbom = next(b for b in service.run_boms(updated) if b.kind is BomKind.SBOM)
+        sbom = next(b for b in stored_boms(service, updated) if b.kind is BomKind.SBOM)
         assert ("lodash", "4.17.21") in [(c.name, c.version) for c in sbom.components]
         # The fixed release closes the advisory match.
         assert sbom.vulnerabilities == ()
@@ -747,7 +762,7 @@ class TestUpdateAudit:
 
     def test_rejected_update_keeps_previous_documents(self, service):
         run = service.run_audit("profile-web")
-        before = {b.serial_number: b.version for b in service.run_boms(run)}
+        before = {b.serial_number: b.version for b in stored_boms(service, run)}
         service.manager.destroy(run.sdt_id)
         write_snapshot(
             service._snapshots,
@@ -758,7 +773,7 @@ class TestUpdateAudit:
         updated = service.update_audit(run.run_id)
         assert updated.state is RunState.FAILED
         assert updated.error.startswith("update_rejected")
-        after = {b.serial_number: b.version for b in service.run_boms(run)}
+        after = {b.serial_number: b.version for b in stored_boms(service, run)}
         assert after == before
 
     def test_runs_of_one_profile_keep_their_own_documents(self, service):
@@ -776,9 +791,9 @@ class TestUpdateAudit:
         assert first.state is RunState.SDT_READY, first.error
         assert first.representation_version == 3
         # Each lodash change re-versions the SBOM and the manifest only.
-        versions = {b.kind: b.version for b in service.run_boms(first)}
+        versions = {b.kind: b.version for b in stored_boms(service, first)}
         assert versions == {BomKind.MIXED: 3, BomKind.SBOM: 3, BomKind.CBOM: 1}
-        assert {b.version for b in service.run_boms(second)} == {1}
+        assert {b.version for b in stored_boms(service, second)} == {1}
 
     def test_failed_document_write_leaves_the_previous_set(self, service):
         """A write that dies part-way through an accepted update leaves every
@@ -786,13 +801,13 @@ class TestUpdateAudit:
         store = DyingStore(service.store.root)
         svc = AuditService(store, service.manager, vulnerabilities=vuln_store())
         run = svc.run_audit("profile-web")
-        before = {b.serial_number: b.version for b in svc.run_boms(run)}
+        before = {b.serial_number: b.version for b in stored_boms(svc, run)}
         assert set(before.values()) == {1}
-        store.budget = sum(len(serialize_bom(b)) for b in svc.run_boms(run)) // 2
+        store.budget = sum(len(serialize_bom(b)) for b in stored_boms(svc, run)) // 2
         change_web_01(service._snapshots, "4.17.21")
         with pytest.raises(OSError, match="injected"):
             svc.update_audit(run.run_id)
-        after = {b.serial_number: b.version for b in svc.run_boms(run)}
+        after = {b.serial_number: b.version for b in stored_boms(svc, run)}
         assert after == before
 
     def test_failure_after_updating_ends_the_run_failed(self, service, monkeypatch):
@@ -812,7 +827,7 @@ class TestUpdateAudit:
 
         # The manager accepts the update, then the document write fails.
         run = svc.run_audit("profile-web")
-        store.budget = sum(len(serialize_bom(b)) for b in svc.run_boms(run)) // 2
+        store.budget = sum(len(serialize_bom(b)) for b in stored_boms(svc, run)) // 2
         change_web_01(service._snapshots, "4.17.21")
         assert failed_update(run, "injected").startswith("persist_failed:")
         store.budget = None
@@ -962,11 +977,25 @@ class TestStoreTwinAgreement:
                     record = store.get("run_documents", run.run_id)
                     assert [d["text"] for d in record] == [serialize_bom(b) for b in expected]
 
-                    boms = svc.run_boms(run)
+                    boms = stored_boms(svc, run)
                     manifest, *host_docs = boms
                     registry = {(b.serial_number, b.version): b for b in boms}
                     assert all(resolve_bom_link(l, registry) for l in manifest.links)
                     assert all(b.links == () for b in host_docs)
+
+                    # Each entry's summary is its text's, so reports read
+                    # from the record match reports over the parsed texts.
+                    summaries = svc.run_boms(run)
+                    reparsed = [summarize_bom(b) for b in boms]
+                    assert summaries == reparsed
+                    roles = {h: "web-server" for h in hosts}
+                    assert report_counts(summaries, roles=roles) == report_counts(
+                        reparsed, roles=roles
+                    )
+                    now = "2026-01-01T00:00:00Z"
+                    assert render_report(summaries, roles=roles, now=now) == render_report(
+                        reparsed, roles=roles, now=now
+                    )
 
                     projected = json.loads(json.dumps(thing_states_from_boms(boms)))
                     for thing, state in projected.items():

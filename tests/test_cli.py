@@ -168,6 +168,19 @@ class TestAuditFlow:
         assert result.exit_code == 1
         assert "ghost" in result.output
 
+    def test_report_on_a_record_without_summaries_fails(self, runner, store_env, minimal_fx):
+        run = run_audit(runner, store_env, minimal_fx)
+        store = FileDocumentStore(store_env["TWINAUDIT_STORE"])
+        record = store.get("run_documents", run["run_id"])
+        store.put("run_documents", run["run_id"], [
+            {key: value for key, value in doc.items() if key != "summary"} for doc in record
+        ])
+        for extra in ([], ["--json"]):
+            result = runner.invoke(main, ["audit", "report", run["run_id"], *extra], env=store_env)
+            assert result.exit_code == 1, extra
+            assert "without document summaries" in result.output
+            assert "fresh `audit run`" in result.output
+
     def test_unknown_run_ids_fail(self, runner, store_env):
         for command in ("status", "report"):
             result = runner.invoke(main, ["audit", command, "nope"], env=store_env)
@@ -278,6 +291,12 @@ class TestExternalManager:
         assert rejected.exit_code == 1
         assert "update_rejected" in rejected.output
 
+        # The run is FAILED now; rescanning it again is refused with a message.
+        again = runner.invoke(main, ["audit", "update", run["run_id"]], env=env)
+        assert again.exit_code == 1
+        assert isinstance(again.exception, SystemExit)
+        assert "cannot move from FAILED to UPDATING" in again.output
+
     def test_unknown_sdt_id_fails(self, runner, ext_env):
         env, _ = ext_env
         result = runner.invoke(main, ["sdt", "footprint", "nope"], env=env)
@@ -334,6 +353,11 @@ class TestWatch:
         assert result.exit_code == 1
         assert result.output.count("state: FAILED") == 1
         assert "update_rejected" in result.output
+
+        again = runner.invoke(main, ["audit", "watch", run["run_id"], "--count", "1"], env=env)
+        assert again.exit_code == 1
+        assert isinstance(again.exception, SystemExit)
+        assert "cannot move from FAILED to UPDATING" in again.output
 
     def test_on_demand_profile_is_refused(self, runner, store_env, minimal_fx):
         run = run_audit(runner, store_env, minimal_fx)
