@@ -88,18 +88,20 @@ def run_benchmark(
         body["options"] = options
     payload_bytes = len(json.dumps(body).encode("utf-8"))
 
-    for _ in range(max(0, warmup)):
-        descriptor = client.create(profile_id, bom_texts, options=options)
-        client.destroy(descriptor["sdtId"])
-
     result = BenchResult(iterations=[], payload_bytes=payload_bytes, footprint_bytes=0)
     allowed_failures = iterations * 0.10
     # Same timing hygiene as the stdlib timeit: collect once, then keep the
-    # collector out of the measured windows.
+    # collector out of the measured windows. The collection walks every live
+    # object and leaves the caches cold, so the warm-up runs after it:
+    # otherwise the first measured create pays for the walk.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
+        for _ in range(max(0, warmup)):
+            descriptor = client.create(profile_id, bom_texts, options=options)
+            client.destroy(descriptor["sdtId"])
+
         for index in range(iterations):
             started = clock()
             try:

@@ -292,6 +292,9 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
     def comps(key: str) -> tuple[Component, ...]:
         out = []
         for i, entry in enumerate(data.get(key, [])):
+            if not isinstance(entry, dict):
+                violations.append(Violation(f"{key}[{i}]", "must be an object"))
+                continue
             comp = _parse_component(entry, f"{key}[{i}]", True, violations)
             if comp is not None:
                 out.append(comp)
@@ -311,6 +314,9 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
     def vulns(key: str) -> tuple[VulnerabilityEntry, ...]:
         out = []
         for i, entry in enumerate(data.get(key, [])):
+            if not isinstance(entry, dict):
+                violations.append(Violation(f"{key}[{i}]", "must be an object"))
+                continue
             vuln = _parse_vulnerability(entry, f"{key}[{i}]", True, violations)
             if vuln is not None:
                 out.append(vuln)

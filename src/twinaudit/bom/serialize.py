@@ -191,108 +191,128 @@ def _freeze_extra(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-class _Reader:
-    """Walks one JSON object level, tracking which keys were consumed."""
+# The fields each object of the modeled subset knows; strict parsing reports
+# any other as unknown.
+_ROOT_FIELDS = frozenset(
+    {"bomFormat", "specVersion", "serialNumber", "version", "metadata", "components",
+     "dependencies", "vulnerabilities", "externalReferences"}
+)
+_METADATA_FIELDS = frozenset({"component", "timestamp", "properties"})
+_COMPONENT_FIELDS = frozenset({"bom-ref", "type", "name", "version", "purl", "cryptoProperties"})
+_CRYPTO_FIELDS = frozenset(
+    {"assetType", "algorithmProperties", "certificateProperties", "protocolProperties"}
+)
+_ALGORITHM_FIELDS = frozenset({"family", "parameterSetIdentifier", "mode"})
+_CERTIFICATE_FIELDS = frozenset(
+    {"subjectName", "issuerName", "notValidBefore", "notValidAfter", "signatureAlgorithmRef"}
+)
+_PROTOCOL_FIELDS = frozenset({"version", "type", "cipherSuites"})
+_VULNERABILITY_FIELDS = frozenset({"id", "ratings", "analysis", "affects"})
+_TYPE_FROM_JSON = {
+    "library": ComponentType.LIBRARY,
+    "application": ComponentType.APPLICATION,
+    "file": ComponentType.FILE,
+    "data": ComponentType.OPERATING_SYSTEM_SETTING,
+}
 
-    def __init__(self, data: dict[str, Any], path: str, violations: list[Violation]):
-        self.data = data
-        self.path = path
-        self.violations = violations
-        self.seen: set[str] = set()
 
-    def take(self, key: str, kind: type, required: bool = False) -> Any:
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                self.violations.append(
-                    Violation(self.path or key, f"missing required field {key}")
-                )
-            return None
-        value = self.data[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            self.violations.append(
-                Violation(self._sub(key), f"expected {kind.__name__}")
-            )
-            return None
+def _sub(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _take(
+    data: dict[str, Any],
+    key: str,
+    kind: type,
+    path: str,
+    violations: list[Violation],
+    required: bool = False,
+) -> Any:
+    """data[key] if it is a `kind` (an int counts as a float); otherwise
+    records why not and returns None. The input is decoded JSON, so an exact
+    type test is an isinstance test that keeps bools out of int and float."""
+    value = data.get(key)
+    if type(value) is kind:
         return value
+    if key not in data:
+        if required:
+            violations.append(Violation(path or key, f"missing required field {key}"))
+        return None
+    if kind is float and type(value) is int:
+        return float(value)
+    violations.append(Violation(_sub(path, key), f"expected {kind.__name__}"))
+    return None
 
-    def _sub(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
 
-    def unknown(self) -> dict[str, Any]:
-        return {k: v for k, v in self.data.items() if k not in self.seen}
+def _unknown_fields(
+    data: dict[str, Any], known: frozenset[str], path: str, violations: list[Violation]
+) -> None:
+    """One violation per field outside `known`, in document order."""
+    if not data.keys() <= known:
+        violations.extend(
+            Violation(_sub(path, key), "unknown field") for key in data if key not in known
+        )
 
 
 def _parse_crypto(
     data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
 ) -> Optional[CryptoProperties]:
-    r = _Reader(data, path, violations)
-    asset_raw = r.take("assetType", str, required=True)
-    kind = _ASSET_FROM_JSON.get(asset_raw or "")
+    asset_raw = _take(data, "assetType", str, path, violations, required=True)
+    kind = _ASSET_FROM_JSON.get(asset_raw)
     if kind is None:
         violations.append(Violation(f"{path}.assetType", f"unknown asset type {asset_raw!r}"))
         return None
     family = parameter_set = mode = None
-    algo = r.take("algorithmProperties", dict)
+    algo = _take(data, "algorithmProperties", dict, path, violations)
     if algo is not None:
-        ar = _Reader(algo, f"{path}.algorithmProperties", violations)
-        family = ar.take("family", str)
-        parameter_set = ar.take("parameterSetIdentifier", str)
-        mode = ar.take("mode", str)
+        sub = f"{path}.algorithmProperties"
+        family = _take(algo, "family", str, sub, violations)
+        parameter_set = _take(algo, "parameterSetIdentifier", str, sub, violations)
+        mode = _take(algo, "mode", str, sub, violations)
         if strict:
-            for key in ar.unknown():
-                violations.append(
-                    Violation(f"{path}.algorithmProperties.{key}", "unknown field")
-                )
+            _unknown_fields(algo, _ALGORITHM_FIELDS, sub, violations)
     cert_kwargs: dict[str, Any] = {}
-    cert = r.take("certificateProperties", dict)
+    cert = _take(data, "certificateProperties", dict, path, violations)
     if cert is not None:
-        cr = _Reader(cert, f"{path}.certificateProperties", violations)
+        sub = f"{path}.certificateProperties"
         cert_kwargs = {
-            "certificate_subject": cr.take("subjectName", str),
-            "certificate_issuer": cr.take("issuerName", str),
-            "not_before": cr.take("notValidBefore", str),
-            "not_after": cr.take("notValidAfter", str),
-            "signature_algorithm_ref": cr.take("signatureAlgorithmRef", str),
+            "certificate_subject": _take(cert, "subjectName", str, sub, violations),
+            "certificate_issuer": _take(cert, "issuerName", str, sub, violations),
+            "not_before": _take(cert, "notValidBefore", str, sub, violations),
+            "not_after": _take(cert, "notValidAfter", str, sub, violations),
+            "signature_algorithm_ref": _take(cert, "signatureAlgorithmRef", str, sub, violations),
         }
         if strict:
-            for key in cr.unknown():
-                violations.append(
-                    Violation(f"{path}.certificateProperties.{key}", "unknown field")
-                )
+            _unknown_fields(cert, _CERTIFICATE_FIELDS, sub, violations)
     protocol_version = None
-    suites: tuple[str, ...] = ()
-    proto = r.take("protocolProperties", dict)
+    suites: list[str] = []
+    proto = _take(data, "protocolProperties", dict, path, violations)
     if proto is not None:
-        pr = _Reader(proto, f"{path}.protocolProperties", violations)
-        protocol_version = pr.take("version", str)
-        ptype = pr.take("type", str)
+        sub = f"{path}.protocolProperties"
+        protocol_version = _take(proto, "version", str, sub, violations)
+        ptype = _take(proto, "type", str, sub, violations)
         if ptype:
             family = ptype.upper()
-        raw_suites = pr.take("cipherSuites", list)
-        if raw_suites is not None:
-            collected: list[str] = []
-            for entry in raw_suites:
-                if isinstance(entry, dict):
-                    collected.extend(a for a in entry.get("algorithms", []) if isinstance(a, str))
-            suites = tuple(collected)
+        for entry in _take(proto, "cipherSuites", list, sub, violations) or ():
+            if isinstance(entry, dict):
+                algorithms = entry.get("algorithms", [])
+                if isinstance(algorithms, list):
+                    suites.extend(a for a in algorithms if isinstance(a, str))
+                else:
+                    violations.append(
+                        Violation(f"{sub}.cipherSuites", "algorithms must be a list")
+                    )
         if strict:
-            for key in pr.unknown():
-                violations.append(
-                    Violation(f"{path}.protocolProperties.{key}", "unknown field")
-                )
+            _unknown_fields(proto, _PROTOCOL_FIELDS, sub, violations)
     if strict:
-        for key in r.unknown():
-            violations.append(Violation(f"{path}.{key}", "unknown field"))
+        _unknown_fields(data, _CRYPTO_FIELDS, path, violations)
     return CryptoProperties(
         asset_kind=kind,
         algorithm_family=family,
         parameter_set=parameter_set,
         mode=mode,
         protocol_version=protocol_version,
-        cipher_suite_refs=suites,
+        cipher_suite_refs=tuple(suites),
         **cert_kwargs,
     )
 
@@ -300,20 +320,17 @@ def _parse_crypto(
 def _parse_component(
     data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
 ) -> Optional[Component]:
-    r = _Reader(data, path, violations)
-    bom_ref = r.take("bom-ref", str, required=True)
-    type_raw = r.take("type", str, required=True)
-    name = r.take("name", str, required=True)
-    version = r.take("version", str) or ""
-    purl = r.take("purl", str)
+    bom_ref = _take(data, "bom-ref", str, path, violations, required=True)
+    type_raw = _take(data, "type", str, path, violations, required=True)
+    name = _take(data, "name", str, path, violations, required=True)
+    version = _take(data, "version", str, path, violations) or ""
+    purl = _take(data, "purl", str, path, violations)
     crypto = None
-    crypto_raw = r.take("cryptoProperties", dict)
+    crypto_raw = _take(data, "cryptoProperties", dict, path, violations)
     if crypto_raw is not None:
         crypto = _parse_crypto(crypto_raw, f"{path}.cryptoProperties", strict, violations)
-    unknown = r.unknown()
-    if unknown and strict:
-        for key in unknown:
-            violations.append(Violation(f"{path}.{key}", "unknown field"))
+    if strict:
+        _unknown_fields(data, _COMPONENT_FIELDS, path, violations)
     if bom_ref is None or type_raw is None or name is None:
         return None
 
@@ -322,17 +339,11 @@ def _parse_component(
             ctype = ComponentType.CERTIFICATE
         else:
             ctype = ComponentType.CRYPTO_ASSET
-    elif type_raw == "library":
-        ctype = ComponentType.LIBRARY
-    elif type_raw == "application":
-        ctype = ComponentType.APPLICATION
-    elif type_raw == "file":
-        ctype = ComponentType.FILE
-    elif type_raw == "data":
-        ctype = ComponentType.OPERATING_SYSTEM_SETTING
     else:
-        violations.append(Violation(f"{path}.type", f"unknown component type {type_raw!r}"))
-        return None
+        ctype = _TYPE_FROM_JSON.get(type_raw)
+        if ctype is None:
+            violations.append(Violation(f"{path}.type", f"unknown component type {type_raw!r}"))
+            return None
     return Component(
         bom_ref=bom_ref,
         name=name,
@@ -346,49 +357,44 @@ def _parse_component(
 def _parse_vulnerability(
     data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
 ) -> Optional[VulnerabilityEntry]:
-    r = _Reader(data, path, violations)
-    cve_id = r.take("id", str, required=True)
-    ratings = r.take("ratings", list, required=True) or []
+    cve_id = _take(data, "id", str, path, violations, required=True)
+    ratings = _take(data, "ratings", list, path, violations, required=True)
     score = 0.0
     vector = ""
     severity = Severity.NONE
     if ratings:
-        first = ratings[0] if isinstance(ratings[0], dict) else {}
-        rr = _Reader(first, f"{path}.ratings[0]", violations)
-        score = rr.take("score", float, required=True) or 0.0
-        vector = rr.take("vector", str) or ""
-        rr.take("method", str)
-        sev_raw = rr.take("severity", str, required=True)
-        sev = _SEVERITY_FROM_JSON.get(sev_raw or "")
+        first = ratings[0] if type(ratings[0]) is dict else {}
+        sub = f"{path}.ratings[0]"
+        score = _take(first, "score", float, sub, violations, required=True) or 0.0
+        vector = _take(first, "vector", str, sub, violations) or ""
+        _take(first, "method", str, sub, violations)
+        sev_raw = _take(first, "severity", str, sub, violations, required=True)
+        sev = _SEVERITY_FROM_JSON.get(sev_raw)
         if sev is None:
-            violations.append(
-                Violation(f"{path}.ratings[0].severity", f"unknown severity {sev_raw!r}")
-            )
+            violations.append(Violation(f"{sub}.severity", f"unknown severity {sev_raw!r}"))
         else:
             severity = sev
     else:
         violations.append(Violation(f"{path}.ratings", "must carry one CVSS rating"))
     state = AnalysisState.IN_TRIAGE
-    analysis = r.take("analysis", dict)
+    analysis = _take(data, "analysis", dict, path, violations)
     if analysis is not None:
         state_raw = analysis.get("state")
-        parsed_state = _STATE_FROM_JSON.get(state_raw or "")
+        parsed_state = _STATE_FROM_JSON.get(state_raw) if type(state_raw) is str else None
         if parsed_state is None:
             violations.append(
                 Violation(f"{path}.analysis.state", f"unknown state {state_raw!r}")
             )
         else:
             state = parsed_state
-    affects_raw = r.take("affects", list, required=True) or []
     affects: list[str] = []
-    for entry in affects_raw:
-        if isinstance(entry, dict) and isinstance(entry.get("ref"), str):
+    for entry in _take(data, "affects", list, path, violations, required=True) or ():
+        if type(entry) is dict and type(entry.get("ref")) is str:
             affects.append(entry["ref"])
         else:
             violations.append(Violation(f"{path}.affects", "entries must be {ref: string}"))
     if strict:
-        for key in r.unknown():
-            violations.append(Violation(f"{path}.{key}", "unknown field"))
+        _unknown_fields(data, _VULNERABILITY_FIELDS, path, violations)
     if cve_id is None:
         return None
     return VulnerabilityEntry(
@@ -404,8 +410,10 @@ def _parse_vulnerability(
 def parse_bom(text: str, strict: bool = True) -> Bom:
     """Inverse of serialize_bom.
 
-    Strict mode rejects unknown fields; lenient mode preserves document-,
-    metadata-, and component-level extensions opaquely in `extras`.
+    Strict mode rejects unknown fields; lenient mode preserves unknown
+    document-level fields opaquely in `extras` and ignores unknown fields
+    inside the document's objects. Unknown fields are reported in document
+    order, after the known fields of their object.
     """
     try:
         data = json.loads(text)
@@ -415,26 +423,25 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
         raise BomSchemaError([Violation("", "document root must be a JSON object")])
 
     violations: list[Violation] = []
-    r = _Reader(data, "", violations)
-    bom_format = r.take("bomFormat", str, required=True)
+    bom_format = _take(data, "bomFormat", str, "", violations, required=True)
     if bom_format is not None and bom_format != BOM_FORMAT:
         violations.append(Violation("bomFormat", f"expected {BOM_FORMAT!r}"))
-    spec_version = r.take("specVersion", str, required=True)
+    spec_version = _take(data, "specVersion", str, "", violations, required=True)
     if spec_version is not None and spec_version != SPEC_VERSION:
         violations.append(Violation("specVersion", f"unsupported version {spec_version!r}"))
-    serial = r.take("serialNumber", str, required=True)
-    version = r.take("version", int, required=True)
+    serial = _take(data, "serialNumber", str, "", violations, required=True)
+    version = _take(data, "version", int, "", violations, required=True)
 
     metadata = BomMetadata(subject_kind=SubjectKind.PROFILE, subject_name="")
     kind: Optional[BomKind] = None
-    meta_raw = r.take("metadata", dict, required=True)
+    meta_raw = _take(data, "metadata", dict, "", violations, required=True)
     if meta_raw is not None:
-        mr = _Reader(meta_raw, "metadata", violations)
         subject_kind = SubjectKind.PROFILE
         subject_name = ""
-        comp_raw = mr.take("component", dict, required=True)
+        comp_raw = _take(meta_raw, "component", dict, "metadata", violations, required=True)
         if comp_raw is not None:
-            sk = _SUBJECT_FROM_JSON.get(comp_raw.get("type", ""))
+            subject_type = comp_raw.get("type")
+            sk = _SUBJECT_FROM_JSON.get(subject_type) if type(subject_type) is str else None
             if sk is None:
                 violations.append(Violation("metadata.component.type", "unknown subject type"))
             else:
@@ -443,9 +450,9 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
                 subject_name = comp_raw["name"]
             else:
                 violations.append(Violation("metadata.component.name", "missing subject name"))
-        timestamp = mr.take("timestamp", str)
+        timestamp = _take(meta_raw, "timestamp", str, "metadata", violations)
         props: list[tuple[str, str]] = []
-        props_raw = mr.take("properties", list) or []
+        props_raw = _take(meta_raw, "properties", list, "metadata", violations) or ()
         for i, entry in enumerate(props_raw):
             if (
                 isinstance(entry, dict)
@@ -466,8 +473,7 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
                     Violation(f"metadata.properties[{i}]", "entries must be {name, value}")
                 )
         if strict:
-            for key in mr.unknown():
-                violations.append(Violation(f"metadata.{key}", "unknown field"))
+            _unknown_fields(meta_raw, _METADATA_FIELDS, "metadata", violations)
         metadata = BomMetadata(
             subject_kind=subject_kind,
             subject_name=subject_name,
@@ -480,12 +486,12 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
             violations.append(
                 Violation("metadata.properties", f"missing required property {KIND_PROPERTY}")
             )
-        kind = kind or BomKind.MIXED
+        kind = BomKind.MIXED
 
     components: list[Component] = []
-    comps_raw = r.take("components", list, required=True) or []
+    comps_raw = _take(data, "components", list, "", violations, required=True) or ()
     for i, entry in enumerate(comps_raw):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             violations.append(Violation(f"components[{i}]", "must be an object"))
             continue
         comp = _parse_component(entry, f"components[{i}]", strict, violations)
@@ -493,8 +499,7 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
             components.append(comp)
 
     dependencies = []
-    deps_raw = r.take("dependencies", list) or []
-    for i, entry in enumerate(deps_raw):
+    for i, entry in enumerate(_take(data, "dependencies", list, "", violations) or ()):
         if not isinstance(entry, dict) or not isinstance(entry.get("ref"), str):
             violations.append(Violation(f"dependencies[{i}]", "must be {ref, dependsOn}"))
             continue
@@ -505,9 +510,9 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
         dependencies.append(Dependency(ref=entry["ref"], depends_on=tuple(depends_on)))
 
     vulnerabilities: list[VulnerabilityEntry] = []
-    vulns_raw = r.take("vulnerabilities", list) or []
+    vulns_raw = _take(data, "vulnerabilities", list, "", violations) or ()
     for i, entry in enumerate(vulns_raw):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             violations.append(Violation(f"vulnerabilities[{i}]", "must be an object"))
             continue
         vuln = _parse_vulnerability(entry, f"vulnerabilities[{i}]", strict, violations)
@@ -515,26 +520,30 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
             vulnerabilities.append(vuln)
 
     links: list[BomLink] = []
-    refs_raw = r.take("externalReferences", list) or []
-    for i, entry in enumerate(refs_raw):
+    for i, entry in enumerate(_take(data, "externalReferences", list, "", violations) or ()):
         if not isinstance(entry, dict) or entry.get("type") != "bom":
             violations.append(
                 Violation(f"externalReferences[{i}]", "only {type: bom, url} references modeled")
             )
             continue
+        url = entry.get("url", "")
+        if type(url) is not str:
+            violations.append(
+                Violation(f"externalReferences[{i}].url", f"not a bom-link urn: {url!r}")
+            )
+            continue
         try:
-            links.append(BomLink.parse(entry.get("url", "")))
+            links.append(BomLink.parse(url))
         except ValueError as exc:
             violations.append(Violation(f"externalReferences[{i}].url", str(exc)))
 
     extras: tuple[tuple[str, str], ...] = ()
-    unknown = r.unknown()
-    if unknown:
-        if strict:
-            for key in unknown:
-                violations.append(Violation(key, "unknown field"))
-        else:
-            extras = tuple(sorted((k, _freeze_extra(v)) for k, v in unknown.items()))
+    if strict:
+        _unknown_fields(data, _ROOT_FIELDS, "", violations)
+    elif not data.keys() <= _ROOT_FIELDS:
+        extras = tuple(
+            sorted((k, _freeze_extra(v)) for k, v in data.items() if k not in _ROOT_FIELDS)
+        )
 
     if violations:
         raise BomSchemaError(violations)

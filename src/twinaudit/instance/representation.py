@@ -3,11 +3,15 @@
 Things are WoT-style descriptions, one per audited host plus one for the
 profile manifest. Every thing keeps an append-only revision history; past
 revisions stay readable verbatim after any number of updates.
+
+Each revision is stored as canonical JSON text (sorted keys, compact
+separators): it is encoded once on write, compared as text to detect an
+unchanged state, and decoded into a fresh object on every read, so no caller
+can reach the stored history.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import dataclass
@@ -40,6 +44,22 @@ class VersionConflict(Exception):
         super().__init__(f"expected version {expected}, got {got}")
         self.expected = expected
         self.got = got
+
+
+# The property-list sort key: the text json.dumps(item, sort_keys=True) gives,
+# from one shared encoder instead of a new one per call.
+_sort_key = json.JSONEncoder(sort_keys=True).encode
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _canonical_texts(states: dict[str, Any]) -> dict[str, str]:
+    """Each state's canonical text; rejects a state that is not an object."""
+    texts = {}
+    for thing_id, state in states.items():
+        if not isinstance(state, dict):
+            raise RepresentationError(f"state of thing {thing_id!r} must be an object")
+        texts[thing_id] = _canonical(state)
+    return texts
 
 
 def _software_entry(component: Component) -> dict[str, Any]:
@@ -160,9 +180,9 @@ def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
                 state["links"].append(rendered)
 
     for state in states.values():
-        for key, value in state["properties"].items():
+        for value in state["properties"].values():
             if isinstance(value, list):
-                value.sort(key=lambda item: json.dumps(item, sort_keys=True))
+                value.sort(key=_sort_key)
         state["links"].sort()
     return states
 
@@ -171,7 +191,7 @@ def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
 class Revision:
     revision: int
     timestamp: float
-    state: dict[str, Any]
+    text: str  # canonical JSON of the thing state
 
 
 class StoredRepresentation:
@@ -196,12 +216,11 @@ class StoredRepresentation:
     ) -> "StoredRepresentation":
         if not states:
             raise RepresentationError("representation requires at least one thing")
+        texts = _canonical_texts(states)
         rep = cls(clock=clock)
         now = rep._clock()
-        for thing_id in sorted(states):
-            rep._things[thing_id] = [
-                Revision(revision=1, timestamp=now, state=copy.deepcopy(states[thing_id]))
-            ]
+        for thing_id in sorted(texts):
+            rep._things[thing_id] = [Revision(revision=1, timestamp=now, text=texts[thing_id])]
         rep._version = 1
         return rep
 
@@ -209,26 +228,22 @@ class StoredRepresentation:
         """Advance to new_version; returns the number of things revised.
 
         Atomic: validation happens before any append. A thing gains a
-        revision only when its state actually changed.
+        revision only when its canonical text changed.
         """
         if new_version != self._version + 1:
             raise VersionConflict(expected=self._version + 1, got=new_version)
         unknown = sorted(set(states) - set(self._things))
         if unknown:
             raise UnknownThing(unknown[0])
+        texts = _canonical_texts(states)
         now = self._clock()
         revised = 0
-        for thing_id in sorted(states):
+        for thing_id in sorted(texts):
             history = self._things[thing_id]
-            new_state = states[thing_id]
-            if new_state == history[-1].state:
+            if texts[thing_id] == history[-1].text:
                 continue
             history.append(
-                Revision(
-                    revision=history[-1].revision + 1,
-                    timestamp=now,
-                    state=copy.deepcopy(new_state),
-                )
+                Revision(revision=history[-1].revision + 1, timestamp=now, text=texts[thing_id])
             )
             revised += 1
         self._version = new_version
@@ -244,13 +259,13 @@ class StoredRepresentation:
             raise UnknownThing(thing_id) from None
 
     def latest(self, thing_id: str) -> dict[str, Any]:
-        return copy.deepcopy(self._history_of(thing_id)[-1].state)
+        return json.loads(self._history_of(thing_id)[-1].text)
 
     def at_revision(self, thing_id: str, revision: int) -> dict[str, Any]:
         history = self._history_of(thing_id)
         if revision < 1 or revision > len(history):
             raise UnknownThing(f"{thing_id}@{revision}")
-        return copy.deepcopy(history[revision - 1].state)
+        return json.loads(history[revision - 1].text)
 
     def at_time(self, thing_id: str, timestamp: float) -> dict[str, Any]:
         history = self._history_of(thing_id)
@@ -260,7 +275,7 @@ class StoredRepresentation:
                 best = rev
         if best is None:
             raise UnknownThing(f"{thing_id}@t={timestamp}")
-        return copy.deepcopy(best.state)
+        return json.loads(best.text)
 
     def history(self, thing_id: str) -> list[tuple[int, float]]:
         return [(r.revision, r.timestamp) for r in self._history_of(thing_id)]
@@ -271,7 +286,11 @@ class StoredRepresentation:
             "version": self._version,
             "things": {
                 thing_id: [
-                    {"revision": r.revision, "timestamp": r.timestamp, "state": r.state}
+                    {
+                        "revision": r.revision,
+                        "timestamp": r.timestamp,
+                        "state": json.loads(r.text),
+                    }
                     for r in history
                 ]
                 for thing_id, history in sorted(self._things.items())

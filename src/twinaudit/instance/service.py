@@ -84,6 +84,8 @@ class InstanceService(JsonApi):
                     raise HttpError(
                         400, "unknown_thing", f"update references unknown thing {err.thing_id!r}"
                     ) from err
+                except RepresentationError as err:
+                    raise HttpError(400, "invalid_representation", str(err)) from err
         return 200, {"version": version, "revisedThings": revised}
 
     def _get_thing(self, thing_id: str, query: dict[str, str]) -> tuple[int, Any]:

@@ -1,9 +1,10 @@
 """Lifecycle core: descriptor registry plus create/update/destroy handlers.
 
-Create follows interface -> core -> LCM -> runtime deploy -> data-adapter
-push -> controller confirmation -> response; any failure after deploy tears
-the instance down again so no orphan keeps running. Updates are guarded by
-an optimistic representation-version precondition.
+Create follows interface -> core -> BOM parse -> projection -> LCM ->
+runtime deploy -> data-adapter push -> controller confirmation -> response;
+any failure after deploy tears the instance down again so no orphan keeps
+running. Updates are guarded by an optimistic representation-version
+precondition.
 """
 
 from __future__ import annotations
@@ -175,10 +176,12 @@ class SdtManager:
 
         # All validation happens before anything deploys.
         boms = self._parse_boms(payload.get("boms"))
+        span.record("parse")
         try:
             states = self._adapter.process(boms)
         except RepresentationError as err:
             raise HttpError(400, "invalid_bom", str(err)) from err
+        span.record("project")
         user_tokens = self._parse_tokens(payload.get("options"))
 
         write_token = secrets.token_hex(16)
@@ -299,6 +302,7 @@ class SdtManager:
 
             # Validation failures leave the descriptor READY and unchanged.
             new_boms, touched = self._updated_boms(record, payload)
+            span.record("parse")
             # Re-project only the subjects of touched documents, old and new.
             # The set was unique before, so any duplicate (subject, kind)
             # pairs a touched document with another of the same subject:
@@ -315,6 +319,7 @@ class SdtManager:
                 )
             except RepresentationError as err:
                 raise HttpError(400, "invalid_bom", str(err)) from err
+            span.record("project")
 
             descriptor.state = SdtState.UPDATING
             self._touch(descriptor)

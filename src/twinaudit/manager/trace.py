@@ -18,11 +18,13 @@ __all__ = [
     "is_subsequence",
 ]
 
-# interface -> core -> LCM -> runtime deploy -> data adapter push ->
-# controller built -> confirmation -> response
+# interface -> core -> BOM parse -> thing projection -> LCM -> runtime
+# deploy -> data adapter push -> controller built -> confirmation -> response
 CREATE_STAGES = (
     "interface",
     "core",
+    "parse",
+    "project",
     "lcm",
     "deploy",
     "data_adapter",
@@ -31,8 +33,17 @@ CREATE_STAGES = (
     "respond",
 )
 
-# interface -> core -> data adapter push -> controller applied -> response
-UPDATE_STAGES = ("interface", "core", "data_adapter", "controller", "respond")
+# interface -> core -> payload parse -> thing projection -> data adapter
+# push -> controller applied -> response
+UPDATE_STAGES = (
+    "interface",
+    "core",
+    "parse",
+    "project",
+    "data_adapter",
+    "controller",
+    "respond",
+)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Deployment benchmark harness: timing discipline, stats, failure policy."""
 
 import csv
+import gc
 import io
 import json
 import statistics
@@ -192,6 +193,31 @@ class TestRunBenchmark:
         result = run_benchmark(counting, profile_id, texts, iterations=3, warmup=2)
         assert len(calls) == 5
         assert len(result.iterations) == 3
+
+    def test_warmup_runs_after_the_collection(self, env, payload, monkeypatch):
+        # The collection leaves caches cold; warm-up creates after it keep
+        # that cost out of the first measured iteration.
+        _, client = env.make_manager_client()
+        profile_id, texts = payload
+        events = []
+        collect = gc.collect
+
+        def recording_collect(*args):
+            events.append("collect")
+            return collect(*args)
+
+        class RecordingClient(ManagerClient):
+            def create(self, profile_id, bom_texts, options=None):
+                events.append("create" if not gc.isenabled() else "create-gc-on")
+                return super().create(profile_id, bom_texts, options=options)
+
+        monkeypatch.setattr(gc, "collect", recording_collect)
+        gc_was_enabled = gc.isenabled()
+        run_benchmark(
+            RecordingClient(client.base_url), profile_id, texts, iterations=2, warmup=2
+        )
+        assert events == ["collect"] + ["create"] * 4
+        assert gc.isenabled() == gc_was_enabled
 
     def test_build_payload_runs_inside_every_iteration(self, env, payload):
         _, client = env.make_manager_client()

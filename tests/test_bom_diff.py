@@ -11,6 +11,7 @@ from twinaudit.bom import (
     BomDelta,
     BomKind,
     BomMetadata,
+    BomSchemaError,
     Component,
     ComponentType,
     DeltaMismatch,
@@ -127,6 +128,16 @@ class TestDeltaTransport:
         with pytest.raises(Exception) as err:
             delta_from_dict({"componentsRemoved": ["a"]})
         assert "baseSerial" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["componentsAdded", "vulnerabilitiesChanged"])
+    @pytest.mark.parametrize("entry", ["a", [], 5])
+    def test_non_object_entries_rejected(self, key, entry):
+        header = {"baseSerial": "urn:uuid:x", "baseVersion": 1, "newVersion": 2}
+        with pytest.raises(BomSchemaError) as err:
+            delta_from_dict({**header, key: [entry]})
+        assert [(v.path, v.message) for v in err.value.violations] == [
+            (f"{key}[0]", "must be an object")
+        ]
 
 
 def test_component_identity_is_bom_ref():

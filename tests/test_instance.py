@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from twinaudit.instance import (
 )
 from twinaudit.jsonhttp import ApiRequest, HttpError
 
+from .strategies import boms
 from .test_forge import algo_record, certificate_record, software_record
 
 
@@ -105,6 +107,18 @@ class TestThingStates:
         states = thing_states_from_boms([sbom])
         vulns = states["web-01"]["properties"]["vulnerabilities"]
         assert [v["cve"] for v in vulns] == ["CVE-2023-30861"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(boms(max_components=4), max_size=4))
+    def test_property_lists_follow_json_key_order(self, documents):
+        """Exported property lists keep the order of their sort_keys JSON text."""
+        unique = {}
+        for bom in documents:
+            unique.setdefault((bom.metadata.subject_name, bom.kind), bom)
+        for state in thing_states_from_boms(unique.values()).values():
+            for entries in state["properties"].values():
+                keys = [json.dumps(item, sort_keys=True) for item in entries]
+                assert keys == sorted(keys)
 
 
 class FakeClock:
@@ -206,7 +220,9 @@ class TestStoredRepresentation:
         )
     )
     def test_history_immutability_property(self, updates):
-        """Snapshots already read never change under further updates."""
+        """Snapshots already read never change under further updates, nor
+        when a read result or a pushed dict is mutated; a re-push of the same
+        states with keys in another order appends no revision."""
         rep = StoredRepresentation.build(simple_states(0))
         frozen: dict[tuple[str, int], dict] = {}
         version = 1
@@ -217,7 +233,19 @@ class TestStoredRepresentation:
             }
             version += 1
             rep.apply_update(states, version)
+            reordered = {
+                tid: {"links": [], "properties": {"n": n}, "title": tid[-1], "id": tid}
+                for tid, n in reversed(update.items())
+            }
+            before = {tid: rep.history(tid) for tid in rep.thing_ids()}
+            version += 1
+            assert rep.apply_update(reordered, version) == 0
+            assert {tid: rep.history(tid) for tid in rep.thing_ids()} == before
+            for state in states.values():
+                state["properties"]["n"] = -1
+                state["links"].append("mutated")
             for tid in rep.thing_ids():
+                rep.latest(tid)["properties"]["n"] = -2
                 for revision, _ in rep.history(tid):
                     snap = rep.at_revision(tid, revision)
                     key = (tid, revision)
@@ -225,6 +253,8 @@ class TestStoredRepresentation:
                         assert snap == frozen[key]
                     else:
                         frozen[key] = copy.deepcopy(snap)
+                    snap["properties"]["n"] = -3
+                    snap["links"].append("mutated")
         for tid in rep.thing_ids():
             revisions = [r for r, _ in rep.history(tid)]
             assert revisions == list(range(1, len(revisions) + 1))
@@ -335,6 +365,23 @@ class TestInstanceService:
         bad = {"host-z": {"id": "host-z", "title": "z", "properties": {}, "links": []}}
         status, payload = put(service, "tok-write", {"version": 2, "things": bad})
         assert (status, payload["code"]) == (400, "unknown_thing")
+
+    def test_non_object_states_rejected_atomically(self):
+        service = make_service()
+        status, payload = put(service, "tok-write", {"version": 1, "things": {"h": 5, "g": [1]}})
+        assert (status, payload["code"]) == (400, "invalid_representation")
+        assert call(service, "GET", "/things", token="tok-read")[0] == 404
+        assert put(service, "tok-write", {"version": 1, "things": simple_states(1)})[0] == 200
+        bad = simple_states(2)
+        bad["host-b"] = "state"
+        status, payload = put(service, "tok-write", {"version": 2, "things": bad})
+        assert (status, payload["code"]) == (400, "invalid_representation")
+        # nothing applied, not even the valid host-a state or the version
+        rep = service.representation()
+        assert rep.current_version == 1
+        assert len(rep.history("host-a")) == 1
+        status, thing = call(service, "GET", "/things/host-a", token="tok-read")
+        assert (status, thing["properties"]["n"]) == (200, 1)
 
     def test_things_before_representation(self):
         service = make_service()

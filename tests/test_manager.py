@@ -152,6 +152,13 @@ class TestCreate:
         span = manager.tracer.last("create")
         assert is_subsequence(CREATE_STAGES, span.stages)
 
+    def test_trace_records_exact_stage_chains(self, env):
+        manager, client, _ = env.make_manager()
+        created = client.create("profile-a", bom_texts("chain-host"))
+        client.update(created["sdtId"], expected_version=1, bom_texts=bom_texts("chain-host"))
+        assert tuple(manager.tracer.last("create").stages) == CREATE_STAGES
+        assert tuple(manager.tracer.last("update").stages) == UPDATE_STAGES
+
     def test_unparsable_bom_rejected_before_deploy(self, env):
         manager, client, runtime = env.make_manager(sabotage=True)
         live_before = set(runtime.deployed)
