@@ -15,11 +15,10 @@ from .service import (
     AuditService,
     PeriodicSync,
     UnknownRun,
-    UnsummarizedRun,
     collect_evidence,
     forge_documents,
 )
-from .store import FileDocumentStore
+from .store import FileDocumentStore, OutdatedLayout
 from .topology import (
     HostRecord,
     InventoryError,
@@ -42,6 +41,7 @@ __all__ = [
     "HostRecord",
     "InvalidTransition",
     "InventoryError",
+    "OutdatedLayout",
     "PeriodicSync",
     "ProfileError",
     "Relationship",
@@ -51,7 +51,6 @@ __all__ = [
     "SyncPolicy",
     "TopologyGraph",
     "UnknownRun",
-    "UnsummarizedRun",
     "collect_evidence",
     "create_profile",
     "forge_documents",

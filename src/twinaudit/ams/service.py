@@ -1,4 +1,11 @@
-"""Audit orchestration: collect evidence, forge documents, drive the twin."""
+"""Audit orchestration: collect evidence, forge documents, drive the twin.
+
+Each run's documents are one line file in the store, keyed by run id. Line
+1 is the run's index: one compact JSON array with, per document in
+run.bom_serials order, its serial, version and summary. The lines after it
+are the documents' serialize_bom texts, verbatim and in the same order. A
+run is written with one atomic write; reports read only the index.
+"""
 
 from __future__ import annotations
 
@@ -23,37 +30,25 @@ from ..manager import ManagerClient
 from ..vulnstore import VulnerabilityStore
 from .profiles import AuditProfile, ProfileError, create_profile, get_profile, selected_hosts
 from .runs import RUNS, AuditRun, RunState
-from .store import FileDocumentStore
+from .store import FileDocumentStore, OutdatedLayout
 from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from_store
 
 __all__ = [
     "AuditService",
     "PeriodicSync",
     "UnknownRun",
-    "UnsummarizedRun",
     "collect_evidence",
     "forge_documents",
 ]
 
-# One record per run id: its documents in run.bom_serials order, each with
-# the summary that reports read.
+# One line file per run id (see the module docstring). Earlier layouts kept
+# a JSON record under the same collection and key.
 RUN_DOCUMENTS = "run_documents"
 
 
 class UnknownRun(KeyError):
     def __init__(self, run_id: str) -> None:
         super().__init__(run_id)
-        self.run_id = run_id
-
-
-class UnsummarizedRun(ValueError):
-    """The run's documents were stored without the summaries reports read."""
-
-    def __init__(self, run_id: str) -> None:
-        super().__init__(
-            f"run {run_id} was stored without document summaries;"
-            " start a fresh `audit run` to report on it"
-        )
         self.run_id = run_id
 
 
@@ -118,24 +113,21 @@ def forge_documents(
     return linked, [serialize_bom(b) for b in linked]
 
 
-def _entry(bom: Bom, text: str) -> dict[str, Any]:
-    """A document as the run's record stores it, with its summarize_bom.
-
-    The summary is one compact JSON string: the store writes indented JSON,
-    which the json module encodes in pure Python, and a nested summary would
-    make every record put several times slower.
-    """
+def _entry(bom: Bom) -> dict[str, Any]:
+    """A document's entry in its run's index, with its summarize_bom as one
+    compact JSON string."""
     summary = json.dumps(summarize_bom(bom), sort_keys=True, separators=(",", ":"))
-    return {"serial": bom.serial_number, "version": bom.version, "text": text, "summary": summary}
+    return {"serial": bom.serial_number, "version": bom.version, "summary": summary}
 
 
 class AuditService:
     """Stateless over a document store: every run survives a restart.
 
-    A run's documents are one store record keyed by its run id, so runs of
+    A run's documents are one store file keyed by its run id, so runs of
     one profile keep their own documents, and a rescan reads the set once
-    and replaces it with one atomic write. Each entry carries its document's
-    summary, written with its text, so reports parse no document.
+    and replaces it with one atomic write. The file's index carries each
+    document's summary, written with its text, so reports parse no document
+    and read only the index.
     """
 
     def __init__(
@@ -184,19 +176,34 @@ class AuditService:
             raise UnknownRun(run_id)
         return AuditRun.from_dict(doc)
 
+    def _save_documents(self, run_id: str, index: list[dict[str, Any]], texts: list[str]) -> None:
+        self.store.put_lines(
+            RUN_DOCUMENTS,
+            run_id,
+            [json.dumps(index, sort_keys=True, separators=(",", ":")), *texts],
+        )
+
+    def _load_documents(self, run_id: str, count: Optional[int] = None) -> Optional[list[str]]:
+        """The run file's lines (its first `count` when given), or None when
+        the run has stored no documents.
+
+        Raises OutdatedLayout for documents stored in an earlier layout.
+        """
+        lines = self.store.get_lines(RUN_DOCUMENTS, run_id, count)
+        if lines is None and self.store.get(RUN_DOCUMENTS, run_id) is not None:
+            raise OutdatedLayout(
+                f"run {run_id} was stored in an older layout;"
+                " start a fresh `audit run` to report on it or update it"
+            )
+        return lines
+
     def run_boms(self, run: AuditRun) -> list[dict[str, Any]]:
         """The summarize_bom of each of the run's documents, in
-        run.bom_serials order, from one store read; no document is parsed.
-
-        Raises UnsummarizedRun for a record stored without summaries.
+        run.bom_serials order, from the run file's index alone; no document
+        is read or parsed.
         """
-        try:
-            return [
-                json.loads(doc["summary"])
-                for doc in self.store.get(RUN_DOCUMENTS, run.run_id) or ()
-            ]
-        except KeyError:
-            raise UnsummarizedRun(run.run_id) from None
+        lines = self._load_documents(run.run_id, count=1)
+        return [json.loads(entry["summary"]) for entry in json.loads(lines[0])] if lines else []
 
     # -- run lifecycle ------------------------------------------------------
 
@@ -224,12 +231,7 @@ class AuditService:
             step = "forge"
             linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
             step = "persist"
-            # One record per run: a single atomic put replaces the whole set.
-            self.store.put(
-                RUN_DOCUMENTS,
-                run.run_id,
-                [_entry(bom, text) for bom, text in zip(linked, texts)],
-            )
+            self._save_documents(run.run_id, [_entry(bom) for bom in linked], texts)
             run.bom_serials = tuple(b.serial_number for b in linked)
             self._advance(run, RunState.BOMS_BUILT)
 
@@ -276,18 +278,21 @@ class AuditService:
 
         topology = topology_from_store(self.store)
         self._advance(run, RunState.UPDATING)
-        step = "collect"
+        step = "load"
         try:
+            index_line, *texts = self._load_documents(run_id) or ("[]",)
+            index = json.loads(index_line)
+            position = {entry["serial"]: i for i, entry in enumerate(index)}
+            for serial in run.bom_serials:
+                if serial not in position:
+                    raise UnknownRun(f"{run_id}: stored document {serial} is missing")
+            versions = {entry["serial"]: entry["version"] for entry in index}
+
+            step = "collect"
             bundles, errors = collect_evidence([topology.host(h) for h in rescan_ids])
             if errors:
                 run.host_errors = {**run.host_errors, **errors}
                 return self._advance(run, RunState.FAILED, "no_evidence")
-
-            step = "load"
-            stored = {doc["serial"]: doc for doc in self.store.get(RUN_DOCUMENTS, run_id) or ()}
-            for serial in run.bom_serials:
-                if serial not in stored:
-                    raise UnknownRun(f"{run_id}: stored document {serial} is missing")
 
             # Rebuild each rescanned document at its stored version: an
             # unchanged one serializes to its stored text and is not parsed.
@@ -295,23 +300,24 @@ class AuditService:
             revised: list[Bom] = []
             for host_id in rescan_ids:
                 for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities):
-                    old = stored[doc.serial_number]
-                    if serialize_bom(replace(doc, version=old["version"])) != old["text"]:
-                        revised.append(replace(doc, version=old["version"] + 1))
+                    version = versions[doc.serial_number]
+                    text = texts[position[doc.serial_number]]
+                    if serialize_bom(replace(doc, version=version)) != text:
+                        revised.append(replace(doc, version=version + 1))
             if not revised:
                 return self._advance(run, RunState.SDT_READY)
 
             # link_to_profile puts the profile manifest first.
             manifest_serial, *host_serials = run.bom_serials
-            versions = {serial: stored[serial]["version"] for serial in host_serials}
+            manifest_version = versions[manifest_serial] + 1
             versions.update((b.serial_number, b.version) for b in revised)
             manifest = profile_manifest(
                 run.profile_id,
                 (BomLink(target_serial=s, target_version=versions[s]) for s in host_serials),
-                version=stored[manifest_serial]["version"] + 1,
+                version=manifest_version,
             )
             revised.insert(0, manifest)
-            deltas = [diff_boms(parse_bom(stored[b.serial_number]["text"]), b) for b in revised]
+            deltas = [diff_boms(parse_bom(texts[position[b.serial_number]]), b) for b in revised]
 
             step = "push"
             try:
@@ -326,10 +332,10 @@ class AuditService:
                 return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
 
             step = "persist"
-            fresh = {b.serial_number: _entry(b, serialize_bom(b)) for b in revised}
-            self.store.put(
-                RUN_DOCUMENTS, run_id, [fresh.get(s) or stored[s] for s in run.bom_serials]
-            )
+            for bom in revised:
+                i = position[bom.serial_number]
+                index[i], texts[i] = _entry(bom), serialize_bom(bom)
+            self._save_documents(run_id, index, texts)
             run.representation_version = int(result["representationVersion"])
             return self._advance(run, RunState.SDT_READY)
         except Exception as exc:

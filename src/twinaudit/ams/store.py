@@ -1,10 +1,14 @@
 """Document store: collections of JSON documents addressed by key.
 
-The store keeps one file per document and writes atomically
-(temp file + rename), so a crash mid-write never corrupts a stored
-document and restarts see only complete states. What must change together
-goes in one document: the audit service keeps each run's whole document
-set in one record keyed by run id, so one put replaces it.
+The store keeps one file per document and writes atomically (temp file,
+fsync, rename), so a crash mid-write never corrupts a stored document and
+restarts see only complete states. What must change together goes in one
+file, so one rename switches it.
+
+Besides JSON records, the store keeps line files: a list of text lines
+written as one file by the same path, for content that should reach the
+disk verbatim, without being escaped into a JSON string. The audit service
+keeps each run's document texts this way, one document per line.
 """
 
 from __future__ import annotations
@@ -13,11 +17,17 @@ import json
 import os
 import tempfile
 import threading
+from itertools import islice
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 from urllib.parse import quote, unquote
 
-__all__ = ["FileDocumentStore"]
+__all__ = ["FileDocumentStore", "OutdatedLayout"]
+
+
+class OutdatedLayout(ValueError):
+    """Data written in an earlier store layout, which is not read; the
+    message says how to write it again."""
 
 
 def _encode(name: str) -> str:
@@ -32,19 +42,17 @@ class FileDocumentStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._write_lock = threading.Lock()
 
-    def _doc_path(self, collection: str, key: str) -> Path:
-        return self.root / _encode(collection) / (_encode(key) + ".json")
+    def _doc_path(self, collection: str, key: str, suffix: str = ".json") -> Path:
+        return self.root / _encode(collection) / (_encode(key) + suffix)
 
-    def put(self, collection: str, key: str, doc: Any) -> None:
-        path = self._doc_path(collection, key)
+    def _write(self, path: Path, chunks: Iterable[bytes]) -> None:
+        """Replace path with the chunks' bytes: temp file, fsync, rename."""
         with self._write_lock:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    # Streamed, so a run's document record is never held
-                    # in memory a second time as one encoded string.
-                    json.dump(doc, handle, sort_keys=True, indent=1)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.writelines(chunks)
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp_name, path)
@@ -54,6 +62,10 @@ class FileDocumentStore:
                 except OSError:
                     pass
                 raise
+
+    def put(self, collection: str, key: str, doc: Any) -> None:
+        path = self._doc_path(collection, key)
+        self._write(path, [json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")])
 
     def get(self, collection: str, key: str) -> Optional[Any]:
         path = self._doc_path(collection, key)
@@ -81,3 +93,35 @@ class FileDocumentStore:
                 return True
             except FileNotFoundError:
                 return False
+
+    # -- line files ---------------------------------------------------------
+
+    def put_lines(self, collection: str, key: str, lines: Sequence[str]) -> None:
+        """Write lines as one file, each ended by "\\n", in one atomic write.
+
+        A line holding "\\n" is refused before anything is written.
+        """
+        for i, line in enumerate(lines):
+            if "\n" in line:
+                raise ValueError(f"line {i} holds a newline")
+        # Line by line, so the file is never held in memory as one buffer.
+        self._write(
+            self._doc_path(collection, key, ".jsonl"),
+            (f"{line}\n".encode("utf-8") for line in lines),
+        )
+
+    def get_lines(
+        self, collection: str, key: str, count: Optional[int] = None
+    ) -> Optional[list[str]]:
+        """The file's lines (only the first `count` when given), or None.
+
+        Lines are split on "\\n" alone, so any other line break inside a
+        line comes back as it was written.
+        """
+        path = self._doc_path(collection, key, ".jsonl")
+        try:
+            with path.open("rb") as handle:
+                # Binary lines end at b"\n" only; each keeps its "\n".
+                return [line[:-1].decode("utf-8") for line in islice(handle, count)]
+        except FileNotFoundError:
+            return None

@@ -7,11 +7,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Union
 
 import yaml
 
-from .store import FileDocumentStore
+from .store import FileDocumentStore, OutdatedLayout
 
 __all__ = [
     "HostRecord",
@@ -25,8 +25,12 @@ __all__ = [
     "topology_from_store",
 ]
 
-HOSTS = "hosts"
 TOPOLOGY = "topology"
+# The whole inventory is one record: its hosts in host-id order and its
+# relationships.
+INVENTORY = "inventory"
+# Where earlier layouts kept one record per host.
+HOSTS = "hosts"
 
 
 class InventoryError(ValueError):
@@ -149,26 +153,43 @@ def load_inventory(path: Union[str, Path]) -> TopologyGraph:
 
 
 def ingest_inventory(store: FileDocumentStore, source: Union[str, Path, dict]) -> TopologyGraph:
-    """Parse and persist an inventory; hosts upsert by host_id."""
+    """Parse and persist an inventory; hosts upsert by host_id and
+    relationships merge, all in one record written by one put."""
     graph = parse_inventory(source) if isinstance(source, dict) else load_inventory(source)
-    for host in graph.hosts:
-        store.put(HOSTS, host.host_id, host.to_dict())
-    existing = store.get(TOPOLOGY, "relationships") or []
-    merged = {json.dumps(r, sort_keys=True) for r in existing}
+    stored = store.get(TOPOLOGY, INVENTORY) or {"hosts": [], "relationships": []}
+    hosts = {doc["host_id"]: doc for doc in stored["hosts"]}
+    hosts.update((host.host_id, host.to_dict()) for host in graph.hosts)
+    merged = {json.dumps(r, sort_keys=True) for r in stored["relationships"]}
     merged.update(
         json.dumps(r.to_dict(), sort_keys=True) for r in graph.relationships
     )
-    store.put(TOPOLOGY, "relationships", [json.loads(r) for r in sorted(merged)])
+    store.put(
+        TOPOLOGY,
+        INVENTORY,
+        {
+            "hosts": [hosts[h] for h in sorted(hosts)],
+            "relationships": [json.loads(r) for r in sorted(merged)],
+        },
+    )
     return graph
 
 
 def topology_from_store(store: FileDocumentStore) -> TopologyGraph:
-    hosts = tuple(
-        HostRecord.from_dict(doc) for doc in store.query(HOSTS).values()
-    )
+    """The stored inventory, hosts in host-id order, from one read.
+
+    Raises OutdatedLayout for a store that keeps one file per host.
+    """
+    stored = store.get(TOPOLOGY, INVENTORY)
+    if stored is None:
+        if store.query(HOSTS):
+            raise OutdatedLayout(
+                "the inventory is stored in an older layout;"
+                " run `inventory ingest` again"
+            )
+        return TopologyGraph(hosts=(), relationships=())
+    hosts = tuple(HostRecord.from_dict(doc) for doc in stored["hosts"])
     known = {h.host_id for h in hosts}
-    relationships: Iterable[dict] = store.get(TOPOLOGY, "relationships") or []
     return TopologyGraph(
         hosts=hosts,
-        relationships=tuple(_parse_relationship(r, known) for r in relationships),
+        relationships=tuple(_parse_relationship(r, known) for r in stored["relationships"]),
     )

@@ -29,6 +29,7 @@ from .serialize import (
     _component_to_dict,
     _parse_component,
     _parse_vulnerability,
+    _take,
     _vuln_to_dict,
 )
 
@@ -289,9 +290,19 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
     if violations:
         raise BomSchemaError(violations)
 
+    def entries(key: str) -> list:
+        return _take(data, key, list, "", violations) or []
+
+    def strings(key: str) -> tuple[str, ...]:
+        values = entries(key)
+        if any(type(v) is not str for v in values):
+            violations.append(Violation(key, "must be a string list"))
+            return ()
+        return tuple(values)
+
     def comps(key: str) -> tuple[Component, ...]:
         out = []
-        for i, entry in enumerate(data.get(key, [])):
+        for i, entry in enumerate(entries(key)):
             if not isinstance(entry, dict):
                 violations.append(Violation(f"{key}[{i}]", "must be an object"))
                 continue
@@ -302,18 +313,20 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
 
     def deps(key: str) -> tuple[Dependency, ...]:
         out = []
-        for entry in data.get(key, []):
-            if isinstance(entry, dict) and isinstance(entry.get("ref"), str):
-                out.append(
-                    Dependency(ref=entry["ref"], depends_on=tuple(entry.get("dependsOn", [])))
-                )
-            else:
+        for i, entry in enumerate(entries(key)):
+            if not isinstance(entry, dict) or not isinstance(entry.get("ref"), str):
                 violations.append(Violation(key, "entries must be {ref, dependsOn}"))
+                continue
+            depends_on = entry.get("dependsOn", [])
+            if type(depends_on) is not list or any(type(d) is not str for d in depends_on):
+                violations.append(Violation(f"{key}[{i}].dependsOn", "must be a string list"))
+                continue
+            out.append(Dependency(ref=entry["ref"], depends_on=tuple(depends_on)))
         return tuple(out)
 
     def vulns(key: str) -> tuple[VulnerabilityEntry, ...]:
         out = []
-        for i, entry in enumerate(data.get(key, [])):
+        for i, entry in enumerate(entries(key)):
             if not isinstance(entry, dict):
                 violations.append(Violation(f"{key}[{i}]", "must be an object"))
                 continue
@@ -329,12 +342,13 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
         except ValueError:
             violations.append(Violation("kindTo", f"unknown kind {data['kindTo']!r}"))
     metadata_to = None
-    if "metadataTo" in data:
-        metadata_to = _metadata_from_dict(data["metadataTo"], violations)
+    metadata_raw = _take(data, "metadataTo", dict, "", violations)
+    if metadata_raw is not None:
+        metadata_to = _metadata_from_dict(metadata_raw, violations)
     links_to = None
     if "linksTo" in data:
         parsed_links = []
-        for i, raw in enumerate(data["linksTo"]):
+        for i, raw in enumerate(entries("linksTo")):
             try:
                 parsed_links.append(BomLink.parse(raw))
             except (TypeError, ValueError):
@@ -346,13 +360,13 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
         base_version=data["baseVersion"],
         new_version=data["newVersion"],
         components_added=comps("componentsAdded"),
-        components_removed=tuple(data.get("componentsRemoved", [])),
+        components_removed=strings("componentsRemoved"),
         components_changed=comps("componentsChanged"),
         dependencies_added=deps("dependenciesAdded"),
-        dependencies_removed=tuple(data.get("dependenciesRemoved", [])),
+        dependencies_removed=strings("dependenciesRemoved"),
         dependencies_changed=deps("dependenciesChanged"),
         vulnerabilities_added=vulns("vulnerabilitiesAdded"),
-        vulnerabilities_removed=tuple(data.get("vulnerabilitiesRemoved", [])),
+        vulnerabilities_removed=strings("vulnerabilitiesRemoved"),
         vulnerabilities_changed=vulns("vulnerabilitiesChanged"),
         kind_to=kind_to,
         metadata_to=metadata_to,

@@ -23,11 +23,11 @@ from .ams import (
     AuditService,
     FileDocumentStore,
     InvalidTransition,
+    OutdatedLayout,
     PeriodicSync,
     ProfileError,
     RunState,
     UnknownRun,
-    UnsummarizedRun,
     collect_evidence,
     create_profile,
     forge_documents,
@@ -211,7 +211,7 @@ def audit_run(
         service = _service(config, client, feed)
         try:
             run = service.run_audit(profile_id)
-        except ProfileError as err:
+        except (ProfileError, OutdatedLayout) as err:
             raise click.ClickException(str(err))
     _finish_run(run, as_json)
 
@@ -238,11 +238,11 @@ def audit_report(config: AppConfig, run_id: str, as_json: bool, top: int) -> Non
     service = _store_service(config)
     try:
         boms = service.run_boms(service.load_run(run_id))
-    except (UnknownRun, UnsummarizedRun) as err:
+        roles = {h.host_id: h.role for h in topology_from_store(service.store).hosts}
+    except (UnknownRun, OutdatedLayout) as err:
         raise click.ClickException(str(err))
     if not boms:
         raise click.ClickException(f"run {run_id} has no stored documents")
-    roles = {h.host_id: h.role for h in topology_from_store(service.store).hosts}
     if as_json:
         click.echo(
             json.dumps(
@@ -286,7 +286,7 @@ def audit_update(
         service = _service(config, client, feed)
         try:
             run = service.update_audit(run_id, hosts=subset)
-        except (ProfileError, UnknownRun, InvalidTransition) as err:
+        except (ProfileError, UnknownRun, InvalidTransition, OutdatedLayout) as err:
             raise click.ClickException(str(err))
     _finish_run(run, as_json)
 
@@ -316,7 +316,7 @@ def audit_watch(config: AppConfig, run_id: str, count: Optional[int]) -> None:
             time.sleep(max(0.0, sync.last_sync + sync.interval_seconds - time.time()))
             try:
                 run = sync.tick()
-            except (ProfileError, UnknownRun, InvalidTransition) as err:
+            except (ProfileError, UnknownRun, InvalidTransition, OutdatedLayout) as err:
                 raise click.ClickException(str(err))
             if run is not None:
                 done += 1

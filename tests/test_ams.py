@@ -19,6 +19,7 @@ from twinaudit.ams import (
     HostRecord,
     InvalidTransition,
     InventoryError,
+    OutdatedLayout,
     PeriodicSync,
     ProfileError,
     RunState,
@@ -88,9 +89,15 @@ def write_snapshot(
     return host_dir
 
 
+def stored_entries(service, run):
+    """The run file's index entries, each with its document's text."""
+    index, *texts = service.store.get_lines("run_documents", run.run_id)
+    return [{**entry, "text": text} for entry, text in zip(json.loads(index), texts)]
+
+
 def stored_boms(service, run):
     """The run's stored documents, parsed; run_boms returns their summaries."""
-    return [parse_bom(doc["text"]) for doc in service.store.get("run_documents", run.run_id)]
+    return [parse_bom(text) for text in service.store.get_lines("run_documents", run.run_id)[1:]]
 
 
 def inventory_doc(snapshot_root: Path, hosts):
@@ -216,18 +223,24 @@ class DyingStore(FileDocumentStore):
 
     Once `budget` is set, writes outside the runs collection go through
     until they have put down that many bytes; the write that would cross
-    it fails and leaves nothing behind, as FileDocumentStore.put does.
+    it fails and leaves nothing behind, as FileDocumentStore's writes do.
     """
 
     budget = None
 
-    def put(self, collection, key, doc):
+    def _spend(self, collection, size):
         if self.budget is not None and collection != "runs":
-            size = len(json.dumps(doc))
             if size > self.budget:
                 raise OSError("injected: disk failed while writing documents")
             self.budget -= size
+
+    def put(self, collection, key, doc):
+        self._spend(collection, len(json.dumps(doc)))
         super().put(collection, key, doc)
+
+    def put_lines(self, collection, key, lines):
+        self._spend(collection, sum(len(line) + 1 for line in lines))
+        super().put_lines(collection, key, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +278,7 @@ class TestFileDocumentStore:
     def test_failed_put_keeps_the_previous_document(self, tmp_path):
         store = FileDocumentStore(tmp_path)
         store.put("runs", "abc", {"x": 1})
-        # The document is streamed to disk, so this fails part-way through.
+        # The document cannot be encoded, so nothing is written.
         with pytest.raises(TypeError):
             store.put("runs", "abc", {"a": "x" * 100_000, "b": object()})
         assert store.get("runs", "abc") == {"x": 1}
@@ -284,7 +297,120 @@ class TestFileDocumentStore:
             store.put("runs", "", {})
 
 
+# Line breaks other than "\n", quotes and backslashes: a run file keeps
+# them inside a line.
+AWKWARD = st.text(alphabet=st.sampled_from('\r\x1c\x85\u2028"\\ az{}'), max_size=12)
+LINE_TEXTS = st.lists(
+    st.one_of(AWKWARD, st.text(alphabet=st.characters(blacklist_characters="\n"))), max_size=6
+)
+
+
+class TestRunFile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=LINE_TEXTS,
+        summaries=st.lists(st.dictionaries(AWKWARD, AWKWARD | st.integers()), max_size=6),
+    )
+    def test_round_trip_and_index_only_read(self, texts, summaries):
+        index = [
+            {"serial": f"urn:uuid:{i}", "version": i + 1, "summary": json.dumps(summary)}
+            for i, summary in enumerate(summaries)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            svc = AuditService(FileDocumentStore(tmp), ManagerClient("http://offline.invalid"))
+            svc._save_documents("r", index, texts)
+            index_line, *stored = svc._load_documents("r")
+            assert json.loads(index_line) == index
+            assert stored == texts
+            assert svc._load_documents("r", count=1) == [index_line]
+            run = AuditRun(run_id="r", profile_id="p")
+            assert svc.run_boms(run) == summaries
+
+    @settings(max_examples=40, deadline=None)
+    @given(before=LINE_TEXTS, after=LINE_TEXTS, at=st.integers(0, 6), text=AWKWARD)
+    def test_a_line_holding_a_newline_is_refused(self, before, after, at, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FileDocumentStore(tmp)
+            store.put_lines("run_documents", "r", before)
+            path = Path(tmp) / "run_documents" / "r.jsonl"
+            written = path.read_bytes()
+            half = len(text) // 2
+            broken = after[:at] + [text[:half] + "\n" + text[half:]] + after[at:]
+            with pytest.raises(ValueError, match="newline"):
+                store.put_lines("run_documents", "r", broken)
+            assert path.read_bytes() == written
+            assert [p.name for p in path.parent.iterdir()] == ["r.jsonl"]
+            assert store.get_lines("run_documents", "r") == before
+
+
+def parent_layout_topology(store, inventories):
+    """The reference: how the layout before the inventory record stored and
+    read inventories, one record per host."""
+    for doc in inventories:
+        graph = parse_inventory(doc)
+        for host in graph.hosts:
+            store.put("hosts", host.host_id, host.to_dict())
+        stored = store.get("topology", "relationships") or []
+        merged = {json.dumps(r, sort_keys=True) for r in stored}
+        merged.update(json.dumps(r.to_dict(), sort_keys=True) for r in graph.relationships)
+        store.put("topology", "relationships", [json.loads(r) for r in sorted(merged)])
+    hosts = tuple(HostRecord.from_dict(doc) for doc in store.query("hosts").values())
+    return hosts, store.get("topology", "relationships")
+
+
+@st.composite
+def inventories(draw):
+    # Ids of one length: the reference layout lists hosts in file-name
+    # order, which is host-id order only when no id is another's prefix.
+    ids = draw(st.lists(st.text(alphabet="ab-0", min_size=3, max_size=3), unique=True, max_size=5))
+    hosts = [
+        {
+            "host_id": host_id,
+            "role": draw(st.sampled_from(["web-server", "mail-server"])),
+            "segment": draw(st.sampled_from(["DMZ", "LAN"])),
+            "snapshot_ref": draw(st.sampled_from(["/s/1", "/s/2"])),
+        }
+        for host_id in ids
+    ]
+    relationships = [
+        {"source": source, "kind": kind, "target": target}
+        for source, kind, target in draw(
+            st.lists(
+                st.tuples(st.sampled_from(ids), st.sampled_from(["SERVES", "CONNECTS_TO"]),
+                          st.sampled_from(ids)),
+                max_size=4,
+            )
+        )
+    ] if ids else []
+    return {"hosts": hosts, "relationships": relationships}
+
+
 class TestInventory:
+    @settings(max_examples=60, deadline=None)
+    @given(first=inventories(), second=inventories())
+    def test_one_record_reads_as_the_per_host_layout(self, first, second):
+        """B's hosts override A's, relationships merge, hosts come back in
+        host-id order, exactly as with one record per host."""
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FileDocumentStore(Path(tmp) / "new")
+            ingest_inventory(store, first)
+            ingest_inventory(store, second)
+            hosts, relationships = parent_layout_topology(
+                FileDocumentStore(Path(tmp) / "old"), [first, second]
+            )
+            topology = topology_from_store(store)
+            assert topology.hosts == hosts
+            assert [r.to_dict() for r in topology.relationships] == relationships
+            assert [h.host_id for h in topology.hosts] == sorted(h.host_id for h in hosts)
+            assert [p.name for p in (Path(tmp) / "new").iterdir()] == ["topology"]
+
+    def test_per_host_layout_is_refused(self, tmp_path):
+        store = FileDocumentStore(tmp_path)
+        host = {"host_id": "a", "role": "r", "segment": "LAN", "snapshot_ref": "/a"}
+        store.put("hosts", "a", host)
+        with pytest.raises(OutdatedLayout, match="run `inventory ingest` again"):
+            topology_from_store(store)
+
     def test_ingest_and_rebuild(self, tmp_path):
         store = FileDocumentStore(tmp_path)
         doc = {
@@ -676,7 +802,7 @@ class TestRunAudit:
         stored = svc.load_run(run_id)
         assert stored.state is RunState.FAILED
         assert stored.error.startswith("persist_failed:")
-        assert store.get("run_documents", run_id) is None
+        assert store.get_lines("run_documents", run_id) is None
 
 
 class TestUpdateAudit:
@@ -834,7 +960,7 @@ class TestUpdateAudit:
 
         # The run's stored documents are gone.
         run = svc.run_audit("profile-web")
-        store.delete("run_documents", run.run_id)
+        (store.root / "run_documents" / f"{run.run_id}.jsonl").unlink()
         assert failed_update(run, "is missing").startswith("load_failed:")
 
         # Forging a rescanned host fails.
@@ -849,10 +975,13 @@ class TestUpdateAudit:
     def test_rescans_parse_and_write_only_what_they_need(self, service, monkeypatch):
         run = service.run_audit("profile-web")
         parsed, puts = [], []
-        parse, put = service_module.parse_bom, service.store.put
+        parse, put, put_lines = service_module.parse_bom, service.store.put, service.store.put_lines
         monkeypatch.setattr(service_module, "parse_bom", lambda t: parsed.append(t) or parse(t))
         monkeypatch.setattr(
             service.store, "put", lambda c, k, d: puts.append(c) or put(c, k, d)
+        )
+        monkeypatch.setattr(
+            service.store, "put_lines", lambda c, k, d: puts.append(c) or put_lines(c, k, d)
         )
 
         service.update_audit(run.run_id)
@@ -860,11 +989,11 @@ class TestUpdateAudit:
         assert parsed == []
         assert [c for c in puts if c != "runs"] == []
 
-        before = service.store.get("run_documents", run.run_id)
+        before = stored_entries(service, run)
         change_web_01(service._snapshots, "4.17.21")
         assert service.update_audit(run.run_id).state is RunState.SDT_READY
         assert [c for c in puts if c != "runs"] == ["run_documents"]
-        after = service.store.get("run_documents", run.run_id)
+        after = stored_entries(service, run)
         # Only the changed SBOM and the manifest are parsed and re-versioned;
         # the CBOM's entry is carried over verbatim.
         revised = [old for old, new in zip(before, after) if new != old]
@@ -974,8 +1103,12 @@ class TestStoreTwinAgreement:
                         "p",
                         version=1 + changed_rescans,
                     )
-                    record = store.get("run_documents", run.run_id)
-                    assert [d["text"] for d in record] == [serialize_bom(b) for b in expected]
+                    texts = store.get_lines("run_documents", run.run_id)[1:]
+                    assert texts == [serialize_bom(b) for b in expected]
+                    # One file per run, however many rescans replaced it.
+                    assert [p.name for p in (store.root / "run_documents").iterdir()] == [
+                        f"{run.run_id}.jsonl"
+                    ]
 
                     boms = stored_boms(svc, run)
                     manifest, *host_docs = boms

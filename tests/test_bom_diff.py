@@ -139,6 +139,42 @@ class TestDeltaTransport:
             (f"{key}[0]", "must be an object")
         ]
 
+    @pytest.mark.parametrize(
+        "fields, violation",
+        [
+            ({"componentsRemoved": "ab"}, ("componentsRemoved", "expected list")),
+            ({"componentsRemoved": 5}, ("componentsRemoved", "expected list")),
+            ({"componentsRemoved": ["a", 5]}, ("componentsRemoved", "must be a string list")),
+            ({"dependenciesRemoved": "ab"}, ("dependenciesRemoved", "expected list")),
+            (
+                {"vulnerabilitiesRemoved": [None]},
+                ("vulnerabilitiesRemoved", "must be a string list"),
+            ),
+            ({"componentsAdded": "ab"}, ("componentsAdded", "expected list")),
+            ({"componentsChanged": 5}, ("componentsChanged", "expected list")),
+            ({"dependenciesAdded": {"ref": "a"}}, ("dependenciesAdded", "expected list")),
+            ({"vulnerabilitiesChanged": 5}, ("vulnerabilitiesChanged", "expected list")),
+            (
+                {"dependenciesAdded": [{"ref": "a", "dependsOn": "bc"}]},
+                ("dependenciesAdded[0].dependsOn", "must be a string list"),
+            ),
+            (
+                {"dependenciesChanged": [{"ref": "a", "dependsOn": [1]}]},
+                ("dependenciesChanged[0].dependsOn", "must be a string list"),
+            ),
+            ({"linksTo": "urn:cdx:x/1"}, ("linksTo", "expected list")),
+            ({"linksTo": None}, ("linksTo", "expected list")),
+            ({"metadataTo": 5}, ("metadataTo", "expected dict")),
+        ],
+    )
+    def test_list_fields_must_be_lists_of_their_type(self, fields, violation):
+        """A string in a list's place was read as a list of its characters,
+        and a number raised TypeError; both are violations."""
+        header = {"baseSerial": "urn:uuid:x", "baseVersion": 1, "newVersion": 2}
+        with pytest.raises(BomSchemaError) as err:
+            delta_from_dict({**header, **fields})
+        assert [(v.path, v.message) for v in err.value.violations] == [violation]
+
 
 def test_component_identity_is_bom_ref():
     lib = Component(bom_ref="r1", name="liba", component_type=ComponentType.LIBRARY)

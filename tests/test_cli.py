@@ -75,6 +75,19 @@ def run_audit(runner, env, fx):
     return json.loads(result.output)
 
 
+def store_in_old_layout(env, run_id):
+    """Rewrite a run's documents as the layout before run files kept them:
+    one JSON record per run, each entry with its document's text and,
+    before summaries, nothing else."""
+    store = FileDocumentStore(env["TWINAUDIT_STORE"])
+    index, *texts = store.get_lines("run_documents", run_id)
+    store.put("run_documents", run_id, [
+        {"serial": entry["serial"], "version": entry["version"], "text": text}
+        for entry, text in zip(json.loads(index), texts)
+    ])
+    (store.root / "run_documents" / f"{run_id}.jsonl").unlink()
+
+
 class TestFixtureCommand:
     def test_generate_writes_manifest_and_files(self, runner, tmp_path):
         out = tmp_path / "fx"
@@ -170,16 +183,28 @@ class TestAuditFlow:
 
     def test_report_on_a_record_without_summaries_fails(self, runner, store_env, minimal_fx):
         run = run_audit(runner, store_env, minimal_fx)
-        store = FileDocumentStore(store_env["TWINAUDIT_STORE"])
-        record = store.get("run_documents", run["run_id"])
-        store.put("run_documents", run["run_id"], [
-            {key: value for key, value in doc.items() if key != "summary"} for doc in record
-        ])
-        for extra in ([], ["--json"]):
-            result = runner.invoke(main, ["audit", "report", run["run_id"], *extra], env=store_env)
-            assert result.exit_code == 1, extra
-            assert "without document summaries" in result.output
+        store_in_old_layout(store_env, run["run_id"])
+        for command in (["report"], ["report", "--json"], ["update"]):
+            result = runner.invoke(main, ["audit", *command, run["run_id"]], env=store_env)
+            assert result.exit_code == 1, command
+            assert "older layout" in result.output
             assert "fresh `audit run`" in result.output
+
+    def test_inventory_stored_one_file_per_host_is_refused(
+        self, runner, store_env, minimal_fx
+    ):
+        run = run_audit(runner, store_env, minimal_fx)
+        store = FileDocumentStore(store_env["TWINAUDIT_STORE"])
+        # The layout before the inventory record: one record per host.
+        for host in store.get("topology", "inventory")["hosts"]:
+            store.put("hosts", host["host_id"], host)
+        store.delete("topology", "inventory")
+        for command in (["report", run["run_id"]], ["update", run["run_id"]]):
+            result = runner.invoke(main, ["audit", *command], env=store_env)
+            assert result.exit_code == 1, command
+            assert "run `inventory ingest` again" in result.output
+        ok(runner.invoke(main, ["inventory", "ingest", minimal_fx["inventory"]], env=store_env))
+        ok(runner.invoke(main, ["audit", "report", run["run_id"]], env=store_env))
 
     def test_unknown_run_ids_fail(self, runner, store_env):
         for command in ("status", "report"):
@@ -359,6 +384,14 @@ class TestWatch:
         assert isinstance(again.exception, SystemExit)
         assert "cannot move from FAILED to UPDATING" in again.output
 
+    def test_run_stored_in_an_old_layout_is_refused(self, runner, periodic_env):
+        env, _, run = periodic_env
+        store_in_old_layout(env, run["run_id"])
+        result = runner.invoke(main, ["audit", "watch", run["run_id"], "--count", "1"], env=env)
+        assert result.exit_code == 1
+        assert "older layout" in result.output
+        assert "fresh `audit run`" in result.output
+
     def test_on_demand_profile_is_refused(self, runner, store_env, minimal_fx):
         run = run_audit(runner, store_env, minimal_fx)
         result = runner.invoke(main, ["audit", "watch", run["run_id"]], env=store_env)
@@ -414,8 +447,8 @@ class TestBenchCommand:
             return fx
 
         run = run_audit(runner, store_env, with_categories("minimal", 3, tmp_path / "fx"))
-        record = FileDocumentStore(store_env["TWINAUDIT_STORE"]).get("run_documents", run["run_id"])
-        stored = [doc["text"] for doc in record]
+        store = FileDocumentStore(store_env["TWINAUDIT_STORE"])
+        stored = store.get_lines("run_documents", run["run_id"])[1:]
 
         sent, run_benchmark = [], cli_module.run_benchmark
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinaudit import jsonhttp
-from twinaudit.bom import delta_to_dict, diff_boms, serialize_bom
+from twinaudit.bom import delta_to_dict, diff_boms, parse_bom, serialize_bom
 from twinaudit.forge import document_serial, link_to_profile
 from twinaudit.instance.policy import DECISION_LOG_SIZE
 from twinaudit.instance.representation import StoredRepresentation
@@ -276,6 +276,17 @@ class TestUpdate:
             assert (err.value.status, err.value.code) == (400, "invalid_bom")
         descriptor = client.get(created["sdtId"])
         assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+
+    def test_malformed_delta_lists_are_invalid(self, env):
+        _, client, _ = env.make_manager()
+        texts = bom_texts("badlist-host")
+        created = client.create("profile-a", texts)
+        base = delta_to_dict(diff_boms(*[parse_bom(texts[-1])] * 2))
+        for fields in ({"componentsRemoved": "ab"}, {"componentsRemoved": 5}):
+            with pytest.raises(Exception) as err:
+                client.update(created["sdtId"], expected_version=1, deltas=[{**base, **fields}])
+            assert (err.value.status, err.value.code) == (400, "invalid_delta")
+        assert client.get(created["sdtId"])["representationVersion"] == 1
 
     def test_moved_document_leaves_its_old_subject(self, env):
         """A delta that moves a document to another subject re-projects the
