@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 PROFILES = "profiles"
-DERIVED = "profiles_derived"
 
 ON_DEMAND = "ON_DEMAND"
 PERIODIC = "PERIODIC"
@@ -113,18 +112,9 @@ def selected_hosts(profile: AuditProfile, topology: TopologyGraph) -> list[str]:
 
 
 def create_profile(store: FileDocumentStore, profile: AuditProfile) -> AuditProfile:
-    """Validate against the stored topology, persist, and derive per-host
-    profiles listing the categories each host will be scanned for."""
-    topology = topology_from_store(store)
-    hosts = selected_hosts(profile, topology)
+    """Validate the selector against the stored topology, then persist."""
+    selected_hosts(profile, topology_from_store(store))
     store.put(PROFILES, profile.profile_id, profile.to_dict())
-    categories = list(profile.categories) or [c.value for c in EvidenceCategory]
-    for host_id in hosts:
-        store.put(
-            DERIVED,
-            f"{profile.profile_id}:{host_id}",
-            {"profile_id": profile.profile_id, "host_id": host_id, "categories": categories},
-        )
     return profile
 
 

@@ -68,12 +68,16 @@ class AuditRun:
         if target not in TRANSITIONS[self.state]:
             raise InvalidTransition(self.state, target)
         self.state = target
-        # Clock sources may jitter; recorded timestamps stay monotone.
-        self.updated_at = max(now, self.updated_at)
+        self.touch(now)
         if target is RunState.FAILED:
             self.error = error or "unknown"
         elif error is not None:
             self.error = error
+
+    def touch(self, now: float) -> None:
+        """Record activity without a transition."""
+        # Clock sources may jitter; recorded timestamps stay monotone.
+        self.updated_at = max(now, self.updated_at)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -29,7 +29,7 @@ from ..jsonhttp import RequestRejected, TransportUnavailable
 from ..manager import ManagerClient
 from ..vulnstore import VulnerabilityStore
 from .profiles import AuditProfile, ProfileError, create_profile, get_profile, selected_hosts
-from .runs import RUNS, AuditRun, RunState
+from .runs import RUNS, TRANSITIONS, AuditRun, InvalidTransition, RunState
 from .store import FileDocumentStore, OutdatedLayout
 from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from_store
 
@@ -263,9 +263,14 @@ class AuditService:
         get a new version, a delta and a parse; the others are carried over
         as stored. Stored documents are replaced only after the manager
         accepts the update, and all in one write, so a failed push or a
-        failed write leaves the previous inventory intact. Whatever raises
-        once the run is UPDATING ends it FAILED, with an error naming the
-        step, before the exception propagates.
+        failed write leaves the previous inventory intact.
+
+        The run record is saved UPDATING only right before the push, the
+        first step that changes the twin. A rescan that finds nothing to
+        push saves the run once, still SDT_READY with a new updated_at.
+        Whatever raises once the run is loaded and before its last save
+        ends it FAILED, with an error naming the step, before the exception
+        propagates.
         """
         run = self.load_run(run_id)
         profile = self._profile(run.profile_id)
@@ -277,7 +282,9 @@ class AuditService:
             raise ProfileError(f"hosts without documents in this run: {', '.join(unknown)}")
 
         topology = topology_from_store(self.store)
-        self._advance(run, RunState.UPDATING)
+        # Only a run that may move to UPDATING is rescanned.
+        if RunState.UPDATING not in TRANSITIONS[run.state]:
+            raise InvalidTransition(run.state, RunState.UPDATING)
         step = "load"
         try:
             index_line, *texts = self._load_documents(run_id) or ("[]",)
@@ -305,7 +312,10 @@ class AuditService:
                     if serialize_bom(replace(doc, version=version)) != text:
                         revised.append(replace(doc, version=version + 1))
             if not revised:
-                return self._advance(run, RunState.SDT_READY)
+                step = "save"
+                run.touch(self.clock())
+                self._save_run(run)
+                return run
 
             # link_to_profile puts the profile manifest first.
             manifest_serial, *host_serials = run.bom_serials
@@ -320,6 +330,7 @@ class AuditService:
             deltas = [diff_boms(parse_bom(texts[position[b.serial_number]]), b) for b in revised]
 
             step = "push"
+            self._advance(run, RunState.UPDATING)
             try:
                 result = self.manager.update(
                     run.sdt_id or "",
@@ -337,9 +348,10 @@ class AuditService:
                 index[i], texts[i] = _entry(bom), serialize_bom(bom)
             self._save_documents(run_id, index, texts)
             run.representation_version = int(result["representationVersion"])
+            step = "save"
             return self._advance(run, RunState.SDT_READY)
         except Exception as exc:
-            if run.state is RunState.UPDATING:
+            if step != "save" and run.state is not RunState.FAILED:
                 self._advance(run, RunState.FAILED, f"{step}_failed:{exc}")
             raise
 

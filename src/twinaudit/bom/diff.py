@@ -306,7 +306,7 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
             if not isinstance(entry, dict):
                 violations.append(Violation(f"{key}[{i}]", "must be an object"))
                 continue
-            comp = _parse_component(entry, f"{key}[{i}]", True, violations)
+            comp = _parse_component(entry, key, i, True, violations)
             if comp is not None:
                 out.append(comp)
         return tuple(out)
@@ -330,7 +330,7 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
             if not isinstance(entry, dict):
                 violations.append(Violation(f"{key}[{i}]", "must be an object"))
                 continue
-            vuln = _parse_vulnerability(entry, f"{key}[{i}]", True, violations)
+            vuln = _parse_vulnerability(entry, key, i, True, violations)
             if vuln is not None:
                 out.append(vuln)
         return tuple(out)

@@ -256,6 +256,10 @@ _CERT_FIELDS = (
 )
 
 
+_CRYPTO_TYPES = (ComponentType.CRYPTO_ASSET, ComponentType.CERTIFICATE)
+_CRYPTO = ".cryptoProperties"
+
+
 def _parse_ts(value: str) -> Optional[datetime]:
     try:
         return datetime.fromisoformat(value.replace("Z", "+00:00"))
@@ -263,27 +267,35 @@ def _parse_ts(value: str) -> Optional[datetime]:
         return None
 
 
-def _validate_crypto(path: str, crypto: CryptoProperties, out: list[Violation]) -> None:
+def _validate_crypto(i: int, crypto: CryptoProperties, out: list[Violation]) -> None:
+    """Checks the crypto properties of components[i]."""
     is_cert = crypto.asset_kind == CryptoAssetKind.CERTIFICATE
     for name in _CERT_FIELDS:
         present = getattr(crypto, name) is not None
         if present and not is_cert:
-            out.append(Violation(f"{path}.{name}", "only valid for certificate assets"))
+            path = f"components[{i}]{_CRYPTO}.{name}"
+            out.append(Violation(path, "only valid for certificate assets"))
         if is_cert and not present:
-            out.append(Violation(f"{path}.{name}", "required for certificate assets"))
+            path = f"components[{i}]{_CRYPTO}.{name}"
+            out.append(Violation(path, "required for certificate assets"))
     is_proto = crypto.asset_kind == CryptoAssetKind.PROTOCOL
     if crypto.protocol_version is not None and not is_proto:
-        out.append(Violation(f"{path}.protocol_version", "only valid for protocol assets"))
+        path = f"components[{i}]{_CRYPTO}.protocol_version"
+        out.append(Violation(path, "only valid for protocol assets"))
     if is_proto and crypto.protocol_version is None:
-        out.append(Violation(f"{path}.protocol_version", "required for protocol assets"))
+        path = f"components[{i}]{_CRYPTO}.protocol_version"
+        out.append(Violation(path, "required for protocol assets"))
     if crypto.cipher_suite_refs and not is_proto:
-        out.append(Violation(f"{path}.cipher_suite_refs", "only valid for protocol assets"))
+        path = f"components[{i}]{_CRYPTO}.cipher_suite_refs"
+        out.append(Violation(path, "only valid for protocol assets"))
     if is_cert and crypto.not_before and crypto.not_after:
         nb, na = _parse_ts(crypto.not_before), _parse_ts(crypto.not_after)
         if nb is None or na is None:
-            out.append(Violation(f"{path}.not_before", "timestamps must be ISO-8601"))
+            path = f"components[{i}]{_CRYPTO}.not_before"
+            out.append(Violation(path, "timestamps must be ISO-8601"))
         elif nb > na:
-            out.append(Violation(f"{path}.not_before", "not_before exceeds not_after"))
+            path = f"components[{i}]{_CRYPTO}.not_before"
+            out.append(Violation(path, "not_before exceeds not_after"))
 
 
 def _check_ref(path: str, ref: str, refs: set[str], out: list[Violation]) -> None:
@@ -297,7 +309,11 @@ def _check_ref(path: str, ref: str, refs: set[str], out: list[Violation]) -> Non
 
 
 def validate_bom(bom: Bom) -> list[Violation]:
-    """Check every structural invariant; returns [] iff the document is clean."""
+    """Check every structural invariant; returns [] iff the document is clean.
+
+    Paths of repeated objects ("components[3]...") are formatted only for a
+    violation found there.
+    """
     out: list[Violation] = []
 
     if not SERIAL_RE.match(bom.serial_number):
@@ -312,31 +328,31 @@ def validate_bom(bom: Bom) -> list[Violation]:
 
     refs: set[str] = set()
     for i, comp in enumerate(bom.components):
-        path = f"components[{i}]"
         if not comp.bom_ref:
-            out.append(Violation(f"{path}.bom-ref", "empty bom_ref"))
+            out.append(Violation(f"components[{i}].bom-ref", "empty bom_ref"))
         elif comp.bom_ref in refs:
-            out.append(Violation(f"{path}.bom-ref", f"duplicate bom_ref {comp.bom_ref!r}"))
+            out.append(
+                Violation(f"components[{i}].bom-ref", f"duplicate bom_ref {comp.bom_ref!r}")
+            )
         refs.add(comp.bom_ref)
         if not comp.name:
-            out.append(Violation(f"{path}.name", "empty component name"))
-        crypto_required = comp.component_type in (
-            ComponentType.CRYPTO_ASSET,
-            ComponentType.CERTIFICATE,
-        )
-        if crypto_required and comp.crypto is None:
-            out.append(Violation(f"{path}.cryptoProperties", "required for crypto components"))
-        if not crypto_required and comp.crypto is not None:
-            out.append(Violation(f"{path}.cryptoProperties", "only valid on crypto components"))
-        if comp.crypto is not None:
-            is_cert_props = comp.crypto.asset_kind == CryptoAssetKind.CERTIFICATE
-            if comp.component_type == ComponentType.CERTIFICATE and not is_cert_props:
-                out.append(Violation(f"{path}.cryptoProperties.assetType", "must be certificate"))
-            if comp.component_type == ComponentType.CRYPTO_ASSET and is_cert_props:
-                out.append(
-                    Violation(f"{path}.type", "certificate assets use component type CERTIFICATE")
-                )
-            _validate_crypto(f"{path}.cryptoProperties", comp.crypto, out)
+            out.append(Violation(f"components[{i}].name", "empty component name"))
+        crypto_required = comp.component_type in _CRYPTO_TYPES
+        if comp.crypto is None:
+            if crypto_required:
+                path = f"components[{i}]{_CRYPTO}"
+                out.append(Violation(path, "required for crypto components"))
+            continue
+        if not crypto_required:
+            path = f"components[{i}]{_CRYPTO}"
+            out.append(Violation(path, "only valid on crypto components"))
+        is_cert_props = comp.crypto.asset_kind == CryptoAssetKind.CERTIFICATE
+        if comp.component_type == ComponentType.CERTIFICATE and not is_cert_props:
+            out.append(Violation(f"components[{i}]{_CRYPTO}.assetType", "must be certificate"))
+        if comp.component_type == ComponentType.CRYPTO_ASSET and is_cert_props:
+            path = f"components[{i}].type"
+            out.append(Violation(path, "certificate assets use component type CERTIFICATE"))
+        _validate_crypto(i, comp.crypto, out)
 
     seen_dep_refs: set[str] = set()
     for i, dep in enumerate(bom.dependencies):
@@ -356,23 +372,33 @@ def validate_bom(bom: Bom) -> list[Violation]:
 
     seen_cves: set[str] = set()
     for i, vuln in enumerate(bom.vulnerabilities):
-        path = f"vulnerabilities[{i}]"
         if not CVE_RE.match(vuln.cve_id):
-            out.append(Violation(f"{path}.id", f"malformed CVE id {vuln.cve_id!r}"))
+            out.append(Violation(f"vulnerabilities[{i}].id", f"malformed CVE id {vuln.cve_id!r}"))
         if vuln.cve_id in seen_cves:
-            out.append(Violation(f"{path}.id", f"duplicate entry for {vuln.cve_id}"))
+            out.append(
+                Violation(f"vulnerabilities[{i}].id", f"duplicate entry for {vuln.cve_id}")
+            )
         seen_cves.add(vuln.cve_id)
         if not 0.0 <= vuln.cvss_score <= 10.0:
-            out.append(Violation(f"{path}.ratings.score", f"score {vuln.cvss_score} outside [0,10]"))
+            out.append(
+                Violation(
+                    f"vulnerabilities[{i}].ratings.score",
+                    f"score {vuln.cvss_score} outside [0,10]",
+                )
+            )
         if not vuln.affects:
-            out.append(Violation(f"{path}.affects", "must name at least one component"))
+            out.append(
+                Violation(f"vulnerabilities[{i}].affects", "must name at least one component")
+            )
         for ref in vuln.affects:
-            _check_ref(f"{path}.affects", ref, refs, out)
+            # A ref that names a component and is no bom-link is clean.
+            if ref not in refs or ref.startswith("urn:cdx:"):
+                _check_ref(f"vulnerabilities[{i}].affects", ref, refs, out)
         expected = severity_for_score(vuln.cvss_score)
         if expected is not None and vuln.severity != expected:
             out.append(
                 Violation(
-                    f"{path}.ratings.severity",
+                    f"vulnerabilities[{i}].ratings.severity",
                     f"{vuln.severity.value} inconsistent with score {vuln.cvss_score}",
                 )
             )

@@ -208,6 +208,20 @@ _CERTIFICATE_FIELDS = frozenset(
 )
 _PROTOCOL_FIELDS = frozenset({"version", "type", "cipherSuites"})
 _VULNERABILITY_FIELDS = frozenset({"id", "ratings", "analysis", "affects"})
+# Path suffixes of a component's crypto objects.
+_CRYPTO = ".cryptoProperties"
+_ALGORITHM = _CRYPTO + ".algorithmProperties"
+_CERTIFICATE = _CRYPTO + ".certificateProperties"
+_PROTOCOL = _CRYPTO + ".protocolProperties"
+# CryptoProperties field and JSON key of each certificate property, in the
+# order they are read.
+_CERTIFICATE_KWARGS = (
+    ("certificate_subject", "subjectName"),
+    ("certificate_issuer", "issuerName"),
+    ("not_before", "notValidBefore"),
+    ("not_after", "notValidAfter"),
+    ("signature_algorithm_ref", "signatureAlgorithmRef"),
+)
 _TYPE_FROM_JSON = {
     "library": ComponentType.LIBRARY,
     "application": ComponentType.APPLICATION,
@@ -218,6 +232,12 @@ _TYPE_FROM_JSON = {
 
 def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+# Each field is read with an inline exact type test; `_take` runs only when
+# that test fails, at the point the field is read, so violations keep their
+# content and order. Paths of repeated objects ("components[3]...") are
+# formatted only when a violation is recorded.
 
 
 def _take(
@@ -248,64 +268,88 @@ def _unknown_fields(
     data: dict[str, Any], known: frozenset[str], path: str, violations: list[Violation]
 ) -> None:
     """One violation per field outside `known`, in document order."""
-    if not data.keys() <= known:
-        violations.extend(
-            Violation(_sub(path, key), "unknown field") for key in data if key not in known
-        )
+    violations.extend(
+        Violation(_sub(path, key), "unknown field") for key in data if key not in known
+    )
 
 
 def _parse_crypto(
-    data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
+    data: dict[str, Any], section: str, i: int, strict: bool, violations: list[Violation]
 ) -> Optional[CryptoProperties]:
-    asset_raw = _take(data, "assetType", str, path, violations, required=True)
+    """The cryptoProperties of the component at `section[i]`."""
+    asset_raw = data.get("assetType")
+    if type(asset_raw) is not str:
+        path = f"{section}[{i}]{_CRYPTO}"
+        asset_raw = _take(data, "assetType", str, path, violations, required=True)
     kind = _ASSET_FROM_JSON.get(asset_raw)
     if kind is None:
-        violations.append(Violation(f"{path}.assetType", f"unknown asset type {asset_raw!r}"))
+        path = f"{section}[{i}]{_CRYPTO}.assetType"
+        violations.append(Violation(path, f"unknown asset type {asset_raw!r}"))
         return None
     family = parameter_set = mode = None
-    algo = _take(data, "algorithmProperties", dict, path, violations)
+    algo = data.get("algorithmProperties")
+    if type(algo) is not dict and "algorithmProperties" in data:
+        path = f"{section}[{i}]{_CRYPTO}"
+        algo = _take(data, "algorithmProperties", dict, path, violations)
     if algo is not None:
-        sub = f"{path}.algorithmProperties"
-        family = _take(algo, "family", str, sub, violations)
-        parameter_set = _take(algo, "parameterSetIdentifier", str, sub, violations)
-        mode = _take(algo, "mode", str, sub, violations)
-        if strict:
-            _unknown_fields(algo, _ALGORITHM_FIELDS, sub, violations)
+        family = algo.get("family")
+        if type(family) is not str and "family" in algo:
+            family = _take(algo, "family", str, f"{section}[{i}]{_ALGORITHM}", violations)
+        parameter_set = algo.get("parameterSetIdentifier")
+        if type(parameter_set) is not str and "parameterSetIdentifier" in algo:
+            path = f"{section}[{i}]{_ALGORITHM}"
+            parameter_set = _take(algo, "parameterSetIdentifier", str, path, violations)
+        mode = algo.get("mode")
+        if type(mode) is not str and "mode" in algo:
+            mode = _take(algo, "mode", str, f"{section}[{i}]{_ALGORITHM}", violations)
+        if strict and not algo.keys() <= _ALGORITHM_FIELDS:
+            _unknown_fields(algo, _ALGORITHM_FIELDS, f"{section}[{i}]{_ALGORITHM}", violations)
     cert_kwargs: dict[str, Any] = {}
-    cert = _take(data, "certificateProperties", dict, path, violations)
+    cert = data.get("certificateProperties")
+    if type(cert) is not dict and "certificateProperties" in data:
+        path = f"{section}[{i}]{_CRYPTO}"
+        cert = _take(data, "certificateProperties", dict, path, violations)
     if cert is not None:
-        sub = f"{path}.certificateProperties"
-        cert_kwargs = {
-            "certificate_subject": _take(cert, "subjectName", str, sub, violations),
-            "certificate_issuer": _take(cert, "issuerName", str, sub, violations),
-            "not_before": _take(cert, "notValidBefore", str, sub, violations),
-            "not_after": _take(cert, "notValidAfter", str, sub, violations),
-            "signature_algorithm_ref": _take(cert, "signatureAlgorithmRef", str, sub, violations),
-        }
-        if strict:
-            _unknown_fields(cert, _CERTIFICATE_FIELDS, sub, violations)
+        for field, key in _CERTIFICATE_KWARGS:
+            value = cert.get(key)
+            if type(value) is not str and key in cert:
+                value = _take(cert, key, str, f"{section}[{i}]{_CERTIFICATE}", violations)
+            cert_kwargs[field] = value
+        if strict and not cert.keys() <= _CERTIFICATE_FIELDS:
+            path = f"{section}[{i}]{_CERTIFICATE}"
+            _unknown_fields(cert, _CERTIFICATE_FIELDS, path, violations)
     protocol_version = None
     suites: list[str] = []
-    proto = _take(data, "protocolProperties", dict, path, violations)
+    proto = data.get("protocolProperties")
+    if type(proto) is not dict and "protocolProperties" in data:
+        path = f"{section}[{i}]{_CRYPTO}"
+        proto = _take(data, "protocolProperties", dict, path, violations)
     if proto is not None:
-        sub = f"{path}.protocolProperties"
-        protocol_version = _take(proto, "version", str, sub, violations)
-        ptype = _take(proto, "type", str, sub, violations)
+        protocol_version = proto.get("version")
+        if type(protocol_version) is not str and "version" in proto:
+            path = f"{section}[{i}]{_PROTOCOL}"
+            protocol_version = _take(proto, "version", str, path, violations)
+        ptype = proto.get("type")
+        if type(ptype) is not str and "type" in proto:
+            ptype = _take(proto, "type", str, f"{section}[{i}]{_PROTOCOL}", violations)
         if ptype:
             family = ptype.upper()
-        for entry in _take(proto, "cipherSuites", list, sub, violations) or ():
+        cipher_suites = proto.get("cipherSuites")
+        if type(cipher_suites) is not list and "cipherSuites" in proto:
+            path = f"{section}[{i}]{_PROTOCOL}"
+            cipher_suites = _take(proto, "cipherSuites", list, path, violations)
+        for entry in cipher_suites or ():
             if isinstance(entry, dict):
                 algorithms = entry.get("algorithms", [])
                 if isinstance(algorithms, list):
                     suites.extend(a for a in algorithms if isinstance(a, str))
                 else:
-                    violations.append(
-                        Violation(f"{sub}.cipherSuites", "algorithms must be a list")
-                    )
-        if strict:
-            _unknown_fields(proto, _PROTOCOL_FIELDS, sub, violations)
-    if strict:
-        _unknown_fields(data, _CRYPTO_FIELDS, path, violations)
+                    path = f"{section}[{i}]{_PROTOCOL}.cipherSuites"
+                    violations.append(Violation(path, "algorithms must be a list"))
+        if strict and not proto.keys() <= _PROTOCOL_FIELDS:
+            _unknown_fields(proto, _PROTOCOL_FIELDS, f"{section}[{i}]{_PROTOCOL}", violations)
+    if strict and not data.keys() <= _CRYPTO_FIELDS:
+        _unknown_fields(data, _CRYPTO_FIELDS, f"{section}[{i}]{_CRYPTO}", violations)
     return CryptoProperties(
         asset_kind=kind,
         algorithm_family=family,
@@ -318,19 +362,33 @@ def _parse_crypto(
 
 
 def _parse_component(
-    data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
+    data: dict[str, Any], section: str, i: int, strict: bool, violations: list[Violation]
 ) -> Optional[Component]:
-    bom_ref = _take(data, "bom-ref", str, path, violations, required=True)
-    type_raw = _take(data, "type", str, path, violations, required=True)
-    name = _take(data, "name", str, path, violations, required=True)
-    version = _take(data, "version", str, path, violations) or ""
-    purl = _take(data, "purl", str, path, violations)
+    """The component at `section[i]`; that path is formatted only for a
+    violation."""
+    bom_ref = data.get("bom-ref")
+    if type(bom_ref) is not str:
+        bom_ref = _take(data, "bom-ref", str, f"{section}[{i}]", violations, required=True)
+    type_raw = data.get("type")
+    if type(type_raw) is not str:
+        type_raw = _take(data, "type", str, f"{section}[{i}]", violations, required=True)
+    name = data.get("name")
+    if type(name) is not str:
+        name = _take(data, "name", str, f"{section}[{i}]", violations, required=True)
+    version = data.get("version", "")
+    if type(version) is not str:
+        version = _take(data, "version", str, f"{section}[{i}]", violations) or ""
+    purl = data.get("purl")
+    if type(purl) is not str and "purl" in data:
+        purl = _take(data, "purl", str, f"{section}[{i}]", violations)
     crypto = None
-    crypto_raw = _take(data, "cryptoProperties", dict, path, violations)
+    crypto_raw = data.get("cryptoProperties")
+    if type(crypto_raw) is not dict and "cryptoProperties" in data:
+        crypto_raw = _take(data, "cryptoProperties", dict, f"{section}[{i}]", violations)
     if crypto_raw is not None:
-        crypto = _parse_crypto(crypto_raw, f"{path}.cryptoProperties", strict, violations)
-    if strict:
-        _unknown_fields(data, _COMPONENT_FIELDS, path, violations)
+        crypto = _parse_crypto(crypto_raw, section, i, strict, violations)
+    if strict and not data.keys() <= _COMPONENT_FIELDS:
+        _unknown_fields(data, _COMPONENT_FIELDS, f"{section}[{i}]", violations)
     if bom_ref is None or type_raw is None or name is None:
         return None
 
@@ -342,7 +400,9 @@ def _parse_component(
     else:
         ctype = _TYPE_FROM_JSON.get(type_raw)
         if ctype is None:
-            violations.append(Violation(f"{path}.type", f"unknown component type {type_raw!r}"))
+            violations.append(
+                Violation(f"{section}[{i}].type", f"unknown component type {type_raw!r}")
+            )
             return None
     return Component(
         bom_ref=bom_ref,
@@ -355,46 +415,71 @@ def _parse_component(
 
 
 def _parse_vulnerability(
-    data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
+    data: dict[str, Any], section: str, i: int, strict: bool, violations: list[Violation]
 ) -> Optional[VulnerabilityEntry]:
-    cve_id = _take(data, "id", str, path, violations, required=True)
-    ratings = _take(data, "ratings", list, path, violations, required=True)
+    """The vulnerability at `section[i]`; that path is formatted only for a
+    violation."""
+    cve_id = data.get("id")
+    if type(cve_id) is not str:
+        cve_id = _take(data, "id", str, f"{section}[{i}]", violations, required=True)
+    ratings = data.get("ratings")
+    if type(ratings) is not list:
+        ratings = _take(data, "ratings", list, f"{section}[{i}]", violations, required=True)
     score = 0.0
     vector = ""
     severity = Severity.NONE
     if ratings:
         first = ratings[0] if type(ratings[0]) is dict else {}
-        sub = f"{path}.ratings[0]"
-        score = _take(first, "score", float, sub, violations, required=True) or 0.0
-        vector = _take(first, "vector", str, sub, violations) or ""
-        _take(first, "method", str, sub, violations)
-        sev_raw = _take(first, "severity", str, sub, violations, required=True)
+        score = first.get("score")
+        if type(score) is not float:
+            path = f"{section}[{i}].ratings[0]"
+            score = _take(first, "score", float, path, violations, required=True)
+        score = score or 0.0  # None, and -0.0, read as 0.0
+        vector = first.get("vector", "")
+        if type(vector) is not str:
+            vector = _take(first, "vector", str, f"{section}[{i}].ratings[0]", violations) or ""
+        if type(first.get("method")) is not str and "method" in first:
+            _take(first, "method", str, f"{section}[{i}].ratings[0]", violations)
+        sev_raw = first.get("severity")
+        if type(sev_raw) is not str:
+            sev_raw = _take(
+                first, "severity", str, f"{section}[{i}].ratings[0]", violations, required=True
+            )
         sev = _SEVERITY_FROM_JSON.get(sev_raw)
         if sev is None:
-            violations.append(Violation(f"{sub}.severity", f"unknown severity {sev_raw!r}"))
+            violations.append(
+                Violation(f"{section}[{i}].ratings[0].severity", f"unknown severity {sev_raw!r}")
+            )
         else:
             severity = sev
     else:
-        violations.append(Violation(f"{path}.ratings", "must carry one CVSS rating"))
+        violations.append(Violation(f"{section}[{i}].ratings", "must carry one CVSS rating"))
     state = AnalysisState.IN_TRIAGE
-    analysis = _take(data, "analysis", dict, path, violations)
+    analysis = data.get("analysis")
+    if type(analysis) is not dict and "analysis" in data:
+        analysis = _take(data, "analysis", dict, f"{section}[{i}]", violations)
     if analysis is not None:
         state_raw = analysis.get("state")
         parsed_state = _STATE_FROM_JSON.get(state_raw) if type(state_raw) is str else None
         if parsed_state is None:
             violations.append(
-                Violation(f"{path}.analysis.state", f"unknown state {state_raw!r}")
+                Violation(f"{section}[{i}].analysis.state", f"unknown state {state_raw!r}")
             )
         else:
             state = parsed_state
     affects: list[str] = []
-    for entry in _take(data, "affects", list, path, violations, required=True) or ():
+    affects_raw = data.get("affects")
+    if type(affects_raw) is not list:
+        affects_raw = _take(data, "affects", list, f"{section}[{i}]", violations, required=True)
+    for entry in affects_raw or ():
         if type(entry) is dict and type(entry.get("ref")) is str:
             affects.append(entry["ref"])
         else:
-            violations.append(Violation(f"{path}.affects", "entries must be {ref: string}"))
-    if strict:
-        _unknown_fields(data, _VULNERABILITY_FIELDS, path, violations)
+            violations.append(
+                Violation(f"{section}[{i}].affects", "entries must be {ref: string}")
+            )
+    if strict and not data.keys() <= _VULNERABILITY_FIELDS:
+        _unknown_fields(data, _VULNERABILITY_FIELDS, f"{section}[{i}]", violations)
     if cve_id is None:
         return None
     return VulnerabilityEntry(
@@ -414,6 +499,10 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
     document-level fields opaquely in `extras` and ignores unknown fields
     inside the document's objects. Unknown fields are reported in document
     order, after the known fields of their object.
+
+    One pass builds the model and collects every violation: each field's
+    type is tested inline, and a mismatch is recorded where the field is
+    read. A document with no violation is then checked by validate_bom.
     """
     try:
         data = json.loads(text)
@@ -423,22 +512,34 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
         raise BomSchemaError([Violation("", "document root must be a JSON object")])
 
     violations: list[Violation] = []
-    bom_format = _take(data, "bomFormat", str, "", violations, required=True)
+    bom_format = data.get("bomFormat")
+    if type(bom_format) is not str:
+        bom_format = _take(data, "bomFormat", str, "", violations, required=True)
     if bom_format is not None and bom_format != BOM_FORMAT:
         violations.append(Violation("bomFormat", f"expected {BOM_FORMAT!r}"))
-    spec_version = _take(data, "specVersion", str, "", violations, required=True)
+    spec_version = data.get("specVersion")
+    if type(spec_version) is not str:
+        spec_version = _take(data, "specVersion", str, "", violations, required=True)
     if spec_version is not None and spec_version != SPEC_VERSION:
         violations.append(Violation("specVersion", f"unsupported version {spec_version!r}"))
-    serial = _take(data, "serialNumber", str, "", violations, required=True)
-    version = _take(data, "version", int, "", violations, required=True)
+    serial = data.get("serialNumber")
+    if type(serial) is not str:
+        serial = _take(data, "serialNumber", str, "", violations, required=True)
+    version = data.get("version")
+    if type(version) is not int:
+        version = _take(data, "version", int, "", violations, required=True)
 
     metadata = BomMetadata(subject_kind=SubjectKind.PROFILE, subject_name="")
     kind: Optional[BomKind] = None
-    meta_raw = _take(data, "metadata", dict, "", violations, required=True)
+    meta_raw = data.get("metadata")
+    if type(meta_raw) is not dict:
+        meta_raw = _take(data, "metadata", dict, "", violations, required=True)
     if meta_raw is not None:
         subject_kind = SubjectKind.PROFILE
         subject_name = ""
-        comp_raw = _take(meta_raw, "component", dict, "metadata", violations, required=True)
+        comp_raw = meta_raw.get("component")
+        if type(comp_raw) is not dict:
+            comp_raw = _take(meta_raw, "component", dict, "metadata", violations, required=True)
         if comp_raw is not None:
             subject_type = comp_raw.get("type")
             sk = _SUBJECT_FROM_JSON.get(subject_type) if type(subject_type) is str else None
@@ -450,9 +551,13 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
                 subject_name = comp_raw["name"]
             else:
                 violations.append(Violation("metadata.component.name", "missing subject name"))
-        timestamp = _take(meta_raw, "timestamp", str, "metadata", violations)
+        timestamp = meta_raw.get("timestamp")
+        if type(timestamp) is not str and "timestamp" in meta_raw:
+            timestamp = _take(meta_raw, "timestamp", str, "metadata", violations)
         props: list[tuple[str, str]] = []
-        props_raw = _take(meta_raw, "properties", list, "metadata", violations) or ()
+        props_raw = meta_raw.get("properties")
+        if type(props_raw) is not list:
+            props_raw = _take(meta_raw, "properties", list, "metadata", violations) or ()
         for i, entry in enumerate(props_raw):
             if (
                 isinstance(entry, dict)
@@ -472,7 +577,7 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
                 violations.append(
                     Violation(f"metadata.properties[{i}]", "entries must be {name, value}")
                 )
-        if strict:
+        if strict and not meta_raw.keys() <= _METADATA_FIELDS:
             _unknown_fields(meta_raw, _METADATA_FIELDS, "metadata", violations)
         metadata = BomMetadata(
             subject_kind=subject_kind,
@@ -489,17 +594,22 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
         kind = BomKind.MIXED
 
     components: list[Component] = []
-    comps_raw = _take(data, "components", list, "", violations, required=True) or ()
+    comps_raw = data.get("components")
+    if type(comps_raw) is not list:
+        comps_raw = _take(data, "components", list, "", violations, required=True) or ()
     for i, entry in enumerate(comps_raw):
         if type(entry) is not dict:
             violations.append(Violation(f"components[{i}]", "must be an object"))
             continue
-        comp = _parse_component(entry, f"components[{i}]", strict, violations)
+        comp = _parse_component(entry, "components", i, strict, violations)
         if comp is not None:
             components.append(comp)
 
     dependencies = []
-    for i, entry in enumerate(_take(data, "dependencies", list, "", violations) or ()):
+    deps_raw = data.get("dependencies")
+    if type(deps_raw) is not list:
+        deps_raw = _take(data, "dependencies", list, "", violations) or ()
+    for i, entry in enumerate(deps_raw):
         if not isinstance(entry, dict) or not isinstance(entry.get("ref"), str):
             violations.append(Violation(f"dependencies[{i}]", "must be {ref, dependsOn}"))
             continue
@@ -510,17 +620,22 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
         dependencies.append(Dependency(ref=entry["ref"], depends_on=tuple(depends_on)))
 
     vulnerabilities: list[VulnerabilityEntry] = []
-    vulns_raw = _take(data, "vulnerabilities", list, "", violations) or ()
+    vulns_raw = data.get("vulnerabilities")
+    if type(vulns_raw) is not list:
+        vulns_raw = _take(data, "vulnerabilities", list, "", violations) or ()
     for i, entry in enumerate(vulns_raw):
         if type(entry) is not dict:
             violations.append(Violation(f"vulnerabilities[{i}]", "must be an object"))
             continue
-        vuln = _parse_vulnerability(entry, f"vulnerabilities[{i}]", strict, violations)
+        vuln = _parse_vulnerability(entry, "vulnerabilities", i, strict, violations)
         if vuln is not None:
             vulnerabilities.append(vuln)
 
     links: list[BomLink] = []
-    for i, entry in enumerate(_take(data, "externalReferences", list, "", violations) or ()):
+    refs_raw = data.get("externalReferences")
+    if type(refs_raw) is not list:
+        refs_raw = _take(data, "externalReferences", list, "", violations) or ()
+    for i, entry in enumerate(refs_raw):
         if not isinstance(entry, dict) or entry.get("type") != "bom":
             violations.append(
                 Violation(f"externalReferences[{i}]", "only {type: bom, url} references modeled")
@@ -538,12 +653,13 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
             violations.append(Violation(f"externalReferences[{i}].url", str(exc)))
 
     extras: tuple[tuple[str, str], ...] = ()
-    if strict:
-        _unknown_fields(data, _ROOT_FIELDS, "", violations)
-    elif not data.keys() <= _ROOT_FIELDS:
-        extras = tuple(
-            sorted((k, _freeze_extra(v)) for k, v in data.items() if k not in _ROOT_FIELDS)
-        )
+    if not data.keys() <= _ROOT_FIELDS:
+        if strict:
+            _unknown_fields(data, _ROOT_FIELDS, "", violations)
+        else:
+            extras = tuple(
+                sorted((k, _freeze_extra(v)) for k, v in data.items() if k not in _ROOT_FIELDS)
+            )
 
     if violations:
         raise BomSchemaError(violations)

@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Optional
 
-from ..bom import Bom, BomKind, Component, SubjectKind
+from ..bom import Bom, BomKind, Component, SubjectKind, VulnerabilityEntry
 
 __all__ = [
     "RepresentationError",
@@ -46,10 +48,28 @@ class VersionConflict(Exception):
         self.got = got
 
 
-# The property-list sort key: the text json.dumps(item, sort_keys=True) gives,
-# from one shared encoder instead of a new one per call.
-_sort_key = json.JSONEncoder(sort_keys=True).encode
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# Property lists are ordered by each entry's json.dumps(entry, sort_keys=True)
+# text. Each entry is built with a sort key that orders exactly as that text
+# without encoding the entry: a tuple of tokens, in the entry's sorted-key
+# order, that spell its text minus the punctuation between them:
+# - a string is its JSON text, quotes included;
+# - a number is its repr plus the delimiter that follows it ("," or "}");
+# - a list of strings is its full JSON text;
+# - a key name stands, quoted, wherever the entry's key set varies;
+# - the tuple ends with "}".
+# Each token is prefix-free where it stands: a string ends at its only
+# unescaped quote, a number carries its delimiter, a list ends at its "]".
+# So the first token two keys differ in starts at the same offset of both
+# texts and differs from the other within both, and the tuples compare as the
+# texts do. The compact canonical text would order the same: two texts first
+# differ after a common prefix, and a separator's trailing space follows a
+# separator in both, so it is never that first difference.
+
+
+def _text_or_null(value: Optional[str]) -> str:
+    return "null" if value is None else _quote(value)
 
 
 def _canonical_texts(states: dict[str, Any]) -> dict[str, str]:
@@ -62,16 +82,29 @@ def _canonical_texts(states: dict[str, Any]) -> dict[str, str]:
     return texts
 
 
-def _software_entry(component: Component) -> dict[str, Any]:
+# A property entry with its sort key, as the entry builders return it.
+_Keyed = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _software_entry(component: Component) -> _Keyed:
     entry: dict[str, Any] = {
         "name": component.name,
         "version": component.version,
         "ref": component.bom_ref,
         "type": component.component_type.value,
     }
+    tail = (
+        _quote(component.bom_ref),
+        _quote(entry["type"]),
+        _quote(component.version),
+        "}",
+    )
     if component.package_url:
         entry["purl"] = component.package_url
-    return entry
+        key = (_quote(component.name), '"purl"', _quote(component.package_url), '"ref"', *tail)
+    else:
+        key = (_quote(component.name), '"ref"', *tail)
+    return key, entry
 
 
 def _crypto_bucket(component: Component) -> str:
@@ -86,36 +119,91 @@ def _crypto_bucket(component: Component) -> str:
     }.get(kind, "settings")
 
 
-def _crypto_entry(component: Component) -> dict[str, Any]:
+def _crypto_entry(component: Component) -> _Keyed:
     entry: dict[str, Any] = {
         "name": component.name,
         "version": component.version,
         "ref": component.bom_ref,
     }
+    name = ('"name"', _quote(component.name))
+    ref = ('"ref"', _quote(component.bom_ref))
+    version = ('"version"', _quote(component.version), "}")
     crypto = component.crypto
     if crypto is None:
-        return entry
+        return (*name, *ref, *version), entry
+    # Keys in sorted order: family, issuer, mode, name, notValidAfter,
+    # notValidBefore, parameter, protocolVersion, ref, subject, version.
+    key: list[str] = []
     if crypto.algorithm_family:
         entry["family"] = crypto.algorithm_family
+        key += ('"family"', _quote(crypto.algorithm_family))
+    certificate = bool(crypto.certificate_subject)
+    if certificate:
+        key += ('"issuer"', _text_or_null(crypto.certificate_issuer))
+    if crypto.mode:
+        key += ('"mode"', _quote(crypto.mode))
+    key += name
+    if certificate:
+        key += (
+            '"notValidAfter"',
+            _text_or_null(crypto.not_after),
+            '"notValidBefore"',
+            _text_or_null(crypto.not_before),
+        )
     if crypto.parameter_set:
         entry["parameter"] = crypto.parameter_set
+        key += ('"parameter"', _quote(crypto.parameter_set))
     if crypto.mode:
         entry["mode"] = crypto.mode
     if crypto.protocol_version:
         entry["protocolVersion"] = crypto.protocol_version
-    if crypto.certificate_subject:
+        key += ('"protocolVersion"', _quote(crypto.protocol_version))
+    key += ref
+    if certificate:
         entry["subject"] = crypto.certificate_subject
         entry["issuer"] = crypto.certificate_issuer
         entry["notValidBefore"] = crypto.not_before
         entry["notValidAfter"] = crypto.not_after
-    return entry
+        key += ('"subject"', _quote(crypto.certificate_subject))
+    key += version
+    return tuple(key), entry
+
+
+def _vulnerability_entry(vuln: VulnerabilityEntry) -> _Keyed:
+    entry = {
+        "cve": vuln.cve_id,
+        "score": vuln.cvss_score,
+        "severity": vuln.severity.value,
+        "state": vuln.analysis_state.value,
+        "affects": list(vuln.affects),
+    }
+    key = (
+        "[" + ", ".join(map(_quote, vuln.affects)) + "]",
+        _quote(vuln.cve_id),
+        repr(vuln.cvss_score) + ",",
+        _quote(entry["severity"]),
+        _quote(entry["state"]),
+        "}",
+    )
+    return key, entry
+
+
+def _document_entry(bom: Bom) -> _Keyed:
+    entry = {"serial": bom.serial_number, "version": bom.version, "kind": bom.kind.value}
+    return (_quote(entry["kind"]), _quote(bom.serial_number), repr(bom.version) + "}"), entry
+
+
+def _first(keyed: _Keyed) -> tuple[str, ...]:
+    return keyed[0]
 
 
 def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
     """Project parsed documents onto per-thing states.
 
     One thing per host subject, one per profile subject. Each document kind
-    may appear once per subject; duplicates are rejected.
+    may appear once per subject; duplicates are rejected. Every property
+    list is ordered by its entries' json.dumps(entry, sort_keys=True) text,
+    through sort keys that encode nothing but strings (see above).
     """
     parsed = list(boms)
     seen: set[tuple[str, str, str]] = set()
@@ -128,62 +216,42 @@ def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
         seen.add(key)
 
     states: dict[str, dict[str, Any]] = {}
-    for bom in sorted(parsed, key=lambda b: (b.metadata.subject_name, b.kind.value)):
-        subject = bom.metadata.subject_name
-        if bom.metadata.subject_kind == SubjectKind.PROFILE:
-            state = states.setdefault(
-                subject,
-                {
-                    "id": subject,
-                    "title": f"Audit profile manifest for {subject}",
-                    "properties": {"documents": []},
-                    "links": [],
-                },
-            )
+    software_kinds = (BomKind.SBOM, BomKind.MIXED)
+    ordered = sorted(parsed, key=lambda b: (b.metadata.subject_name, b.kind.value))
+    # One subject at a time, so only one thing's sort keys are alive at once.
+    for subject, group in groupby(ordered, key=lambda b: b.metadata.subject_name):
+        documents = list(group)
+        if documents[0].metadata.subject_kind == SubjectKind.PROFILE:
+            title = f"Audit profile manifest for {subject}"
         else:
-            state = states.setdefault(
-                subject,
-                {
-                    "id": subject,
-                    "title": f"Security twin of host {subject}",
-                    "properties": {"documents": []},
-                    "links": [],
-                },
-            )
-        properties = state["properties"]
-        properties["documents"].append(
-            {"serial": bom.serial_number, "version": bom.version, "kind": bom.kind.value}
-        )
-
-        software_kinds = (BomKind.SBOM, BomKind.MIXED)
-        for component in bom.components:
-            if component.crypto is None and bom.kind in software_kinds:
-                bucket, entry = "software", _software_entry(component)
-            else:
-                bucket, entry = _crypto_bucket(component), _crypto_entry(component)
-            properties.setdefault(bucket, []).append(entry)
-
-        for vuln in bom.vulnerabilities:
-            properties.setdefault("vulnerabilities", []).append(
-                {
-                    "cve": vuln.cve_id,
-                    "score": vuln.cvss_score,
-                    "severity": vuln.severity.value,
-                    "state": vuln.analysis_state.value,
-                    "affects": list(vuln.affects),
-                }
-            )
-
-        for link in bom.links:
-            rendered = link.render()
-            if rendered not in state["links"]:
-                state["links"].append(rendered)
-
-    for state in states.values():
-        for value in state["properties"].values():
-            if isinstance(value, list):
-                value.sort(key=_sort_key)
-        state["links"].sort()
+            title = f"Security twin of host {subject}"
+        keyed: dict[str, list[_Keyed]] = {"documents": []}
+        links: list[str] = []
+        for bom in documents:
+            keyed["documents"].append(_document_entry(bom))
+            for component in bom.components:
+                if component.crypto is None and bom.kind in software_kinds:
+                    bucket, pair = "software", _software_entry(component)
+                else:
+                    bucket, pair = _crypto_bucket(component), _crypto_entry(component)
+                keyed.setdefault(bucket, []).append(pair)
+            if bom.vulnerabilities:
+                keyed.setdefault("vulnerabilities", []).extend(
+                    map(_vulnerability_entry, bom.vulnerabilities)
+                )
+            for link in bom.links:
+                rendered = link.render()
+                if rendered not in links:
+                    links.append(rendered)
+        states[subject] = {
+            "id": subject,
+            "title": title,
+            "properties": {
+                bucket: [entry for _, entry in sorted(pairs, key=_first)]
+                for bucket, pairs in keyed.items()
+            },
+            "links": sorted(links),
+        }
     return states
 
 

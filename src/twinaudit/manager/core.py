@@ -13,6 +13,7 @@ import json
 import secrets
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -28,6 +29,9 @@ from .trace import TraceRecorder, TraceSpan
 __all__ = ["SdtDescriptor", "SdtManager", "SdtState"]
 
 ID_PATTERN = "[0-9a-f]{32}"
+# Destroyed descriptors kept for GET and an idempotent DELETE, the oldest
+# dropped first; an expired id answers 404 like an unknown one.
+TOMBSTONES = 64
 
 
 class SdtState(str, Enum):
@@ -94,6 +98,7 @@ class SdtManager:
         self._adapter = DataAdapter(self._runtime)
         self._clock = clock
         self._records: dict[str, _SdtRecord] = {}
+        self._tombstones: deque[str] = deque()  # destroyed ids, oldest first
         self._registry_lock = threading.RLock()
 
     # -- registry -------------------------------------------------------------
@@ -363,10 +368,14 @@ class SdtManager:
             if descriptor.endpoint:
                 self._runtime.destroy_instance(descriptor.endpoint)
             descriptor.state = SdtState.DESTROYED
-            # The descriptor stays for GET and an idempotent DELETE; the
-            # parsed documents are released.
+            # The descriptor stays as a tombstone; the parsed documents are
+            # released.
             record.boms = {}
             self._touch(descriptor)
+        with self._registry_lock:
+            self._tombstones.append(sdt_id)
+            while len(self._tombstones) > TOMBSTONES:
+                del self._records[self._tombstones.popleft()]
 
     def footprint(self, sdt_id: str) -> int:
         record = self._record(sdt_id)

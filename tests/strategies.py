@@ -17,6 +17,7 @@ from twinaudit.bom import (
     CryptoAssetKind,
     CryptoProperties,
     Dependency,
+    Severity,
     SubjectKind,
     VulnerabilityEntry,
     severity_for_score,
@@ -157,3 +158,85 @@ def boms(draw, max_components: int = 6) -> Bom:
         vulnerabilities=tuple(vulns),
         links=tuple(draw(st.lists(bom_links(), max_size=2))),
     )
+
+
+# Values that order property lists only through their JSON text: characters
+# below '"' (space, "!"), the quote and backslash that JSON escapes, control
+# and non-ASCII characters, and strings that are prefixes of one another.
+_TRAP_CHARS = ("a", "b", " ", "!", '"', "\\", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600")
+trap_texts = st.text(alphabet=st.sampled_from(_TRAP_CHARS), max_size=2)
+
+
+@st.composite
+def order_trap_documents(draw) -> list[Bom]:
+    """Documents of one subject whose property lists sort right only by
+    their entries' JSON text. They need not be valid: the projection does
+    not validate.
+
+    Every string comes from a small pool of one stem plus short suffixes, so
+    entries often tie on their first fields and differ in a later one, where
+    a value may be a prefix of another or present in only one entry (purl,
+    the crypto fields). Scores differ where "10.0" < "2.0", and a host and
+    a profile document of one kind and serial can differ in version alone,
+    the last field, where "10}" < "1}".
+    """
+    stem = draw(trap_texts)
+    pool = [stem + suffix for suffix in draw(st.lists(trap_texts, min_size=1, max_size=3))]
+    text = st.sampled_from(pool)
+    maybe = st.one_of(st.none(), text)
+
+    def crypto(ctype: ComponentType):
+        if ctype not in (ComponentType.CRYPTO_ASSET, ComponentType.CERTIFICATE):
+            return None
+        return CryptoProperties(
+            asset_kind=draw(st.sampled_from(list(CryptoAssetKind))),
+            algorithm_family=draw(maybe),
+            parameter_set=draw(maybe),
+            mode=draw(maybe),
+            certificate_subject=draw(maybe),
+            certificate_issuer=draw(maybe),
+            not_before=draw(maybe),
+            not_after=draw(maybe),
+            protocol_version=draw(maybe),
+        )
+
+    def component() -> Component:
+        ctype = draw(st.sampled_from(list(ComponentType)))
+        return Component(
+            bom_ref=draw(text),
+            name=draw(text),
+            component_type=ctype,
+            version=draw(text),
+            package_url=draw(maybe),
+            crypto=crypto(ctype),
+        )
+
+    def vulnerability() -> VulnerabilityEntry:
+        return VulnerabilityEntry(
+            cve_id=draw(text),
+            cvss_score=draw(st.sampled_from([1.0, 2.0, 10.0, 10, 1.5])),
+            cvss_vector="",
+            severity=draw(st.sampled_from(list(Severity))),
+            affects=tuple(draw(st.lists(text, max_size=2))),
+            analysis_state=draw(st.sampled_from(list(AnalysisState))),
+        )
+
+    # One document per (subject kind, kind): a host and a profile document
+    # of one kind share the subject's thing and the serial.
+    serial = draw(st.sampled_from(["urn:uuid:a", "urn:uuid:a "]))
+    documents = []
+    pairs = st.tuples(
+        st.sampled_from(list(SubjectKind)), st.sampled_from([BomKind.SBOM, BomKind.CBOM])
+    )
+    for subject_kind, kind in draw(st.lists(pairs, max_size=4, unique=True)):
+        documents.append(
+            Bom(
+                serial_number=serial,
+                version=draw(st.sampled_from([1, 10])),
+                kind=kind,
+                metadata=BomMetadata(subject_kind=subject_kind, subject_name="h"),
+                components=tuple(component() for _ in range(draw(st.integers(0, 6)))),
+                vulnerabilities=tuple(vulnerability() for _ in range(draw(st.integers(0, 3)))),
+            )
+        )
+    return documents

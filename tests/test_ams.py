@@ -532,7 +532,7 @@ class TestProfiles:
             SyncPolicy(kind="PERIODIC", interval_seconds=0)
         assert SyncPolicy(kind="PERIODIC", interval_seconds=30).interval_seconds == 30
 
-    def test_create_persists_and_derives(self, tmp_path):
+    def test_create_persists(self, tmp_path):
         store = self.topology_store(tmp_path)
         profile = AuditProfile(
             profile_id="p-users",
@@ -542,9 +542,6 @@ class TestProfiles:
         )
         create_profile(store, profile)
         assert get_profile(store, "p-users") == profile
-        derived = store.query("profiles_derived")
-        assert set(derived) == {"p-users:u1", "p-users:u2"}
-        assert derived["p-users:u1"]["categories"] == ["CERTIFICATE", "ALGORITHM"]
         assert [p.profile_id for p in list_profiles(store)] == ["p-users"]
 
     def test_round_trip(self):
@@ -937,8 +934,9 @@ class TestUpdateAudit:
         assert after == before
 
     def test_failure_after_updating_ends_the_run_failed(self, service, monkeypatch):
-        """Whatever raises once a rescan has saved UPDATING ends the run
-        FAILED, with the step named, instead of leaving it UPDATING."""
+        """Whatever raises once a rescan has loaded the run, before the push
+        saves UPDATING or after it, ends the run FAILED with the step named,
+        instead of leaving it SDT_READY or UPDATING."""
         store = DyingStore(service.store.root)
         svc = AuditService(store, service.manager, vulnerabilities=vuln_store())
 
@@ -971,6 +969,25 @@ class TestUpdateAudit:
 
         monkeypatch.setattr(service_module, "build_sbom", broken_forge)
         assert failed_update(run, "injected forge").startswith("forge_failed:")
+
+    def test_a_no_op_rescan_saves_the_run_once(self, service, monkeypatch):
+        run = service.run_audit("profile-web")
+        saved, put = [], service.store.put
+        monkeypatch.setattr(
+            service.store,
+            "put",
+            lambda c, k, d: (saved.append(d["state"]) if c == "runs" else None) or put(c, k, d),
+        )
+        service.clock = lambda: run.updated_at + 5
+        noop = service.update_audit(run.run_id)
+        assert saved == ["SDT_READY"]
+        assert noop.updated_at == run.updated_at + 5
+        assert service.load_run(run.run_id).updated_at == run.updated_at + 5
+
+        saved.clear()
+        change_web_01(service._snapshots, "4.17.21")
+        assert service.update_audit(run.run_id).representation_version == 2
+        assert saved == ["UPDATING", "SDT_READY"]
 
     def test_rescans_parse_and_write_only_what_they_need(self, service, monkeypatch):
         run = service.run_audit("profile-web")

@@ -401,6 +401,44 @@ MALFORMED = [
     ("vulnerability-missing-id-with-unknown-field",
      {"vulnerabilities": [{"ratings": RATING, "affects": [{"ref": "a"}], "x-v": 1}]},
      [(V0, "missing required field id"), (f"{V0}.x-v", "unknown field")]),
+    # an explicit null is a wrong type, also where the field is optional
+    ("optional-fields-null",
+     {"metadata": {"component": SUBJECT, "timestamp": None, "properties": KIND_SBOM},
+      "components": [{"bom-ref": "a", "type": "library", "name": "liba", "version": None,
+                      "purl": None, "cryptoProperties": None}],
+      "dependencies": None, "vulnerabilities": None, "externalReferences": None},
+     [("metadata.timestamp", "expected str"), (f"{C0}.version", "expected str"),
+      (f"{C0}.purl", "expected str"), (CP, "expected dict"), ("dependencies", "expected list"),
+      ("vulnerabilities", "expected list"), ("externalReferences", "expected list")]),
+    ("crypto-optional-values-null",
+     {"components": [
+         _cc(cryptoProperties={"assetType": "algorithm", "algorithmProperties": {
+             "family": None, "parameterSetIdentifier": None, "mode": None}}),
+         _cc(cryptoProperties={"assetType": "certificate", "certificateProperties": {
+             "subjectName": "CN=a", "issuerName": None, "notValidBefore": "2024-01-01",
+             "notValidAfter": "2025-01-01", "signatureAlgorithmRef": None}}),
+         _cc(cryptoProperties={"assetType": "protocol", "protocolProperties": {
+             "version": None, "type": None, "cipherSuites": None}}),
+         _cc(cryptoProperties={"assetType": "algorithm", "algorithmProperties": None,
+                               "certificateProperties": None, "protocolProperties": None})]},
+     [(f"{CP}.algorithmProperties.family", "expected str"),
+      (f"{CP}.algorithmProperties.parameterSetIdentifier", "expected str"),
+      (f"{CP}.algorithmProperties.mode", "expected str"),
+      ("components[1].cryptoProperties.certificateProperties.issuerName", "expected str"),
+      ("components[1].cryptoProperties.certificateProperties.signatureAlgorithmRef",
+       "expected str"),
+      ("components[2].cryptoProperties.protocolProperties.version", "expected str"),
+      ("components[2].cryptoProperties.protocolProperties.type", "expected str"),
+      ("components[2].cryptoProperties.protocolProperties.cipherSuites", "expected list"),
+      ("components[3].cryptoProperties.algorithmProperties", "expected dict"),
+      ("components[3].cryptoProperties.certificateProperties", "expected dict"),
+      ("components[3].cryptoProperties.protocolProperties", "expected dict")]),
+    ("vulnerability-optional-values-null",
+     {"vulnerabilities": [_cve(
+         ratings=[{"score": 5.0, "severity": "medium", "vector": None, "method": None}],
+         analysis=None, affects=[{"ref": "a"}])]},
+     [(f"{R0}.vector", "expected str"), (f"{R0}.method", "expected str"),
+      (f"{V0}.analysis", "expected dict")]),
     # dependencies and references
     ("dependency-entries",
      {"dependencies": [5, {"dependsOn": []}, {"ref": "a", "dependsOn": "b"},

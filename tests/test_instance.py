@@ -22,7 +22,7 @@ from twinaudit.instance import (
 )
 from twinaudit.jsonhttp import ApiRequest, HttpError
 
-from .strategies import boms
+from .strategies import boms, order_trap_documents
 from .test_forge import algo_record, certificate_record, software_record
 
 
@@ -108,13 +108,14 @@ class TestThingStates:
         vulns = states["web-01"]["properties"]["vulnerabilities"]
         assert [v["cve"] for v in vulns] == ["CVE-2023-30861"]
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(boms(max_components=4), max_size=4))
-    def test_property_lists_follow_json_key_order(self, documents):
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(boms(max_components=4), max_size=4), order_trap_documents())
+    def test_property_lists_follow_json_key_order(self, documents, traps):
         """Exported property lists keep the order of their sort_keys JSON text."""
         unique = {}
-        for bom in documents:
-            unique.setdefault((bom.metadata.subject_name, bom.kind), bom)
+        for bom in traps + documents:
+            meta = bom.metadata
+            unique.setdefault((meta.subject_kind, meta.subject_name, bom.kind), bom)
         for state in thing_states_from_boms(unique.values()).values():
             for entries in state["properties"].values():
                 keys = [json.dumps(item, sort_keys=True) for item in entries]

@@ -15,6 +15,7 @@ from twinaudit.forge import document_serial, link_to_profile
 from twinaudit.instance.policy import DECISION_LOG_SIZE
 from twinaudit.instance.representation import StoredRepresentation
 from twinaudit.jsonhttp import HttpError, SharedJsonServer, TransportUnavailable, http_json
+from twinaudit.manager import core as manager_core
 from twinaudit.manager import (
     CREATE_STAGES,
     ID_PATTERN,
@@ -350,6 +351,31 @@ class TestDestroy:
 
 
 class TestBoundedMemory:
+    def test_destroyed_twins_leave_bounded_tombstones(self, env, monkeypatch):
+        """The registry keeps the latest TOMBSTONES destroyed descriptors:
+        those still GET as DESTROYED and DELETE stays a no-op; older ids
+        answer 404 like unknown ones."""
+        monkeypatch.setattr(manager_core, "TOMBSTONES", 3)
+        manager, client, _ = env.make_manager()
+        texts = bom_texts("tombstone-host")
+        live = client.create("profile-a", texts)["sdtId"]
+        ids, sizes = [], []
+        for _ in range(9):
+            sdt_id = client.create("profile-a", texts)["sdtId"]
+            client.destroy(sdt_id)
+            ids.append(sdt_id)
+            sizes.append(len(client.list()))
+        assert sizes == [2, 3, 4, 4, 4, 4, 4, 4, 4]
+        for sdt_id in ids[-3:]:
+            assert client.get(sdt_id)["state"] == "DESTROYED"
+            client.destroy(sdt_id)  # no-op
+        assert client.get(live)["state"] == "READY"
+        for sdt_id in ids[:-3]:
+            for call in (client.get, client.destroy):
+                with pytest.raises(Exception) as err:
+                    call(sdt_id)
+                assert getattr(err.value, "status", None) == 404
+
     def test_trace_and_access_logs_stay_bounded(self, env):
         """A long-lived manager keeps one trace span per kind, and each
         instance keeps only its latest access decisions."""
