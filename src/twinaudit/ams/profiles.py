@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-import yaml
-
 from ..collect import EvidenceCategory
+from ..config import read_data_file
 from .store import FileDocumentStore
 from .topology import TopologyGraph, topology_from_store
 
@@ -128,12 +126,7 @@ def list_profiles(store: FileDocumentStore) -> list[AuditProfile]:
 
 
 def load_profile_file(path: Union[str, Path]) -> AuditProfile:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() in (".yaml", ".yml"):
-        data = yaml.safe_load(text)
-    else:
-        data = json.loads(text)
+    data = read_data_file(path)
     if not isinstance(data, dict):
         raise ProfileError("profile file must contain an object")
     return AuditProfile.from_dict(data)

@@ -9,8 +9,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Union
 
-import yaml
-
+from ..config import read_data_file
 from .store import FileDocumentStore, OutdatedLayout
 
 __all__ = [
@@ -143,13 +142,7 @@ def parse_inventory(data: Any) -> TopologyGraph:
 
 
 def load_inventory(path: Union[str, Path]) -> TopologyGraph:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() in (".yaml", ".yml"):
-        data = yaml.safe_load(text)
-    else:
-        data = json.loads(text)
-    return parse_inventory(data)
+    return parse_inventory(read_data_file(path))
 
 
 def ingest_inventory(store: FileDocumentStore, source: Union[str, Path, dict]) -> TopologyGraph:

@@ -293,6 +293,10 @@ def _validate_crypto(i: int, crypto: CryptoProperties, out: list[Violation]) -> 
         if nb is None or na is None:
             path = f"components[{i}]{_CRYPTO}.not_before"
             out.append(Violation(path, "timestamps must be ISO-8601"))
+        elif (nb.tzinfo is None) != (na.tzinfo is None):
+            # A naive and an aware datetime do not compare.
+            path = f"components[{i}]{_CRYPTO}.not_before"
+            out.append(Violation(path, "timestamps must both carry a UTC offset or neither"))
         elif nb > na:
             path = f"components[{i}]{_CRYPTO}.not_before"
             out.append(Violation(path, "not_before exceeds not_after"))

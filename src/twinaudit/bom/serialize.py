@@ -3,13 +3,18 @@
 Canonical form: lexicographically sorted keys, components sorted by bom-ref,
 dependencies by ref, vulnerabilities by CVE id, links by rendered URN, and
 empty optional sections omitted (components stay present even when empty).
-Identical document values therefore serialize to byte-identical text.
+Identical document values therefore serialize to byte-identical text. The
+model's constructors already keep every list but the links in that order,
+so the writers only sort the links and the merged metadata properties.
+
+The writers and readers of each document section (metadata, components,
+dependencies, vulnerabilities) are also the ones revision deltas use.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .model import (
     KIND_PROPERTY,
@@ -99,7 +104,7 @@ def _crypto_to_dict(crypto: CryptoProperties) -> dict[str, Any]:
         if crypto.algorithm_family:
             proto["type"] = crypto.algorithm_family.lower()
         if crypto.cipher_suite_refs:
-            proto["cipherSuites"] = [{"algorithms": sorted(crypto.cipher_suite_refs)}]
+            proto["cipherSuites"] = [{"algorithms": list(crypto.cipher_suite_refs)}]
         out["protocolProperties"] = proto
     return out
 
@@ -131,44 +136,45 @@ def _vuln_to_dict(vuln: VulnerabilityEntry) -> dict[str, Any]:
             }
         ],
         "analysis": {"state": _STATE_TO_JSON[vuln.analysis_state]},
-        "affects": [{"ref": ref} for ref in sorted(vuln.affects)],
+        "affects": [{"ref": ref} for ref in vuln.affects],
     }
+
+
+def _dependency_to_dict(dep: Dependency) -> dict[str, Any]:
+    return {"ref": dep.ref, "dependsOn": list(dep.depends_on)}
+
+
+def _metadata_to_dict(metadata: BomMetadata, kind: Optional[BomKind] = None) -> dict[str, Any]:
+    """The metadata object; a given kind is merged into its properties."""
+    properties = metadata.properties
+    if kind is not None:
+        properties = sorted([(KIND_PROPERTY, kind.value), *properties])
+    out: dict[str, Any] = {
+        "component": {
+            "type": _SUBJECT_TO_JSON[metadata.subject_kind],
+            "name": metadata.subject_name,
+        },
+        "properties": [{"name": name, "value": value} for name, value in properties],
+    }
+    if metadata.timestamp:
+        out["timestamp"] = metadata.timestamp
+    return out
 
 
 def bom_to_dict(bom: Bom) -> dict[str, Any]:
-    """Canonically ordered plain-dict rendering (lists sorted, keys at dump time)."""
-    properties = [(KIND_PROPERTY, bom.kind.value), *bom.metadata.properties]
-    metadata: dict[str, Any] = {
-        "component": {
-            "type": _SUBJECT_TO_JSON[bom.metadata.subject_kind],
-            "name": bom.metadata.subject_name,
-        },
-        "properties": [
-            {"name": name, "value": value} for name, value in sorted(properties)
-        ],
-    }
-    if bom.metadata.timestamp:
-        metadata["timestamp"] = bom.metadata.timestamp
-
+    """Canonically ordered plain-dict rendering (keys are sorted at dump time)."""
     doc: dict[str, Any] = {
         "bomFormat": BOM_FORMAT,
         "specVersion": SPEC_VERSION,
         "serialNumber": bom.serial_number,
         "version": bom.version,
-        "metadata": metadata,
-        "components": [
-            _component_to_dict(c) for c in sorted(bom.components, key=lambda c: c.bom_ref)
-        ],
+        "metadata": _metadata_to_dict(bom.metadata, bom.kind),
+        "components": [_component_to_dict(c) for c in bom.components],
     }
     if bom.dependencies:
-        doc["dependencies"] = [
-            {"ref": d.ref, "dependsOn": sorted(d.depends_on)}
-            for d in sorted(bom.dependencies, key=lambda d: d.ref)
-        ]
+        doc["dependencies"] = [_dependency_to_dict(d) for d in bom.dependencies]
     if bom.vulnerabilities:
-        doc["vulnerabilities"] = [
-            _vuln_to_dict(v) for v in sorted(bom.vulnerabilities, key=lambda v: v.cve_id)
-        ]
+        doc["vulnerabilities"] = [_vuln_to_dict(v) for v in bom.vulnerabilities]
     if bom.links:
         doc["externalReferences"] = [
             {"type": "bom", "url": url}
@@ -362,10 +368,13 @@ def _parse_crypto(
 
 
 def _parse_component(
-    data: dict[str, Any], section: str, i: int, strict: bool, violations: list[Violation]
+    data: Any, section: str, i: int, strict: bool, violations: list[Violation]
 ) -> Optional[Component]:
     """The component at `section[i]`; that path is formatted only for a
     violation."""
+    if type(data) is not dict:
+        violations.append(Violation(f"{section}[{i}]", "must be an object"))
+        return None
     bom_ref = data.get("bom-ref")
     if type(bom_ref) is not str:
         bom_ref = _take(data, "bom-ref", str, f"{section}[{i}]", violations, required=True)
@@ -415,10 +424,13 @@ def _parse_component(
 
 
 def _parse_vulnerability(
-    data: dict[str, Any], section: str, i: int, strict: bool, violations: list[Violation]
+    data: Any, section: str, i: int, strict: bool, violations: list[Violation]
 ) -> Optional[VulnerabilityEntry]:
     """The vulnerability at `section[i]`; that path is formatted only for a
     violation."""
+    if type(data) is not dict:
+        violations.append(Violation(f"{section}[{i}]", "must be an object"))
+        return None
     cve_id = data.get("id")
     if type(cve_id) is not str:
         cve_id = _take(data, "id", str, f"{section}[{i}]", violations, required=True)
@@ -492,6 +504,112 @@ def _parse_vulnerability(
     )
 
 
+def _parse_dependency(
+    data: Any, section: str, i: int, strict: bool, violations: list[Violation]
+) -> Optional[Dependency]:
+    """The dependency at `section[i]`."""
+    if not isinstance(data, dict) or not isinstance(data.get("ref"), str):
+        violations.append(Violation(f"{section}[{i}]", "must be {ref, dependsOn}"))
+        return None
+    depends_on = data.get("dependsOn", [])
+    if not isinstance(depends_on, list) or any(not isinstance(d, str) for d in depends_on):
+        violations.append(Violation(f"{section}[{i}].dependsOn", "must be a string list"))
+        return None
+    return Dependency(ref=data["ref"], depends_on=tuple(depends_on))
+
+
+def _parse_reference(
+    data: Any, section: str, i: int, strict: bool, violations: list[Violation]
+) -> Optional[BomLink]:
+    """The {type: bom, url} reference at `section[i]`."""
+    if not isinstance(data, dict) or data.get("type") != "bom":
+        violations.append(Violation(f"{section}[{i}]", "only {type: bom, url} references modeled"))
+        return None
+    url = data.get("url", "")
+    try:
+        return BomLink.parse(url)
+    except (TypeError, ValueError):
+        violations.append(Violation(f"{section}[{i}].url", f"not a bom-link urn: {url!r}"))
+        return None
+
+
+def _parse_section(
+    data: dict[str, Any],
+    key: str,
+    parse_entry: Callable[..., Any],
+    strict: bool,
+    violations: list[Violation],
+    required: bool = False,
+) -> list[Any]:
+    """The entries of the list at data[key] that `parse_entry` reads."""
+    raw = data.get(key)
+    if type(raw) is not list:
+        raw = _take(data, key, list, "", violations, required) or ()
+    entries = []
+    for i, entry in enumerate(raw):
+        value = parse_entry(entry, key, i, strict, violations)
+        if value is not None:
+            entries.append(value)
+    return entries
+
+
+def _parse_metadata(
+    data: dict[str, Any], path: str, strict: bool, violations: list[Violation]
+) -> tuple[BomMetadata, Optional[BomKind]]:
+    """The metadata object at `path`, and the kind its reserved property
+    names (None when it names none)."""
+    kind: Optional[BomKind] = None
+    subject_kind = SubjectKind.PROFILE
+    subject_name = ""
+    comp_raw = data.get("component")
+    if type(comp_raw) is not dict:
+        comp_raw = _take(data, "component", dict, path, violations, required=True)
+    if comp_raw is not None:
+        subject_type = comp_raw.get("type")
+        sk = _SUBJECT_FROM_JSON.get(subject_type) if type(subject_type) is str else None
+        if sk is None:
+            violations.append(Violation(f"{path}.component.type", "unknown subject type"))
+        else:
+            subject_kind = sk
+        if isinstance(comp_raw.get("name"), str):
+            subject_name = comp_raw["name"]
+        else:
+            violations.append(Violation(f"{path}.component.name", "missing subject name"))
+    timestamp = data.get("timestamp")
+    if type(timestamp) is not str and "timestamp" in data:
+        timestamp = _take(data, "timestamp", str, path, violations)
+    props: list[tuple[str, str]] = []
+    props_raw = data.get("properties")
+    if type(props_raw) is not list:
+        props_raw = _take(data, "properties", list, path, violations) or ()
+    for i, entry in enumerate(props_raw):
+        if (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("value"), str)
+        ):
+            if entry["name"] == KIND_PROPERTY:
+                try:
+                    kind = BomKind(entry["value"])
+                except ValueError:
+                    violations.append(Violation(f"{path}.properties[{i}]", "unknown bom kind"))
+            else:
+                props.append((entry["name"], entry["value"]))
+        else:
+            violations.append(
+                Violation(f"{path}.properties[{i}]", "entries must be {name, value}")
+            )
+    if strict and not data.keys() <= _METADATA_FIELDS:
+        _unknown_fields(data, _METADATA_FIELDS, path, violations)
+    metadata = BomMetadata(
+        subject_kind=subject_kind,
+        subject_name=subject_name,
+        timestamp=timestamp,
+        properties=tuple(props),
+    )
+    return metadata, kind
+
+
 def parse_bom(text: str, strict: bool = True) -> Bom:
     """Inverse of serialize_bom.
 
@@ -535,57 +653,7 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
     if type(meta_raw) is not dict:
         meta_raw = _take(data, "metadata", dict, "", violations, required=True)
     if meta_raw is not None:
-        subject_kind = SubjectKind.PROFILE
-        subject_name = ""
-        comp_raw = meta_raw.get("component")
-        if type(comp_raw) is not dict:
-            comp_raw = _take(meta_raw, "component", dict, "metadata", violations, required=True)
-        if comp_raw is not None:
-            subject_type = comp_raw.get("type")
-            sk = _SUBJECT_FROM_JSON.get(subject_type) if type(subject_type) is str else None
-            if sk is None:
-                violations.append(Violation("metadata.component.type", "unknown subject type"))
-            else:
-                subject_kind = sk
-            if isinstance(comp_raw.get("name"), str):
-                subject_name = comp_raw["name"]
-            else:
-                violations.append(Violation("metadata.component.name", "missing subject name"))
-        timestamp = meta_raw.get("timestamp")
-        if type(timestamp) is not str and "timestamp" in meta_raw:
-            timestamp = _take(meta_raw, "timestamp", str, "metadata", violations)
-        props: list[tuple[str, str]] = []
-        props_raw = meta_raw.get("properties")
-        if type(props_raw) is not list:
-            props_raw = _take(meta_raw, "properties", list, "metadata", violations) or ()
-        for i, entry in enumerate(props_raw):
-            if (
-                isinstance(entry, dict)
-                and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("value"), str)
-            ):
-                if entry["name"] == KIND_PROPERTY:
-                    try:
-                        kind = BomKind(entry["value"])
-                    except ValueError:
-                        violations.append(
-                            Violation(f"metadata.properties[{i}]", "unknown bom kind")
-                        )
-                else:
-                    props.append((entry["name"], entry["value"]))
-            else:
-                violations.append(
-                    Violation(f"metadata.properties[{i}]", "entries must be {name, value}")
-                )
-        if strict and not meta_raw.keys() <= _METADATA_FIELDS:
-            _unknown_fields(meta_raw, _METADATA_FIELDS, "metadata", violations)
-        metadata = BomMetadata(
-            subject_kind=subject_kind,
-            subject_name=subject_name,
-            timestamp=timestamp,
-            properties=tuple(props),
-        )
-
+        metadata, kind = _parse_metadata(meta_raw, "metadata", strict, violations)
     if kind is None:
         if strict:
             violations.append(
@@ -593,64 +661,15 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
             )
         kind = BomKind.MIXED
 
-    components: list[Component] = []
-    comps_raw = data.get("components")
-    if type(comps_raw) is not list:
-        comps_raw = _take(data, "components", list, "", violations, required=True) or ()
-    for i, entry in enumerate(comps_raw):
-        if type(entry) is not dict:
-            violations.append(Violation(f"components[{i}]", "must be an object"))
-            continue
-        comp = _parse_component(entry, "components", i, strict, violations)
-        if comp is not None:
-            components.append(comp)
+    components = _parse_section(
+        data, "components", _parse_component, strict, violations, required=True
+    )
+    dependencies = _parse_section(data, "dependencies", _parse_dependency, strict, violations)
+    vulnerabilities = _parse_section(
+        data, "vulnerabilities", _parse_vulnerability, strict, violations
+    )
 
-    dependencies = []
-    deps_raw = data.get("dependencies")
-    if type(deps_raw) is not list:
-        deps_raw = _take(data, "dependencies", list, "", violations) or ()
-    for i, entry in enumerate(deps_raw):
-        if not isinstance(entry, dict) or not isinstance(entry.get("ref"), str):
-            violations.append(Violation(f"dependencies[{i}]", "must be {ref, dependsOn}"))
-            continue
-        depends_on = entry.get("dependsOn", [])
-        if not isinstance(depends_on, list) or any(not isinstance(d, str) for d in depends_on):
-            violations.append(Violation(f"dependencies[{i}].dependsOn", "must be a string list"))
-            continue
-        dependencies.append(Dependency(ref=entry["ref"], depends_on=tuple(depends_on)))
-
-    vulnerabilities: list[VulnerabilityEntry] = []
-    vulns_raw = data.get("vulnerabilities")
-    if type(vulns_raw) is not list:
-        vulns_raw = _take(data, "vulnerabilities", list, "", violations) or ()
-    for i, entry in enumerate(vulns_raw):
-        if type(entry) is not dict:
-            violations.append(Violation(f"vulnerabilities[{i}]", "must be an object"))
-            continue
-        vuln = _parse_vulnerability(entry, "vulnerabilities", i, strict, violations)
-        if vuln is not None:
-            vulnerabilities.append(vuln)
-
-    links: list[BomLink] = []
-    refs_raw = data.get("externalReferences")
-    if type(refs_raw) is not list:
-        refs_raw = _take(data, "externalReferences", list, "", violations) or ()
-    for i, entry in enumerate(refs_raw):
-        if not isinstance(entry, dict) or entry.get("type") != "bom":
-            violations.append(
-                Violation(f"externalReferences[{i}]", "only {type: bom, url} references modeled")
-            )
-            continue
-        url = entry.get("url", "")
-        if type(url) is not str:
-            violations.append(
-                Violation(f"externalReferences[{i}].url", f"not a bom-link urn: {url!r}")
-            )
-            continue
-        try:
-            links.append(BomLink.parse(url))
-        except ValueError as exc:
-            violations.append(Violation(f"externalReferences[{i}].url", str(exc)))
+    links = _parse_section(data, "externalReferences", _parse_reference, strict, violations)
 
     extras: tuple[tuple[str, str], ...] = ()
     if not data.keys() <= _ROOT_FIELDS:

@@ -6,11 +6,11 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional, Union
 
 import yaml
 
-__all__ = ["AppConfig", "load_config"]
+__all__ = ["AppConfig", "load_config", "read_data_file"]
 
 ENV_CONFIG = "TWINAUDIT_CONFIG"
 ENV_STORE = "TWINAUDIT_STORE"
@@ -29,21 +29,29 @@ class AppConfig:
         return Path(self.store_path)
 
 
+def read_data_file(path: Union[str, Path]) -> Any:
+    """The value a YAML (.yaml or .yml, in any case) or else JSON file holds."""
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    if path.suffix.lower() in (".yaml", ".yml"):
+        return yaml.safe_load(text)
+    return json.loads(text)
+
+
 def load_config(
     path: Optional[str] = None,
     env: Optional[Mapping[str, str]] = None,
 ) -> AppConfig:
-    """File values first (YAML or JSON by suffix), then env overrides."""
+    """File values first (YAML or JSON by suffix; an empty file sets
+    nothing), then env overrides."""
     env = os.environ if env is None else env
     path = path or env.get(ENV_CONFIG)
 
     config = AppConfig()
     if path:
-        text = Path(path).read_text(encoding="utf-8")
-        if path.endswith((".yaml", ".yml")):
-            data = yaml.safe_load(text) or {}
-        else:
-            data = json.loads(text)
+        data = read_data_file(path)
+        if data is None:
+            data = {}
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a mapping at top level")
         known = {k: v for k, v in data.items() if k in AppConfig.__dataclass_fields__}

@@ -262,7 +262,7 @@ class SdtManager:
                 raise HttpError(400, "invalid_delta", f"deltas[{index}] must be an object")
             try:
                 delta = delta_from_dict(delta_doc)
-            except (KeyError, ValueError, TypeError) as err:
+            except BomSchemaError as err:
                 raise HttpError(400, "invalid_delta", f"deltas[{index}]: {err}") from err
             base = new_boms.get(delta.base_serial)
             if base is None:
@@ -275,6 +275,8 @@ class SdtManager:
                 new_boms[delta.base_serial] = apply_delta(base, delta)
             except DeltaMismatch as err:
                 raise HttpError(409, "delta_mismatch", f"deltas[{index}]: {err}") from err
+            except BomValidationError as err:
+                raise HttpError(400, "invalid_delta", f"deltas[{index}]: {err}") from err
             touched.add(delta.base_serial)
         return new_boms, touched
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import requests
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,12 +30,14 @@ from twinaudit.ams import (
     UnknownRun,
     ingest_inventory,
     load_inventory,
+    load_profile_file,
     parse_inventory,
     selected_hosts,
     topology_from_store,
 )
 from twinaudit.ams.profiles import create_profile, get_profile, list_profiles
 import twinaudit.ams.service as service_module
+from twinaudit.config import load_config
 from twinaudit.bom import BomKind, parse_bom, resolve_bom_link, serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
@@ -300,8 +303,14 @@ class TestFileDocumentStore:
 # Line breaks other than "\n", quotes and backslashes: a run file keeps
 # them inside a line.
 AWKWARD = st.text(alphabet=st.sampled_from('\r\x1c\x85\u2028"\\ az{}'), max_size=12)
+# Text a UTF-8 file can hold: a lone surrogate has no encoding, and the
+# store refuses it (UnicodeEncodeError) before anything is replaced.
 LINE_TEXTS = st.lists(
-    st.one_of(AWKWARD, st.text(alphabet=st.characters(blacklist_characters="\n"))), max_size=6
+    st.one_of(
+        AWKWARD,
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")),
+    ),
+    max_size=6,
 )
 
 
@@ -341,6 +350,16 @@ class TestRunFile:
             assert path.read_bytes() == written
             assert [p.name for p in path.parent.iterdir()] == ["r.jsonl"]
             assert store.get_lines("run_documents", "r") == before
+
+    def test_a_line_utf8_cannot_hold_is_refused(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FileDocumentStore(tmp)
+            store.put_lines("run_documents", "r", ["a"])
+            with pytest.raises(UnicodeEncodeError):
+                store.put_lines("run_documents", "r", ["b", "\ud800"])
+            path = Path(tmp) / "run_documents" / "r.jsonl"
+            assert [p.name for p in path.parent.iterdir()] == ["r.jsonl"]
+            assert store.get_lines("run_documents", "r") == ["a"]
 
 
 def parent_layout_topology(store, inventories):
@@ -475,6 +494,33 @@ class TestInventory:
         )
         assert load_inventory(json_file).host_ids() == ["a"]
         assert load_inventory(yaml_file).host_ids() == ["a"]
+
+
+@pytest.mark.parametrize("suffix", [".json", ".yaml", ".YML"])
+def test_config_inventory_and_profile_files_share_one_reader(tmp_path, suffix):
+    """YAML by a .yaml or .yml suffix in any case, JSON otherwise; each
+    loader refuses a file that is not a mapping with its own error."""
+    dump = json.dumps if suffix == ".json" else yaml.safe_dump
+    files = {}
+    for name, doc in {
+        "config": {"store_path": "s"},
+        "inventory": {"hosts": [
+            {"host_id": "a", "role": "r", "segment": "LAN", "snapshot_ref": "/a"}]},
+        "profile": {"profile_id": "p", "host_selector": ["a"]},
+        "list": ["a"],
+    }.items():
+        files[name] = tmp_path / f"{name}{suffix}"
+        files[name].write_text(dump(doc), encoding="utf-8")
+    assert load_config(str(files["config"]), env={}).store_path == "s"
+    assert load_inventory(files["inventory"]).host_ids() == ["a"]
+    assert load_profile_file(files["profile"]).profile_id == "p"
+    for load, error in (
+        (lambda path: load_config(str(path), env={}), ValueError),
+        (load_inventory, InventoryError),
+        (load_profile_file, ProfileError),
+    ):
+        with pytest.raises(error):
+            load(files["list"])
 
 
 class TestProfiles:

@@ -1,6 +1,7 @@
 """Delta semantics: patch identity, rejection of mismatched bases, transport."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +13,26 @@ from twinaudit.bom import (
     BomKind,
     BomMetadata,
     BomSchemaError,
+    BomValidationError,
     Component,
     ComponentType,
     DeltaMismatch,
+    SectionDelta,
     SubjectKind,
     apply_delta,
     delta_from_dict,
-    delta_payload_bytes,
     delta_to_dict,
     diff_boms,
+    parse_bom,
     serialize_bom,
+    validate_bom,
 )
 
 from .strategies import boms
 
 SERIAL = "urn:uuid:0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10"
+METADATA = {"component": {"type": "device", "name": "web-01"}, "properties": []}
+KIND_SBOM = {"name": "twinaudit:kind", "value": "SBOM"}
 OTHER_SERIAL = "urn:uuid:7f9c2a41-6b3d-4e8f-8c21-5a0d9e3f1b42"
 
 
@@ -64,7 +70,7 @@ class TestDiffApply:
     @given(boms())
     def test_self_diff_is_empty(self, bom):
         delta = diff_boms(bom, bom)
-        assert delta.is_empty
+        assert set(delta_to_dict(delta)) == {"baseSerial", "baseVersion", "newVersion"}
         assert apply_delta(bom, delta) == bom
 
     def test_serial_mismatch_rejected(self):
@@ -86,7 +92,7 @@ class TestDiffApply:
             base_serial=bom.serial_number,
             base_version=bom.version,
             new_version=bom.version + 1,
-            components_removed=("no-such-ref",),
+            components=SectionDelta(removed=("no-such-ref",)),
         )
         with pytest.raises(DeltaMismatch):
             apply_delta(bom, delta)
@@ -98,7 +104,7 @@ class TestDiffApply:
             base_serial=bom.serial_number,
             base_version=bom.version,
             new_version=bom.version + 1,
-            components_added=(existing,),
+            components=SectionDelta(added=(existing,)),
         )
         with pytest.raises(DeltaMismatch):
             apply_delta(bom, delta)
@@ -121,8 +127,9 @@ class TestDeltaTransport:
             components=(changed,) + old.components[1:],
         )
         delta = diff_boms(old, new)
-        assert delta.components_changed == (changed,)
-        assert delta_payload_bytes(delta) < len(serialize_bom(new))
+        assert delta.components.changed == (changed,)
+        compact = json.dumps(delta_to_dict(delta), separators=(",", ":"))
+        assert len(compact) < len(serialize_bom(new))
 
     def test_missing_header_fields_rejected(self):
         with pytest.raises(Exception) as err:
@@ -165,15 +172,78 @@ class TestDeltaTransport:
             ({"linksTo": "urn:cdx:x/1"}, ("linksTo", "expected list")),
             ({"linksTo": None}, ("linksTo", "expected list")),
             ({"metadataTo": 5}, ("metadataTo", "expected dict")),
+            ({"newVersion": "x"}, ("newVersion", "expected int")),
+            ({"newVersion": True}, ("newVersion", "expected int")),
+            (
+                {"metadataTo": {**METADATA, "component": {"type": "device", "name": 5}}},
+                ("metadataTo.component.name", "missing subject name"),
+            ),
+            (
+                {"metadataTo": {**METADATA, "properties": "ab"}},
+                ("metadataTo.properties", "expected list"),
+            ),
+            (
+                {"metadataTo": {**METADATA, "timestamp": 7}},
+                ("metadataTo.timestamp", "expected str"),
+            ),
+            (
+                {"metadataTo": {**METADATA, "properties": [KIND_SBOM]}},
+                ("metadataTo.properties", "twinaudit:kind travels as kindTo"),
+            ),
         ],
     )
     def test_list_fields_must_be_lists_of_their_type(self, fields, violation):
         """A string in a list's place was read as a list of its characters,
-        and a number raised TypeError; both are violations."""
+        and a number raised TypeError; both are violations, as is every
+        field the document's own readers would refuse."""
         header = {"baseSerial": "urn:uuid:x", "baseVersion": 1, "newVersion": 2}
         with pytest.raises(BomSchemaError) as err:
             delta_from_dict({**header, **fields})
         assert [(v.path, v.message) for v in err.value.violations] == [violation]
+
+
+# JSON values of every type, to put where a delta field had another.
+JSON_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+)
+
+
+def _field_paths(node, path=()):
+    """The path of every object field in a decoded JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _field_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _field_paths(value, path + (i,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bom_pairs(), st.data())
+def test_a_wrong_typed_field_is_refused_or_applies_cleanly(pair, data):
+    """Whatever one field of a delta is replaced with, decoding and applying
+    it either refuses it with a document error or yields a document that
+    validates and serializes to text parse_bom reads back."""
+    old, new = pair
+    doc = delta_to_dict(diff_boms(old, new))
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        result = apply_delta(old, delta_from_dict(doc))
+    except (BomSchemaError, DeltaMismatch, BomValidationError):
+        return
+    assert validate_bom(result) == []
+    parse_bom(serialize_bom(result), strict=False)
 
 
 def test_component_identity_is_bom_ref():

@@ -458,6 +458,12 @@ MALFORMED = [
     ("semantic-dangling-affects",
      {"vulnerabilities": [_cve(ratings=RATING, affects=[{"ref": "zzz"}])]},
      [(f"{V0}.affects", "reference to unknown bom_ref 'zzz'")]),
+    ("semantic-certificate-naive-and-aware-validity",
+     {"components": [_cc(cryptoProperties={
+         "assetType": "certificate", "certificateProperties": {
+             "subjectName": "CN=a", "issuerName": "CN=ca", "notValidBefore": "2024-01-01",
+             "notValidAfter": "2025-01-01T00:00:00Z", "signatureAlgorithmRef": "sha256"}})]},
+     [(f"{CP}.not_before", "timestamps must both carry a UTC offset or neither")]),
     # order across sections: header, metadata, components, dependencies,
     # vulnerabilities, references, then unknown top-level fields
     ("order-across-sections",

@@ -1,5 +1,6 @@
 """Lifecycle manager: HTTP contract, trace conformance, failure injection."""
 
+import json
 import re
 import threading
 from dataclasses import replace
@@ -255,6 +256,25 @@ class TestUpdate:
         assert versions == ["3.0.0"]
         assert len(service.representation().history("repl-host")) == 2
 
+    def test_certificate_with_naive_and_aware_validity_is_invalid(self, env):
+        """Comparing a naive and an aware timestamp raised TypeError inside
+        validation, which answered 500."""
+        _, client, _ = env.make_manager()
+        docs = [json.loads(text) for text in bom_texts("naive-cert-host")]
+        certs = [
+            comp["cryptoProperties"]["certificateProperties"]
+            for doc in docs
+            for comp in doc["components"]
+            if "certificateProperties" in comp.get("cryptoProperties", {})
+        ]
+        assert certs
+        for cert in certs:
+            cert["notValidBefore"] = "2024-01-01"
+            cert["notValidAfter"] = "2025-01-01T00:00:00Z"
+        with pytest.raises(Exception) as err:
+            client.create("profile-a", [json.dumps(doc) for doc in docs])
+        assert (err.value.status, err.value.code) == (400, "invalid_bom")
+
     def test_update_creating_a_duplicate_is_invalid(self, env):
         """An update re-projects only the subjects it touches, yet a document
         that repeats another's (subject, kind) anywhere in the set is
@@ -288,6 +308,42 @@ class TestUpdate:
                 client.update(created["sdtId"], expected_version=1, deltas=[{**base, **fields}])
             assert (err.value.status, err.value.code) == (400, "invalid_delta")
         assert client.get(created["sdtId"])["representationVersion"] == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            lambda bom: {"dependenciesAdded": [{"ref": "no-such-ref", "dependsOn": []}]},
+            lambda bom: {"vulnerabilitiesAdded": [{
+                "id": "NOT-A-CVE", "ratings": [{"score": 42, "severity": "critical"}],
+                "affects": [{"ref": bom.components[0].bom_ref}]}]},
+            lambda bom: {"componentsAdded": [{"bom-ref": "", "type": "library", "name": "x"}]},
+            lambda bom: {"newVersion": 0},
+            lambda bom: {"newVersion": "x"},
+            lambda bom: {"newVersion": True},
+            lambda bom: {"metadataTo": {
+                "component": {"type": "device", "name": bom.metadata.subject_name},
+                "properties": [{"name": "twinaudit:owner", "value": "ops"}]}},
+            lambda bom: {"metadataTo": {"component": {"type": "device", "name": 5}}},
+        ],
+        ids=[
+            "dangling-dependency", "bad-cve-and-score", "empty-bom-ref", "new-version-0",
+            "new-version-str", "new-version-bool", "reserved-property", "subject-name-int",
+        ],
+    )
+    def test_delta_making_an_invalid_document_is_invalid(self, env, fields):
+        """A delta whose result validate_bom refuses answers 400, and the
+        twin stays ready at its version."""
+        _, client, _ = env.make_manager()
+        texts = bom_texts("invalid-delta-host")
+        created = client.create("profile-a", texts)
+        bom = next(b for b in map(parse_bom, texts) if b.components)
+        base = {"baseSerial": bom.serial_number, "baseVersion": bom.version,
+                "newVersion": bom.version + 1}
+        with pytest.raises(Exception) as err:
+            client.update(created["sdtId"], expected_version=1, deltas=[{**base, **fields(bom)}])
+        assert (err.value.status, err.value.code) == (400, "invalid_delta")
+        descriptor = client.get(created["sdtId"])
+        assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
 
     def test_moved_document_leaves_its_old_subject(self, env):
         """A delta that moves a document to another subject re-projects the
