@@ -1,10 +1,12 @@
 """Audit orchestration: collect evidence, forge documents, drive the twin.
 
-Each run's documents are one line file in the store, keyed by run id. Line
-1 is the run's index: one compact JSON array with, per document in
-run.bom_serials order, its serial, version and summary. The lines after it
-are the documents' serialize_bom texts, verbatim and in the same order. A
-run is written with one atomic write; reports read only the index.
+Each run's documents are one document log in the store, keyed by run id
+(see store.py): its texts are the documents' serialize_bom texts, verbatim,
+and its index has one entry per document, in run.bom_serials order, whose
+meta is `<serial> <version> <summary>`, the summary being one compact JSON
+text. A rescan reads the index, parses the entries it needs, and reads the
+texts of the hosts it rescans; an accepted update appends the new texts and
+commits one new index. Reports read only the index.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from ..manager import ManagerClient
 from ..vulnstore import VulnerabilityStore
 from .profiles import AuditProfile, ProfileError, create_profile, get_profile, selected_hosts
 from .runs import RUNS, TRANSITIONS, AuditRun, InvalidTransition, RunState
-from .store import FileDocumentStore, OutdatedLayout
+from .store import DocumentLog, FileDocumentStore, OutdatedLayout
 from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from_store
 
 __all__ = [
@@ -41,8 +43,8 @@ __all__ = [
     "forge_documents",
 ]
 
-# One line file per run id (see the module docstring). Earlier layouts kept
-# a JSON record under the same collection and key.
+# One document log per run id (see the module docstring). Earlier layouts
+# kept a JSON record, then a line file, under the same collection and key.
 RUN_DOCUMENTS = "run_documents"
 
 
@@ -113,21 +115,31 @@ def forge_documents(
     return linked, [serialize_bom(b) for b in linked]
 
 
-def _entry(bom: Bom) -> dict[str, Any]:
-    """A document's entry in its run's index, with its summarize_bom as one
-    compact JSON string."""
+def _meta(bom: Bom) -> str:
+    """A document's meta in its run's index: serial, version, and its
+    summarize_bom as one compact JSON text."""
     summary = json.dumps(summarize_bom(bom), sort_keys=True, separators=(",", ":"))
-    return {"serial": bom.serial_number, "version": bom.version, "summary": summary}
+    return f"{bom.serial_number} {bom.version} {summary}"
+
+
+def _stored_version(log: DocumentLog, i: int, serial: str) -> int:
+    """The version the run's index gives its i-th document, which must be
+    the document `serial`."""
+    stored, version, _ = log.meta(i).split(b" ", 2)
+    if stored.decode() != serial:
+        raise UnknownRun(f"stored document {serial} is missing")
+    return int(version)
 
 
 class AuditService:
     """Stateless over a document store: every run survives a restart.
 
-    A run's documents are one store file keyed by its run id, so runs of
-    one profile keep their own documents, and a rescan reads the set once
-    and replaces it with one atomic write. The file's index carries each
-    document's summary, written with its text, so reports parse no document
-    and read only the index.
+    A run's documents are one document log keyed by its run id, so runs of
+    one profile keep their own documents. A rescan reads only the log's
+    index and the texts of the hosts it rescans, and commits an accepted
+    update with one atomic index replace. The index carries each document's
+    summary, written with its text, so reports parse no document and read
+    only the index.
     """
 
     def __init__(
@@ -176,34 +188,29 @@ class AuditService:
             raise UnknownRun(run_id)
         return AuditRun.from_dict(doc)
 
-    def _save_documents(self, run_id: str, index: list[dict[str, Any]], texts: list[str]) -> None:
-        self.store.put_lines(
-            RUN_DOCUMENTS,
-            run_id,
-            [json.dumps(index, sort_keys=True, separators=(",", ":")), *texts],
-        )
-
-    def _load_documents(self, run_id: str, count: Optional[int] = None) -> Optional[list[str]]:
-        """The run file's lines (its first `count` when given), or None when
-        the run has stored no documents.
+    def _load_documents(self, run_id: str) -> Optional[DocumentLog]:
+        """The run's document log, or None when the run has stored no
+        documents.
 
         Raises OutdatedLayout for documents stored in an earlier layout.
         """
-        lines = self.store.get_lines(RUN_DOCUMENTS, run_id, count)
-        if lines is None and self.store.get(RUN_DOCUMENTS, run_id) is not None:
+        log = self.store.get_log(RUN_DOCUMENTS, run_id)
+        if log is None and self.store.older_layout(RUN_DOCUMENTS, run_id):
             raise OutdatedLayout(
                 f"run {run_id} was stored in an older layout;"
                 " start a fresh `audit run` to report on it or update it"
             )
-        return lines
+        return log
 
     def run_boms(self, run: AuditRun) -> list[dict[str, Any]]:
         """The summarize_bom of each of the run's documents, in
-        run.bom_serials order, from the run file's index alone; no document
-        is read or parsed.
+        run.bom_serials order, from the run's index alone; no document is
+        read or parsed.
         """
-        lines = self._load_documents(run.run_id, count=1)
-        return [json.loads(entry["summary"]) for entry in json.loads(lines[0])] if lines else []
+        log = self._load_documents(run.run_id)
+        if log is None:
+            return []
+        return [json.loads(log.meta(i).split(b" ", 2)[2]) for i in range(len(log.entries))]
 
     # -- run lifecycle ------------------------------------------------------
 
@@ -231,7 +238,9 @@ class AuditService:
             step = "forge"
             linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
             step = "persist"
-            self._save_documents(run.run_id, [_entry(bom) for bom in linked], texts)
+            self.store.put_log(
+                RUN_DOCUMENTS, run.run_id, [(_meta(b), t) for b, t in zip(linked, texts)]
+            )
             run.bom_serials = tuple(b.serial_number for b in linked)
             self._advance(run, RunState.BOMS_BUILT)
 
@@ -258,11 +267,14 @@ class AuditService:
     def update_audit(self, run_id: str, hosts: Optional[Iterable[str]] = None) -> AuditRun:
         """Rescan, diff against the persisted documents, and push deltas.
 
-        By default every host with documents in the run is rescanned. Only
-        documents whose text changed, and the manifest that indexes them,
-        get a new version, a delta and a parse; the others are carried over
-        as stored. Stored documents are replaced only after the manager
-        accepts the update, and all in one write, so a failed push or a
+        By default every host with documents in the run is rescanned. The
+        run's index and the rescanned hosts' stored texts are read; nothing
+        else is. Only documents whose text changed get a new version, a
+        parse of their stored text and a delta. So does the manifest that
+        indexes them, except that its stored form is rebuilt from the
+        index's versions instead of parsed. The others are carried over as
+        stored. New texts are stored only after the manager accepts the
+        update, and committed by one index replace, so a failed push or a
         failed write leaves the previous inventory intact.
 
         The run record is saved UPDATING only right before the push, the
@@ -287,13 +299,14 @@ class AuditService:
             raise InvalidTransition(run.state, RunState.UPDATING)
         step = "load"
         try:
-            index_line, *texts = self._load_documents(run_id) or ("[]",)
-            index = json.loads(index_line)
-            position = {entry["serial"]: i for i, entry in enumerate(index)}
-            for serial in run.bom_serials:
-                if serial not in position:
-                    raise UnknownRun(f"{run_id}: stored document {serial} is missing")
-            versions = {entry["serial"]: entry["version"] for entry in index}
+            # The index lists the documents in run.bom_serials order; each
+            # entry is parsed, and its serial checked, only where it is read.
+            log = self._load_documents(run_id)
+            stored_count = len(log.entries) if log else 0
+            if stored_count < len(run.bom_serials):
+                missing = run.bom_serials[stored_count]
+                raise UnknownRun(f"{run_id}: stored document {missing} is missing")
+            position = {serial: i for i, serial in enumerate(run.bom_serials)}
 
             step = "collect"
             bundles, errors = collect_evidence([topology.host(h) for h in rescan_ids])
@@ -304,30 +317,42 @@ class AuditService:
             # Rebuild each rescanned document at its stored version: an
             # unchanged one serializes to its stored text and is not parsed.
             step = "forge"
-            revised: list[Bom] = []
-            for host_id in rescan_ids:
-                for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities):
-                    version = versions[doc.serial_number]
-                    text = texts[position[doc.serial_number]]
-                    if serialize_bom(replace(doc, version=version)) != text:
-                        revised.append(replace(doc, version=version + 1))
+            docs = [
+                doc
+                for host_id in rescan_ids
+                for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities)
+            ]
+            stored = self.store.read_texts(log, [position[d.serial_number] for d in docs])
+            revised: list[tuple[Bom, str]] = []
+            for doc, text in zip(docs, stored):
+                version = _stored_version(log, position[doc.serial_number], doc.serial_number)
+                if serialize_bom(replace(doc, version=version)) != text:
+                    revised.append((replace(doc, version=version + 1), text))
             if not revised:
                 step = "save"
                 run.touch(self.clock())
                 self._save_run(run)
                 return run
 
-            # link_to_profile puts the profile manifest first.
+            # link_to_profile puts the profile manifest first. The stored
+            # manifest is rebuilt from the index's versions, not parsed.
             manifest_serial, *host_serials = run.bom_serials
-            manifest_version = versions[manifest_serial] + 1
-            versions.update((b.serial_number, b.version) for b in revised)
-            manifest = profile_manifest(
-                run.profile_id,
-                (BomLink(target_serial=s, target_version=versions[s]) for s in host_serials),
-                version=manifest_version,
+            links = {
+                s: BomLink(target_serial=s, target_version=_stored_version(log, position[s], s))
+                for s in host_serials
+            }
+            old_manifest = profile_manifest(
+                run.profile_id, links.values(), version=_stored_version(log, 0, manifest_serial)
             )
-            revised.insert(0, manifest)
-            deltas = [diff_boms(parse_bom(texts[position[b.serial_number]]), b) for b in revised]
+            links.update(
+                (b.serial_number, BomLink(target_serial=b.serial_number, target_version=b.version))
+                for b, _ in revised
+            )
+            new_manifest = profile_manifest(
+                run.profile_id, links.values(), version=old_manifest.version + 1
+            )
+            deltas = [diff_boms(old_manifest, new_manifest)]
+            deltas += [diff_boms(parse_bom(text), bom) for bom, text in revised]
 
             step = "push"
             self._advance(run, RunState.UPDATING)
@@ -343,10 +368,10 @@ class AuditService:
                 return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
 
             step = "persist"
-            for bom in revised:
-                i = position[bom.serial_number]
-                index[i], texts[i] = _entry(bom), serialize_bom(bom)
-            self._save_documents(run_id, index, texts)
+            self.store.commit_log(log, {
+                position[bom.serial_number]: (_meta(bom), serialize_bom(bom))
+                for bom in (new_manifest, *(b for b, _ in revised))
+            })
             run.representation_version = int(result["representationVersion"])
             step = "save"
             return self._advance(run, RunState.SDT_READY)

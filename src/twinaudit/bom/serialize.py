@@ -344,14 +344,22 @@ def _parse_crypto(
         if type(cipher_suites) is not list and "cipherSuites" in proto:
             path = f"{section}[{i}]{_PROTOCOL}"
             cipher_suites = _take(proto, "cipherSuites", list, path, violations)
-        for entry in cipher_suites or ():
-            if isinstance(entry, dict):
-                algorithms = entry.get("algorithms", [])
-                if isinstance(algorithms, list):
-                    suites.extend(a for a in algorithms if isinstance(a, str))
+        for j, entry in enumerate(cipher_suites or ()):
+            if not isinstance(entry, dict):
+                path = f"{section}[{i}]{_PROTOCOL}.cipherSuites[{j}]"
+                violations.append(Violation(path, "expected dict"))
+                continue
+            algorithms = entry.get("algorithms", [])
+            if not isinstance(algorithms, list):
+                path = f"{section}[{i}]{_PROTOCOL}.cipherSuites"
+                violations.append(Violation(path, "algorithms must be a list"))
+                continue
+            for k, algorithm in enumerate(algorithms):
+                if isinstance(algorithm, str):
+                    suites.append(algorithm)
                 else:
-                    path = f"{section}[{i}]{_PROTOCOL}.cipherSuites"
-                    violations.append(Violation(path, "algorithms must be a list"))
+                    path = f"{section}[{i}]{_PROTOCOL}.cipherSuites[{j}].algorithms[{k}]"
+                    violations.append(Violation(path, "expected str"))
         if strict and not proto.keys() <= _PROTOCOL_FIELDS:
             _unknown_fields(proto, _PROTOCOL_FIELDS, f"{section}[{i}]{_PROTOCOL}", violations)
     if strict and not data.keys() <= _CRYPTO_FIELDS:

@@ -226,7 +226,7 @@ def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
         else:
             title = f"Security twin of host {subject}"
         keyed: dict[str, list[_Keyed]] = {"documents": []}
-        links: list[str] = []
+        links: dict[str, None] = {}
         for bom in documents:
             keyed["documents"].append(_document_entry(bom))
             for component in bom.components:
@@ -239,10 +239,7 @@ def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
                 keyed.setdefault("vulnerabilities", []).extend(
                     map(_vulnerability_entry, bom.vulnerabilities)
                 )
-            for link in bom.links:
-                rendered = link.render()
-                if rendered not in links:
-                    links.append(rendered)
+            links.update(dict.fromkeys(link.render() for link in bom.links))
         states[subject] = {
             "id": subject,
             "title": title,

@@ -264,6 +264,14 @@ class SdtManager:
                 delta = delta_from_dict(delta_doc)
             except BomSchemaError as err:
                 raise HttpError(400, "invalid_delta", f"deltas[{index}]: {err}") from err
+            # One urn:cdx:<serial>/<version> names one content.
+            if delta.new_version <= delta.base_version:
+                raise HttpError(
+                    400,
+                    "invalid_delta",
+                    f"deltas[{index}]: newVersion {delta.new_version} is not above"
+                    f" baseVersion {delta.base_version}",
+                )
             base = new_boms.get(delta.base_serial)
             if base is None:
                 raise HttpError(

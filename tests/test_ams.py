@@ -1,10 +1,13 @@
 """Audit orchestration: inventory, profiles, run lifecycle, twin sync."""
 
 import json
+import os
+import shutil
 import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import requests
@@ -37,6 +40,7 @@ from twinaudit.ams import (
 )
 from twinaudit.ams.profiles import create_profile, get_profile, list_profiles
 import twinaudit.ams.service as service_module
+import twinaudit.ams.store as store_module
 from twinaudit.config import load_config
 from twinaudit.bom import BomKind, parse_bom, resolve_bom_link, serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
@@ -92,15 +96,33 @@ def write_snapshot(
     return host_dir
 
 
+def log_contents(store, key):
+    """A document log's committed (meta, text) entries, as a fresh store
+    reads them."""
+    fresh = FileDocumentStore(store.root)
+    log = fresh.get_log("run_documents", key)
+    texts = fresh.read_texts(log, range(len(log.entries)))
+    return [(log.meta(i).decode(), text) for i, text in enumerate(texts)]
+
+
 def stored_entries(service, run):
-    """The run file's index entries, each with its document's text."""
-    index, *texts = service.store.get_lines("run_documents", run.run_id)
-    return [{**entry, "text": text} for entry, text in zip(json.loads(index), texts)]
+    """The run's index entries, each with its document's text."""
+    entries = []
+    for meta, text in log_contents(service.store, run.run_id):
+        serial, version, summary = meta.split(" ", 2)
+        entries.append({"serial": serial, "version": int(version), "summary": summary, "text": text})
+    return entries
 
 
 def stored_boms(service, run):
     """The run's stored documents, parsed; run_boms returns their summaries."""
-    return [parse_bom(text) for text in service.store.get_lines("run_documents", run.run_id)[1:]]
+    return [parse_bom(entry["text"]) for entry in stored_entries(service, run)]
+
+
+def files_under(root):
+    """Every file below root, by relative path, with its bytes."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def inventory_doc(snapshot_root: Path, hosts):
@@ -225,25 +247,30 @@ class DyingStore(FileDocumentStore):
     """A store whose disk dies part-way through writing a document set.
 
     Once `budget` is set, writes outside the runs collection go through
-    until they have put down that many bytes; the write that would cross
-    it fails and leaves nothing behind, as FileDocumentStore's writes do.
+    until they have put down that many bytes; the write that would cross it
+    puts down the bytes up to it and fails. A replacing write then leaves
+    nothing behind, as FileDocumentStore's writes do; an append leaves its
+    part in the log.
     """
 
     budget = None
 
-    def _spend(self, collection, size):
-        if self.budget is not None and collection != "runs":
-            if size > self.budget:
+    def _spend(self, path, chunks):
+        counted = self.budget is not None and path.relative_to(self.root).parts[0] != "runs"
+        for chunk in chunks:
+            if counted and len(chunk) > self.budget:
+                yield chunk[: self.budget]
+                self.budget = 0
                 raise OSError("injected: disk failed while writing documents")
-            self.budget -= size
+            if counted:
+                self.budget -= len(chunk)
+            yield chunk
 
-    def put(self, collection, key, doc):
-        self._spend(collection, len(json.dumps(doc)))
-        super().put(collection, key, doc)
+    def _write(self, path, chunks):
+        super()._write(path, self._spend(path, chunks))
 
-    def put_lines(self, collection, key, lines):
-        self._spend(collection, sum(len(line) + 1 for line in lines))
-        super().put_lines(collection, key, lines)
+    def _append(self, path, chunks):
+        return super()._append(path, self._spend(path, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -300,66 +327,165 @@ class TestFileDocumentStore:
             store.put("runs", "", {})
 
 
-# Line breaks other than "\n", quotes and backslashes: a run file keeps
-# them inside a line.
+# Line breaks other than "\n", quotes and backslashes: a document log keeps
+# them inside a line, in its texts and in its index.
 AWKWARD = st.text(alphabet=st.sampled_from('\r\x1c\x85\u2028"\\ az{}'), max_size=12)
 # Text a UTF-8 file can hold: a lone surrogate has no encoding, and the
 # store refuses it (UnicodeEncodeError) before anything is replaced.
-LINE_TEXTS = st.lists(
-    st.one_of(
-        AWKWARD,
-        st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")),
-    ),
-    max_size=6,
+LINE_TEXT = st.one_of(
+    AWKWARD,
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")),
 )
+LINE_TEXTS = st.lists(LINE_TEXT, max_size=6)
+
+
+class Crash(BaseException):
+    """The process dies: no later step runs, no handler cleans up."""
+
+
+class CrashingOs:
+    """The store module's `os`, for a process that dies at its `at`-th
+    write step (write, fsync, replace or unlink, counted from 0). The dying
+    write puts down the first `cut` share of its bytes. Every step after
+    the crash dies too; other calls go through."""
+
+    def __init__(self, at, cut):
+        self.at, self.cut, self.steps, self.dead = at, cut, 0, False
+        self.replaced = []  # targets of the renames that went through
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def _dies(self):
+        if self.dead:
+            raise Crash()
+        self.dead = self.steps == self.at
+        self.steps += 1
+        return self.dead
+
+    def write(self, fd, data):
+        if self._dies():
+            os.write(fd, data[: int(len(data) * self.cut)])
+            raise Crash()
+        return os.write(fd, data)
+
+    def fsync(self, fd):
+        if self._dies():
+            raise Crash()
+        os.fsync(fd)
+
+    def replace(self, src, dst):
+        if self._dies():
+            raise Crash()
+        os.replace(src, dst)
+        self.replaced.append(Path(dst).name)
+
+    def unlink(self, path):
+        if self._dies():
+            raise Crash()
+        os.unlink(path)
 
 
 class TestRunFile:
     @settings(max_examples=60, deadline=None)
     @given(
-        texts=LINE_TEXTS,
-        summaries=st.lists(st.dictionaries(AWKWARD, AWKWARD | st.integers()), max_size=6),
+        documents=st.lists(
+            st.tuples(LINE_TEXT, st.dictionaries(AWKWARD, AWKWARD | st.integers())), max_size=6
+        )
     )
-    def test_round_trip_and_index_only_read(self, texts, summaries):
-        index = [
-            {"serial": f"urn:uuid:{i}", "version": i + 1, "summary": json.dumps(summary)}
-            for i, summary in enumerate(summaries)
+    def test_round_trip_and_index_only_read(self, documents):
+        entries = [
+            (f"urn:uuid:{i} {i + 1} {json.dumps(summary)}", text)
+            for i, (text, summary) in enumerate(documents)
         ]
         with tempfile.TemporaryDirectory() as tmp:
-            svc = AuditService(FileDocumentStore(tmp), ManagerClient("http://offline.invalid"))
-            svc._save_documents("r", index, texts)
-            index_line, *stored = svc._load_documents("r")
-            assert json.loads(index_line) == index
-            assert stored == texts
-            assert svc._load_documents("r", count=1) == [index_line]
+            store = FileDocumentStore(tmp)
+            svc = AuditService(store, ManagerClient("http://offline.invalid"))
+            store.put_log("run_documents", "r", entries)
+            assert log_contents(store, "r") == entries
+            # Reports read the index alone: they need no log file.
+            store.get_log("run_documents", "r").path.unlink()
             run = AuditRun(run_id="r", profile_id="p")
-            assert svc.run_boms(run) == summaries
+            assert svc.run_boms(run) == [summary for _, summary in documents]
 
     @settings(max_examples=40, deadline=None)
-    @given(before=LINE_TEXTS, after=LINE_TEXTS, at=st.integers(0, 6), text=AWKWARD)
-    def test_a_line_holding_a_newline_is_refused(self, before, after, at, text):
+    @given(
+        before=LINE_TEXTS,
+        after=LINE_TEXTS,
+        at=st.integers(0, 6),
+        text=AWKWARD,
+        in_meta=st.booleans(),
+    )
+    def test_a_line_holding_a_newline_is_refused(self, before, after, at, text, in_meta):
         with tempfile.TemporaryDirectory() as tmp:
             store = FileDocumentStore(tmp)
-            store.put_lines("run_documents", "r", before)
-            path = Path(tmp) / "run_documents" / "r.jsonl"
-            written = path.read_bytes()
+            # Texts as metas too: the index keeps any line break but "\n".
+            log = store.put_log("run_documents", "r", [(t, t) for t in before])
+            written = files_under(tmp)
             half = len(text) // 2
-            broken = after[:at] + [text[:half] + "\n" + text[half:]] + after[at:]
-            with pytest.raises(ValueError, match="newline"):
-                store.put_lines("run_documents", "r", broken)
-            assert path.read_bytes() == written
-            assert [p.name for p in path.parent.iterdir()] == ["r.jsonl"]
-            assert store.get_lines("run_documents", "r") == before
+            broken = text[:half] + "\n" + text[half:]
+            entries = [("m", t) for t in after]
+            entries.insert(at, (broken, "t") if in_meta else ("m", broken))
+            for write in (
+                lambda: store.put_log("run_documents", "r", entries),
+                lambda: store.commit_log(log, dict(enumerate(entries))),
+            ):
+                with pytest.raises(ValueError, match="newline"):
+                    write()
+                assert files_under(tmp) == written
+            assert log_contents(store, "r") == [(t, t) for t in before]
 
     def test_a_line_utf8_cannot_hold_is_refused(self):
         with tempfile.TemporaryDirectory() as tmp:
             store = FileDocumentStore(tmp)
-            store.put_lines("run_documents", "r", ["a"])
-            with pytest.raises(UnicodeEncodeError):
-                store.put_lines("run_documents", "r", ["b", "\ud800"])
-            path = Path(tmp) / "run_documents" / "r.jsonl"
-            assert [p.name for p in path.parent.iterdir()] == ["r.jsonl"]
-            assert store.get_lines("run_documents", "r") == ["a"]
+            log = store.put_log("run_documents", "r", [("m", "a")])
+            written = files_under(tmp)
+            for write in (
+                lambda: store.put_log("run_documents", "r", [("m", "b"), ("m", "\ud800")]),
+                lambda: store.commit_log(log, {0: ("m", "\ud800")}),
+                lambda: store.commit_log(log, {0: ("\ud800", "b")}),
+            ):
+                with pytest.raises(UnicodeEncodeError):
+                    write()
+                assert files_under(tmp) == written
+            assert log_contents(store, "r") == [("m", "a")]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=st.lists(LINE_TEXT, min_size=1, max_size=5),
+        commits=st.lists(
+            st.tuples(
+                st.dictionaries(st.integers(0, 4), LINE_TEXT, max_size=5),  # replaced texts
+                st.integers(0, 12),  # the write step that dies
+                st.floats(0, 1),  # the share of its bytes a dying write puts down
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_a_crash_at_any_write_step_leaves_the_last_commit(self, first, commits):
+        """Whatever write step of a commit or a compaction dies, a fresh
+        store reads exactly the last committed entries, and later commits
+        go on from them."""
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FileDocumentStore(tmp)
+            committed = [(f"m{i}", t) for i, t in enumerate(first)]
+            store.put_log("run_documents", "r", committed)
+            for n, (changes, at, cut) in enumerate(commits):
+                log = store.get_log("run_documents", "r")
+                replaced, wanted = {}, list(committed)
+                for i, text in changes.items():
+                    if i < len(wanted):
+                        replaced[i] = wanted[i] = (f"m{i}.{n}", text)
+                crashing = CrashingOs(at, cut)
+                with mock.patch.object(store_module, "os", crashing):
+                    try:
+                        store.commit_log(log, replaced)
+                    except Crash:
+                        pass
+                if not crashing.dead or "index" in crashing.replaced:
+                    committed = wanted
+                assert log_contents(store, "r") == committed
 
 
 def parent_layout_topology(store, inventories):
@@ -845,7 +971,7 @@ class TestRunAudit:
         stored = svc.load_run(run_id)
         assert stored.state is RunState.FAILED
         assert stored.error.startswith("persist_failed:")
-        assert store.get_lines("run_documents", run_id) is None
+        assert store.get_log("run_documents", run_id) is None
 
 
 class TestUpdateAudit:
@@ -979,6 +1105,29 @@ class TestUpdateAudit:
         after = {b.serial_number: b.version for b in stored_boms(svc, run)}
         assert after == before
 
+    def test_the_log_stays_within_twice_its_live_bytes(self, service):
+        """Over many changed rescans, a run's log holds at most twice its
+        live texts plus the last commit's, and compacting it leaves one log."""
+        run = service.run_audit("profile-web")
+        generations = set()
+        for n in range(24):
+            before = service.store.get_log("run_documents", run.run_id)
+            change_web_01(service._snapshots, PINS[(n + 1) % 2])
+            run = service.update_audit(run.run_id)
+            assert run.representation_version == n + 2
+            log = service.store.get_log("run_documents", run.run_id)
+            texts = service.store.read_texts(log, range(len(log.entries)))
+            live = sum(len(text.encode()) + 1 for text in texts)
+            appended = sum(
+                len(text.encode()) + 1
+                for entry, text in zip(log.entries, texts)
+                if entry not in before.entries
+            )
+            assert log.path.stat().st_size <= 2 * live + appended
+            assert sorted(os.listdir(log.directory)) == [log.path.name, "index"]
+            generations.add(log.generation)
+        assert len(generations) > 1
+
     def test_failure_after_updating_ends_the_run_failed(self, service, monkeypatch):
         """Whatever raises once a rescan has loaded the run, before the push
         saves UPDATING or after it, ends the run FAILED with the step named,
@@ -1004,7 +1153,7 @@ class TestUpdateAudit:
 
         # The run's stored documents are gone.
         run = svc.run_audit("profile-web")
-        (store.root / "run_documents" / f"{run.run_id}.jsonl").unlink()
+        shutil.rmtree(store.root / "run_documents" / run.run_id)
         assert failed_update(run, "is missing").startswith("load_failed:")
 
         # Forging a rescanned host fails.
@@ -1037,33 +1186,41 @@ class TestUpdateAudit:
 
     def test_rescans_parse_and_write_only_what_they_need(self, service, monkeypatch):
         run = service.run_audit("profile-web")
-        parsed, puts = [], []
-        parse, put, put_lines = service_module.parse_bom, service.store.put, service.store.put_lines
+        parsed, puts, read = [], [], []
+        parse, put, commit = service_module.parse_bom, service.store.put, service.store.commit_log
+        read_texts = service.store.read_texts
         monkeypatch.setattr(service_module, "parse_bom", lambda t: parsed.append(t) or parse(t))
         monkeypatch.setattr(
             service.store, "put", lambda c, k, d: puts.append(c) or put(c, k, d)
         )
         monkeypatch.setattr(
-            service.store, "put_lines", lambda c, k, d: puts.append(c) or put_lines(c, k, d)
+            service.store, "commit_log", lambda log, e: puts.append("run_documents") or commit(log, e)
+        )
+        monkeypatch.setattr(
+            service.store, "read_texts", lambda log, at: read.append(list(at)) or read_texts(log, at)
         )
 
         service.update_audit(run.run_id)
         # Rebuilt documents compare equal to their stored text: no parse.
         assert parsed == []
         assert [c for c in puts if c != "runs"] == []
+        # Only the rescanned host's texts are read, not the manifest's.
+        assert read == [[1, 2]]
 
         before = stored_entries(service, run)
+        read.clear()
         change_web_01(service._snapshots, "4.17.21")
         assert service.update_audit(run.run_id).state is RunState.SDT_READY
         assert [c for c in puts if c != "runs"] == ["run_documents"]
+        assert read == [[1, 2]]
         after = stored_entries(service, run)
-        # Only the changed SBOM and the manifest are parsed and re-versioned;
-        # the CBOM's entry is carried over verbatim.
+        # Only the changed SBOM and the manifest are re-versioned; the CBOM's
+        # entry is carried over verbatim. Only the SBOM is parsed: the old
+        # manifest is rebuilt from the index's versions.
         revised = [old for old, new in zip(before, after) if new != old]
         assert [d["version"] for d in revised] == [1, 1]
-        assert sorted(parsed) == sorted(d["text"] for d in revised)
         assert before[0] in revised
-        assert len(parsed) == 2
+        assert parsed == [revised[1]["text"]]
 
     def test_update_after_failure_is_rejected(self, service):
         run = service.run_audit("profile-web")
@@ -1143,8 +1300,19 @@ class TestStoreTwinAgreement:
                         current[hosts[i]] = PINS[1 - PINS.index(current[hosts[i]])]
                         pin(hosts[i], current[hosts[i]])
                     subset = None if rescanned is None else [hosts[i % host_count] for i in rescanned]
-                    run = svc.update_audit(run.run_id, hosts=subset)
+                    # The manifest's delta is the one diff_boms makes from
+                    # the stored text, though the rescan rebuilds the old
+                    # manifest from the index instead of parsing that text.
+                    stored_manifest = parse_bom(log_contents(store, run.run_id)[0][1])
+                    diffed = []
+                    diff = service_module.diff_boms
+                    with mock.patch.object(
+                        service_module, "diff_boms", lambda a, b: diffed.append((a, b)) or diff(a, b)
+                    ):
+                        run = svc.update_audit(run.run_id, hosts=subset)
                     assert run.state is RunState.SDT_READY, run.error
+                    if diffed:
+                        assert diffed[0][0] == stored_manifest
 
                     changed = False
                     for host in subset or hosts:
@@ -1166,12 +1334,12 @@ class TestStoreTwinAgreement:
                         "p",
                         version=1 + changed_rescans,
                     )
-                    texts = store.get_lines("run_documents", run.run_id)[1:]
+                    texts = [text for _, text in log_contents(store, run.run_id)]
                     assert texts == [serialize_bom(b) for b in expected]
-                    # One file per run, however many rescans replaced it.
-                    assert [p.name for p in (store.root / "run_documents").iterdir()] == [
-                        f"{run.run_id}.jsonl"
-                    ]
+                    # One log per run, however many rescans committed to it.
+                    log = store.get_log("run_documents", run.run_id)
+                    assert os.listdir(store.root / "run_documents") == [run.run_id]
+                    assert sorted(os.listdir(log.directory)) == [log.path.name, "index"]
 
                     boms = stored_boms(svc, run)
                     manifest, *host_docs = boms

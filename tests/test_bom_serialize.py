@@ -464,6 +464,14 @@ MALFORMED = [
              "subjectName": "CN=a", "issuerName": "CN=ca", "notValidBefore": "2024-01-01",
              "notValidAfter": "2025-01-01T00:00:00Z", "signatureAlgorithmRef": "sha256"}})]},
      [(f"{CP}.not_before", "timestamps must both carry a UTC offset or neither")]),
+    ("crypto-cipher-suite-entries",
+     {"components": [_cc(cryptoProperties={
+         "assetType": "protocol",
+         "protocolProperties": {"version": "1.3",
+                                "cipherSuites": [5, {"algorithms": [7, "x", None]}]}})]},
+     [(f"{CP}.protocolProperties.cipherSuites[0]", "expected dict"),
+      (f"{CP}.protocolProperties.cipherSuites[1].algorithms[0]", "expected str"),
+      (f"{CP}.protocolProperties.cipherSuites[1].algorithms[2]", "expected str")]),
     # order across sections: header, metadata, components, dependencies,
     # vulnerabilities, references, then unknown top-level fields
     ("order-across-sections",

@@ -1,6 +1,7 @@
 """End-to-end command line flows, embedded and external manager modes."""
 
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -75,17 +76,35 @@ def run_audit(runner, env, fx):
     return json.loads(result.output)
 
 
+def stored_documents(store, run_id):
+    """The run's (serial, version, summary, text) per document, in order."""
+    log = store.get_log("run_documents", run_id)
+    texts = store.read_texts(log, range(len(log.entries)))
+    return [(*log.meta(i).decode().split(" ", 2), text) for i, text in enumerate(texts)]
+
+
 def store_in_old_layout(env, run_id):
     """Rewrite a run's documents as the layout before run files kept them:
     one JSON record per run, each entry with its document's text and,
     before summaries, nothing else."""
     store = FileDocumentStore(env["TWINAUDIT_STORE"])
-    index, *texts = store.get_lines("run_documents", run_id)
     store.put("run_documents", run_id, [
-        {"serial": entry["serial"], "version": entry["version"], "text": text}
-        for entry, text in zip(json.loads(index), texts)
+        {"serial": serial, "version": int(version), "text": text}
+        for serial, version, _, text in stored_documents(store, run_id)
     ])
-    (store.root / "run_documents" / f"{run_id}.jsonl").unlink()
+    shutil.rmtree(store.root / "run_documents" / run_id)
+
+
+def store_as_one_line_file(env, run_id):
+    """Rewrite a run's documents as the layout before document logs: one
+    line file, its index line then every text."""
+    store = FileDocumentStore(env["TWINAUDIT_STORE"])
+    documents = stored_documents(store, run_id)
+    index = [{"serial": s, "version": int(v), "summary": summary} for s, v, summary, _ in documents]
+    lines = [json.dumps(index), *(text for *_, text in documents)]
+    path = store.root / "run_documents" / f"{run_id}.jsonl"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    shutil.rmtree(store.root / "run_documents" / run_id)
 
 
 class TestFixtureCommand:
@@ -184,6 +203,15 @@ class TestAuditFlow:
     def test_report_on_a_record_without_summaries_fails(self, runner, store_env, minimal_fx):
         run = run_audit(runner, store_env, minimal_fx)
         store_in_old_layout(store_env, run["run_id"])
+        for command in (["report"], ["report", "--json"], ["update"]):
+            result = runner.invoke(main, ["audit", *command, run["run_id"]], env=store_env)
+            assert result.exit_code == 1, command
+            assert "older layout" in result.output
+            assert "fresh `audit run`" in result.output
+
+    def test_run_stored_as_one_line_file_is_refused(self, runner, store_env, minimal_fx):
+        run = run_audit(runner, store_env, minimal_fx)
+        store_as_one_line_file(store_env, run["run_id"])
         for command in (["report"], ["report", "--json"], ["update"]):
             result = runner.invoke(main, ["audit", *command, run["run_id"]], env=store_env)
             assert result.exit_code == 1, command
@@ -448,7 +476,7 @@ class TestBenchCommand:
 
         run = run_audit(runner, store_env, with_categories("minimal", 3, tmp_path / "fx"))
         store = FileDocumentStore(store_env["TWINAUDIT_STORE"])
-        stored = store.get_lines("run_documents", run["run_id"])[1:]
+        stored = [text for *_, text in stored_documents(store, run["run_id"])]
 
         sent, run_benchmark = [], cli_module.run_benchmark
 

@@ -3,13 +3,21 @@
 import copy
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinaudit.bom import BomKind
-from twinaudit.forge import build_graph, build_sbom, build_cbom, link_to_profile
+from twinaudit.bom import BomKind, BomLink
+from twinaudit.forge import (
+    build_cbom,
+    build_graph,
+    build_sbom,
+    document_serial,
+    link_to_profile,
+    profile_manifest,
+)
 from twinaudit.instance import (
     AccessPolicy,
     InstanceService,
@@ -74,6 +82,24 @@ class TestThingStates:
         assert all(link.startswith("urn:cdx:") for link in states["profile-a"]["links"])
         assert len(states["profile-a"]["links"]) == 2
         assert states["web-01"]["links"] == []
+
+    def test_links_of_a_700_host_manifest(self):
+        """A 700-host run's manifest holds 1,401 links; a profile's SBOM and
+        CBOM documents that share links list each once, sorted, as the
+        list-membership dedup this replaced did."""
+        links = tuple(
+            BomLink(target_serial=document_serial("host", f"h{i}"), target_version=1 + i % 3)
+            for i in range(1401)
+        )
+        manifest = profile_manifest("profile-big", links)
+        overlap = replace(manifest, kind=BomKind.CBOM, links=links[700:] + links[:10])
+        expected = []
+        for link in manifest.links + overlap.links:
+            if link.render() not in expected:
+                expected.append(link.render())
+        state = thing_states_from_boms([manifest, overlap])["profile-big"]
+        assert json.dumps(state["links"]) == json.dumps(sorted(expected))
+        assert len(state["links"]) == 1401
 
     def test_duplicate_host_document_rejected(self):
         sbom = host_boms()[0]

@@ -275,6 +275,28 @@ class TestUpdate:
             client.create("profile-a", [json.dumps(doc) for doc in docs])
         assert (err.value.status, err.value.code) == (400, "invalid_bom")
 
+    def test_malformed_cipher_suites_are_invalid(self, env):
+        """A non-object cipher suite, or a non-string algorithm in one, was
+        dropped without a word and the document accepted with data lost."""
+        _, client, _ = env.make_manager()
+        docs = [json.loads(text) for text in bom_texts("cipher-suite-host")]
+
+        def create(suites):
+            protocol = {
+                "bom-ref": "protocol:tls", "type": "cryptographic-asset", "name": "tls",
+                "cryptoProperties": {"assetType": "protocol", "protocolProperties": {
+                    "version": "1.3", "cipherSuites": suites}},
+            }
+            texts = [json.dumps(doc) for doc in docs[:-1]]
+            last = {**docs[-1], "components": [*docs[-1]["components"], protocol]}
+            return client.create("profile-a", [*texts, json.dumps(last)])
+
+        client.destroy(create([{"algorithms": ["TLS_AES_128_GCM_SHA256"]}])["sdtId"])
+        for suites in ([5], [{"algorithms": [7, "TLS_AES_128_GCM_SHA256"]}]):
+            with pytest.raises(Exception) as err:
+                create(suites)
+            assert (err.value.status, err.value.code) == (400, "invalid_bom")
+
     def test_update_creating_a_duplicate_is_invalid(self, env):
         """An update re-projects only the subjects it touches, yet a document
         that repeats another's (subject, kind) anywhere in the set is
@@ -344,6 +366,25 @@ class TestUpdate:
         assert (err.value.status, err.value.code) == (400, "invalid_delta")
         descriptor = client.get(created["sdtId"])
         assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+
+    def test_delta_not_raising_the_version_is_invalid(self, env):
+        """A BOM-Link urn:cdx:<serial>/<version> names one content: a delta
+        that changes a document at its version, or to a lower one, answers
+        400, and the twin stays ready at its version with the document as
+        it was."""
+        manager, client, _ = env.make_manager()
+        texts = bom_texts("version-identity-host")
+        sdt_id = client.create("profile-a", texts)["sdtId"]
+        v1 = next(b for b in map(parse_bom, texts) if b.components)
+        v2 = replace(v1, version=2, components=v1.components[1:])
+        client.update(sdt_id, expected_version=1, deltas=[delta_to_dict(diff_boms(v1, v2))])
+        for new in (replace(v1, version=2), v1):
+            with pytest.raises(Exception) as err:
+                client.update(sdt_id, expected_version=2, deltas=[delta_to_dict(diff_boms(v2, new))])
+            assert (err.value.status, err.value.code) == (400, "invalid_delta")
+            descriptor = client.get(sdt_id)
+            assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 2)
+            assert manager._records[sdt_id].boms[v1.serial_number] == v2
 
     def test_moved_document_leaves_its_old_subject(self, env):
         """A delta that moves a document to another subject re-projects the
