@@ -6,7 +6,6 @@ from .profiles import (
     SyncPolicy,
     create_profile,
     get_profile,
-    list_profiles,
     load_profile_file,
     selected_hosts,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "forge_documents",
     "get_profile",
     "ingest_inventory",
-    "list_profiles",
     "load_inventory",
     "load_profile_file",
     "parse_inventory",

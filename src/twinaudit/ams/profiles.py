@@ -17,7 +17,6 @@ __all__ = [
     "SyncPolicy",
     "create_profile",
     "get_profile",
-    "list_profiles",
     "load_profile_file",
     "selected_hosts",
 ]
@@ -119,10 +118,6 @@ def create_profile(store: FileDocumentStore, profile: AuditProfile) -> AuditProf
 def get_profile(store: FileDocumentStore, profile_id: str) -> Optional[AuditProfile]:
     doc = store.get(PROFILES, profile_id)
     return AuditProfile.from_dict(doc) if doc is not None else None
-
-
-def list_profiles(store: FileDocumentStore) -> list[AuditProfile]:
-    return [AuditProfile.from_dict(doc) for doc in store.query(PROFILES).values()]
 
 
 def load_profile_file(path: Union[str, Path]) -> AuditProfile:

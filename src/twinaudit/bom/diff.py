@@ -1,14 +1,15 @@
 """Structural deltas between two revisions of the same document.
 
 A document's keyed sections are listed once, in `_SECTIONS`: components
-keyed by bom-ref, dependencies by ref, vulnerabilities by CVE id. One loop
-over that table diffs, applies, encodes and decodes all three. A delta
-records full new values for changed entries, so applying it is a plain
-replace and apply(old, diff(old, new)) reproduces new exactly.
+keyed by bom-ref, dependencies by ref, vulnerabilities by CVE id, links by
+their rendered URN. One loop over that table diffs, applies, encodes and
+decodes all four. A delta records full new values for changed entries, so
+applying it is a plain replace and apply(old, diff(old, new)) reproduces new
+exactly. Only the kind and the metadata travel whole when they change.
 
 Entries and metadata travel in the document's own JSON form and are read by
 parse_bom's readers. apply_delta returns only a document that validate_bom
-accepts.
+accepts. A delta field outside the known set is refused.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ from .serialize import (
     _parse_component,
     _parse_dependency,
     _parse_metadata,
+    _parse_reference,
     _parse_section,
     _parse_vulnerability,
+    _reference_to_dict,
     _take,
+    _unknown_fields,
     _vuln_to_dict,
 )
 
@@ -49,7 +53,7 @@ class DeltaMismatch(ValueError):
 @dataclass(frozen=True)
 class SectionDelta:
     """Changes to one keyed section: entries added and changed in full, and
-    the keys of entries removed, each in key order."""
+    the keys of entries removed, each in the model's order of the section."""
 
     added: tuple = ()
     removed: tuple[str, ...] = ()
@@ -64,9 +68,9 @@ class BomDelta:
     components: SectionDelta = SectionDelta()
     dependencies: SectionDelta = SectionDelta()
     vulnerabilities: SectionDelta = SectionDelta()
+    links: SectionDelta = SectionDelta()
     kind_to: Optional[BomKind] = None
     metadata_to: Optional[BomMetadata] = None
-    links_to: Optional[tuple[BomLink, ...]] = None
 
 
 # Each keyed section: the Bom attribute it patches (also its BomDelta field
@@ -77,6 +81,13 @@ _SECTIONS: tuple[tuple[str, str, Callable[[Any], str], Callable, Callable], ...]
     ("dependencies", "dependency", attrgetter("ref"), _dependency_to_dict, _parse_dependency),
     ("vulnerabilities", "vulnerability", attrgetter("cve_id"), _vuln_to_dict,
      _parse_vulnerability),
+    ("links", "link", BomLink.render, _reference_to_dict, _parse_reference),
+)
+
+# The fields a delta knows; decoding reports any other as unknown.
+_DELTA_FIELDS = frozenset(
+    {"baseSerial", "baseVersion", "newVersion", "kindTo", "metadataTo"}
+    | {f"{attr}{part}" for attr, *_ in _SECTIONS for part in ("Added", "Removed", "Changed")}
 )
 
 
@@ -87,7 +98,7 @@ def diff_boms(old: Bom, new: Bom) -> BomDelta:
         )
     sections = {}
     for attr, _, key, _, _ in _SECTIONS:
-        # The model keeps each section in key order, and so do these maps.
+        # These maps keep the model's order of each section.
         old_map = {key(e): e for e in getattr(old, attr)}
         new_map = {key(e): e for e in getattr(new, attr)}
         sections[attr] = SectionDelta(
@@ -101,7 +112,6 @@ def diff_boms(old: Bom, new: Bom) -> BomDelta:
         new_version=new.version,
         kind_to=new.kind if new.kind != old.kind else None,
         metadata_to=new.metadata if new.metadata != old.metadata else None,
-        links_to=new.links if new.links != old.links else None,
         **sections,
     )
 
@@ -140,7 +150,6 @@ def apply_delta(old: Bom, delta: BomDelta) -> Bom:
         version=delta.new_version,
         kind=delta.kind_to if delta.kind_to is not None else old.kind,
         metadata=delta.metadata_to if delta.metadata_to is not None else old.metadata,
-        links=delta.links_to if delta.links_to is not None else old.links,
         extras=old.extras,
         **sections,
     )
@@ -169,20 +178,7 @@ def delta_to_dict(delta: BomDelta) -> dict[str, Any]:
         out["kindTo"] = delta.kind_to.value
     if delta.metadata_to is not None:
         out["metadataTo"] = _metadata_to_dict(delta.metadata_to)
-    if delta.links_to is not None:
-        out["linksTo"] = [link.render() for link in delta.links_to]
     return out
-
-
-def _parse_link(
-    raw: Any, section: str, i: int, strict: bool, violations: list[Violation]
-) -> Optional[BomLink]:
-    """The bom-link URN at `section[i]`."""
-    try:
-        return BomLink.parse(raw)
-    except (TypeError, ValueError):
-        violations.append(Violation(f"{section}[{i}]", f"malformed bom-link {raw!r}"))
-        return None
 
 
 def delta_from_dict(data: dict[str, Any]) -> BomDelta:
@@ -212,9 +208,8 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
         if kind is not None:
             path = "metadataTo.properties"
             violations.append(Violation(path, f"{KIND_PROPERTY} travels as kindTo"))
-    links_to = None
-    if "linksTo" in data:
-        links_to = tuple(_parse_section(data, "linksTo", _parse_link, True, violations))
+    if not data.keys() <= _DELTA_FIELDS:
+        _unknown_fields(data, _DELTA_FIELDS, "", violations)
     if violations:
         raise BomSchemaError(violations)
     return BomDelta(
@@ -223,6 +218,5 @@ def delta_from_dict(data: dict[str, Any]) -> BomDelta:
         new_version=new_version,
         kind_to=kind_to,
         metadata_to=metadata_to,
-        links_to=links_to,
         **sections,
     )

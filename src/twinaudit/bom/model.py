@@ -407,6 +407,13 @@ def validate_bom(bom: Bom) -> list[Violation]:
                 )
             )
 
+    # Equal links render to the same URN, the key deltas patch links by.
+    seen_links: set[BomLink] = set()
+    for i, link in enumerate(bom.links):
+        if link in seen_links:
+            out.append(Violation(f"externalReferences[{i}].url", "duplicate bom-link"))
+        seen_links.add(link)
+
     return out
 
 

@@ -8,7 +8,8 @@ model's constructors already keep every list but the links in that order,
 so the writers only sort the links and the merged metadata properties.
 
 The writers and readers of each document section (metadata, components,
-dependencies, vulnerabilities) are also the ones revision deltas use.
+dependencies, vulnerabilities, and links as external references) are also
+the ones revision deltas use.
 """
 
 from __future__ import annotations
@@ -144,6 +145,10 @@ def _dependency_to_dict(dep: Dependency) -> dict[str, Any]:
     return {"ref": dep.ref, "dependsOn": list(dep.depends_on)}
 
 
+def _reference_to_dict(link: BomLink) -> dict[str, Any]:
+    return {"type": "bom", "url": link.render()}
+
+
 def _metadata_to_dict(metadata: BomMetadata, kind: Optional[BomKind] = None) -> dict[str, Any]:
     """The metadata object; a given kind is merged into its properties."""
     properties = metadata.properties
@@ -177,8 +182,7 @@ def bom_to_dict(bom: Bom) -> dict[str, Any]:
         doc["vulnerabilities"] = [_vuln_to_dict(v) for v in bom.vulnerabilities]
     if bom.links:
         doc["externalReferences"] = [
-            {"type": "bom", "url": url}
-            for url in sorted(link.render() for link in bom.links)
+            _reference_to_dict(link) for link in sorted(bom.links, key=BomLink.render)
         ]
     for key, raw in bom.extras:
         doc[key] = json.loads(raw)

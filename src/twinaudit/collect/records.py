@@ -72,6 +72,3 @@ class EvidenceBundle:
         object.__setattr__(
             self, "records", tuple(sorted(self.records, key=lambda r: r.sort_key()))
         )
-
-    def by_category(self, category: EvidenceCategory) -> tuple[EvidenceRecord, ...]:
-        return tuple(r for r in self.records if r.category == category)

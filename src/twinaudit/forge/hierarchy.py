@@ -73,14 +73,6 @@ class CryptoHierarchyGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
     def nodes(self, layer: Optional[int] = None) -> list[NodeId]:
         ids = self._nodes if layer is None else [n for n in self._nodes if n.layer == layer]
         return sorted(ids, key=lambda n: (n.layer, n.name))
@@ -90,9 +82,6 @@ class CryptoHierarchyGraph:
 
     def node(self, node_id: NodeId) -> Optional[_Node]:
         return self._nodes.get(node_id)
-
-    def has_node(self, layer: int, name: str) -> bool:
-        return NodeId(layer, name) in self._nodes
 
     def signature(self) -> tuple:
         """Order-independent fingerprint for equality checks in tests."""
@@ -270,9 +259,6 @@ class CryptoHierarchyGraph:
                 continue
             out.append(node)
         return out
-
-    def algorithm_count_for_host(self, host: str) -> int:
-        return len(self.parameterizations_for_host(host, ALGORITHM_PRIMITIVES))
 
     def dependencies_of(self, occurrence_id: NodeId) -> list[NodeId]:
         return sorted(

@@ -251,7 +251,17 @@ class SdtManager:
         new_boms = dict(record.boms)
         touched: set[str] = set()
         if payload.get("boms"):
-            for bom in self._parse_boms(payload["boms"]):
+            for index, bom in enumerate(self._parse_boms(payload["boms"])):
+                stored = record.boms.get(bom.serial_number)
+                # One urn:cdx:<serial>/<version> names one content.
+                if stored is not None and bom.version <= stored.version and bom != stored:
+                    raise HttpError(
+                        400,
+                        "invalid_bom",
+                        f"boms[{index}]: version {bom.version} of {bom.serial_number} differs"
+                        f" from the stored version {stored.version}; a revision needs a"
+                        " higher version",
+                    )
                 new_boms[bom.serial_number] = bom
                 touched.add(bom.serial_number)
         deltas = payload.get("deltas") or []

@@ -156,7 +156,7 @@ def boms(draw, max_components: int = 6) -> Bom:
         components=comps,
         dependencies=tuple(deps),
         vulnerabilities=tuple(vulns),
-        links=tuple(draw(st.lists(bom_links(), max_size=2))),
+        links=tuple(draw(st.lists(bom_links(), max_size=2, unique_by=BomLink.render))),
     )
 
 

@@ -38,7 +38,7 @@ from twinaudit.ams import (
     selected_hosts,
     topology_from_store,
 )
-from twinaudit.ams.profiles import create_profile, get_profile, list_profiles
+from twinaudit.ams.profiles import create_profile, get_profile
 import twinaudit.ams.service as service_module
 import twinaudit.ams.store as store_module
 from twinaudit.config import load_config
@@ -714,7 +714,7 @@ class TestProfiles:
         )
         create_profile(store, profile)
         assert get_profile(store, "p-users") == profile
-        assert [p.profile_id for p in list_profiles(store)] == ["p-users"]
+        assert list(store.query("profiles")) == ["p-users"]
 
     def test_round_trip(self):
         profile = AuditProfile(

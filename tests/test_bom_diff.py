@@ -11,6 +11,7 @@ from twinaudit.bom import (
     Bom,
     BomDelta,
     BomKind,
+    BomLink,
     BomMetadata,
     BomSchemaError,
     BomValidationError,
@@ -27,6 +28,7 @@ from twinaudit.bom import (
     serialize_bom,
     validate_bom,
 )
+from twinaudit.forge import document_serial, profile_manifest
 
 from .strategies import boms
 
@@ -131,6 +133,35 @@ class TestDeltaTransport:
         compact = json.dumps(delta_to_dict(delta), separators=(",", ":"))
         assert len(compact) < len(serialize_bom(new))
 
+    def test_one_link_change_costs_the_same_at_any_manifest_size(self):
+        """A revised document travels as one removed link and one added
+        entry, however many documents the manifest indexes."""
+
+        def delta_size(n):
+            links = [BomLink(document_serial("sbom", f"host-{i}"), 1) for i in range(n)]
+            old = profile_manifest("profile-a", links)
+            bumped = dataclasses.replace(links[0], target_version=2)
+            new = profile_manifest("profile-a", [bumped, *links[1:]], version=2)
+            delta = diff_boms(old, new)
+            assert delta.links == SectionDelta(added=(bumped,), removed=(links[0].render(),))
+            assert apply_delta(old, delta) == new
+            return len(json.dumps(delta_to_dict(delta)))
+
+        assert delta_size(14) == delta_size(1400)
+
+    def test_unknown_fields_rejected(self):
+        """A misspelt field, or the retired linksTo, was dropped: the delta
+        decoded as empty and applied without the change."""
+        header = {"baseSerial": "urn:uuid:x", "baseVersion": 1, "newVersion": 2}
+        with pytest.raises(BomSchemaError) as err:
+            delta_from_dict(
+                {"componentsAdde": [{"x": 1}], **header, "linksTo": [], "componentsRemoved": []}
+            )
+        assert [(v.path, v.message) for v in err.value.violations] == [
+            ("componentsAdde", "unknown field"),
+            ("linksTo", "unknown field"),
+        ]
+
     def test_missing_header_fields_rejected(self):
         with pytest.raises(Exception) as err:
             delta_from_dict({"componentsRemoved": ["a"]})
@@ -169,8 +200,16 @@ class TestDeltaTransport:
                 {"dependenciesChanged": [{"ref": "a", "dependsOn": [1]}]},
                 ("dependenciesChanged[0].dependsOn", "must be a string list"),
             ),
-            ({"linksTo": "urn:cdx:x/1"}, ("linksTo", "expected list")),
-            ({"linksTo": None}, ("linksTo", "expected list")),
+            ({"linksAdded": "urn:cdx:x/1"}, ("linksAdded", "expected list")),
+            ({"linksRemoved": None}, ("linksRemoved", "expected list")),
+            (
+                {"linksAdded": [{"type": "bom", "url": "urn:cdx:x/1"}]},
+                ("linksAdded[0].url", "not a bom-link urn: 'urn:cdx:x/1'"),
+            ),
+            (
+                {"linksAdded": [f"urn:cdx:{SERIAL[len('urn:uuid:'):]}/1"]},
+                ("linksAdded[0]", "only {type: bom, url} references modeled"),
+            ),
             ({"metadataTo": 5}, ("metadataTo", "expected dict")),
             ({"newVersion": "x"}, ("newVersion", "expected int")),
             ({"newVersion": True}, ("newVersion", "expected int")),

@@ -293,6 +293,17 @@ class TestValidation:
         bom = self.make_vuln_bom(cvss_score=2.0, severity=Severity.CRITICAL)
         assert any("inconsistent with score" in v.message for v in validate_bom(bom))
 
+    def test_duplicate_bom_link(self):
+        """Deltas key links by their URN, so a repeated link would collapse
+        into one when a delta is applied."""
+        link = BomLink(target_serial=OTHER_SERIAL, target_version=1)
+        other = BomLink(target_serial=OTHER_SERIAL, target_version=2)
+        bom = make_bom(links=(link, other, link))
+        assert [(v.path, v.message) for v in validate_bom(bom)] == [
+            ("externalReferences[1].url", "duplicate bom-link")
+        ]
+        assert validate_bom(make_bom(links=(link, other))) == []
+
     @settings(max_examples=100)
     @given(boms())
     def test_generated_documents_are_clean(self, bom):

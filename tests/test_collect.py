@@ -221,13 +221,17 @@ class TestTokenExtraction:
         assert ("TLS", "1.3") in extract_protocol_mentions("tls 1.3 enabled")
 
 
+def of_category(bundle, category):
+    return [r for r in bundle.records if r.category == category]
+
+
 class TestScanHost:
     @pytest.fixture()
     def bundle(self, tmp_path):
         return scan_host(HostSnapshot.open(sample_tree(tmp_path / "web-01")))
 
     def test_software_components(self, bundle):
-        records = bundle.by_category(EvidenceCategory.SOFTWARE_COMPONENT)
+        records = of_category(bundle, EvidenceCategory.SOFTWARE_COMPONENT)
         names = {(r.name, r.version) for r in records}
         assert ("flask", "2.0.1") in names
         assert ("corp-site", "2.4.0") in names
@@ -238,11 +242,11 @@ class TestScanHost:
         assert roles["flask"] == "dependency"
 
     def test_crypto_libraries_from_facts(self, bundle):
-        libs = {r.name: r.version for r in bundle.by_category(EvidenceCategory.CRYPTO_LIBRARY)}
+        libs = {r.name: r.version for r in of_category(bundle, EvidenceCategory.CRYPTO_LIBRARY)}
         assert libs == {"openssl": "3.0.13", "libgcrypt20": "1.10.1"}
 
     def test_certificate_record(self, bundle):
-        certs = bundle.by_category(EvidenceCategory.CERTIFICATE)
+        certs = of_category(bundle, EvidenceCategory.CERTIFICATE)
         assert len(certs) == 1
         cert = certs[0]
         assert cert.name == "web-01.example.test"
@@ -251,7 +255,7 @@ class TestScanHost:
         assert "2024" in cert.attribute("not_before")
 
     def test_algorithms_deduplicated(self, bundle):
-        algos = {r.name for r in bundle.by_category(EvidenceCategory.ALGORITHM)}
+        algos = {r.name for r in of_category(bundle, EvidenceCategory.ALGORITHM)}
         assert algos == {
             "RSA-2048",
             "SHA-256",
@@ -262,25 +266,25 @@ class TestScanHost:
             "ED25519",
         }
         # Each token appears exactly once however many sources mentioned it.
-        sha256 = [r for r in bundle.by_category(EvidenceCategory.ALGORITHM) if r.name == "SHA-256"]
+        sha256 = [r for r in of_category(bundle, EvidenceCategory.ALGORITHM) if r.name == "SHA-256"]
         assert len(sha256) == 1
         assert len(sha256[0].attribute("sources").split(",")) >= 2
 
     def test_protocol_records(self, bundle):
         protocols = {
             (r.name, r.version)
-            for r in bundle.by_category(EvidenceCategory.OPENSSL_CONFIG)
+            for r in of_category(bundle, EvidenceCategory.OPENSSL_CONFIG)
             if r.attribute("kind") == "protocol"
         }
         assert protocols == {("TLS", "1.2"), ("SSH", "2")}
 
     def test_kernel_settings(self, bundle):
-        settings = {r.name: r.attribute("value") for r in bundle.by_category(EvidenceCategory.KERNEL_SETTING)}
+        settings = {r.name: r.attribute("value") for r in of_category(bundle, EvidenceCategory.KERNEL_SETTING)}
         assert settings["net.ipv4.ip_forward"] == "0"
         assert settings["crypto.fips_enabled"] == "0"
 
     def test_log_events(self, bundle):
-        events = bundle.by_category(EvidenceCategory.SYSTEM_LOG_EVENT)
+        events = of_category(bundle, EvidenceCategory.SYSTEM_LOG_EVENT)
         kinds = sorted(r.name for r in events)
         assert kinds == ["auth-accepted", "auth-failed"]
 
@@ -308,7 +312,7 @@ class TestDetectAlgorithms:
             },
         )
         bundle = scan_host(HostSnapshot.open(tree))
-        aes = [r for r in bundle.by_category(EvidenceCategory.ALGORITHM) if r.name == "AES-128"]
+        aes = [r for r in of_category(bundle, EvidenceCategory.ALGORITHM) if r.name == "AES-128"]
         assert len(aes) == 1
         assert aes[0].attribute("modes") == "cbc,gcm"
         assert aes[0].attribute("sources") == "etc/ssh/sshd_config,etc/ssl/openssl.cnf"

@@ -23,6 +23,7 @@ from twinaudit.collect import (
     scan_host,
 )
 from twinaudit.forge import (
+    ALGORITHM_PRIMITIVES,
     LAYER_FAMILY,
     LAYER_OCCURRENCE,
     LAYER_PARAMETERIZATION,
@@ -30,6 +31,7 @@ from twinaudit.forge import (
     ArtifactCounts,
     CryptoHierarchyGraph,
     EdgeKind,
+    NodeId,
     build_cbom,
     build_graph,
     build_sbom,
@@ -117,20 +119,20 @@ class TestGraphInsertion:
         insert_crypto_node(
             graph, algo_record("web-01", "AES-256-GCM", "AES", parameter="256")
         )
-        assert graph.node_count == 4
-        assert graph.edge_count == 3
-        assert graph.has_node(LAYER_PRIMITIVE, "cipher")
-        assert graph.has_node(LAYER_FAMILY, "AES")
-        assert graph.has_node(LAYER_PARAMETERIZATION, "AES-256-GCM")
+        assert len(graph.nodes()) == 4
+        assert len(graph.edges()) == 3
+        assert NodeId(LAYER_PRIMITIVE, "cipher") in graph.nodes()
+        assert NodeId(LAYER_FAMILY, "AES") in graph.nodes()
+        assert NodeId(LAYER_PARAMETERIZATION, "AES-256-GCM") in graph.nodes()
         assert len(graph.nodes(LAYER_OCCURRENCE)) == 1
 
     def test_second_host_adds_only_an_occurrence(self):
         graph = CryptoHierarchyGraph()
         insert_crypto_node(graph, algo_record("web-01", "AES-256-GCM", "AES"))
-        before_nodes, before_edges = graph.node_count, graph.edge_count
+        before_nodes, before_edges = len(graph.nodes()), len(graph.edges())
         insert_crypto_node(graph, algo_record("db-01", "AES-256-GCM", "AES"))
-        assert graph.node_count == before_nodes + 1
-        assert graph.edge_count == before_edges + 1
+        assert len(graph.nodes()) == before_nodes + 1
+        assert len(graph.edges()) == before_edges + 1
 
     def test_reinsertion_merges(self):
         graph = CryptoHierarchyGraph()
@@ -144,8 +146,8 @@ class TestGraphInsertion:
         graph = CryptoHierarchyGraph()
         record = algo_record("web-01", "QKD-512", "QKD", primitive="quantum")
         insert_crypto_node(graph, record)
-        assert graph.node_count == 0
-        assert graph.edge_count == 0
+        assert len(graph.nodes()) == 0
+        assert len(graph.edges()) == 0
         assert graph.quarantine == [record]
 
     def test_config_directive_is_quarantined(self):
@@ -158,26 +160,26 @@ class TestGraphInsertion:
             attributes={"kind": "directive", "value": "DEFAULT"},
         )
         insert_crypto_node(graph, directive)
-        assert graph.node_count == 0
+        assert len(graph.nodes()) == 0
         assert len(graph.quarantine) == 1
 
     def test_protocol_chain(self):
         graph = CryptoHierarchyGraph()
         insert_crypto_node(graph, protocol_record("web-01"))
-        assert graph.has_node(LAYER_PRIMITIVE, "protocol")
-        assert graph.has_node(LAYER_FAMILY, "TLS")
-        assert graph.has_node(LAYER_PARAMETERIZATION, "TLS-1.2")
+        assert NodeId(LAYER_PRIMITIVE, "protocol") in graph.nodes()
+        assert NodeId(LAYER_FAMILY, "TLS") in graph.nodes()
+        assert NodeId(LAYER_PARAMETERIZATION, "TLS-1.2") in graph.nodes()
 
     def test_library_chain(self):
         graph = CryptoHierarchyGraph()
         insert_crypto_node(graph, library_record("web-01"))
-        assert graph.has_node(LAYER_PRIMITIVE, "library")
-        assert graph.has_node(LAYER_PARAMETERIZATION, "openssl-3.0.13")
+        assert NodeId(LAYER_PRIMITIVE, "library") in graph.nodes()
+        assert NodeId(LAYER_PARAMETERIZATION, "openssl-3.0.13") in graph.nodes()
 
     def test_certificate_inserts_key_algorithm_occurrence(self):
         graph = CryptoHierarchyGraph()
         insert_crypto_node(graph, certificate_record("web-01"))
-        assert graph.has_node(LAYER_PARAMETERIZATION, "RSA-2048")
+        assert NodeId(LAYER_PARAMETERIZATION, "RSA-2048") in graph.nodes()
 
     def test_protocol_depends_on_cooccurring_algorithms(self):
         graph = CryptoHierarchyGraph()
@@ -534,7 +536,7 @@ class TestCounting:
         assert counts["web-01"] == ArtifactCounts(
             algorithms=7, vulnerabilities=0, components=5, certificates=1
         )
-        assert graph.algorithm_count_for_host("web-01") == 7
+        assert len(graph.parameterizations_for_host("web-01", ALGORITHM_PRIMITIVES)) == 7
 
 
 # -- generated-case properties -------------------------------------------------
@@ -639,7 +641,7 @@ class TestGraphProperties:
         once = grown.signature()
         grown.insert(extra)
         assert grown.signature() == once  # re-inserting merges, never duplicates
-        assert grown.node_count >= build_graph(records).node_count
+        assert len(grown.nodes()) >= len(build_graph(records).nodes())
         assert before == build_graph(records).signature()
 
 

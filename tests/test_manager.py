@@ -170,6 +170,20 @@ class TestCreate:
         assert runtime.deployed == live_before
         assert manager.list_descriptors() == []
 
+    def test_repeated_link_is_invalid(self, env):
+        """Deltas key links by their URN; a manifest that repeats a link is
+        refused before anything deploys."""
+        manager, client, runtime = env.make_manager(sabotage=True)
+        live_before = set(runtime.deployed)
+        docs = [json.loads(text) for text in bom_texts("repeated-link-host")]
+        manifest = next(doc for doc in docs if "externalReferences" in doc)
+        manifest["externalReferences"].append(manifest["externalReferences"][0])
+        with pytest.raises(Exception) as err:
+            client.create("profile-a", [json.dumps(doc) for doc in docs])
+        assert (err.value.status, err.value.code) == (400, "invalid_bom")
+        assert runtime.deployed == live_before
+        assert manager.list_descriptors() == []
+
     def test_empty_boms_rejected(self, env):
         _, client, _ = env.make_manager()
         with pytest.raises(Exception) as err:
@@ -384,6 +398,43 @@ class TestUpdate:
             assert (err.value.status, err.value.code) == (400, "invalid_delta")
             descriptor = client.get(sdt_id)
             assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 2)
+            assert manager._records[sdt_id].boms[v1.serial_number] == v2
+
+    def test_unknown_delta_fields_are_invalid(self, env):
+        """A misspelt field, or the retired linksTo, was dropped: the delta
+        applied as empty, and the twin took a version without the change."""
+        manager, client, _ = env.make_manager()
+        texts = bom_texts("unknown-field-host")
+        sdt_id = client.create("profile-a", texts)["sdtId"]
+        bom = next(b for b in map(parse_bom, texts) if b.components)
+        base = {"baseSerial": bom.serial_number, "baseVersion": bom.version,
+                "newVersion": bom.version + 1}
+        for fields in ({"componentsAdde": [{"x": 1}]}, {"linksTo": []}):
+            with pytest.raises(Exception) as err:
+                client.update(sdt_id, expected_version=1, deltas=[{**base, **fields}])
+            assert (err.value.status, err.value.code) == (400, "invalid_delta")
+            descriptor = client.get(sdt_id)
+            assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+            assert manager._records[sdt_id].boms[bom.serial_number] == bom
+
+    def test_document_not_raising_the_version_must_equal_the_stored_one(self, env):
+        """A BOM-Link urn:cdx:<serial>/<version> names one content: a full
+        document that changes a stored one at its version, or at a lower
+        one, answers 400, and the twin stays ready at its version. The
+        stored document, sent again unchanged, is accepted."""
+        manager, client, _ = env.make_manager()
+        texts = bom_texts("full-identity-host")
+        sdt_id = client.create("profile-a", texts)["sdtId"]
+        client.update(sdt_id, expected_version=1, bom_texts=texts)
+        v1 = next(b for b in map(parse_bom, texts) if len(b.components) > 1)
+        v2 = replace(v1, version=2, components=v1.components[1:])
+        client.update(sdt_id, expected_version=2, bom_texts=[serialize_bom(v2)])
+        for new in (replace(v1, version=2), replace(v1, components=v2.components), v1):
+            with pytest.raises(Exception) as err:
+                client.update(sdt_id, expected_version=3, bom_texts=[serialize_bom(new)])
+            assert (err.value.status, err.value.code) == (400, "invalid_bom")
+            descriptor = client.get(sdt_id)
+            assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 3)
             assert manager._records[sdt_id].boms[v1.serial_number] == v2
 
     def test_moved_document_leaves_its_old_subject(self, env):
