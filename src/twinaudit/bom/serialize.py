@@ -34,6 +34,10 @@ from .model import (
     SubjectKind,
     Violation,
     VulnerabilityEntry,
+    _CERTIFICATE_ASSET,
+    _CERTIFICATE_TYPE,
+    _CRYPTO_ASSET_TYPE,
+    _PROTOCOL_ASSET,
     validate_bom,
 )
 
@@ -61,6 +65,11 @@ _STATE_TO_JSON = {s: s.value.lower() for s in AnalysisState}
 _STATE_FROM_JSON = {v: k for k, v in _STATE_TO_JSON.items()}
 _SUBJECT_TO_JSON = {SubjectKind.HOST: "device", SubjectKind.PROFILE: "application"}
 _SUBJECT_FROM_JSON = {v: k for k, v in _SUBJECT_TO_JSON.items()}
+_KIND_FROM_JSON = {k.value: k for k in BomKind}
+# More enum members read through module globals, as in model.py.
+_NO_SEVERITY = Severity.NONE
+_PROFILE_SUBJECT = SubjectKind.PROFILE
+_IN_TRIAGE = AnalysisState.IN_TRIAGE
 
 
 class BomParseError(ValueError):
@@ -84,7 +93,7 @@ class BomSchemaError(ValueError):
 def _crypto_to_dict(crypto: CryptoProperties) -> dict[str, Any]:
     out: dict[str, Any] = {"assetType": _ASSET_TO_JSON[crypto.asset_kind]}
     algo: dict[str, Any] = {}
-    if crypto.asset_kind != CryptoAssetKind.PROTOCOL and crypto.algorithm_family:
+    if crypto.asset_kind != _PROTOCOL_ASSET and crypto.algorithm_family:
         algo["family"] = crypto.algorithm_family
     if crypto.parameter_set:
         algo["parameterSetIdentifier"] = crypto.parameter_set
@@ -92,7 +101,7 @@ def _crypto_to_dict(crypto: CryptoProperties) -> dict[str, Any]:
         algo["mode"] = crypto.mode
     if algo:
         out["algorithmProperties"] = algo
-    if crypto.asset_kind == CryptoAssetKind.CERTIFICATE:
+    if crypto.asset_kind == _CERTIFICATE_ASSET:
         out["certificateProperties"] = {
             "subjectName": crypto.certificate_subject,
             "issuerName": crypto.certificate_issuer,
@@ -100,7 +109,7 @@ def _crypto_to_dict(crypto: CryptoProperties) -> dict[str, Any]:
             "notValidAfter": crypto.not_after,
             "signatureAlgorithmRef": crypto.signature_algorithm_ref,
         }
-    if crypto.asset_kind == CryptoAssetKind.PROTOCOL:
+    if crypto.asset_kind == _PROTOCOL_ASSET:
         proto: dict[str, Any] = {"version": crypto.protocol_version}
         if crypto.algorithm_family:
             proto["type"] = crypto.algorithm_family.lower()
@@ -218,20 +227,18 @@ _CERTIFICATE_FIELDS = frozenset(
 )
 _PROTOCOL_FIELDS = frozenset({"version", "type", "cipherSuites"})
 _VULNERABILITY_FIELDS = frozenset({"id", "ratings", "analysis", "affects"})
+_DEPENDENCY_FIELDS = frozenset({"ref", "dependsOn"})
+_REFERENCE_FIELDS = frozenset({"type", "url"})
 # Path suffixes of a component's crypto objects.
 _CRYPTO = ".cryptoProperties"
 _ALGORITHM = _CRYPTO + ".algorithmProperties"
 _CERTIFICATE = _CRYPTO + ".certificateProperties"
 _PROTOCOL = _CRYPTO + ".protocolProperties"
-# CryptoProperties field and JSON key of each certificate property, in the
-# order they are read.
-_CERTIFICATE_KWARGS = (
-    ("certificate_subject", "subjectName"),
-    ("certificate_issuer", "issuerName"),
-    ("not_before", "notValidBefore"),
-    ("not_after", "notValidAfter"),
-    ("signature_algorithm_ref", "signatureAlgorithmRef"),
+# The JSON key of each certificate property, in CryptoProperties field order.
+_CERTIFICATE_KEYS = (
+    "subjectName", "issuerName", "notValidBefore", "notValidAfter", "signatureAlgorithmRef"
 )
+_NO_CERTIFICATE = (None,) * len(_CERTIFICATE_KEYS)
 _TYPE_FROM_JSON = {
     "library": ComponentType.LIBRARY,
     "application": ComponentType.APPLICATION,
@@ -314,17 +321,18 @@ def _parse_crypto(
             mode = _take(algo, "mode", str, f"{section}[{i}]{_ALGORITHM}", violations)
         if strict and not algo.keys() <= _ALGORITHM_FIELDS:
             _unknown_fields(algo, _ALGORITHM_FIELDS, f"{section}[{i}]{_ALGORITHM}", violations)
-    cert_kwargs: dict[str, Any] = {}
+    certificate: Any = _NO_CERTIFICATE
     cert = data.get("certificateProperties")
     if type(cert) is not dict and "certificateProperties" in data:
         path = f"{section}[{i}]{_CRYPTO}"
         cert = _take(data, "certificateProperties", dict, path, violations)
     if cert is not None:
-        for field, key in _CERTIFICATE_KWARGS:
+        certificate = []
+        for key in _CERTIFICATE_KEYS:
             value = cert.get(key)
             if type(value) is not str and key in cert:
                 value = _take(cert, key, str, f"{section}[{i}]{_CERTIFICATE}", violations)
-            cert_kwargs[field] = value
+            certificate.append(value)
         if strict and not cert.keys() <= _CERTIFICATE_FIELDS:
             path = f"{section}[{i}]{_CERTIFICATE}"
             _unknown_fields(cert, _CERTIFICATE_FIELDS, path, violations)
@@ -368,14 +376,10 @@ def _parse_crypto(
             _unknown_fields(proto, _PROTOCOL_FIELDS, f"{section}[{i}]{_PROTOCOL}", violations)
     if strict and not data.keys() <= _CRYPTO_FIELDS:
         _unknown_fields(data, _CRYPTO_FIELDS, f"{section}[{i}]{_CRYPTO}", violations)
+    subject, issuer, not_before, not_after, signature = certificate
     return CryptoProperties(
-        asset_kind=kind,
-        algorithm_family=family,
-        parameter_set=parameter_set,
-        mode=mode,
-        protocol_version=protocol_version,
-        cipher_suite_refs=tuple(suites),
-        **cert_kwargs,
+        kind, family, parameter_set, mode, subject, issuer, not_before, not_after, signature,
+        protocol_version, suites,
     )
 
 
@@ -414,10 +418,10 @@ def _parse_component(
         return None
 
     if type_raw == "cryptographic-asset":
-        if crypto is not None and crypto.asset_kind == CryptoAssetKind.CERTIFICATE:
-            ctype = ComponentType.CERTIFICATE
+        if crypto is not None and crypto.asset_kind == _CERTIFICATE_ASSET:
+            ctype = _CERTIFICATE_TYPE
         else:
-            ctype = ComponentType.CRYPTO_ASSET
+            ctype = _CRYPTO_ASSET_TYPE
     else:
         ctype = _TYPE_FROM_JSON.get(type_raw)
         if ctype is None:
@@ -425,14 +429,7 @@ def _parse_component(
                 Violation(f"{section}[{i}].type", f"unknown component type {type_raw!r}")
             )
             return None
-    return Component(
-        bom_ref=bom_ref,
-        name=name,
-        component_type=ctype,
-        version=version,
-        package_url=purl,
-        crypto=crypto,
-    )
+    return Component(bom_ref, name, ctype, version, purl, crypto)
 
 
 def _parse_vulnerability(
@@ -451,7 +448,7 @@ def _parse_vulnerability(
         ratings = _take(data, "ratings", list, f"{section}[{i}]", violations, required=True)
     score = 0.0
     vector = ""
-    severity = Severity.NONE
+    severity = _NO_SEVERITY
     if ratings:
         first = ratings[0] if type(ratings[0]) is dict else {}
         score = first.get("score")
@@ -478,7 +475,7 @@ def _parse_vulnerability(
             severity = sev
     else:
         violations.append(Violation(f"{section}[{i}].ratings", "must carry one CVSS rating"))
-    state = AnalysisState.IN_TRIAGE
+    state = _IN_TRIAGE
     analysis = data.get("analysis")
     if type(analysis) is not dict and "analysis" in data:
         analysis = _take(data, "analysis", dict, f"{section}[{i}]", violations)
@@ -496,8 +493,9 @@ def _parse_vulnerability(
     if type(affects_raw) is not list:
         affects_raw = _take(data, "affects", list, f"{section}[{i}]", violations, required=True)
     for entry in affects_raw or ():
-        if type(entry) is dict and type(entry.get("ref")) is str:
-            affects.append(entry["ref"])
+        ref = entry.get("ref") if type(entry) is dict else None
+        if type(ref) is str:
+            affects.append(ref)
         else:
             violations.append(
                 Violation(f"{section}[{i}].affects", "entries must be {ref: string}")
@@ -506,28 +504,27 @@ def _parse_vulnerability(
         _unknown_fields(data, _VULNERABILITY_FIELDS, f"{section}[{i}]", violations)
     if cve_id is None:
         return None
-    return VulnerabilityEntry(
-        cve_id=cve_id,
-        cvss_score=score,
-        cvss_vector=vector,
-        severity=severity,
-        affects=tuple(affects),
-        analysis_state=state,
-    )
+    return VulnerabilityEntry(cve_id, score, vector, severity, affects, state)
 
 
 def _parse_dependency(
     data: Any, section: str, i: int, strict: bool, violations: list[Violation]
 ) -> Optional[Dependency]:
     """The dependency at `section[i]`."""
-    if not isinstance(data, dict) or not isinstance(data.get("ref"), str):
+    if not isinstance(data, dict):
         violations.append(Violation(f"{section}[{i}]", "must be {ref, dependsOn}"))
         return None
+    dependency = None
     depends_on = data.get("dependsOn", [])
-    if not isinstance(depends_on, list) or any(not isinstance(d, str) for d in depends_on):
+    if not isinstance(data.get("ref"), str):
+        violations.append(Violation(f"{section}[{i}]", "must be {ref, dependsOn}"))
+    elif not isinstance(depends_on, list) or any(not isinstance(d, str) for d in depends_on):
         violations.append(Violation(f"{section}[{i}].dependsOn", "must be a string list"))
-        return None
-    return Dependency(ref=data["ref"], depends_on=tuple(depends_on))
+    else:
+        dependency = Dependency(data["ref"], depends_on)
+    if strict and not data.keys() <= _DEPENDENCY_FIELDS:
+        _unknown_fields(data, _DEPENDENCY_FIELDS, f"{section}[{i}]", violations)
+    return dependency
 
 
 def _parse_reference(
@@ -537,12 +534,15 @@ def _parse_reference(
     if not isinstance(data, dict) or data.get("type") != "bom":
         violations.append(Violation(f"{section}[{i}]", "only {type: bom, url} references modeled"))
         return None
+    link = None
     url = data.get("url", "")
     try:
-        return BomLink.parse(url)
+        link = BomLink.parse(url)
     except (TypeError, ValueError):
         violations.append(Violation(f"{section}[{i}].url", f"not a bom-link urn: {url!r}"))
-        return None
+    if strict and not data.keys() <= _REFERENCE_FIELDS:
+        _unknown_fields(data, _REFERENCE_FIELDS, f"{section}[{i}]", violations)
+    return link
 
 
 def _parse_section(
@@ -553,16 +553,13 @@ def _parse_section(
     violations: list[Violation],
     required: bool = False,
 ) -> list[Any]:
-    """The entries of the list at data[key] that `parse_entry` reads."""
+    """What `parse_entry` reads of each entry of the list at data[key]. A
+    reader returns None only for an entry it refused with a violation, so
+    the list holds no None when `violations` stays empty."""
     raw = data.get(key)
     if type(raw) is not list:
         raw = _take(data, key, list, "", violations, required) or ()
-    entries = []
-    for i, entry in enumerate(raw):
-        value = parse_entry(entry, key, i, strict, violations)
-        if value is not None:
-            entries.append(value)
-    return entries
+    return [parse_entry(entry, key, i, strict, violations) for i, entry in enumerate(raw)]
 
 
 def _parse_metadata(
@@ -571,7 +568,7 @@ def _parse_metadata(
     """The metadata object at `path`, and the kind its reserved property
     names (None when it names none)."""
     kind: Optional[BomKind] = None
-    subject_kind = SubjectKind.PROFILE
+    subject_kind = _PROFILE_SUBJECT
     subject_name = ""
     comp_raw = data.get("component")
     if type(comp_raw) is not dict:
@@ -601,10 +598,11 @@ def _parse_metadata(
             and isinstance(entry.get("value"), str)
         ):
             if entry["name"] == KIND_PROPERTY:
-                try:
-                    kind = BomKind(entry["value"])
-                except ValueError:
+                named = _KIND_FROM_JSON.get(entry["value"])
+                if named is None:
                     violations.append(Violation(f"{path}.properties[{i}]", "unknown bom kind"))
+                else:
+                    kind = named
             else:
                 props.append((entry["name"], entry["value"]))
         else:
@@ -613,22 +611,18 @@ def _parse_metadata(
             )
     if strict and not data.keys() <= _METADATA_FIELDS:
         _unknown_fields(data, _METADATA_FIELDS, path, violations)
-    metadata = BomMetadata(
-        subject_kind=subject_kind,
-        subject_name=subject_name,
-        timestamp=timestamp,
-        properties=tuple(props),
-    )
-    return metadata, kind
+    return BomMetadata(subject_kind, subject_name, timestamp, props), kind
 
 
 def parse_bom(text: str, strict: bool = True) -> Bom:
     """Inverse of serialize_bom.
 
-    Strict mode rejects unknown fields; lenient mode preserves unknown
-    document-level fields opaquely in `extras` and ignores unknown fields
-    inside the document's objects. Unknown fields are reported in document
-    order, after the known fields of their object.
+    Strict mode rejects unknown fields of the document, its metadata, and
+    each component (crypto objects included), dependency, vulnerability and
+    reference; lenient mode preserves unknown document-level fields
+    opaquely in `extras` and ignores unknown fields inside the document's
+    objects. Unknown fields are reported in document order, after the
+    known fields of their object.
 
     One pass builds the model and collects every violation: each field's
     type is tested inline, and a mismatch is recorded where the field is
@@ -659,7 +653,7 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
     if type(version) is not int:
         version = _take(data, "version", int, "", violations, required=True)
 
-    metadata = BomMetadata(subject_kind=SubjectKind.PROFILE, subject_name="")
+    metadata: Any = None  # stays None only beside a violation
     kind: Optional[BomKind] = None
     meta_raw = data.get("metadata")
     if type(meta_raw) is not dict:
@@ -695,17 +689,8 @@ def parse_bom(text: str, strict: bool = True) -> Bom:
     if violations:
         raise BomSchemaError(violations)
 
-    bom = Bom(
-        serial_number=serial,
-        version=version,
-        kind=kind,
-        metadata=metadata,
-        components=tuple(components),
-        dependencies=tuple(dependencies),
-        vulnerabilities=tuple(vulnerabilities),
-        links=tuple(links),
-        extras=extras,
-    )
+    bom = Bom(serial, version, kind, metadata, components, dependencies, vulnerabilities, links,
+              extras)
     deep = validate_bom(bom)
     if deep:
         raise BomSchemaError(deep)

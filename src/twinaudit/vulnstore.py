@@ -65,10 +65,6 @@ def _compare_parsed(pa: Version, pb: Version) -> int:
     return (pa > pb) - (pa < pb)
 
 
-def compare_versions(a: str, b: str) -> int:
-    return _compare_parsed(parse_version(a), parse_version(b))
-
-
 @dataclass(frozen=True)
 class VersionRange:
     introduced: Optional[str] = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import uuid
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -240,3 +241,62 @@ def order_trap_documents(draw) -> list[Bom]:
             )
         )
     return documents
+
+
+@st.composite
+def broken_boms(draw) -> Bom:
+    """A document of boms() with one invariant of validate_bom broken, in a
+    way its JSON rendering keeps: parsing the rendering must report exactly
+    what validate_bom reports for the model."""
+    bom = draw(boms())
+    first = bom.components[0]
+    ref = first.bom_ref
+    cert = CryptoProperties(
+        asset_kind=CryptoAssetKind.CERTIFICATE,
+        certificate_subject="CN=a",
+        certificate_issuer="CN=ca",
+        not_before=draw(
+            st.sampled_from(["2030-01-01T00:00:00+00:00", "2024-01-01", "soon"])
+        ),
+        not_after="2026-01-01T00:00:00+00:00",
+        signature_algorithm_ref="sha256",
+    )
+    vuln = VulnerabilityEntry(
+        cve_id="CVE-2024-99999",
+        cvss_score=5.0,
+        cvss_vector="",
+        severity=Severity.MEDIUM,
+        affects=(ref,),
+    )
+
+    def with_components(*comps: Component) -> Bom:
+        return replace(bom, components=(*comps, *bom.components[1:]))
+
+    def with_vulnerabilities(*vulns: VulnerabilityEntry) -> Bom:
+        return replace(bom, vulnerabilities=(*bom.vulnerabilities, *vulns))
+
+    breaks = [
+        lambda: replace(bom, serial_number="urn:uuid:not-a-uuid"),
+        lambda: replace(bom, version=draw(st.integers(-2, 0))),
+        lambda: replace(bom, metadata=replace(bom.metadata, subject_name="")),
+        lambda: replace(bom, metadata=replace(bom.metadata, properties=(("twinaudit:x", "y"),))),
+        lambda: with_components(first, replace(first, name=first.name + "2")),
+        lambda: with_components(replace(first, name="")),
+        lambda: with_components(replace(first, bom_ref="")),
+        lambda: with_components(
+            replace(first, component_type=ComponentType.LIBRARY,
+                    crypto=CryptoProperties(asset_kind=CryptoAssetKind.ALGORITHM))
+        ),
+        lambda: with_components(
+            replace(first, component_type=ComponentType.CERTIFICATE, crypto=cert)
+        ),
+        lambda: replace(bom, dependencies=(*bom.dependencies, Dependency(ref, ("no:such",)))),
+        lambda: replace(bom, dependencies=(*bom.dependencies, Dependency(ref, (ref,)))),
+        lambda: with_vulnerabilities(replace(vuln, cve_id="CVE-1")),
+        lambda: with_vulnerabilities(vuln, vuln),
+        lambda: with_vulnerabilities(replace(vuln, cvss_score=11.5)),
+        lambda: with_vulnerabilities(replace(vuln, severity=Severity.LOW)),
+        lambda: with_vulnerabilities(replace(vuln, affects=("no:such",))),
+        lambda: replace(bom, links=(*bom.links, *[draw(bom_links())] * 2)),
+    ]
+    return draw(st.sampled_from(breaks))()

@@ -1,5 +1,8 @@
 """Model invariants: validation, severity banding, links, resolution."""
 
+import inspect
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,7 @@ from twinaudit.bom import (
     validate_bom,
 )
 
-from .strategies import boms
+from .strategies import bom_links, boms
 
 SERIAL = "urn:uuid:0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10"
 OTHER_SERIAL = "urn:uuid:7f9c2a41-6b3d-4e8f-8c21-5a0d9e3f1b42"
@@ -108,6 +111,68 @@ class TestBomLink:
         assert serial_uuid(SERIAL) == "0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10"
         with pytest.raises(ValueError):
             serial_uuid("0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10")
+
+    @pytest.mark.parametrize(
+        "serial", ["0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10", "urn:uuid:nope", SERIAL.upper(), ""]
+    )
+    def test_malformed_target_serial_is_refused_at_construction(self, serial):
+        """render() slices the serial it was built with, so the serial is
+        checked once, when the link is made (replace makes one too)."""
+        with pytest.raises(ValueError):
+            BomLink(target_serial=serial, target_version=1)
+        with pytest.raises(ValueError):
+            replace(BomLink(SERIAL, 1), target_serial=serial)
+
+    @given(bom_links())
+    def test_render_matches_serial_uuid(self, link):
+        fragment = "" if link.target_bom_ref is None else f"#{link.target_bom_ref}"
+        expected = f"urn:cdx:{serial_uuid(link.target_serial)}/{link.target_version}{fragment}"
+        assert link.render() == expected
+
+
+MODEL_TYPES = [
+    BomLink, CryptoProperties, Component, Dependency, VulnerabilityEntry, BomMetadata, Bom
+]
+
+
+class TestConstruction:
+    """Each model type has one hand-written constructor; these pin it to
+    the type's dataclass fields."""
+
+    @pytest.mark.parametrize("cls", MODEL_TYPES, ids=lambda c: c.__name__)
+    def test_constructor_takes_the_fields_in_order_with_their_defaults(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(cls)
+        ]
+
+    @given(boms())
+    def test_values_are_frozen_hashable_and_rebuilt_equal(self, bom):
+        values = [bom, bom.metadata, *bom.components, *bom.dependencies,
+                  *bom.vulnerabilities, *bom.links]
+        values += [c.crypto for c in bom.components if c.crypto is not None]
+        for value in values:
+            with pytest.raises(FrozenInstanceError):
+                value.__setattr__(fields(value)[0].name, None)
+            again = replace(value)
+            assert again == value and hash(again) == hash(value)
+            assert again is not value
+
+    def test_unordered_fields_are_sorted_by_the_constructor_and_by_replace(self):
+        dep = Dependency("a", ["c", "b"])
+        assert dep.depends_on == ("b", "c")
+        assert replace(dep, depends_on=["z", "y"]).depends_on == ("y", "z")
+        vuln = VulnerabilityEntry("CVE-2024-0001", 5.0, "", Severity.MEDIUM, iter(["b", "a"]))
+        assert vuln.affects == ("a", "b")
+        crypto = CryptoProperties(CryptoAssetKind.PROTOCOL, cipher_suite_refs=["y", "x"])
+        assert crypto.cipher_suite_refs == ("x", "y")
+        metadata = BomMetadata(SubjectKind.HOST, "h", properties=[["b", "1"], ["a", "2"]])
+        assert metadata.properties == (("a", "2"), ("b", "1"))
+        bom = make_bom(components=tuple(reversed(make_bom().components)),
+                       extras=[["z", "1"], ["y", "2"]])
+        assert [c.bom_ref for c in bom.components] == ["lib-a", "lib-b"]
+        assert bom.extras == (("y", "2"), ("z", "1"))
 
 
 class TestValidation:

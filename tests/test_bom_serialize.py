@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinaudit.bom import (
     Bom,
@@ -14,11 +15,13 @@ from twinaudit.bom import (
     BomSchemaError,
     BomValidationError,
     SubjectKind,
+    bom_to_dict,
     parse_bom,
     serialize_bom,
+    validate_bom,
 )
 
-from .strategies import boms
+from .strategies import boms, broken_boms
 
 SERIAL = "urn:uuid:0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10"
 
@@ -454,6 +457,16 @@ MALFORMED = [
       ("externalReferences[1]", "only {type: bom, url} references modeled"),
       ("externalReferences[2].url", "not a bom-link urn: 'x'"),
       ("externalReferences[3].url", "not a bom-link urn: ''")]),
+    ("dependency-and-reference-unknown-fields-in-document-order",
+     {"dependencies": [{"note": 1, "ref": "a", "dependsOn": [], "hashes": []},
+                       {"ref": 5, "zz": 1}],
+      "externalReferences": [{"comment": "x", "type": "bom", "url": LINK},
+                             {"type": "bom", "url": "x", "hashes": []}]},
+     [("dependencies[0].note", "unknown field"), ("dependencies[0].hashes", "unknown field"),
+      ("dependencies[1]", "must be {ref, dependsOn}"), ("dependencies[1].zz", "unknown field"),
+      ("externalReferences[0].comment", "unknown field"),
+      ("externalReferences[1].url", "not a bom-link urn: 'x'"),
+      ("externalReferences[1].hashes", "unknown field")]),
     # the semantic pass runs only on structurally sound documents
     ("semantic-dangling-affects",
      {"vulnerabilities": [_cve(ratings=RATING, affects=[{"ref": "zzz"}])]},
@@ -538,3 +551,18 @@ def test_unexpected_json_types_are_violations(patch, expected):
     text = json.dumps(_patched(patch))
     assert _violations(text, strict=True) == expected
     assert _violations(text, strict=False) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(boms(), broken_boms()))
+def test_parse_of_a_rendering_is_the_model_or_its_validate_bom_violations(bom):
+    """The readers and validate_bom split the checks between them; together
+    they answer for a rendered model exactly what validate_bom answers for
+    the model itself."""
+    expected = validate_bom(bom)
+    try:
+        parsed = parse_bom(json.dumps(bom_to_dict(bom)))
+    except BomSchemaError as err:
+        assert expected and list(err.violations) == expected
+    else:
+        assert not expected and parsed == bom

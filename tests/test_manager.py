@@ -417,6 +417,35 @@ class TestUpdate:
             assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
             assert manager._records[sdt_id].boms[bom.serial_number] == bom
 
+    @pytest.mark.parametrize("section", ["links", "dependencies"])
+    def test_unknown_fields_inside_delta_entries_are_invalid(self, env, section):
+        """An added link or dependency that carries a field outside the
+        modeled subset was applied with the field dropped; it answers 400
+        like a component's unknown field, and the twin stays ready at its
+        version. The same entry without the field applies."""
+        manager, client, _ = env.make_manager()
+        texts = bom_texts(f"entry-field-{section}")
+        sdt_id = client.create("profile-a", texts)["sdtId"]
+        boms = list(map(parse_bom, texts))
+        if section == "links":
+            bom = next(b for b in boms if b.links)
+            link = replace(bom.links[0], target_version=bom.links[0].target_version + 1)
+            entry = {"type": "bom", "url": link.render()}
+        else:
+            bom = next(b for b in boms if len(b.components) > 1 and not b.dependencies)
+            entry = {"ref": bom.components[0].bom_ref, "dependsOn": [bom.components[1].bom_ref]}
+        base = {"baseSerial": bom.serial_number, "baseVersion": bom.version,
+                "newVersion": bom.version + 1}
+        with pytest.raises(Exception) as err:
+            client.update(sdt_id, expected_version=1,
+                          deltas=[{**base, f"{section}Added": [{**entry, "comment": "x"}]}])
+        assert (err.value.status, err.value.code) == (400, "invalid_delta")
+        descriptor = client.get(sdt_id)
+        assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+        assert manager._records[sdt_id].boms[bom.serial_number] == bom
+        client.update(sdt_id, expected_version=1, deltas=[{**base, f"{section}Added": [entry]}])
+        assert client.get(sdt_id)["representationVersion"] == 2
+
     def test_document_not_raising_the_version_must_equal_the_stored_one(self, env):
         """A BOM-Link urn:cdx:<serial>/<version> names one content: a full
         document that changes a stored one at its version, or at a lower

@@ -12,10 +12,19 @@ from twinaudit.vulnstore import (
     FeedError,
     VersionRange,
     VulnerabilityStore,
-    compare_versions,
     normalize_package_name,
     parse_version,
 )
+
+
+def compare_versions(a: str, b: str) -> int:
+    """Version order, the oracle of the range tests: the parsed segments of
+    the shorter version padded with (0, ""), then compared as tuples."""
+    pa, pb = parse_version(a), parse_version(b)
+    width = max(len(pa), len(pb))
+    pa += ((0, ""),) * (width - len(pa))
+    pb += ((0, ""),) * (width - len(pb))
+    return (pa > pb) - (pa < pb)
 
 
 def record(cve, name, introduced=None, fixed=None, score=7.5):
