@@ -12,7 +12,6 @@ from .profiles import (
 from .runs import TRANSITIONS, AuditRun, InvalidTransition, RunState
 from .service import (
     AuditService,
-    PeriodicSync,
     UnknownRun,
     collect_evidence,
     forge_documents,
@@ -41,7 +40,6 @@ __all__ = [
     "InvalidTransition",
     "InventoryError",
     "OutdatedLayout",
-    "PeriodicSync",
     "ProfileError",
     "Relationship",
     "RelationshipKind",

@@ -123,5 +123,5 @@ def get_profile(store: FileDocumentStore, profile_id: str) -> Optional[AuditProf
 def load_profile_file(path: Union[str, Path]) -> AuditProfile:
     data = read_data_file(path)
     if not isinstance(data, dict):
-        raise ProfileError("profile file must contain an object")
+        raise ProfileError(f"{path}: a profile file must contain an object")
     return AuditProfile.from_dict(data)

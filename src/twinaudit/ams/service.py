@@ -37,7 +37,6 @@ from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from
 
 __all__ = [
     "AuditService",
-    "PeriodicSync",
     "UnknownRun",
     "collect_evidence",
     "forge_documents",
@@ -48,10 +47,8 @@ __all__ = [
 RUN_DOCUMENTS = "run_documents"
 
 
-class UnknownRun(KeyError):
-    def __init__(self, run_id: str) -> None:
-        super().__init__(run_id)
-        self.run_id = run_id
+class UnknownRun(LookupError):
+    """A run, or a document of one, that the store does not hold."""
 
 
 def _filtered(bundle: EvidenceBundle, categories: tuple[str, ...]) -> EvidenceBundle:
@@ -88,13 +85,12 @@ def forge_host(
     bundle: EvidenceBundle,
     categories: tuple[str, ...],
     vulnerabilities: VulnerabilityStore,
-    version: int = 1,
 ) -> list[Bom]:
     """The host's SBOM and CBOM over the profile's evidence categories."""
     scoped = _filtered(bundle, categories)
-    sbom = build_sbom(scoped.host, scoped.records, version=version)
+    sbom = build_sbom(scoped.host, scoped.records)
     graph = build_graph(scoped.records)
-    cbom = build_cbom(scoped.host, graph, scoped.records, version=version)
+    cbom = build_cbom(scoped.host, graph, scoped.records)
     return [
         enrich_with_vulnerabilities(sbom, vulnerabilities),
         enrich_with_vulnerabilities(cbom, vulnerabilities),
@@ -185,7 +181,7 @@ class AuditService:
     def load_run(self, run_id: str) -> AuditRun:
         doc = self.store.get(RUNS, run_id)
         if doc is None:
-            raise UnknownRun(run_id)
+            raise UnknownRun(f"unknown run {run_id}")
         return AuditRun.from_dict(doc)
 
     def _load_documents(self, run_id: str) -> Optional[DocumentLog]:
@@ -379,34 +375,3 @@ class AuditService:
             if step != "save" and run.state is not RunState.FAILED:
                 self._advance(run, RunState.FAILED, f"{step}_failed:{exc}")
             raise
-
-
-class PeriodicSync:
-    """Drives update_audit on a fixed cadence; call tick() from any loop."""
-
-    def __init__(
-        self,
-        service: AuditService,
-        run_id: str,
-        interval_seconds: float,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        self.service = service
-        self.run_id = run_id
-        self.interval_seconds = interval_seconds
-        self.clock = clock
-        self.last_sync = clock()
-
-    def due(self, now: Optional[float] = None) -> bool:
-        now = self.clock() if now is None else now
-        return now - self.last_sync >= self.interval_seconds
-
-    def tick(self, now: Optional[float] = None) -> Optional[Any]:
-        """Runs one update when the interval has elapsed; returns the run."""
-        now = self.clock() if now is None else now
-        if not self.due(now):
-            return None
-        self.last_sync = now
-        return self.service.update_audit(self.run_id)

@@ -16,7 +16,7 @@ import statistics
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .jsonhttp import RequestRejected, TransportUnavailable
 from .manager import ManagerClient
@@ -73,8 +73,6 @@ def run_benchmark(
     bom_texts: list[str],
     iterations: int = 50,
     warmup: int = 1,
-    options: Optional[dict[str, Any]] = None,
-    clock: Callable[[], float] = time.perf_counter,
     build_payload: Optional[Callable[[], list[str]]] = None,
 ) -> BenchResult:
     """build_payload, when given, runs inside the timed window of every
@@ -83,9 +81,7 @@ def run_benchmark(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    body: dict[str, Any] = {"profileId": profile_id, "boms": bom_texts}
-    if options:
-        body["options"] = options
+    body = {"profileId": profile_id, "boms": bom_texts}
     payload_bytes = len(json.dumps(body).encode("utf-8"))
 
     result = BenchResult(iterations=[], payload_bytes=payload_bytes, footprint_bytes=0)
@@ -99,15 +95,15 @@ def run_benchmark(
     gc.disable()
     try:
         for _ in range(max(0, warmup)):
-            descriptor = client.create(profile_id, bom_texts, options=options)
+            descriptor = client.create(profile_id, bom_texts)
             client.destroy(descriptor["sdtId"])
 
         for index in range(iterations):
-            started = clock()
+            started = time.perf_counter()
             try:
                 texts = build_payload() if build_payload is not None else bom_texts
-                descriptor = client.create(profile_id, texts, options=options)
-                latency = clock() - started
+                descriptor = client.create(profile_id, texts)
+                latency = time.perf_counter() - started
                 sdt_id = descriptor["sdtId"]
                 if result.footprint_bytes == 0:
                     result.footprint_bytes = client.footprint(sdt_id)

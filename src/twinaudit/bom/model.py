@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Optional
 
 UUID_RE = re.compile(
     r"[0-9a-f]{8}-[0-9a-f]{4}-[1-5][0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}"
@@ -94,18 +94,6 @@ class BomValidationError(ValueError):
         super().__init__(f"bom validation failed: {detail}")
 
 
-class LinkResolutionError(KeyError):
-    pass
-
-
-class BomLinkNotFound(LinkResolutionError):
-    """Target (serial, version) absent from the registry."""
-
-
-class DanglingRef(LinkResolutionError):
-    """Target document exists but the fragment bom_ref does not."""
-
-
 # Each value type is a frozen dataclass with slots and a hand-written
 # __init__, its only constructor (dataclasses.replace calls it too). It
 # stores each field through the field's slot setter, bound once per class by
@@ -156,13 +144,6 @@ class BomLink:
 
 _LINK_SLOTS = _slot_setters(BomLink)
 _UUID_AT = len("urn:uuid:")
-
-
-def serial_uuid(serial_number: str) -> str:
-    """Strip the urn:uuid: prefix; raises on malformed serials."""
-    if not SERIAL_RE.match(serial_number):
-        raise ValueError(f"not a urn:uuid serial: {serial_number!r}")
-    return serial_number[_UUID_AT:]
 
 
 def is_bom_link(ref: str) -> bool:
@@ -363,12 +344,6 @@ class Bom:
         set_vulnerabilities(self, tuple(sorted(vulnerabilities, key=_BY_CVE_ID)))
         set_links(self, tuple(sorted(links, key=_link_order)))
         set_extras(self, tuple(sorted(map(tuple, extras))))
-
-    def component_by_ref(self, bom_ref: str) -> Optional[Component]:
-        for c in self.components:
-            if c.bom_ref == bom_ref:
-                return c
-        return None
 
 
 _BOM_SLOTS = _slot_setters(Bom)
@@ -577,23 +552,3 @@ _NONE, _LOW, _MEDIUM, _HIGH, _CRITICAL = (
     Severity.NONE, Severity.LOW, Severity.MEDIUM, Severity.HIGH, Severity.CRITICAL
 )
 
-
-BomRegistry = Mapping[tuple[str, int], Bom]
-
-
-def resolve_bom_link(link: BomLink, registry: BomRegistry) -> Union[Bom, Component]:
-    """Exact-match resolution against a (serial, version)-keyed registry."""
-    key = (link.target_serial, link.target_version)
-    bom = registry.get(key)
-    if bom is None:
-        raise BomLinkNotFound(
-            f"no document {link.target_serial} version {link.target_version} in registry"
-        )
-    if link.target_bom_ref is None:
-        return bom
-    component = bom.component_by_ref(link.target_bom_ref)
-    if component is None:
-        raise DanglingRef(
-            f"bom_ref {link.target_bom_ref!r} absent from {link.target_serial}"
-        )
-    return component

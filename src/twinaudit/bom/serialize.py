@@ -15,7 +15,7 @@ the ones revision deltas use.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Optional
 
 from .model import (
     KIND_PROPERTY,
@@ -282,7 +282,7 @@ def _take(
 
 
 def _unknown_fields(
-    data: dict[str, Any], known: frozenset[str], path: str, violations: list[Violation]
+    data: dict[str, Any], known: AbstractSet[str], path: str, violations: list[Violation]
 ) -> None:
     """One violation per field outside `known`, in document order."""
     violations.extend(
@@ -365,13 +365,16 @@ def _parse_crypto(
             if not isinstance(algorithms, list):
                 path = f"{section}[{i}]{_PROTOCOL}.cipherSuites"
                 violations.append(Violation(path, "algorithms must be a list"))
-                continue
+                algorithms = ()
             for k, algorithm in enumerate(algorithms):
                 if isinstance(algorithm, str):
                     suites.append(algorithm)
                 else:
                     path = f"{section}[{i}]{_PROTOCOL}.cipherSuites[{j}].algorithms[{k}]"
                     violations.append(Violation(path, "expected str"))
+            if strict and not entry.keys() <= {"algorithms"}:
+                path = f"{section}[{i}]{_PROTOCOL}.cipherSuites[{j}]"
+                _unknown_fields(entry, {"algorithms"}, path, violations)
         if strict and not proto.keys() <= _PROTOCOL_FIELDS:
             _unknown_fields(proto, _PROTOCOL_FIELDS, f"{section}[{i}]{_PROTOCOL}", violations)
     if strict and not data.keys() <= _CRYPTO_FIELDS:
@@ -473,6 +476,9 @@ def _parse_vulnerability(
             )
         else:
             severity = sev
+        if strict and not first.keys() <= {"method", "score", "severity", "vector"}:
+            path = f"{section}[{i}].ratings[0]"
+            _unknown_fields(first, {"method", "score", "severity", "vector"}, path, violations)
     else:
         violations.append(Violation(f"{section}[{i}].ratings", "must carry one CVSS rating"))
     state = _IN_TRIAGE
@@ -488,11 +494,13 @@ def _parse_vulnerability(
             )
         else:
             state = parsed_state
+        if strict and not analysis.keys() <= {"state"}:
+            _unknown_fields(analysis, {"state"}, f"{section}[{i}].analysis", violations)
     affects: list[str] = []
     affects_raw = data.get("affects")
     if type(affects_raw) is not list:
         affects_raw = _take(data, "affects", list, f"{section}[{i}]", violations, required=True)
-    for entry in affects_raw or ():
+    for j, entry in enumerate(affects_raw or ()):
         ref = entry.get("ref") if type(entry) is dict else None
         if type(ref) is str:
             affects.append(ref)
@@ -500,6 +508,8 @@ def _parse_vulnerability(
             violations.append(
                 Violation(f"{section}[{i}].affects", "entries must be {ref: string}")
             )
+        if strict and type(entry) is dict and not entry.keys() <= {"ref"}:
+            _unknown_fields(entry, {"ref"}, f"{section}[{i}].affects[{j}]", violations)
     if strict and not data.keys() <= _VULNERABILITY_FIELDS:
         _unknown_fields(data, _VULNERABILITY_FIELDS, f"{section}[{i}]", violations)
     if cve_id is None:
@@ -584,6 +594,8 @@ def _parse_metadata(
             subject_name = comp_raw["name"]
         else:
             violations.append(Violation(f"{path}.component.name", "missing subject name"))
+        if strict and not comp_raw.keys() <= {"type", "name"}:
+            _unknown_fields(comp_raw, {"type", "name"}, f"{path}.component", violations)
     timestamp = data.get("timestamp")
     if type(timestamp) is not str and "timestamp" in data:
         timestamp = _take(data, "timestamp", str, path, violations)
@@ -609,6 +621,8 @@ def _parse_metadata(
             violations.append(
                 Violation(f"{path}.properties[{i}]", "entries must be {name, value}")
             )
+        if strict and isinstance(entry, dict) and not entry.keys() <= {"name", "value"}:
+            _unknown_fields(entry, {"name", "value"}, f"{path}.properties[{i}]", violations)
     if strict and not data.keys() <= _METADATA_FIELDS:
         _unknown_fields(data, _METADATA_FIELDS, path, violations)
     return BomMetadata(subject_kind, subject_name, timestamp, props), kind
@@ -617,9 +631,11 @@ def _parse_metadata(
 def parse_bom(text: str, strict: bool = True) -> Bom:
     """Inverse of serialize_bom.
 
-    Strict mode rejects unknown fields of the document, its metadata, and
-    each component (crypto objects included), dependency, vulnerability and
-    reference; lenient mode preserves unknown document-level fields
+    Strict mode rejects unknown fields of the document, its metadata (its
+    component and property entries included), and each component (crypto
+    objects and cipher suites included), dependency, vulnerability (its
+    first rating, analysis and affects entries included) and reference;
+    lenient mode preserves unknown document-level fields
     opaquely in `extras` and ignores unknown fields inside the document's
     objects. Unknown fields are reported in document order, after the
     known fields of their object.

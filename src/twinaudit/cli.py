@@ -6,6 +6,11 @@ long-running `twinaudit manager serve` instead. Embedded twins vanish when
 the command exits, so cross-invocation work (`audit update`, `sdt get`)
 needs the external mode. Reports read from the document store and work in
 either mode.
+
+The program's own errors (a file it cannot use, an unknown run or profile,
+a refused or unreachable manager) end a command with exit 1 and one
+`Error:` line; `_Main.invoke` is the one place that turns them into that.
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 import click
 
@@ -23,8 +28,8 @@ from .ams import (
     AuditService,
     FileDocumentStore,
     InvalidTransition,
+    InventoryError,
     OutdatedLayout,
-    PeriodicSync,
     ProfileError,
     RunState,
     UnknownRun,
@@ -40,13 +45,13 @@ from .ams import (
 )
 from .ams.profiles import PERIODIC
 from .bench import BenchError, run_benchmark
-from .config import AppConfig, load_config
+from .config import AppConfig, DataFileError, load_config
 from .fixtures.catalog import GROUP_ORDER, ROLE_GROUPS
 from .fixtures.generator import FIXTURE_SPECS, generate
 from .jsonhttp import RequestRejected, SharedJsonServer, TransportUnavailable
 from .manager import InProcessRuntime, ManagerClient, ManagerService, SdtManager
 from .report import render_report, report_counts
-from .vulnstore import VulnerabilityStore
+from .vulnstore import FeedError, VulnerabilityStore
 
 MANAGER_PREFIX = "/manager"
 
@@ -109,7 +114,19 @@ def _finish_run(run: AuditRun, as_json: bool) -> None:
         sys.exit(1)
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except (
+            DataFileError, InventoryError, ProfileError, FeedError, UnknownRun,
+            InvalidTransition, OutdatedLayout, BenchError, TransportUnavailable,
+            RequestRejected,
+        ) as err:
+            raise click.ClickException(str(err)) from err
+
+
+@click.group(cls=_Main)
 @click.option(
     "--config",
     "config_path",
@@ -154,10 +171,7 @@ def inventory() -> None:
 @click.pass_obj
 def inventory_ingest(config: AppConfig, file: str) -> None:
     """Load an inventory file into the document store."""
-    try:
-        graph = ingest_inventory(FileDocumentStore(config.store), file)
-    except ValueError as err:
-        raise click.ClickException(str(err))
+    graph = ingest_inventory(FileDocumentStore(config.store), file)
     click.echo(
         f"ingested {len(graph.hosts)} hosts,"
         f" {len(graph.relationships)} relationships"
@@ -177,11 +191,8 @@ def profile() -> None:
 def profile_create(config: AppConfig, path: str) -> None:
     """Register a profile; its selector must match the ingested inventory."""
     store = FileDocumentStore(config.store)
-    try:
-        created = create_profile(store, load_profile_file(path))
-        hosts = selected_hosts(created, topology_from_store(store))
-    except (ProfileError, ValueError) as err:
-        raise click.ClickException(str(err))
+    created = create_profile(store, load_profile_file(path))
+    hosts = selected_hosts(created, topology_from_store(store))
     click.echo(f"profile {created.profile_id} selects {len(hosts)} hosts")
 
 
@@ -208,11 +219,7 @@ def audit_run(
 ) -> None:
     """Collect evidence, forge documents, and deploy the twin."""
     with _manager_session(config) as client:
-        service = _service(config, client, feed)
-        try:
-            run = service.run_audit(profile_id)
-        except (ProfileError, OutdatedLayout) as err:
-            raise click.ClickException(str(err))
+        run = _service(config, client, feed).run_audit(profile_id)
     _finish_run(run, as_json)
 
 
@@ -221,11 +228,7 @@ def audit_run(
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
 def audit_status(config: AppConfig, run_id: str, as_json: bool) -> None:
-    try:
-        run = _store_service(config).load_run(run_id)
-    except UnknownRun as err:
-        raise click.ClickException(str(err))
-    _echo_run(run, as_json)
+    _echo_run(_store_service(config).load_run(run_id), as_json)
 
 
 @audit.command("report")
@@ -236,11 +239,8 @@ def audit_status(config: AppConfig, run_id: str, as_json: bool) -> None:
 def audit_report(config: AppConfig, run_id: str, as_json: bool, top: int) -> None:
     """Artifact counts, worst vulnerabilities, certificate expiry."""
     service = _store_service(config)
-    try:
-        boms = service.run_boms(service.load_run(run_id))
-        roles = {h.host_id: h.role for h in topology_from_store(service.store).hosts}
-    except (UnknownRun, OutdatedLayout) as err:
-        raise click.ClickException(str(err))
+    boms = service.run_boms(service.load_run(run_id))
+    roles = {h.host_id: h.role for h in topology_from_store(service.store).hosts}
     if not boms:
         raise click.ClickException(f"run {run_id} has no stored documents")
     if as_json:
@@ -283,11 +283,7 @@ def audit_update(
     """
     subset = [h.strip() for h in hosts.split(",") if h.strip()] if hosts else None
     with _manager_session(config) as client:
-        service = _service(config, client, feed)
-        try:
-            run = service.update_audit(run_id, hosts=subset)
-        except (ProfileError, UnknownRun, InvalidTransition, OutdatedLayout) as err:
-            raise click.ClickException(str(err))
+        run = _service(config, client, feed).update_audit(run_id, hosts=subset)
     _finish_run(run, as_json)
 
 
@@ -303,24 +299,17 @@ def audit_watch(config: AppConfig, run_id: str, count: Optional[int]) -> None:
     """
     with _manager_session(config) as client:
         service = _service(config, client)
-        try:
-            profile_id = service.load_run(run_id).profile_id
-        except UnknownRun as err:
-            raise click.ClickException(str(err))
+        profile_id = service.load_run(run_id).profile_id
         profile = get_profile(service.store, profile_id)
         if profile is None or profile.sync_policy.kind != PERIODIC:
             raise click.ClickException(f"profile {profile_id} has no PERIODIC sync policy")
-        sync = PeriodicSync(service, run_id, profile.sync_policy.interval_seconds)
-        done = 0
+        interval = profile.sync_policy.interval_seconds
+        last_sync, done = time.time(), 0
         while count is None or done < count:
-            time.sleep(max(0.0, sync.last_sync + sync.interval_seconds - time.time()))
-            try:
-                run = sync.tick()
-            except (ProfileError, UnknownRun, InvalidTransition, OutdatedLayout) as err:
-                raise click.ClickException(str(err))
-            if run is not None:
-                done += 1
-                _finish_run(run, as_json=False)
+            time.sleep(max(0.0, last_sync + interval - time.time()))
+            last_sync = time.time()
+            _finish_run(service.update_audit(run_id), as_json=False)
+            done += 1
 
 
 # -- sdt ----------------------------------------------------------------------
@@ -331,61 +320,43 @@ def sdt() -> None:
     """Inspect deployed twins (external manager mode)."""
 
 
-def _with_manager(config: AppConfig, action: Callable[[ManagerClient], None]) -> None:
-    with _manager_session(config) as client:
-        try:
-            action(client)
-        except (TransportUnavailable, RequestRejected) as err:
-            raise click.ClickException(str(err))
-
-
 @sdt.command("list")
 @click.pass_obj
 def sdt_list(config: AppConfig) -> None:
-    def action(client: ManagerClient) -> None:
+    with _manager_session(config) as client:
         descriptors = client.list()
-        if not descriptors:
-            click.echo("no deployed twins")
-            return
-        for item in descriptors:
-            click.echo(
-                f"{item.get('sdtId')}  {item.get('state')}"
-                f"  v{item.get('representationVersion')}  {item.get('profileId', '')}"
-            )
-
-    _with_manager(config, action)
+    if not descriptors:
+        click.echo("no deployed twins")
+    for item in descriptors:
+        click.echo(
+            f"{item.get('sdtId')}  {item.get('state')}"
+            f"  v{item.get('representationVersion')}  {item.get('profileId', '')}"
+        )
 
 
 @sdt.command("get")
 @click.argument("sdt_id")
 @click.pass_obj
 def sdt_get(config: AppConfig, sdt_id: str) -> None:
-    _with_manager(
-        config,
-        lambda client: click.echo(
-            json.dumps(client.get(sdt_id), indent=2, sort_keys=True)
-        ),
-    )
+    with _manager_session(config) as client:
+        click.echo(json.dumps(client.get(sdt_id), indent=2, sort_keys=True))
 
 
 @sdt.command("destroy")
 @click.argument("sdt_id")
 @click.pass_obj
 def sdt_destroy(config: AppConfig, sdt_id: str) -> None:
-    def action(client: ManagerClient) -> None:
+    with _manager_session(config) as client:
         client.destroy(sdt_id)
-        click.echo(f"destroyed {sdt_id}")
-
-    _with_manager(config, action)
+    click.echo(f"destroyed {sdt_id}")
 
 
 @sdt.command("footprint")
 @click.argument("sdt_id")
 @click.pass_obj
 def sdt_footprint(config: AppConfig, sdt_id: str) -> None:
-    _with_manager(
-        config, lambda client: click.echo(f"{client.footprint(sdt_id)} bytes")
-    )
+    with _manager_session(config) as client:
+        click.echo(f"{client.footprint(sdt_id)} bytes")
 
 
 # -- bench --------------------------------------------------------------------
@@ -448,16 +419,13 @@ def bench_deploy(
 
         texts = build()
         with _manager_session(config) as client:
-            try:
-                result = run_benchmark(
-                    client,
-                    audit_profile.profile_id,
-                    texts,
-                    iterations=iterations,
-                    build_payload=build if include_collection else None,
-                )
-            except (BenchError, TransportUnavailable, RequestRejected) as err:
-                raise click.ClickException(str(err))
+            result = run_benchmark(
+                client,
+                audit_profile.profile_id,
+                texts,
+                iterations=iterations,
+                build_payload=build if include_collection else None,
+            )
 
     summary = result.summary()
     click.echo(f"fixture: {fixture_spec} ({len(texts)} documents)")

@@ -10,7 +10,7 @@ from typing import Any, Mapping, Optional, Union
 
 import yaml
 
-__all__ = ["AppConfig", "load_config", "read_data_file"]
+__all__ = ["AppConfig", "DataFileError", "load_config", "read_data_file"]
 
 ENV_CONFIG = "TWINAUDIT_CONFIG"
 ENV_STORE = "TWINAUDIT_STORE"
@@ -29,13 +29,27 @@ class AppConfig:
         return Path(self.store_path)
 
 
+class DataFileError(ValueError):
+    """A settings, inventory or profile file that cannot be used; the
+    message names the file."""
+
+
 def read_data_file(path: Union[str, Path]) -> Any:
-    """The value a YAML (.yaml or .yml, in any case) or else JSON file holds."""
+    """The value a YAML (.yaml or .yml, in any case) or else JSON file holds.
+
+    Raises DataFileError for a file that cannot be read or parsed.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() in (".yaml", ".yml"):
-        return yaml.safe_load(text)
-    return json.loads(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix.lower() in (".yaml", ".yml"):
+            return yaml.safe_load(text)
+        return json.loads(text)
+    except (OSError, ValueError, yaml.YAMLError) as err:
+        # YAML's own messages span lines and quote the text back.
+        mark = getattr(err, "problem_mark", None)
+        reason = f"line {mark.line + 1}: {err.problem}" if mark else " ".join(str(err).split())
+        raise DataFileError(f"{path}: {reason}") from err
 
 
 def load_config(
@@ -53,11 +67,11 @@ def load_config(
         if data is None:
             data = {}
         if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected a mapping at top level")
+            raise DataFileError(f"{path}: expected a mapping at top level")
         known = {k: v for k, v in data.items() if k in AppConfig.__dataclass_fields__}
         unknown = set(data) - set(known)
         if unknown:
-            raise ValueError(f"{path}: unknown settings {sorted(unknown)}")
+            raise DataFileError(f"{path}: unknown settings {sorted(unknown)}")
         config = replace(config, **known)
 
     if env.get(ENV_STORE):

@@ -3,8 +3,13 @@
 Server: one ThreadingHTTPServer carries many mounted services, each under a
 path prefix; a request goes to the mount with the longest prefix of its
 path. Services implement `dispatch(request) -> (status, payload)` and signal
-failures with HttpError; the handler turns both into JSON bodies. Every
-error body has the shape {"code": ..., "message": ...}.
+failures with HttpError. Every answer is JSON. Every error answer has the
+body {"code": ..., "message": ...}, and one function writes it: the
+handler's send_error, which the stdlib also calls for the requests it
+refuses itself (a malformed or unsupported request line, an overlong URI or
+header block, a method other than GET, POST, PUT and DELETE). The error
+code of those is their status name, such as "not_implemented". The answer
+to a HEAD request has no body.
 
 Connections are kept alive (HTTP/1.1), one handler thread per connection:
 - each response's head and body leave in a single send on a TCP_NODELAY
@@ -12,7 +17,8 @@ Connections are kept alive (HTTP/1.1), one handler thread per connection:
 - the request body is read in full before any answer, so the next request
   on the connection starts where it should; a body whose length is unknown
   (bad `Content-Length`, or chunked) gets a 400, one above MAX_BODY_BYTES a
-  413, and the connection is closed after either;
+  413, and the connection is closed after either, as after every error the
+  stdlib answers;
 - a connection idle for IDLE_TIMEOUT_S is closed, and stopping the server
   closes every connection it accepted.
 
@@ -31,6 +37,7 @@ import json
 import socket
 import threading
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Optional
 from urllib.parse import parse_qsl, urlsplit
@@ -60,9 +67,6 @@ class HttpError(Exception):
         self.status = status
         self.code = code
         self.message = message
-
-    def body(self) -> dict[str, str]:
-        return {"code": self.code, "message": self.message}
 
 
 class TransportUnavailable(Exception):
@@ -103,8 +107,12 @@ def bearer_token(headers: Mapping[str, str]) -> Optional[str]:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    server: "SharedJsonServer"
     server_version = "twinaudit"
     protocol_version = "HTTP/1.1"
+    # The stdlib writes no head at all for HTTP/0.9, its default for a
+    # request line that names no version or a refused one.
+    default_request_version = protocol_version
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
 
@@ -122,50 +130,65 @@ class _Handler(BaseHTTPRequestHandler):
         if close:
             self.send_header("Connection", "close")
         # end_headers() would send the head on its own; join the body to it.
-        self._headers_buffer.extend((b"\r\n", body))
+        # The answer to a HEAD request is the head alone.
+        self._headers_buffer.extend((b"\r\n", b"" if self.command == "HEAD" else body))
         self.flush_headers()
 
-    def _read_body(self) -> Optional[bytes]:
-        """The whole request body, or None once a framing error is answered."""
-        lengths = self.headers.get_all("Content-Length") or ["0"]
-        raw = lengths[0].strip() if len(set(lengths)) == 1 else ""
-        if "Transfer-Encoding" in self.headers or not (raw.isascii() and raw.isdigit()):
-            # Where this body ends is unknown, so the connection cannot go on.
-            self._respond(400, {"code": "bad_request",
-                                "message": "a request body needs one non-negative "
-                                           "integer Content-Length"}, close=True)
-            return None
-        if int(raw) > MAX_BODY_BYTES:
-            self._respond(413, {"code": "payload_too_large",
-                                "message": f"request body exceeds {MAX_BODY_BYTES} bytes"},
-                          close=True)
-            return None
-        return self.rfile.read(int(raw))
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+        *,
+        error: Optional[str] = None,
+        close: bool = True,
+    ) -> None:
+        """Answer with an error: the one writer of {code, message} bodies.
 
-    def _handle(self, method: str) -> None:
-        raw = self._read_body()
-        if raw is None:
+        The stdlib calls this for the requests it refuses itself (a bad
+        request line or header block, an unsupported method); their error
+        code is the status name, and, like a framing error, they close the
+        connection.
+        """
+        if error is None:
+            status = HTTPStatus(code)
+            error, message = status.name.lower(), message or status.phrase
+        self._respond(code, {"code": error, "message": message}, close)
+
+    def _handle(self) -> None:
+        """Serve one GET, POST, PUT or DELETE; the request body is read in
+        full before any answer."""
+        lengths = self.headers.get_all("Content-Length") or ["0"]
+        length = lengths[0].strip() if len(set(lengths)) == 1 else ""
+        if "Transfer-Encoding" in self.headers or not (length.isascii() and length.isdigit()):
+            # Where this body ends is unknown, so the connection cannot go on.
+            self.send_error(400, "a request body needs one non-negative integer "
+                                 "Content-Length", error="bad_request")
             return
+        if int(length) > MAX_BODY_BYTES:
+            self.send_error(413, f"request body exceeds {MAX_BODY_BYTES} bytes",
+                            error="payload_too_large")
+            return
+        raw = self.rfile.read(int(length))
         parts = urlsplit(self.path)
         path = parts.path or "/"
-        mount = self.server.resolve(path)  # type: ignore[attr-defined]
+        mount = self.server.resolve(path)
         if mount is None:
-            self._respond(404, {"code": "not_found", "message": f"no service at {path}"})
+            self.send_error(404, f"no service at {path}", error="not_found", close=False)
             return
 
         prefix, api = mount
-        sub_path = path[len(prefix):] or "/"
         body: Any = None
         if raw:
             try:
                 body = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
-                self._respond(400, {"code": "bad_request", "message": "body is not valid JSON"})
+                self.send_error(400, "body is not valid JSON", error="bad_request", close=False)
                 return
 
         request = ApiRequest(
-            method=method,
-            path=sub_path,
+            method=self.command,
+            path=path[len(prefix):] or "/",
             query=dict(parse_qsl(parts.query)),
             headers=dict(self.headers.items()),
             body=body,
@@ -173,36 +196,66 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             status, payload = api.dispatch(request)
         except HttpError as err:
-            self._respond(err.status, err.body())
+            self.send_error(err.status, err.message, error=err.code, close=False)
             return
         except Exception as err:  # service bug: report, keep the server alive
-            self._respond(500, {"code": "internal", "message": str(err)})
+            self.send_error(500, str(err), error="internal", close=False)
             return
         self._respond(status, payload)
 
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-    def do_PUT(self) -> None:
-        self._handle("PUT")
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
+    do_GET = do_POST = do_PUT = do_DELETE = _handle
 
 
-class _Server(ThreadingHTTPServer):
+class SharedJsonServer(ThreadingHTTPServer):
+    """One listening socket shared by many prefix-mounted services, and
+    their mount table."""
+
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int]):
-        super().__init__(address, _Handler)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _Handler)
         self._mounts: dict[str, JsonApi] = {}
         self._mounts_lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._handlers: set[threading.Thread] = set()
         self._live_lock = threading.Lock()
+        self._serving: Optional[threading.Thread] = None
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def url_for(self, prefix: str) -> str:
+        return self.base_url + prefix
+
+    def start(self) -> "SharedJsonServer":
+        if self._serving is None:
+            self._serving = threading.Thread(
+                target=self.serve_forever, name="twinaudit-http", daemon=True
+            )
+            self._serving.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop accepting, then end every open connection and wait for its
+        handler: a kept-alive client must not reach these services once the
+        server is stopped."""
+        if self._serving is not None:
+            self.shutdown()
+            self._serving.join(timeout=5)
+            self._serving = None
+        self.server_close()
+        with self._live_lock:
+            connections, handlers = list(self._connections), list(self._handlers)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
+        for thread in handlers:
+            if thread is not threading.current_thread():
+                thread.join(timeout=5)
 
     def process_request(self, request: Any, client_address: Any) -> None:
         with self._live_lock:
@@ -224,21 +277,26 @@ class _Server(ThreadingHTTPServer):
             self._connections.discard(request)
         super().shutdown_request(request)
 
-    def close_connections(self, timeout: float) -> None:
-        """Shut down every accepted connection and wait for its handler."""
-        with self._live_lock:
-            connections, handlers = list(self._connections), list(self._handlers)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:  # already closed by its handler
-                pass
-        for thread in handlers:
-            if thread is not threading.current_thread():
-                thread.join(timeout)
+    def mount(self, prefix: str, api: JsonApi) -> str:
+        if not prefix.startswith("/") or prefix.endswith("/"):
+            raise ValueError("mount prefix must start with '/' and not end with '/'")
+        with self._mounts_lock:
+            if prefix in self._mounts:
+                raise ValueError(f"prefix already mounted: {prefix!r}")
+            self._mounts[prefix] = api
+        return self.url_for(prefix)
+
+    def unmount(self, prefix: str) -> bool:
+        with self._mounts_lock:
+            return self._mounts.pop(prefix, None) is not None
+
+    def mounts(self) -> list[str]:
+        with self._mounts_lock:
+            return sorted(self._mounts)
 
     def resolve(self, path: str) -> Optional[tuple[str, JsonApi]]:
-        # Longest prefix first: the path itself, then each cut before a "/".
+        """The mount with the longest prefix of path: the path itself, then
+        each cut before a "/"."""
         with self._mounts_lock:
             prefix = path
             while prefix:
@@ -248,68 +306,8 @@ class _Server(ThreadingHTTPServer):
                 prefix = prefix.rpartition("/")[0]
         return None
 
-    def add_mount(self, prefix: str, api: JsonApi) -> None:
-        with self._mounts_lock:
-            if prefix in self._mounts:
-                raise ValueError(f"prefix already mounted: {prefix!r}")
-            self._mounts[prefix] = api
-
-    def remove_mount(self, prefix: str) -> bool:
-        with self._mounts_lock:
-            return self._mounts.pop(prefix, None) is not None
-
-    def mounted_prefixes(self) -> list[str]:
-        with self._mounts_lock:
-            return sorted(self._mounts)
-
-
-class SharedJsonServer:
-    """One listening socket shared by many prefix-mounted services."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = _Server((host, port))
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def url_for(self, prefix: str) -> str:
-        return self.base_url + prefix
-
-    def start(self) -> "SharedJsonServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever, name="twinaudit-http", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting, then end every open connection: a kept-alive
-        client must not reach these services once the server is stopped."""
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._server.server_close()
-        self._server.close_connections(timeout=5)
-
-    def mount(self, prefix: str, api: JsonApi) -> str:
-        if not prefix.startswith("/") or prefix.endswith("/"):
-            raise ValueError("mount prefix must start with '/' and not end with '/'")
-        self._server.add_mount(prefix, api)
-        return self.url_for(prefix)
-
-    def unmount(self, prefix: str) -> bool:
-        return self._server.remove_mount(prefix)
-
-    def mounts(self) -> list[str]:
-        return self._server.mounted_prefixes()
-
     def service_at(self, prefix: str) -> Optional[JsonApi]:
-        mount = self._server.resolve(prefix)
+        mount = self.resolve(prefix)
         return mount[1] if mount is not None and mount[0] == prefix else None
 
 

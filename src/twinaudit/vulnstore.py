@@ -224,8 +224,13 @@ class VulnerabilityStore:
             insort(entries, (cve_id, pkg.ranges), key=itemgetter(0))
 
     def load_feed(self, path: Union[str, Path]) -> int:
+        """ingest_lines over an NDJSON file; a FeedError names the file."""
         with open(path, "r", encoding="utf-8") as fh:
-            return self.ingest_lines(fh)
+            try:
+                return self.ingest_lines(fh)
+            except FeedError as err:
+                err.args = (f"{path}: {err}",)
+                raise
 
     def findings_for(self, name: str, version: str) -> list[Advisory]:
         """All advisories affecting the package at that version, by CVE id."""

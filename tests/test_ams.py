@@ -24,7 +24,6 @@ from twinaudit.ams import (
     InvalidTransition,
     InventoryError,
     OutdatedLayout,
-    PeriodicSync,
     ProfileError,
     RunState,
     Segment,
@@ -42,7 +41,7 @@ from twinaudit.ams.profiles import create_profile, get_profile
 import twinaudit.ams.service as service_module
 import twinaudit.ams.store as store_module
 from twinaudit.config import load_config
-from twinaudit.bom import BomKind, parse_bom, resolve_bom_link, serialize_bom
+from twinaudit.bom import BomKind, parse_bom, serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
 from twinaudit.forge import link_to_profile, summarize_bom
@@ -1344,7 +1343,8 @@ class TestStoreTwinAgreement:
                     boms = stored_boms(svc, run)
                     manifest, *host_docs = boms
                     registry = {(b.serial_number, b.version): b for b in boms}
-                    assert all(resolve_bom_link(l, registry) for l in manifest.links)
+                    assert all((l.target_serial, l.target_version) in registry
+                               for l in manifest.links)
                     assert all(b.links == () for b in host_docs)
 
                     # Each entry's summary is its text's, so reports read
@@ -1370,23 +1370,3 @@ class TestStoreTwinAgreement:
             finally:
                 client.destroy(run.sdt_id)
 
-
-class TestPeriodicSync:
-    def test_tick_only_fires_after_interval(self, service):
-        run = service.run_audit("profile-web")
-        clock = {"now": 100.0}
-        sync = PeriodicSync(
-            service, run.run_id, interval_seconds=30, clock=lambda: clock["now"]
-        )
-        assert sync.tick() is None
-        clock["now"] = 129.9
-        assert sync.tick() is None
-        clock["now"] = 130.0
-        result = sync.tick()
-        assert result is not None
-        assert result.state is RunState.SDT_READY
-        assert sync.tick() is None
-
-    def test_rejects_bad_interval(self, service):
-        with pytest.raises(ValueError):
-            PeriodicSync(service, "r", interval_seconds=0)

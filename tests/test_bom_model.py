@@ -1,4 +1,4 @@
-"""Model invariants: validation, severity banding, links, resolution."""
+"""Model invariants: validation, severity banding, links."""
 
 import inspect
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
@@ -11,19 +11,15 @@ from twinaudit.bom import (
     Bom,
     BomKind,
     BomLink,
-    BomLinkNotFound,
     BomMetadata,
     Component,
     ComponentType,
     CryptoAssetKind,
     CryptoProperties,
-    DanglingRef,
     Dependency,
     Severity,
     SubjectKind,
     VulnerabilityEntry,
-    resolve_bom_link,
-    serial_uuid,
     severity_for_score,
     validate_bom,
 )
@@ -107,11 +103,6 @@ class TestBomLink:
         with pytest.raises(ValueError):
             BomLink.parse(text)
 
-    def test_serial_uuid(self):
-        assert serial_uuid(SERIAL) == "0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10"
-        with pytest.raises(ValueError):
-            serial_uuid("0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10")
-
     @pytest.mark.parametrize(
         "serial", ["0b7a60e8-1d44-4c1c-9a3e-2f6d0c4a9b10", "urn:uuid:nope", SERIAL.upper(), ""]
     )
@@ -126,7 +117,8 @@ class TestBomLink:
     @given(bom_links())
     def test_render_matches_serial_uuid(self, link):
         fragment = "" if link.target_bom_ref is None else f"#{link.target_bom_ref}"
-        expected = f"urn:cdx:{serial_uuid(link.target_serial)}/{link.target_version}{fragment}"
+        uuid = link.target_serial.removeprefix("urn:uuid:")
+        expected = f"urn:cdx:{uuid}/{link.target_version}{fragment}"
         assert link.render() == expected
 
 
@@ -374,31 +366,3 @@ class TestValidation:
     def test_generated_documents_are_clean(self, bom):
         assert validate_bom(bom) == []
 
-
-class TestLinkResolution:
-    def setup_method(self):
-        self.doc = make_bom()
-        self.registry = {(SERIAL, 1): self.doc}
-
-    def test_resolves_document(self):
-        link = BomLink(target_serial=SERIAL, target_version=1)
-        assert resolve_bom_link(link, self.registry) is self.doc
-
-    def test_resolves_component(self):
-        link = BomLink(target_serial=SERIAL, target_version=1, target_bom_ref="lib-a")
-        assert resolve_bom_link(link, self.registry).name == "liba"
-
-    def test_unknown_document(self):
-        link = BomLink(target_serial=OTHER_SERIAL, target_version=1)
-        with pytest.raises(BomLinkNotFound):
-            resolve_bom_link(link, self.registry)
-
-    def test_version_must_match_exactly(self):
-        link = BomLink(target_serial=SERIAL, target_version=2)
-        with pytest.raises(BomLinkNotFound):
-            resolve_bom_link(link, self.registry)
-
-    def test_dangling_fragment(self):
-        link = BomLink(target_serial=SERIAL, target_version=1, target_bom_ref="ghost")
-        with pytest.raises(DanglingRef):
-            resolve_bom_link(link, self.registry)

@@ -161,7 +161,7 @@ class TestParse:
             {"bom-ref": "a", "type": "library", "name": "liba", "licenses": []}
         ]
         bom = parse_bom(json.dumps(doc), strict=False)
-        assert bom.component_by_ref("a").name == "liba"
+        assert [c.name for c in bom.components] == ["liba"]
 
     def test_semantic_violations_surface_at_parse(self):
         doc = json.loads(GOLDEN_EMPTY)
@@ -280,6 +280,17 @@ MALFORMED = [
      {"metadata": {"tools": [], "component": SUBJECT, "properties": KIND_SBOM,
                    "lifecycles": 1}},
      [("metadata.tools", "unknown field"), ("metadata.lifecycles", "unknown field")]),
+    ("metadata-component-unknown-fields",
+     {"metadata": {"component": {"bom-ref": "x", **SUBJECT, "version": "1"},
+                   "properties": KIND_SBOM}},
+     [("metadata.component.bom-ref", "unknown field"),
+      ("metadata.component.version", "unknown field")]),
+    ("metadata-property-unknown-fields",
+     {"metadata": {"component": SUBJECT, "properties": [
+         {"name": "twinaudit:kind", "value": "SBOM", "type": "x"}, {"name": "a", "zz": 1}]}},
+     [("metadata.properties[0].type", "unknown field"),
+      ("metadata.properties[1]", "entries must be {name, value}"),
+      ("metadata.properties[1].zz", "unknown field")]),
     # components
     ("component-not-object", {"components": [5, "a", None]},
      [(f"components[{i}]", "must be an object") for i in range(3)]),
@@ -385,7 +396,8 @@ MALFORMED = [
                    "source": {}}],
          affects=[{"ref": "a"}])]},
      [(f"{R0}.score", "expected float"), (f"{R0}.vector", "expected str"),
-      (f"{R0}.method", "expected str"), (f"{R0}.severity", "unknown severity 'urgent'")]),
+      (f"{R0}.method", "expected str"), (f"{R0}.severity", "unknown severity 'urgent'"),
+      (f"{R0}.source", "unknown field")]),
     ("vulnerability-rating-bool-score",
      {"vulnerabilities": [_cve(ratings=[{"score": True, "severity": 3}],
                                affects=[{"ref": "a"}])]},
@@ -401,6 +413,22 @@ MALFORMED = [
      {"vulnerabilities": [{"description": "d", **_cve(ratings=RATING, affects=[{"ref": "a"}]),
                            "cwes": [79]}]},
      [(f"{V0}.description", "unknown field"), (f"{V0}.cwes", "unknown field")]),
+    ("vulnerability-rating-unknown-fields",
+     {"vulnerabilities": [_cve(
+         ratings=[{"source": {}, "score": 5.0, "severity": "medium", "x-r": 1}],
+         affects=[{"ref": "a"}])]},
+     [(f"{R0}.source", "unknown field"), (f"{R0}.x-r", "unknown field")]),
+    ("vulnerability-analysis-unknown-fields",
+     {"vulnerabilities": [_cve(ratings=RATING, analysis={"state": "bogus", "detail": "d"},
+                               affects=[{"ref": "a"}])]},
+     [(f"{V0}.analysis.state", "unknown state 'bogus'"),
+      (f"{V0}.analysis.detail", "unknown field")]),
+    ("vulnerability-affects-unknown-fields",
+     {"vulnerabilities": [_cve(ratings=RATING,
+                               affects=[{"ref": "a", "versions": []}, {"ref": 1, "zz": 1}])]},
+     [(f"{V0}.affects[0].versions", "unknown field"),
+      (f"{V0}.affects", "entries must be {ref: string}"),
+      (f"{V0}.affects[1].zz", "unknown field")]),
     ("vulnerability-missing-id-with-unknown-field",
      {"vulnerabilities": [{"ratings": RATING, "affects": [{"ref": "a"}], "x-v": 1}]},
      [(V0, "missing required field id"), (f"{V0}.x-v", "unknown field")]),
@@ -485,6 +513,15 @@ MALFORMED = [
      [(f"{CP}.protocolProperties.cipherSuites[0]", "expected dict"),
       (f"{CP}.protocolProperties.cipherSuites[1].algorithms[0]", "expected str"),
       (f"{CP}.protocolProperties.cipherSuites[1].algorithms[2]", "expected str")]),
+    ("crypto-cipher-suite-unknown-fields",
+     {"components": [_cc(cryptoProperties={
+         "assetType": "protocol",
+         "protocolProperties": {"version": "1.3", "cipherSuites": [
+             {"name": "TLS_AES_128_GCM_SHA256", "algorithms": ["x"]},
+             {"algorithms": 5, "identifiers": []}]}})]},
+     [(f"{CP}.protocolProperties.cipherSuites[0].name", "unknown field"),
+      (f"{CP}.protocolProperties.cipherSuites", "algorithms must be a list"),
+      (f"{CP}.protocolProperties.cipherSuites[1].identifiers", "unknown field")]),
     # order across sections: header, metadata, components, dependencies,
     # vulnerabilities, references, then unknown top-level fields
     ("order-across-sections",

@@ -427,6 +427,61 @@ class TestWatch:
         assert "no PERIODIC sync policy" in result.output
 
 
+def refused(result, names):
+    """The command exited 1 with one `Error:` line naming `names`, and no
+    traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert names in lines[0]
+
+
+class TestProgramErrors:
+    """Input the program cannot use ends a command with exit 1 and one
+    message; anything else still shows its traceback."""
+
+    @pytest.mark.parametrize("name,text,command", [
+        ("inventory.yaml", "hosts: [\n  - {host_id: a\n", ["inventory", "ingest"]),
+        ("inventory.json", "{not json", ["inventory", "ingest"]),
+        ("profile.yml", "profile_id: p\n  name: : x\n", ["profile", "create", "-f"]),
+    ], ids=["yaml-inventory", "json-inventory", "yaml-profile"])
+    def test_malformed_input_file(self, runner, store_env, tmp_path, name, text, command):
+        path = tmp_path / name
+        path.write_text(text)
+        refused(runner.invoke(main, [*command, str(path)], env=store_env), str(path))
+
+    def test_config_that_is_not_a_mapping(self, runner, store_env, tmp_path):
+        path = tmp_path / "settings.yaml"
+        path.write_text("- store_path\n- feed_path\n")
+        result = runner.invoke(main, ["--config", str(path), "audit", "status", "r"], env=store_env)
+        refused(result, str(path))
+
+    def test_malformed_feed(self, runner, store_env, tmp_path):
+        path = tmp_path / "feed.ndjson"
+        path.write_text('{"cve": "CVE-2024-1000"}\n{not json\n')
+        result = runner.invoke(main, ["audit", "run", "p", "--feed", str(path)], env=store_env)
+        refused(result, str(path))
+        assert "line 1" in result.output
+
+    @pytest.mark.parametrize("command", [
+        ["audit", "status"], ["audit", "report"], ["audit", "update"], ["audit", "watch"],
+    ], ids=lambda command: command[-1])
+    def test_unknown_run(self, runner, store_env, command):
+        refused(runner.invoke(main, [*command, "nope"], env=store_env), "unknown run nope")
+
+    def test_a_bug_keeps_its_traceback(self, runner, store_env, minimal_fx, monkeypatch):
+        def broken(store, source):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli_module, "ingest_inventory", broken)
+        result = runner.invoke(main, ["inventory", "ingest", minimal_fx["inventory"]],
+                               env=store_env)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, RuntimeError)
+
+
 class TestBenchCommand:
     def test_deploy_writes_csv_and_summary(self, runner, tmp_path, store_env):
         out = tmp_path / "cdf.csv"

@@ -12,7 +12,6 @@ from twinaudit.bom import (
     CryptoAssetKind,
     Severity,
     SubjectKind,
-    resolve_bom_link,
     serialize_bom,
     validate_bom,
 )
@@ -277,7 +276,7 @@ class TestBuildSbom:
         bom = build_sbom("app-01", records)
         assert len(bom.components) == 3
         assert sum(len(d.depends_on) for d in bom.dependencies) == 2
-        project = bom.component_by_ref("pkg:maven/orders-service@1.0.0")
+        [project] = [c for c in bom.components if c.bom_ref == "pkg:maven/orders-service@1.0.0"]
         assert project.component_type == ComponentType.APPLICATION
         assert validate_bom(bom) == []
 
@@ -469,7 +468,7 @@ class TestProfileLinking:
         registry = {(b.serial_number, b.version): b for b in linked}
         for bom in linked:
             for link in bom.links:
-                assert resolve_bom_link(link, registry) is not None
+                assert (link.target_serial, link.target_version) in registry
         # The manifest is the only index: each host document at its exact
         # version, and no host document links back.
         assert [(l.target_serial, l.target_version) for l in manifest.links] == [

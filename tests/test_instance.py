@@ -310,7 +310,7 @@ def call(service, method, path, token=None, query=None, body=None):
             ApiRequest(method=method, path=path, query=query or {}, headers=headers, body=body)
         )
     except HttpError as err:
-        return err.status, err.body()
+        return err.status, {"code": err.code, "message": err.message}
 
 
 def put(service, token, body):

@@ -1,9 +1,11 @@
 """The keep-alive JSON transport: connection reuse and reconnects, request
-framing, server stop, single-send responses and longest-prefix routing."""
+framing, JSON error bodies, server stop, single-send responses and
+longest-prefix routing."""
 
 import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -38,13 +40,13 @@ class Echo(JsonApi):
 def connections(monkeypatch):
     """Counts the connections servers accept during the test."""
     accepted = []
-    original = jsonhttp._Server.process_request
+    original = SharedJsonServer.process_request
 
     def counting(self, request, client_address):
         accepted.append(client_address)
         return original(self, request, client_address)
 
-    monkeypatch.setattr(jsonhttp._Server, "process_request", counting)
+    monkeypatch.setattr(SharedJsonServer, "process_request", counting)
     return accepted
 
 
@@ -60,7 +62,7 @@ def served():
 @pytest.fixture
 def plain(served):
     """A plain http.client connection to the served server."""
-    host, port = served[0]._server.server_address[:2]
+    host, port = served[0].server_address[:2]
     connection = http.client.HTTPConnection(host, port, timeout=5)
     yield connection
     connection.close()
@@ -175,11 +177,52 @@ class TestRequestFraming:
         assert response.getheader("Connection") == "close"
         assert http_json("GET", f"{served[2]}/after")[0] == 200
 
+    def test_request_line_without_a_version_gets_a_head(self, served):
+        response, body = exchange(served[0], b"GET /svc/a\r\n\r\n")
+        assert response.status == 200 and json.loads(body)["path"] == "/a"
+
     def test_oversized_body_is_a_413_and_a_close(self, served, plain):
         too_long = str(jsonhttp.MAX_BODY_BYTES + 1)
         response, payload = send_head(plain, "POST", "/svc/a", [("Content-Length", too_long)])
         assert response.status == 413 and payload["code"] == "payload_too_large"
         assert response.getheader("Connection") == "close"
+        assert http_json("GET", f"{served[2]}/after")[0] == 200
+
+
+def exchange(server, head):
+    """Send a raw request head and read the whole answer."""
+    method = head.split(b" ", 1)[0].decode()
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(head)
+        response = http.client.HTTPResponse(sock, method=method)
+        response.begin()
+        return response, response.read()
+
+
+class TestErrorBodies:
+    """Requests the stdlib refuses itself get the same JSON error bodies as
+    the services' errors, and close the connection."""
+
+    @pytest.mark.parametrize("head,status,code", [
+        (b"PATCH /svc/a HTTP/1.1\r\n\r\n", 501, "not_implemented"),
+        (b"OPTIONS /svc/a HTTP/1.1\r\n\r\n", 501, "not_implemented"),
+        (b"HEAD /svc/a HTTP/1.1\r\n\r\n", 501, "not_implemented"),
+        (b"GET /svc/a HTTP/9.9\r\n\r\n", 505, "http_version_not_supported"),
+        (b"GET /svc/" + b"a" * 70 * 1024 + b" HTTP/1.1\r\n\r\n", 414, "request_uri_too_long"),
+        (b"GET /svc/a HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101))
+         + b"\r\n", 431, "request_header_fields_too_large"),
+    ], ids=["patch", "options", "head", "http-9.9", "70-kb-uri", "101-headers"])
+    def test_refused_requests_get_a_json_error(self, served, head, status, code):
+        response, body = exchange(served[0], head)
+        assert response.status == status
+        assert response.getheader("Content-Type") == "application/json"
+        assert response.getheader("Connection") == "close"
+        if head.startswith(b"HEAD "):
+            assert body == b""
+        else:
+            payload = json.loads(body)
+            assert set(payload) == {"code", "message"} and payload["code"] == code
+            assert isinstance(payload["message"], str) and payload["message"]
         assert http_json("GET", f"{served[2]}/after")[0] == 200
 
 
@@ -204,7 +247,7 @@ class TestRouting:
         for prefix in mounts:
             server.mount(prefix, Echo())
         try:
-            found = server._server.resolve(path)
+            found = server.resolve(path)
             assert (found[0] if found else None) == sorted_scan(mounts, path)
         finally:
             for prefix in mounts:
