@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping, Optional
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional
 
 
 class EvidenceCategory(str, Enum):
@@ -17,9 +18,14 @@ class EvidenceCategory(str, Enum):
     SOFTWARE_COMPONENT = "SOFTWARE_COMPONENT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EvidenceRecord:
-    """One observed fact, pinned to the snapshot path that evidenced it."""
+    """One observed fact, pinned to the snapshot path that evidenced it.
+
+    Like the document model's value types, it has one hand-written
+    constructor that stores each field through its slot setter. It sorts
+    the attributes and computes the canonical sort_key once, there.
+    """
 
     category: EvidenceCategory
     name: str
@@ -27,11 +33,29 @@ class EvidenceRecord:
     source_path: str
     version: str = ""
     attributes: tuple[tuple[str, str], ...] = ()
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "attributes", tuple(sorted(tuple(a) for a in self.attributes))
-        )
+    def __init__(
+        self,
+        category: EvidenceCategory,
+        name: str,
+        host: str,
+        source_path: str,
+        version: str = "",
+        attributes: Iterable[tuple[str, str]] = (),
+    ) -> None:
+        (
+            set_category, set_name, set_host, set_source_path, set_version, set_attributes,
+            set_sort_key,
+        ) = _RECORD_SLOTS
+        attributes = tuple(sorted(map(tuple, attributes)))
+        set_category(self, category)
+        set_name(self, name)
+        set_host(self, host)
+        set_source_path(self, source_path)
+        set_version(self, version)
+        set_attributes(self, attributes)
+        set_sort_key(self, (category.value, name, version, source_path, attributes))
 
     def attribute(self, key: str) -> Optional[str]:
         for name, value in self.attributes:
@@ -39,8 +63,11 @@ class EvidenceRecord:
                 return value
         return None
 
-    def sort_key(self) -> tuple:
-        return (self.category.value, self.name, self.version, self.source_path, self.attributes)
+
+_RECORD_SLOTS = tuple(EvidenceRecord.__dict__[f.name].__set__ for f in fields(EvidenceRecord))
+
+# The key that orders records canonically (bundles, CBOM sections).
+by_sort_key = attrgetter("sort_key")
 
 
 def make_record(
@@ -52,12 +79,7 @@ def make_record(
     attributes: Optional[Mapping[str, str]] = None,
 ) -> EvidenceRecord:
     return EvidenceRecord(
-        category=category,
-        name=name,
-        host=host,
-        source_path=source_path,
-        version=version,
-        attributes=tuple((attributes or {}).items()),
+        category, name, host, source_path, version, attributes.items() if attributes else ()
     )
 
 
@@ -69,6 +91,4 @@ class EvidenceBundle:
     records: tuple[EvidenceRecord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "records", tuple(sorted(self.records, key=lambda r: r.sort_key()))
-        )
+        object.__setattr__(self, "records", tuple(sorted(self.records, key=by_sort_key)))

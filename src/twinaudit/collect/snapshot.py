@@ -5,12 +5,18 @@ gzipped) of one. Scanners only ever see this facade, which exposes no write
 operations, so collection cannot alter the captured evidence. Only regular
 files are read: symlinks in a directory and link members of a tar are
 skipped, so nothing outside the snapshot is ever read.
+
+A directory is read by one os.scandir walk that follows no link: each entry
+is classified from its own type (is_dir/is_file with follow_symlinks=False),
+so a symlinked file or directory is neither read nor descended into, and a
+file's key is its parent's key plus its name.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
+import os
 import tarfile
 from pathlib import Path
 from typing import Union
@@ -27,6 +33,27 @@ def _clean(path: str) -> str:
     while path.startswith("/"):
         path = path[1:]
     return path
+
+
+def _read_tree(root: str) -> dict[str, bytes]:
+    """Every regular file below root, by its "/"-joined relative path."""
+    files: dict[str, bytes] = {}
+    pending = [("", root)]
+    while pending:
+        prefix, directory = pending.pop()
+        try:
+            entries = os.scandir(directory)
+        except PermissionError:
+            continue  # an unlistable directory holds no readable evidence
+        with entries:
+            for entry in entries:
+                key = prefix + entry.name.replace("\\", "/")
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((key + "/", entry.path))
+                elif entry.is_file(follow_symlinks=False):
+                    with open(entry.path, "rb") as handle:
+                        files[key] = handle.read()
+    return files
 
 
 class HostSnapshot:
@@ -51,10 +78,7 @@ class HostSnapshot:
     def open(cls, path: Union[str, Path]) -> "HostSnapshot":
         path = Path(path)
         if path.is_dir():
-            files: dict[str, bytes] = {}
-            for file in sorted(p for p in path.rglob("*") if p.is_file() and not p.is_symlink()):
-                files[_clean(str(file.relative_to(path)))] = file.read_bytes()
-            return cls(str(path), files)
+            return cls(str(path), _read_tree(str(path)))
         if path.is_file():
             try:
                 with tarfile.open(path, "r:*") as archive:
@@ -90,7 +114,7 @@ class HostSnapshot:
         return sorted(self._files)
 
     def glob(self, pattern: str) -> list[str]:
-        return sorted(p for p in self._files if fnmatch.fnmatch(p, pattern))
+        return sorted(fnmatch.filter(self._files, pattern))
 
     def find_named(self, filename: str) -> list[str]:
         """Paths whose basename matches exactly, anywhere in the tree."""

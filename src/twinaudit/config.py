@@ -30,8 +30,8 @@ class AppConfig:
 
 
 class DataFileError(ValueError):
-    """A settings, inventory or profile file that cannot be used; the
-    message names the file."""
+    """A settings, inventory, profile or advisory feed file that cannot be
+    used; the message names the file."""
 
 
 def read_data_file(path: Union[str, Path]) -> Any:

@@ -8,6 +8,7 @@ the version counter rather than in ever-changing serials.
 from __future__ import annotations
 
 import uuid
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
@@ -27,7 +28,7 @@ from ..bom import (
     VulnerabilityEntry,
     validate_bom,
 )
-from ..collect.records import EvidenceCategory, EvidenceRecord
+from ..collect.records import EvidenceCategory, EvidenceRecord, by_sort_key
 from ..collect.tokens import token_for_hash, token_for_key
 from ..vulnstore import VulnerabilityStore
 from .hierarchy import ALGORITHM_PRIMITIVES, CryptoHierarchyGraph
@@ -128,11 +129,12 @@ def _cbom_protocol_components(
     graph: CryptoHierarchyGraph, host_id: str, algorithm_refs: dict[str, str]
 ) -> tuple[list[Component], list[Dependency]]:
     components, dependencies = [], []
+    occurrences: dict[str, list] = {}
+    for occurrence in graph.occurrences_for_host(host_id):
+        occurrences.setdefault(occurrence.token, []).append(occurrence)
     for node in graph.parameterizations_for_host(host_id, ("protocol",)):
         suite_tokens: set[str] = set()
-        for occurrence in graph.occurrences_for_host(host_id):
-            if occurrence.token != node.id.name:
-                continue
+        for occurrence in occurrences.get(node.id.name, ()):
             for target in graph.dependencies_of(occurrence.id):
                 target_node = graph.node(target)
                 if target_node is not None and target_node.token in algorithm_refs:
@@ -165,7 +167,7 @@ def _cbom_certificates(
     seen_refs: set[str] = set()
     certs = sorted(
         (r for r in records if r.category == EvidenceCategory.CERTIFICATE and r.host == host_id),
-        key=lambda r: r.sort_key(),
+        key=by_sort_key,
     )
     for record in certs:
         ref = f"cert:{record.name}"
@@ -217,7 +219,7 @@ def _cbom_libraries(records: Iterable[EvidenceRecord], host_id: str) -> list[Com
     seen: set[tuple[str, str]] = set()
     libs = sorted(
         (r for r in records if r.category == EvidenceCategory.CRYPTO_LIBRARY and r.host == host_id),
-        key=lambda r: r.sort_key(),
+        key=by_sort_key,
     )
     for record in libs:
         identity = (record.name, record.version)
@@ -241,7 +243,7 @@ def _cbom_settings(records: Iterable[EvidenceRecord], host_id: str) -> list[Comp
     seen: set[str] = set()
     settings = sorted(
         (r for r in records if r.category == EvidenceCategory.KERNEL_SETTING and r.host == host_id),
-        key=lambda r: r.sort_key(),
+        key=by_sort_key,
     )
     for record in settings:
         if record.name in seen:
@@ -331,8 +333,8 @@ def link_to_profile(boms: list[Bom], profile_id: str, version: int = 1) -> list[
     change to one host re-versions that host's documents and the manifest
     only. `version` is the manifest's document version.
     """
-    serials = [b.serial_number for b in boms]
-    duplicates = {s for s in serials if serials.count(s) > 1}
+    serials = Counter(b.serial_number for b in boms)
+    duplicates = {s for s, n in serials.items() if n > 1}
     if duplicates:
         raise BomValidationError(
             Violation("serialNumber", f"duplicate document serial {serial}")

@@ -7,13 +7,19 @@ parameterization via USED_BY; DEPENDS_ON edges run between co-located
 occurrences (a protocol depends on the suite algorithms seen in the same
 file). Node identity is (layer, name): inserting the same material twice
 merges instead of duplicating, and nothing is ever removed.
+
+Besides the nodes and the edge set, the graph keeps three indexes, each
+filled as an occurrence or a DEPENDS_ON edge is added: occurrences by
+(host, source path), DEPENDS_ON targets by source, and occurrences by
+host. So cross-linking a new occurrence, dependencies_of and the per-host
+queries touch only what they return. Nothing else is derived state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 from ..collect.records import EvidenceCategory, EvidenceRecord
 from ..collect.tokens import token_for_key
@@ -35,14 +41,12 @@ class EdgeKind(str, Enum):
     DEPENDS_ON = "DEPENDS_ON"
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(NamedTuple):
     layer: int
     name: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: NodeId
     kind: EdgeKind
     target: NodeId
@@ -52,17 +56,38 @@ def occurrence_name(host: str, token: str, source_path: str) -> str:
     return f"{host}:{token}@{source_path}"
 
 
-@dataclass
 class _Node:
-    id: NodeId
-    primitive: str = ""
-    family: str = ""
-    parameter: str = ""
-    version: str = ""
-    host: str = ""
-    source_path: str = ""
-    token: str = ""
-    modes: set = field(default_factory=set)
+    """A node's attributes: each keeps the first non-empty value inserted."""
+
+    __slots__ = ("id", "primitive", "family", "parameter", "version", "host", "source_path",
+                 "token", "modes")
+
+    def __init__(self, node_id: NodeId) -> None:
+        self.id = node_id
+        self.primitive = self.family = self.parameter = self.version = ""
+        self.host = self.source_path = self.token = ""
+        self.modes: set[str] = set()
+
+    def fill(self, primitive: str, family: str = "", parameter: str = "", version: str = "",
+             host: str = "", source_path: str = "", token: str = "") -> None:
+        if not self.primitive:
+            self.primitive = primitive
+        if not self.family:
+            self.family = family
+        if not self.parameter:
+            self.parameter = parameter
+        if not self.version:
+            self.version = version
+        if not self.host:
+            self.host = host
+        if not self.source_path:
+            self.source_path = source_path
+        if not self.token:
+            self.token = token
+
+
+_by_name = attrgetter("name")
+_by_id_name = attrgetter("id.name")
 
 
 class CryptoHierarchyGraph:
@@ -70,12 +95,16 @@ class CryptoHierarchyGraph:
         self._nodes: dict[NodeId, _Node] = {}
         self._edges: set[Edge] = set()
         self.quarantine: list[EvidenceRecord] = []
+        # The indexes (see the module docstring).
+        self._by_file: dict[tuple[str, str], list[_Node]] = {}
+        self._depends_on: dict[NodeId, set[NodeId]] = {}
+        self._by_host: dict[str, list[_Node]] = {}
 
     # -- basic accessors -------------------------------------------------
 
     def nodes(self, layer: Optional[int] = None) -> list[NodeId]:
-        ids = self._nodes if layer is None else [n for n in self._nodes if n.layer == layer]
-        return sorted(ids, key=lambda n: (n.layer, n.name))
+        ids = self._nodes if layer is None else (n for n in self._nodes if n.layer == layer)
+        return sorted(ids)
 
     def edges(self) -> list[Edge]:
         return sorted(self._edges, key=lambda e: (e.source.layer, e.source.name, e.kind.value, e.target.name))
@@ -89,25 +118,19 @@ class CryptoHierarchyGraph:
             (n.id, n.primitive, n.family, n.parameter, n.version, frozenset(n.modes))
             for n in self._nodes.values()
         )
-        quarantined = frozenset(r.sort_key() for r in self.quarantine)
+        quarantined = frozenset(r.sort_key for r in self.quarantine)
         return (nodes, frozenset(self._edges), quarantined)
 
     # -- construction ----------------------------------------------------
 
-    def _ensure(self, node_id: NodeId, **attrs) -> _Node:
+    def _ensure(self, node_id: NodeId) -> _Node:
         node = self._nodes.get(node_id)
         if node is None:
-            node = _Node(id=node_id)
-            self._nodes[node_id] = node
-        for key, value in attrs.items():
-            if key == "modes":
-                node.modes |= set(value)
-            elif value and not getattr(node, key):
-                setattr(node, key, value)
+            node = self._nodes[node_id] = _Node(node_id)
         return node
 
     def _link(self, source: NodeId, kind: EdgeKind, target: NodeId) -> None:
-        self._edges.add(Edge(source=source, kind=kind, target=target))
+        self._edges.add(Edge(source, kind, target))
 
     def _insert_chain(
         self,
@@ -120,44 +143,40 @@ class CryptoHierarchyGraph:
         version: str = "",
         modes: Iterable[str] = (),
     ) -> None:
-        root = self._ensure(NodeId(LAYER_PRIMITIVE, primitive), primitive=primitive)
-        fam = self._ensure(NodeId(LAYER_FAMILY, family), primitive=primitive, family=family)
-        self._link(fam.id, EdgeKind.REFINES, root.id)
-        param = self._ensure(
-            NodeId(LAYER_PARAMETERIZATION, parameterization),
-            primitive=primitive,
-            family=family,
-            parameter=parameter,
-            version=version,
-            modes=modes,
-        )
-        self._link(param.id, EdgeKind.REFINES, fam.id)
+        root_id = NodeId(LAYER_PRIMITIVE, primitive)
+        self._ensure(root_id).fill(primitive)
+        family_id = NodeId(LAYER_FAMILY, family)
+        self._ensure(family_id).fill(primitive, family)
+        self._link(family_id, EdgeKind.REFINES, root_id)
+        param_id = NodeId(LAYER_PARAMETERIZATION, parameterization)
+        param = self._ensure(param_id)
+        param.fill(primitive, family, parameter, version)
+        param.modes.update(modes)
+        self._link(param_id, EdgeKind.REFINES, family_id)
         for source in sources:
-            occ = self._ensure(
-                NodeId(LAYER_OCCURRENCE, occurrence_name(host, parameterization, source)),
-                primitive=primitive,
-                host=host,
-                source_path=source,
-                token=parameterization,
-            )
-            self._link(param.id, EdgeKind.USED_BY, occ.id)
-            self._cross_link(occ)
+            occ_id = NodeId(LAYER_OCCURRENCE, occurrence_name(host, parameterization, source))
+            new = occ_id not in self._nodes
+            occ = self._ensure(occ_id)
+            occ.fill(primitive, host=host, source_path=source, token=parameterization)
+            if new:
+                self._cross_link(occ)
+                self._by_host.setdefault(occ.host, []).append(occ)
+            self._link(param_id, EdgeKind.USED_BY, occ_id)
 
     def _cross_link(self, occurrence: _Node) -> None:
-        """Protocol occurrences depend on algorithm occurrences in the same file."""
-        for other in list(self._nodes.values()):
-            if other.id.layer != LAYER_OCCURRENCE or other.id == occurrence.id:
+        """Protocol occurrences depend on algorithm occurrences in the same
+        file. Runs once per new occurrence, which it then indexes by file:
+        each pair is linked when its second occurrence arrives."""
+        same_file = self._by_file.setdefault((occurrence.host, occurrence.source_path), [])
+        is_protocol = occurrence.primitive == "protocol"
+        for other in same_file:
+            if (other.primitive == "protocol") == is_protocol:
                 continue
-            if (other.host, other.source_path) != (occurrence.host, occurrence.source_path):
-                continue
-            pair = {occurrence.primitive, other.primitive}
-            if "protocol" not in pair or pair == {"protocol"}:
-                continue
-            proto, algo = (
-                (occurrence, other) if occurrence.primitive == "protocol" else (other, occurrence)
-            )
+            proto, algo = (occurrence, other) if is_protocol else (other, occurrence)
             if algo.primitive in ALGORITHM_PRIMITIVES:
                 self._link(proto.id, EdgeKind.DEPENDS_ON, algo.id)
+                self._depends_on.setdefault(proto.id, set()).add(algo.id)
+        same_file.append(occurrence)
 
     def insert(self, record: EvidenceRecord) -> "CryptoHierarchyGraph":
         """Classify one evidence record into the hierarchy; see insert_crypto_node."""
@@ -230,41 +249,22 @@ class CryptoHierarchyGraph:
     # -- queries ----------------------------------------------------------
 
     def hosts(self) -> list[str]:
-        return sorted(
-            {n.host for n in self._nodes.values() if n.id.layer == LAYER_OCCURRENCE and n.host}
-        )
+        return sorted(host for host in self._by_host if host)
 
     def occurrences_for_host(self, host: str) -> list[_Node]:
-        return sorted(
-            (
-                n
-                for n in self._nodes.values()
-                if n.id.layer == LAYER_OCCURRENCE and n.host == host
-            ),
-            key=lambda n: n.id.name,
-        )
+        return sorted(self._by_host.get(host, ()), key=_by_id_name)
 
     def parameterizations_for_host(
         self, host: str, primitives: Optional[Iterable[str]] = None
     ) -> list[_Node]:
         """Layer-2 nodes with at least one occurrence on the host."""
         wanted = set(primitives) if primitives is not None else None
-        tokens = {n.token for n in self.occurrences_for_host(host)}
-        out = []
-        for node_id in self.nodes(LAYER_PARAMETERIZATION):
-            node = self._nodes[node_id]
-            if node_id.name not in tokens:
-                continue
-            if wanted is not None and node.primitive not in wanted:
-                continue
-            out.append(node)
-        return out
+        tokens = sorted({n.token for n in self._by_host.get(host, ())})
+        params = (self._nodes[NodeId(LAYER_PARAMETERIZATION, t)] for t in tokens)
+        return [n for n in params if wanted is None or n.primitive in wanted]
 
     def dependencies_of(self, occurrence_id: NodeId) -> list[NodeId]:
-        return sorted(
-            (e.target for e in self._edges if e.source == occurrence_id and e.kind == EdgeKind.DEPENDS_ON),
-            key=lambda n: n.name,
-        )
+        return sorted(self._depends_on.get(occurrence_id, ()), key=_by_name)
 
     def is_acyclic(self) -> bool:
         """True when edges carry no directed cycle (checked over all kinds)."""

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .bom.model import CVE_RE, Severity, severity_for_score
+from .config import DataFileError
 
 
 class FeedError(ValueError):
@@ -77,12 +78,15 @@ class VersionRange:
         for name, bound in (("_introduced", self.introduced), ("_fixed", self.fixed)):
             object.__setattr__(self, name, None if bound is None else parse_version(bound))
 
-    def contains(self, version: str) -> bool:
+    def contains(self, version: str, parsed: Optional[Version] = None) -> bool:
+        """Whether the range holds `version`; `parsed`, when given, is its
+        parse_version, so a caller testing many ranges parses it once."""
         if not version:
             # Unversioned inventory entries only match advisories that affect
             # every version of the package.
             return self.introduced is None and self.fixed is None
-        parsed = parse_version(version)
+        if parsed is None:
+            parsed = parse_version(version)
         if self._introduced is not None and _compare_parsed(parsed, self._introduced) < 0:
             return False
         if self._fixed is not None and _compare_parsed(parsed, self._fixed) >= 0:
@@ -224,18 +228,27 @@ class VulnerabilityStore:
             insort(entries, (cve_id, pkg.ranges), key=itemgetter(0))
 
     def load_feed(self, path: Union[str, Path]) -> int:
-        """ingest_lines over an NDJSON file; a FeedError names the file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        """ingest_lines over an NDJSON file; a FeedError names the file.
+
+        Raises DataFileError, naming the file, for one that cannot be read.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 return self.ingest_lines(fh)
-            except FeedError as err:
-                err.args = (f"{path}: {err}",)
-                raise
+        except FeedError as err:
+            err.args = (f"{path}: {err}",)
+            raise
+        except (OSError, UnicodeDecodeError) as err:
+            raise DataFileError(f"{path}: {getattr(err, 'strerror', None) or err}") from err
 
     def findings_for(self, name: str, version: str) -> list[Advisory]:
         """All advisories affecting the package at that version, by CVE id."""
+        entries = self._by_package.get(normalize_package_name(name), ())
+        if not entries:
+            return []
+        parsed = parse_version(version)
         return [
             self._advisories[cve_id]
-            for cve_id, ranges in self._by_package.get(normalize_package_name(name), ())
-            if any(r.contains(version) for r in ranges)
+            for cve_id, ranges in entries
+            if any(r.contains(version, parsed) for r in ranges)
         ]

@@ -465,6 +465,20 @@ class TestProgramErrors:
         refused(result, str(path))
         assert "line 1" in result.output
 
+    @pytest.mark.parametrize("command", ["run", "update", "watch"])
+    @pytest.mark.parametrize("source", ["settings", "env"])
+    def test_missing_configured_feed(self, runner, store_env, tmp_path, source, command):
+        feed = str(tmp_path / "no-such-feed.ndjson")
+        env, base = dict(store_env), []
+        if source == "env":
+            env["TWINAUDIT_FEED"] = feed
+        else:
+            settings = tmp_path / "settings.yaml"
+            settings.write_text(yaml.safe_dump({"feed_path": feed}))
+            base = ["--config", str(settings)]
+        result = runner.invoke(main, [*base, "audit", command, "nope"], env=env)
+        refused(result, feed)
+
     @pytest.mark.parametrize("command", [
         ["audit", "status"], ["audit", "report"], ["audit", "update"], ["audit", "watch"],
     ], ids=lambda command: command[-1])

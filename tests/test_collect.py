@@ -191,6 +191,47 @@ class TestSnapshotConfinement:
                 assert read == expected
 
 
+def rglob_reference(root: Path) -> dict[str, bytes]:
+    """The regular files below root, by an rglob walk that skips every
+    symlink: the policy the snapshot walk must keep."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and not p.is_symlink()
+    }
+
+
+class TestSnapshotWalk:
+    def test_walk_matches_an_rglob_reference(self, tmp_path):
+        outside = write_tree(tmp_path / "outside", {"secret.txt": SENTINEL, "dir/x.txt": SENTINEL})
+        root = write_tree(
+            tmp_path / "host",
+            {
+                "facts.json": json.dumps(FACTS),
+                "etc/ssl/certs/a.pem": cert_pem("web-01.pem"),
+                "srv/deep/er/still/leaf.txt": b"leaf",
+                "srv/app name/with space.txt": "spaced",
+                "srv/caf\u00e9/na\u00efve-\u65e5\u672c.conf": "non-ascii \u00fc".encode(),
+                "empty.txt": b"",
+            },
+        )
+        (root / "empty-dir").mkdir()
+        (root / "srv" / "nested-empty" / "inner").mkdir(parents=True)
+        (root / "etc" / "inside-link.pem").symlink_to(root / "etc/ssl/certs/a.pem")
+        (root / "etc" / "outside-link.txt").symlink_to(outside / "secret.txt")
+        (root / "etc" / "dir-link").symlink_to(root / "srv", target_is_directory=True)
+        (root / "etc" / "outside-dir-link").symlink_to(outside / "dir", target_is_directory=True)
+        (root / "etc" / "dangling").symlink_to(root / "no-such-file")
+
+        snapshot = HostSnapshot.open(root)
+        expected = rglob_reference(root)
+        assert snapshot.iter_files() == sorted(expected)
+        assert {path: snapshot.read_bytes(path) for path in snapshot.iter_files()} == expected
+        assert "srv/caf\u00e9/na\u00efve-\u65e5\u672c.conf" in expected
+        assert "srv/app name/with space.txt" in expected
+        assert not any(path.startswith(("etc/dir-link", "etc/outside")) for path in expected)
+
+
 class TestTokenExtraction:
     @pytest.mark.parametrize(
         "text,expected",

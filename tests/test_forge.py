@@ -29,6 +29,7 @@ from twinaudit.forge import (
     LAYER_PRIMITIVE,
     ArtifactCounts,
     CryptoHierarchyGraph,
+    Edge,
     EdgeKind,
     NodeId,
     build_cbom,
@@ -642,6 +643,106 @@ class TestGraphProperties:
         assert grown.signature() == once  # re-inserting merges, never duplicates
         assert len(grown.nodes()) >= len(build_graph(records).nodes())
         assert before == build_graph(records).signature()
+
+
+# Several hosts sharing source paths, so files of one name on two hosts and
+# several records of one file meet in the cross-linking rule.
+_GRAPH_HOSTS = ("host-a", "host-b", "host-c")
+_GRAPH_PATHS = ("etc/ssl/openssl.cnf", "etc/ssh/sshd_config", "var/log/auth.log")
+
+
+@st.composite
+def crypto_records(draw):
+    host = draw(st.sampled_from(_GRAPH_HOSTS))
+    sources = draw(st.lists(st.sampled_from(_GRAPH_PATHS), min_size=1, max_size=3, unique=True))
+    attributes = {"sources": ",".join(sources)}
+    kind = draw(st.sampled_from(("algorithm", "protocol", "library", "certificate")))
+    if kind == "algorithm":
+        name = draw(st.sampled_from(("AES-256", "SHA-256", "RSA-2048", "X25519", "ROT13")))
+        attributes["family"] = name.split("-")[0]
+        attributes["primitive"] = draw(st.sampled_from(ALGORITHM_PRIMITIVES + ("obfuscation",)))
+        if draw(st.booleans()):
+            attributes["mode"] = draw(st.sampled_from(("gcm", "cbc")))
+        category, version = EvidenceCategory.ALGORITHM, ""
+    elif kind == "protocol":
+        name, version = draw(st.sampled_from((("TLS", "1.2"), ("TLS", "1.3"), ("SSH", "2"))))
+        attributes["kind"] = "protocol"
+        category = EvidenceCategory.OPENSSL_CONFIG
+    elif kind == "library":
+        name, version = "openssl", draw(st.sampled_from(("1.1.1n", "3.0.13")))
+        category = EvidenceCategory.CRYPTO_LIBRARY
+    else:
+        name, version = "cert", ""
+        attributes.update(draw(st.sampled_from((
+            {"key_algorithm": "RSA", "key_size": "2048"},
+            {"key_algorithm": "EC", "curve": "prime256v1"},
+        ))))
+        category = EvidenceCategory.CERTIFICATE
+    return make_record(category, name, host, sources[0], version, attributes)
+
+
+class AllPairsReference:
+    """What the graph's indexed queries must answer, recomputed from its
+    node table by scanning every node or pair: a protocol occurrence
+    depends on each algorithm occurrence of the same host and file."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.nodes = [graph.node(n) for n in graph.nodes()]
+        occurrences = [n for n in self.nodes if n.id.layer == LAYER_OCCURRENCE]
+        self.depends_on = {
+            Edge(proto.id, EdgeKind.DEPENDS_ON, algo.id)
+            for proto in occurrences
+            for algo in occurrences
+            if (proto.host, proto.source_path) == (algo.host, algo.source_path)
+            and proto.primitive == "protocol"
+            and algo.primitive in ALGORITHM_PRIMITIVES
+        }
+
+    def signature(self):
+        nodes = frozenset(
+            (n.id, n.primitive, n.family, n.parameter, n.version, frozenset(n.modes))
+            for n in self.nodes
+        )
+        edges = {e for e in self.graph.edges() if e.kind != EdgeKind.DEPENDS_ON}
+        quarantined = frozenset(r.sort_key for r in self.graph.quarantine)
+        return (nodes, frozenset(edges | self.depends_on), quarantined)
+
+    def dependencies_of(self, occurrence_id):
+        return sorted((e.target for e in self.depends_on if e.source == occurrence_id),
+                      key=lambda n: n.name)
+
+    def occurrences_for_host(self, host):
+        return [n.id for n in self.nodes if n.id.layer == LAYER_OCCURRENCE and n.host == host]
+
+    def parameterizations_for_host(self, host, primitives=None):
+        tokens = {self.graph.node(n).token for n in self.occurrences_for_host(host)}
+        return [
+            n.id
+            for n in self.nodes
+            if n.id.layer == LAYER_PARAMETERIZATION and n.id.name in tokens
+            and (primitives is None or n.primitive in primitives)
+        ]
+
+
+class TestGraphIndexes:
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(crypto_records(), max_size=40))
+    def test_indexed_queries_match_an_all_pairs_reference(self, records):
+        graph = build_graph(records)
+        reference = AllPairsReference(graph)
+        assert graph.signature() == reference.signature()
+        for occurrence_id in graph.nodes(LAYER_OCCURRENCE):
+            assert graph.dependencies_of(occurrence_id) == reference.dependencies_of(occurrence_id)
+        for host in (*_GRAPH_HOSTS, "absent"):
+            assert [n.id for n in graph.occurrences_for_host(host)] == (
+                reference.occurrences_for_host(host)
+            )
+            for primitives in (None, ("protocol",), ALGORITHM_PRIMITIVES):
+                assert [n.id for n in graph.parameterizations_for_host(host, primitives)] == (
+                    reference.parameterizations_for_host(host, primitives)
+                )
+        assert graph.hosts() == sorted({n.host for n in reference.nodes if n.host})
 
 
 class TestEnrichmentProperties:

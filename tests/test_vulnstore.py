@@ -272,7 +272,7 @@ class TestOracleEquivalence:
         contains, normalize = VersionRange.contains, vulnstore.normalize_package_name
         tested, normalized = [], []
         monkeypatch.setattr(
-            VersionRange, "contains", lambda rng, v: tested.append(rng) or contains(rng, v)
+            VersionRange, "contains", lambda rng, *args: tested.append(rng) or contains(rng, *args)
         )
         monkeypatch.setattr(
             vulnstore, "normalize_package_name", lambda n: normalized.append(n) or normalize(n)
