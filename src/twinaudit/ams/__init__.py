@@ -16,7 +16,7 @@ from .service import (
     collect_evidence,
     forge_documents,
 )
-from .store import FileDocumentStore, OutdatedLayout
+from .store import FileDocumentStore
 from .topology import (
     HostRecord,
     InventoryError,
@@ -39,7 +39,6 @@ __all__ = [
     "HostRecord",
     "InvalidTransition",
     "InventoryError",
-    "OutdatedLayout",
     "ProfileError",
     "Relationship",
     "RelationshipKind",

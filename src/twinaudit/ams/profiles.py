@@ -81,16 +81,25 @@ class AuditProfile:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "AuditProfile":
         policy_doc = doc.get("sync_policy") or {}
+        if not isinstance(policy_doc, dict):
+            raise ProfileError(f"sync_policy must be an object, not {policy_doc!r}")
         return cls(
             profile_id=str(doc.get("profile_id", "")),
             name=str(doc.get("name", doc.get("profile_id", ""))),
-            host_selector=tuple(doc.get("host_selector") or ()),
-            categories=tuple(doc.get("categories") or ()),
+            host_selector=_list(doc, "host_selector"),
+            categories=_list(doc, "categories"),
             sync_policy=SyncPolicy(
                 kind=str(policy_doc.get("kind", ON_DEMAND)),
                 interval_seconds=policy_doc.get("interval_seconds"),
             ),
         )
+
+
+def _list(doc: dict[str, Any], key: str) -> tuple[Any, ...]:
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise ProfileError(f"{key} must be a list, not {value!r}")
+    return tuple(value)
 
 
 def selected_hosts(profile: AuditProfile, topology: TopologyGraph) -> list[str]:

@@ -32,7 +32,7 @@ from ..manager import ManagerClient
 from ..vulnstore import VulnerabilityStore
 from .profiles import AuditProfile, ProfileError, create_profile, get_profile, selected_hosts
 from .runs import RUNS, TRANSITIONS, AuditRun, InvalidTransition, RunState
-from .store import DocumentLog, FileDocumentStore, OutdatedLayout
+from .store import DocumentLog, FileDocumentStore
 from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from_store
 
 __all__ = [
@@ -42,8 +42,7 @@ __all__ = [
     "forge_documents",
 ]
 
-# One document log per run id (see the module docstring). Earlier layouts
-# kept a JSON record, then a line file, under the same collection and key.
+# One document log per run id (see the module docstring).
 RUN_DOCUMENTS = "run_documents"
 
 
@@ -184,26 +183,12 @@ class AuditService:
             raise UnknownRun(f"unknown run {run_id}")
         return AuditRun.from_dict(doc)
 
-    def _load_documents(self, run_id: str) -> Optional[DocumentLog]:
-        """The run's document log, or None when the run has stored no
-        documents.
-
-        Raises OutdatedLayout for documents stored in an earlier layout.
-        """
-        log = self.store.get_log(RUN_DOCUMENTS, run_id)
-        if log is None and self.store.older_layout(RUN_DOCUMENTS, run_id):
-            raise OutdatedLayout(
-                f"run {run_id} was stored in an older layout;"
-                " start a fresh `audit run` to report on it or update it"
-            )
-        return log
-
     def run_boms(self, run: AuditRun) -> list[dict[str, Any]]:
         """The summarize_bom of each of the run's documents, in
         run.bom_serials order, from the run's index alone; no document is
         read or parsed.
         """
-        log = self._load_documents(run.run_id)
+        log = self.store.get_log(RUN_DOCUMENTS, run.run_id)
         if log is None:
             return []
         return [json.loads(log.meta(i).split(b" ", 2)[2]) for i in range(len(log.entries))]
@@ -276,8 +261,10 @@ class AuditService:
         The run record is saved UPDATING only right before the push, the
         first step that changes the twin. A rescan that finds nothing to
         push saves the run once, still SDT_READY with a new updated_at.
-        Whatever raises once the run is loaded and before its last save
-        ends it FAILED, with an error naming the step, before the exception
+        A host that has no documents in the run or is not in the inventory,
+        and a run that may not move to UPDATING, raise before anything
+        changes. Whatever raises after that and before the last save ends
+        the run FAILED, with an error naming the step, before the exception
         propagates.
         """
         run = self.load_run(run_id)
@@ -290,6 +277,7 @@ class AuditService:
             raise ProfileError(f"hosts without documents in this run: {', '.join(unknown)}")
 
         topology = topology_from_store(self.store)
+        records = [topology.host(h) for h in rescan_ids]
         # Only a run that may move to UPDATING is rescanned.
         if RunState.UPDATING not in TRANSITIONS[run.state]:
             raise InvalidTransition(run.state, RunState.UPDATING)
@@ -297,7 +285,7 @@ class AuditService:
         try:
             # The index lists the documents in run.bom_serials order; each
             # entry is parsed, and its serial checked, only where it is read.
-            log = self._load_documents(run_id)
+            log = self.store.get_log(RUN_DOCUMENTS, run_id)
             stored_count = len(log.entries) if log else 0
             if stored_count < len(run.bom_serials):
                 missing = run.bom_serials[stored_count]
@@ -305,7 +293,7 @@ class AuditService:
             position = {serial: i for i, serial in enumerate(run.bom_serials)}
 
             step = "collect"
-            bundles, errors = collect_evidence([topology.host(h) for h in rescan_ids])
+            bundles, errors = collect_evidence(records)
             if errors:
                 run.host_errors = {**run.host_errors, **errors}
                 return self._advance(run, RunState.FAILED, "no_evidence")

@@ -35,12 +35,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 from urllib.parse import quote, unquote
 
-__all__ = ["DocumentLog", "FileDocumentStore", "OutdatedLayout"]
-
-
-class OutdatedLayout(ValueError):
-    """Data written in an earlier store layout, which is not read; the
-    message says how to write it again."""
+__all__ = ["DocumentLog", "FileDocumentStore"]
 
 
 class DocumentLog(NamedTuple):
@@ -151,11 +146,6 @@ class FileDocumentStore:
                 return True
             except FileNotFoundError:
                 return False
-
-    def older_layout(self, collection: str, key: str) -> bool:
-        """Whether the key holds data as the layouts before document logs
-        kept it: a JSON record, or a line file (`.jsonl`)."""
-        return any(self._doc_path(collection, key, s).exists() for s in (".json", ".jsonl"))
 
     # -- document logs ------------------------------------------------------
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from ..config import read_data_file
-from .store import FileDocumentStore, OutdatedLayout
+from .store import FileDocumentStore
 
 __all__ = [
     "HostRecord",
@@ -28,8 +28,6 @@ TOPOLOGY = "topology"
 # The whole inventory is one record: its hosts in host-id order and its
 # relationships.
 INVENTORY = "inventory"
-# Where earlier layouts kept one record per host.
-HOSTS = "hosts"
 
 
 class InventoryError(ValueError):
@@ -62,7 +60,9 @@ class HostRecord:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "HostRecord":
+    def from_dict(cls, doc: Any) -> "HostRecord":
+        if not isinstance(doc, dict):
+            raise InventoryError(f"host entry must be an object, not {doc!r}")
         missing = {"host_id", "role", "segment", "snapshot_ref"} - set(doc)
         if missing:
             raise InventoryError(f"host entry missing fields: {sorted(missing)}")
@@ -97,7 +97,9 @@ class TopologyGraph:
         for record in self.hosts:
             if record.host_id == host_id:
                 return record
-        raise KeyError(host_id)
+        raise InventoryError(
+            f"host {host_id!r} is not in the inventory; run `inventory ingest`"
+        )
 
     def host_ids(self) -> list[str]:
         return sorted(h.host_id for h in self.hosts)
@@ -108,7 +110,9 @@ class TopologyGraph:
         )
 
 
-def _parse_relationship(doc: dict[str, Any], known: set[str]) -> Relationship:
+def _parse_relationship(doc: Any, known: set[str]) -> Relationship:
+    if not isinstance(doc, dict):
+        raise InventoryError(f"relationship entry must be an object, not {doc!r}")
     missing = {"source", "kind", "target"} - set(doc)
     if missing:
         raise InventoryError(f"relationship missing fields: {sorted(missing)}")
@@ -168,17 +172,9 @@ def ingest_inventory(store: FileDocumentStore, source: Union[str, Path, dict]) -
 
 
 def topology_from_store(store: FileDocumentStore) -> TopologyGraph:
-    """The stored inventory, hosts in host-id order, from one read.
-
-    Raises OutdatedLayout for a store that keeps one file per host.
-    """
+    """The stored inventory, hosts in host-id order, from one read."""
     stored = store.get(TOPOLOGY, INVENTORY)
     if stored is None:
-        if store.query(HOSTS):
-            raise OutdatedLayout(
-                "the inventory is stored in an older layout;"
-                " run `inventory ingest` again"
-            )
         return TopologyGraph(hosts=(), relationships=())
     hosts = tuple(HostRecord.from_dict(doc) for doc in stored["hosts"])
     known = {h.host_id for h in hosts}

@@ -29,7 +29,6 @@ from .ams import (
     FileDocumentStore,
     InvalidTransition,
     InventoryError,
-    OutdatedLayout,
     ProfileError,
     RunState,
     UnknownRun,
@@ -120,8 +119,7 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (
             DataFileError, InventoryError, ProfileError, FeedError, UnknownRun,
-            InvalidTransition, OutdatedLayout, BenchError, TransportUnavailable,
-            RequestRejected,
+            InvalidTransition, BenchError, TransportUnavailable, RequestRejected,
         ) as err:
             raise click.ClickException(str(err)) from err
 

@@ -27,7 +27,6 @@ class SnapshotError(ValueError):
 
 
 def _clean(path: str) -> str:
-    path = path.replace("\\", "/")
     while path.startswith("./"):
         path = path[2:]
     while path.startswith("/"):
@@ -47,7 +46,7 @@ def _read_tree(root: str) -> dict[str, bytes]:
             continue  # an unlistable directory holds no readable evidence
         with entries:
             for entry in entries:
-                key = prefix + entry.name.replace("\\", "/")
+                key = prefix + entry.name
                 if entry.is_dir(follow_symlinks=False):
                     pending.append((key + "/", entry.path))
                 elif entry.is_file(follow_symlinks=False):

@@ -179,7 +179,12 @@ class CryptoHierarchyGraph:
         same_file.append(occurrence)
 
     def insert(self, record: EvidenceRecord) -> "CryptoHierarchyGraph":
-        """Classify one evidence record into the hierarchy; see insert_crypto_node."""
+        """Merge one record's primitive/family/parameterization chain into the graph.
+
+        Unclassifiable records land on graph.quarantine and leave nodes and
+        edges untouched. Growth is monotone and permutation-independent: any
+        insertion order of the same record set produces the same final graph.
+        """
         sources = (record.attribute("sources") or record.source_path).split(",")
         if record.category == EvidenceCategory.ALGORITHM:
             primitive = record.attribute("primitive") or ""
@@ -285,16 +290,6 @@ class CryptoHierarchyGraph:
             return True
 
         return all(state.get(n, 0) == 2 or visit(n) for n in list(self._nodes))
-
-
-def insert_crypto_node(graph: CryptoHierarchyGraph, record: EvidenceRecord) -> CryptoHierarchyGraph:
-    """Merge one record's primitive/family/parameterization chain into the graph.
-
-    Unclassifiable records land on graph.quarantine and leave nodes and edges
-    untouched. Growth is monotone and permutation-independent: any insertion
-    order of the same record set produces the same final graph.
-    """
-    return graph.insert(record)
 
 
 def build_graph(records: Iterable[EvidenceRecord]) -> CryptoHierarchyGraph:

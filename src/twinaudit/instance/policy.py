@@ -37,13 +37,10 @@ class AccessPolicy:
     def __init__(self, tokens: Mapping[str, Iterable[Union[Scope, str]]] = ()):
         self._tokens: dict[str, frozenset[Scope]] = {}
         for token, scopes in dict(tokens).items():
-            self.grant(token, scopes)
+            if not token:
+                raise ValueError("token must be non-empty")
+            self._tokens[token] = frozenset(_coerce(s) for s in scopes)
         self.decisions: deque[tuple[str, str, bool]] = deque(maxlen=DECISION_LOG_SIZE)
-
-    def grant(self, token: str, scopes: Iterable[Union[Scope, str]]) -> None:
-        if not token:
-            raise ValueError("token must be non-empty")
-        self._tokens[token] = frozenset(_coerce(s) for s in scopes)
 
     def known(self, token: Optional[str]) -> bool:
         return token is not None and token in self._tokens

@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..bom import Bom, BomParseError, BomSchemaError, BomValidationError, parse_bom
 from ..bom.diff import DeltaMismatch, apply_delta, delta_from_dict
@@ -85,18 +85,12 @@ def _scope_names(values: Iterable[Any]) -> tuple[str, ...]:
 
 
 class SdtManager:
-    def __init__(
-        self,
-        runtimes: Sequence[InProcessRuntime],
-        tracer: Optional[TraceRecorder] = None,
-        clock: Callable[[], float] = time.time,
-    ):
+    def __init__(self, runtimes: Sequence[InProcessRuntime]):
         if len(runtimes) != 1:
             raise ValueError("exactly one runtime is required")
         (self._runtime,) = runtimes
-        self.tracer = tracer or TraceRecorder()
+        self.tracer = TraceRecorder()
         self._adapter = DataAdapter(self._runtime)
-        self._clock = clock
         self._records: dict[str, _SdtRecord] = {}
         self._tombstones: deque[str] = deque()  # destroyed ids, oldest first
         self._registry_lock = threading.RLock()
@@ -119,7 +113,7 @@ class SdtManager:
         return record
 
     def _touch(self, descriptor: SdtDescriptor) -> None:
-        descriptor.updated_at = max(descriptor.updated_at, self._clock())
+        descriptor.updated_at = max(descriptor.updated_at, time.time())
 
     def get_descriptor(self, sdt_id: str) -> dict[str, Any]:
         return self._record(sdt_id).descriptor.to_dict()
@@ -162,6 +156,8 @@ class SdtManager:
             raise HttpError(400, "bad_request", "options.tokens must be an object")
         provisioned: dict[str, tuple[str, ...]] = {}
         for token, scopes in tokens.items():
+            if not token:
+                raise HttpError(400, "bad_request", "token names must be non-empty")
             if not isinstance(scopes, list):
                 raise HttpError(400, "bad_request", "token scopes must be a list")
             try:
@@ -195,7 +191,7 @@ class SdtManager:
 
         with self._registry_lock:
             sdt_id = self.allocate_id()
-            now = self._clock()
+            now = time.time()
             record = _SdtRecord(
                 descriptor=SdtDescriptor(
                     sdt_id=sdt_id,

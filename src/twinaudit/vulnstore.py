@@ -109,13 +109,6 @@ class Advisory:
     severity: Severity
     affects: tuple[AffectedPackage, ...]
 
-    def matches(self, name: str, version: str) -> bool:
-        normalized = normalize_package_name(name)
-        return any(
-            pkg.name == normalized and any(r.contains(version) for r in pkg.ranges)
-            for pkg in self.affects
-        )
-
 
 def _parse_record(line_number: int, data: dict) -> Advisory:
     cve = data.get("cve")

@@ -44,7 +44,6 @@ from twinaudit.manager import (
     ManagerClient,
     ManagerService,
     SdtManager,
-    TraceRecorder,
 )
 from twinaudit.vulnstore import VulnerabilityStore
 
@@ -70,7 +69,7 @@ class Env:
         self.counter = 0
 
     def make_manager_client(self):
-        manager = SdtManager(runtimes=[self.runtime], tracer=TraceRecorder())
+        manager = SdtManager(runtimes=[self.runtime])
         self.counter += 1
         prefix = f"/acc-mgr{self.counter}"
         self.server.mount(prefix, ManagerService(manager))

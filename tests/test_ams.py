@@ -23,7 +23,6 @@ from twinaudit.ams import (
     HostRecord,
     InvalidTransition,
     InventoryError,
-    OutdatedLayout,
     ProfileError,
     RunState,
     Segment,
@@ -52,7 +51,6 @@ from twinaudit.manager import (
     ManagerClient,
     ManagerService,
     SdtManager,
-    TraceRecorder,
 )
 from twinaudit.report import render_report, report_counts
 from twinaudit.vulnstore import VulnerabilityStore
@@ -178,7 +176,7 @@ class Env:
         self.counter = 0
 
     def make_manager_client(self):
-        manager = SdtManager(runtimes=[self.runtime], tracer=TraceRecorder())
+        manager = SdtManager(runtimes=[self.runtime])
         self.counter += 1
         prefix = f"/ams-mgr{self.counter}"
         self.server.mount(prefix, ManagerService(manager))
@@ -547,13 +545,6 @@ class TestInventory:
             assert [r.to_dict() for r in topology.relationships] == relationships
             assert [h.host_id for h in topology.hosts] == sorted(h.host_id for h in hosts)
             assert [p.name for p in (Path(tmp) / "new").iterdir()] == ["topology"]
-
-    def test_per_host_layout_is_refused(self, tmp_path):
-        store = FileDocumentStore(tmp_path)
-        host = {"host_id": "a", "role": "r", "segment": "LAN", "snapshot_ref": "/a"}
-        store.put("hosts", "a", host)
-        with pytest.raises(OutdatedLayout, match="run `inventory ingest` again"):
-            topology_from_store(store)
 
     def test_ingest_and_rebuild(self, tmp_path):
         store = FileDocumentStore(tmp_path)

@@ -1,7 +1,6 @@
 """End-to-end command line flows, embedded and external manager modes."""
 
 import json
-import shutil
 import time
 from pathlib import Path
 
@@ -81,30 +80,6 @@ def stored_documents(store, run_id):
     log = store.get_log("run_documents", run_id)
     texts = store.read_texts(log, range(len(log.entries)))
     return [(*log.meta(i).decode().split(" ", 2), text) for i, text in enumerate(texts)]
-
-
-def store_in_old_layout(env, run_id):
-    """Rewrite a run's documents as the layout before run files kept them:
-    one JSON record per run, each entry with its document's text and,
-    before summaries, nothing else."""
-    store = FileDocumentStore(env["TWINAUDIT_STORE"])
-    store.put("run_documents", run_id, [
-        {"serial": serial, "version": int(version), "text": text}
-        for serial, version, _, text in stored_documents(store, run_id)
-    ])
-    shutil.rmtree(store.root / "run_documents" / run_id)
-
-
-def store_as_one_line_file(env, run_id):
-    """Rewrite a run's documents as the layout before document logs: one
-    line file, its index line then every text."""
-    store = FileDocumentStore(env["TWINAUDIT_STORE"])
-    documents = stored_documents(store, run_id)
-    index = [{"serial": s, "version": int(v), "summary": summary} for s, v, summary, _ in documents]
-    lines = [json.dumps(index), *(text for *_, text in documents)]
-    path = store.root / "run_documents" / f"{run_id}.jsonl"
-    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-    shutil.rmtree(store.root / "run_documents" / run_id)
 
 
 class TestFixtureCommand:
@@ -200,39 +175,16 @@ class TestAuditFlow:
         assert result.exit_code == 1
         assert "ghost" in result.output
 
-    def test_report_on_a_record_without_summaries_fails(self, runner, store_env, minimal_fx):
+    def test_missing_inventory_record_is_one_error_line(self, runner, store_env, minimal_fx):
         run = run_audit(runner, store_env, minimal_fx)
-        store_in_old_layout(store_env, run["run_id"])
-        for command in (["report"], ["report", "--json"], ["update"]):
-            result = runner.invoke(main, ["audit", *command, run["run_id"]], env=store_env)
-            assert result.exit_code == 1, command
-            assert "older layout" in result.output
-            assert "fresh `audit run`" in result.output
-
-    def test_run_stored_as_one_line_file_is_refused(self, runner, store_env, minimal_fx):
-        run = run_audit(runner, store_env, minimal_fx)
-        store_as_one_line_file(store_env, run["run_id"])
-        for command in (["report"], ["report", "--json"], ["update"]):
-            result = runner.invoke(main, ["audit", *command, run["run_id"]], env=store_env)
-            assert result.exit_code == 1, command
-            assert "older layout" in result.output
-            assert "fresh `audit run`" in result.output
-
-    def test_inventory_stored_one_file_per_host_is_refused(
-        self, runner, store_env, minimal_fx
-    ):
-        run = run_audit(runner, store_env, minimal_fx)
-        store = FileDocumentStore(store_env["TWINAUDIT_STORE"])
-        # The layout before the inventory record: one record per host.
-        for host in store.get("topology", "inventory")["hosts"]:
-            store.put("hosts", host["host_id"], host)
-        store.delete("topology", "inventory")
-        for command in (["report", run["run_id"]], ["update", run["run_id"]]):
-            result = runner.invoke(main, ["audit", *command], env=store_env)
-            assert result.exit_code == 1, command
-            assert "run `inventory ingest` again" in result.output
+        FileDocumentStore(store_env["TWINAUDIT_STORE"]).delete("topology", "inventory")
+        update = ["audit", "update", run["run_id"], "--feed", minimal_fx["feed"]]
+        result = runner.invoke(main, update, env=store_env)
+        refused(result, "host 'solo-01' is not in the inventory")
+        status = ok(runner.invoke(main, ["audit", "status", run["run_id"]], env=store_env))
+        assert "state: SDT_READY" in status.output
         ok(runner.invoke(main, ["inventory", "ingest", minimal_fx["inventory"]], env=store_env))
-        ok(runner.invoke(main, ["audit", "report", run["run_id"]], env=store_env))
+        ok(runner.invoke(main, update, env=store_env))
 
     def test_unknown_run_ids_fail(self, runner, store_env):
         for command in ("status", "report"):
@@ -412,14 +364,6 @@ class TestWatch:
         assert isinstance(again.exception, SystemExit)
         assert "cannot move from FAILED to UPDATING" in again.output
 
-    def test_run_stored_in_an_old_layout_is_refused(self, runner, periodic_env):
-        env, _, run = periodic_env
-        store_in_old_layout(env, run["run_id"])
-        result = runner.invoke(main, ["audit", "watch", run["run_id"], "--count", "1"], env=env)
-        assert result.exit_code == 1
-        assert "older layout" in result.output
-        assert "fresh `audit run`" in result.output
-
     def test_on_demand_profile_is_refused(self, runner, store_env, minimal_fx):
         run = run_audit(runner, store_env, minimal_fx)
         result = runner.invoke(main, ["audit", "watch", run["run_id"]], env=store_env)
@@ -438,6 +382,9 @@ def refused(result, names):
     assert names in lines[0]
 
 
+HOST = {"host_id": "a", "role": "r", "segment": "LAN", "snapshot_ref": "/a"}
+
+
 class TestProgramErrors:
     """Input the program cannot use ends a command with exit 1 and one
     message; anything else still shows its traceback."""
@@ -451,6 +398,22 @@ class TestProgramErrors:
         path = tmp_path / name
         path.write_text(text)
         refused(runner.invoke(main, [*command, str(path)], env=store_env), str(path))
+
+    @pytest.mark.parametrize("command,doc,message", [
+        (["inventory", "ingest"], {"hosts": [5]}, "host entry must be an object"),
+        (["inventory", "ingest"], {"hosts": [HOST], "relationships": [5]},
+         "relationship entry must be an object"),
+        (["profile", "create", "-f"], {"profile_id": "p", "host_selector": 5},
+         "host_selector must be a list"),
+        (["profile", "create", "-f"], {"profile_id": "p", "host_selector": ["a"], "categories": 5},
+         "categories must be a list"),
+        (["profile", "create", "-f"], {"profile_id": "p", "host_selector": ["a"], "sync_policy": 5},
+         "sync_policy must be an object"),
+    ], ids=["host-entry", "relationship-entry", "host-selector", "categories", "sync-policy"])
+    def test_wrongly_shaped_value(self, runner, store_env, tmp_path, command, doc, message):
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        refused(runner.invoke(main, [*command, str(path)], env=store_env), message)
 
     def test_config_that_is_not_a_mapping(self, runner, store_env, tmp_path):
         path = tmp_path / "settings.yaml"

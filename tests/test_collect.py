@@ -231,6 +231,25 @@ class TestSnapshotWalk:
         assert "srv/app name/with space.txt" in expected
         assert not any(path.startswith(("etc/dir-link", "etc/outside")) for path in expected)
 
+    def test_a_backslash_in_a_name_keeps_its_own_key(self, tmp_path):
+        root = write_tree(
+            tmp_path / "host",
+            {
+                "facts.json": json.dumps(FACTS),
+                "etc/sysctl.conf": b"real",
+                "etc\\sysctl.conf": b"backslash",
+            },
+        )
+        archive = tmp_path / "host.tar"
+        with tarfile.open(archive, "w") as tar:
+            tar.add(root, arcname=".")
+        from_dir, from_tar = HostSnapshot.open(root), HostSnapshot.open(archive)
+        expected = ["etc/sysctl.conf", "etc\\sysctl.conf", "facts.json"]
+        assert from_dir.iter_files() == from_tar.iter_files() == expected
+        for snapshot in (from_dir, from_tar):
+            assert snapshot.read_bytes("etc/sysctl.conf") == b"real"
+            assert snapshot.read_bytes("etc\\sysctl.conf") == b"backslash"
+
 
 class TestTokenExtraction:
     @pytest.mark.parametrize(

@@ -37,7 +37,6 @@ from twinaudit.forge import (
     build_sbom,
     count_artifacts,
     enrich_with_vulnerabilities,
-    insert_crypto_node,
     link_to_profile,
 )
 from twinaudit.vulnstore import VulnerabilityStore
@@ -116,9 +115,7 @@ def software_record(host, name, version, role, manifest, ecosystem="pypi"):
 class TestGraphInsertion:
     def test_single_occurrence_builds_full_chain(self):
         graph = CryptoHierarchyGraph()
-        insert_crypto_node(
-            graph, algo_record("web-01", "AES-256-GCM", "AES", parameter="256")
-        )
+        graph.insert(algo_record("web-01", "AES-256-GCM", "AES", parameter="256"))
         assert len(graph.nodes()) == 4
         assert len(graph.edges()) == 3
         assert NodeId(LAYER_PRIMITIVE, "cipher") in graph.nodes()
@@ -128,24 +125,24 @@ class TestGraphInsertion:
 
     def test_second_host_adds_only_an_occurrence(self):
         graph = CryptoHierarchyGraph()
-        insert_crypto_node(graph, algo_record("web-01", "AES-256-GCM", "AES"))
+        graph.insert(algo_record("web-01", "AES-256-GCM", "AES"))
         before_nodes, before_edges = len(graph.nodes()), len(graph.edges())
-        insert_crypto_node(graph, algo_record("db-01", "AES-256-GCM", "AES"))
+        graph.insert(algo_record("db-01", "AES-256-GCM", "AES"))
         assert len(graph.nodes()) == before_nodes + 1
         assert len(graph.edges()) == before_edges + 1
 
     def test_reinsertion_merges(self):
         graph = CryptoHierarchyGraph()
         record = algo_record("web-01", "AES-256", "AES", parameter="256")
-        insert_crypto_node(graph, record)
+        graph.insert(record)
         fingerprint = graph.signature()
-        insert_crypto_node(graph, record)
+        graph.insert(record)
         assert graph.signature() == fingerprint
 
     def test_unknown_primitive_is_quarantined(self):
         graph = CryptoHierarchyGraph()
         record = algo_record("web-01", "QKD-512", "QKD", primitive="quantum")
-        insert_crypto_node(graph, record)
+        graph.insert(record)
         assert len(graph.nodes()) == 0
         assert len(graph.edges()) == 0
         assert graph.quarantine == [record]
@@ -159,32 +156,32 @@ class TestGraphInsertion:
             source_path="etc/ssl/openssl.cnf",
             attributes={"kind": "directive", "value": "DEFAULT"},
         )
-        insert_crypto_node(graph, directive)
+        graph.insert(directive)
         assert len(graph.nodes()) == 0
         assert len(graph.quarantine) == 1
 
     def test_protocol_chain(self):
         graph = CryptoHierarchyGraph()
-        insert_crypto_node(graph, protocol_record("web-01"))
+        graph.insert(protocol_record("web-01"))
         assert NodeId(LAYER_PRIMITIVE, "protocol") in graph.nodes()
         assert NodeId(LAYER_FAMILY, "TLS") in graph.nodes()
         assert NodeId(LAYER_PARAMETERIZATION, "TLS-1.2") in graph.nodes()
 
     def test_library_chain(self):
         graph = CryptoHierarchyGraph()
-        insert_crypto_node(graph, library_record("web-01"))
+        graph.insert(library_record("web-01"))
         assert NodeId(LAYER_PRIMITIVE, "library") in graph.nodes()
         assert NodeId(LAYER_PARAMETERIZATION, "openssl-3.0.13") in graph.nodes()
 
     def test_certificate_inserts_key_algorithm_occurrence(self):
         graph = CryptoHierarchyGraph()
-        insert_crypto_node(graph, certificate_record("web-01"))
+        graph.insert(certificate_record("web-01"))
         assert NodeId(LAYER_PARAMETERIZATION, "RSA-2048") in graph.nodes()
 
     def test_protocol_depends_on_cooccurring_algorithms(self):
         graph = CryptoHierarchyGraph()
-        insert_crypto_node(graph, protocol_record("web-01"))
-        insert_crypto_node(graph, algo_record("web-01", "AES-256", "AES"))
+        graph.insert(protocol_record("web-01"))
+        graph.insert(algo_record("web-01", "AES-256", "AES"))
         depends = [e for e in graph.edges() if e.kind == EdgeKind.DEPENDS_ON]
         assert len(depends) == 1
         assert depends[0].source.name.startswith("web-01:TLS-1.2")
@@ -215,7 +212,7 @@ class TestGraphInsertion:
         seen_nodes: set = set()
         seen_edges: set = set()
         for record in records:
-            insert_crypto_node(graph, record)
+            graph.insert(record)
             nodes = set(graph.nodes())
             edges = set(graph.edges())
             assert seen_nodes <= nodes

@@ -15,7 +15,13 @@ from twinaudit.bom import delta_to_dict, diff_boms, parse_bom, serialize_bom
 from twinaudit.forge import document_serial, link_to_profile
 from twinaudit.instance.policy import DECISION_LOG_SIZE
 from twinaudit.instance.representation import StoredRepresentation
-from twinaudit.jsonhttp import HttpError, SharedJsonServer, TransportUnavailable, http_json
+from twinaudit.jsonhttp import (
+    HttpError,
+    RequestRejected,
+    SharedJsonServer,
+    TransportUnavailable,
+    http_json,
+)
 from twinaudit.manager import core as manager_core
 from twinaudit.manager import (
     CREATE_STAGES,
@@ -24,7 +30,6 @@ from twinaudit.manager import (
     ManagerClient,
     ManagerService,
     SdtManager,
-    TraceRecorder,
     UPDATE_STAGES,
     is_subsequence,
 )
@@ -74,7 +79,7 @@ class Env:
 
     def make_manager(self, sabotage=False):
         runtime = SabotageRuntime(self.runtime) if sabotage else self.runtime
-        manager = SdtManager(runtimes=[runtime], tracer=TraceRecorder())
+        manager = SdtManager(runtimes=[runtime])
         self.counter += 1
         prefix = f"/mgr{self.counter}"
         self.server.mount(prefix, ManagerService(manager))
@@ -181,6 +186,15 @@ class TestCreate:
         with pytest.raises(Exception) as err:
             client.create("profile-a", [json.dumps(doc) for doc in docs])
         assert (err.value.status, err.value.code) == (400, "invalid_bom")
+        assert runtime.deployed == live_before
+        assert manager.list_descriptors() == []
+
+    def test_empty_token_name_rejected_before_deploy(self, env):
+        manager, client, runtime = env.make_manager(sabotage=True)
+        live_before = set(runtime.deployed)
+        with pytest.raises(RequestRejected) as err:
+            client.create("profile-a", bom_texts(), options={"tokens": {"": ["READ"]}})
+        assert (err.value.status, err.value.code) == (400, "bad_request")
         assert runtime.deployed == live_before
         assert manager.list_descriptors() == []
 

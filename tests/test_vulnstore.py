@@ -253,7 +253,15 @@ class TestOracleEquivalence:
         store.ingest_lines(lines)
         found = [a.cve_id for a in store.findings_for(name, version)]
         assert found == oracle_findings(lines, name, version)
-        assert found == [a.cve_id for a in store.advisories() if a.matches(name, version)]
+        wanted = normalize_package_name(name)
+        assert found == [
+            a.cve_id
+            for a in store.advisories()
+            if any(
+                pkg.name == wanted and any(r.contains(version) for r in pkg.ranges)
+                for pkg in a.affects
+            )
+        ]
 
     def test_lookup_tests_only_the_packages_advisories(self, monkeypatch):
         lines = [
