@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..collect import EvidenceCategory
-from ..config import read_data_file
+from ..config import read_data_file, typed_value
 from .store import FileDocumentStore
 from .topology import TopologyGraph, topology_from_store
 
@@ -39,9 +39,12 @@ class SyncPolicy:
     def __post_init__(self) -> None:
         if self.kind not in (ON_DEMAND, PERIODIC):
             raise ProfileError(f"unknown sync policy {self.kind!r}")
-        if self.kind == PERIODIC:
-            if self.interval_seconds is None or self.interval_seconds <= 0:
-                raise ProfileError("PERIODIC policy requires interval_seconds > 0")
+        interval = self.interval_seconds
+        number = isinstance(interval, (int, float)) and not isinstance(interval, bool)
+        if self.kind == PERIODIC and not (number and interval > 0):
+            raise ProfileError(
+                f"PERIODIC policy requires a number interval_seconds > 0, not {interval!r}"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"kind": self.kind}
@@ -59,10 +62,13 @@ class AuditProfile:
     sync_policy: SyncPolicy = field(default_factory=SyncPolicy)
 
     def __post_init__(self) -> None:
-        if not self.profile_id:
+        if not typed_value(self.profile_id, str, "profile_id", ProfileError):
             raise ProfileError("profile_id must be non-empty")
+        typed_value(self.name, str, "name", ProfileError)
         if not self.host_selector:
             raise ProfileError("host_selector must be non-empty")
+        for entry in self.host_selector:
+            typed_value(entry, str, "host_selector entry", ProfileError)
         for category in self.categories:
             try:
                 EvidenceCategory(category)
@@ -84,22 +90,19 @@ class AuditProfile:
         if not isinstance(policy_doc, dict):
             raise ProfileError(f"sync_policy must be an object, not {policy_doc!r}")
         return cls(
-            profile_id=str(doc.get("profile_id", "")),
-            name=str(doc.get("name", doc.get("profile_id", ""))),
+            profile_id=doc.get("profile_id", ""),
+            name=doc.get("name", doc.get("profile_id", "")),
             host_selector=_list(doc, "host_selector"),
             categories=_list(doc, "categories"),
             sync_policy=SyncPolicy(
-                kind=str(policy_doc.get("kind", ON_DEMAND)),
+                kind=policy_doc.get("kind", ON_DEMAND),
                 interval_seconds=policy_doc.get("interval_seconds"),
             ),
         )
 
 
 def _list(doc: dict[str, Any], key: str) -> tuple[Any, ...]:
-    value = doc.get(key) or []
-    if not isinstance(value, list):
-        raise ProfileError(f"{key} must be a list, not {value!r}")
-    return tuple(value)
+    return tuple(typed_value(doc.get(key) or [], list, key, ProfileError))
 
 
 def selected_hosts(profile: AuditProfile, topology: TopologyGraph) -> list[str]:

@@ -9,7 +9,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Union
 
-from ..config import read_data_file
+from ..config import read_data_file, typed_value
 from .store import FileDocumentStore
 
 __all__ = [
@@ -71,10 +71,10 @@ class HostRecord:
         except ValueError:
             raise InventoryError(f"unknown segment {doc['segment']!r}") from None
         return cls(
-            host_id=str(doc["host_id"]),
-            role=str(doc["role"]),
+            host_id=typed_value(doc["host_id"], str, "host_id", InventoryError),
+            role=typed_value(doc["role"], str, "role", InventoryError),
             segment=segment,
-            snapshot_ref=str(doc["snapshot_ref"]),
+            snapshot_ref=typed_value(doc["snapshot_ref"], str, "snapshot_ref", InventoryError),
         )
 
 
@@ -120,7 +120,8 @@ def _parse_relationship(doc: Any, known: set[str]) -> Relationship:
         kind = RelationshipKind(str(doc["kind"]).upper())
     except ValueError:
         raise InventoryError(f"unknown relationship kind {doc['kind']!r}") from None
-    source, target = str(doc["source"]), str(doc["target"])
+    source = typed_value(doc["source"], str, "relationship source", InventoryError)
+    target = typed_value(doc["target"], str, "relationship target", InventoryError)
     for endpoint in (source, target):
         if endpoint not in known:
             raise InventoryError(f"relationship endpoint {endpoint!r} is not a known host")
@@ -130,18 +131,16 @@ def _parse_relationship(doc: Any, known: set[str]) -> Relationship:
 def parse_inventory(data: Any) -> TopologyGraph:
     if not isinstance(data, dict):
         raise InventoryError("inventory must be an object with hosts/relationships")
-    host_entries = data.get("hosts") or []
     hosts: list[HostRecord] = []
     seen: set[str] = set()
-    for entry in host_entries:
+    for entry in typed_value(data.get("hosts") or [], list, "hosts", InventoryError):
         record = HostRecord.from_dict(entry)
         if record.host_id in seen:
             raise InventoryError(f"duplicate host_id {record.host_id!r} in inventory")
         seen.add(record.host_id)
         hosts.append(record)
-    relationships = tuple(
-        _parse_relationship(entry, seen) for entry in data.get("relationships") or []
-    )
+    entries = typed_value(data.get("relationships") or [], list, "relationships", InventoryError)
+    relationships = tuple(_parse_relationship(entry, seen) for entry in entries)
     return TopologyGraph(hosts=tuple(hosts), relationships=relationships)
 
 

@@ -10,7 +10,7 @@ from typing import Any, Mapping, Optional, Union
 
 import yaml
 
-__all__ = ["AppConfig", "DataFileError", "load_config", "read_data_file"]
+__all__ = ["AppConfig", "DataFileError", "load_config", "read_data_file", "typed_value"]
 
 ENV_CONFIG = "TWINAUDIT_CONFIG"
 ENV_STORE = "TWINAUDIT_STORE"
@@ -50,6 +50,17 @@ def read_data_file(path: Union[str, Path]) -> Any:
         mark = getattr(err, "problem_mark", None)
         reason = f"line {mark.line + 1}: {err.problem}" if mark else " ".join(str(err).split())
         raise DataFileError(f"{path}: {reason}") from err
+
+
+_KIND_NAMES = {str: "a string", list: "a list"}
+
+
+def typed_value(value: Any, kind: type, what: str, error: type[ValueError]) -> Any:
+    """value, if it is a `kind` (str or list); else raises error naming
+    `what` and the value. For the readers of inventory and profile files."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be {_KIND_NAMES[kind]}, not {value!r}")
+    return value
 
 
 def load_config(

@@ -5,9 +5,9 @@ profile manifest. Every thing keeps an append-only revision history; past
 revisions stay readable verbatim after any number of updates.
 
 Each revision is stored as canonical JSON text (sorted keys, compact
-separators): it is encoded once on write, compared as text to detect an
-unchanged state, and decoded into a fresh object on every read, so no caller
-can reach the stored history.
+separators, ASCII only): it is encoded once on write, compared as text to
+detect an unchanged state, and handed out as that text on every read, so a
+read costs a lookup and no caller can change the stored history.
 """
 
 from __future__ import annotations
@@ -323,16 +323,17 @@ class StoredRepresentation:
         except KeyError:
             raise UnknownThing(thing_id) from None
 
-    def latest(self, thing_id: str) -> dict[str, Any]:
-        return json.loads(self._history_of(thing_id)[-1].text)
+    def latest(self, thing_id: str) -> str:
+        """The canonical text of the thing's newest revision."""
+        return self._history_of(thing_id)[-1].text
 
-    def at_revision(self, thing_id: str, revision: int) -> dict[str, Any]:
+    def at_revision(self, thing_id: str, revision: int) -> str:
         history = self._history_of(thing_id)
         if revision < 1 or revision > len(history):
             raise UnknownThing(f"{thing_id}@{revision}")
-        return json.loads(history[revision - 1].text)
+        return history[revision - 1].text
 
-    def at_time(self, thing_id: str, timestamp: float) -> dict[str, Any]:
+    def at_time(self, thing_id: str, timestamp: float) -> str:
         history = self._history_of(thing_id)
         best: Optional[Revision] = None
         for rev in history:
@@ -340,7 +341,7 @@ class StoredRepresentation:
                 best = rev
         if best is None:
             raise UnknownThing(f"{thing_id}@t={timestamp}")
-        return json.loads(best.text)
+        return best.text
 
     def history(self, thing_id: str) -> list[tuple[int, float]]:
         return [(r.revision, r.timestamp) for r in self._history_of(thing_id)]

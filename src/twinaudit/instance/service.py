@@ -8,6 +8,10 @@ Routes (bearer-token auth, except /health):
   GET  /things/{id}/history             revision metadata        [READ]
   PUT  /representation                  build or update          [WRITE_REPRESENTATION]
   GET  /representation                  full export (footprint)  [ADMIN]
+
+A thing state is answered as a JsonText: the revision's stored canonical
+text, byte for byte, with no decode and re-encode per read. Every other
+answer is a payload that the server encodes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from ..jsonhttp import ApiRequest, HttpError, JsonApi, bearer_token
+from ..jsonhttp import ApiRequest, HttpError, JsonApi, JsonText, bearer_token
 from .policy import AccessPolicy, Scope
 from .representation import (
     RepresentationError,
@@ -96,18 +100,18 @@ class InstanceService(JsonApi):
                     revision = int(query["rev"])
                 except ValueError:
                     raise HttpError(400, "bad_request", "rev must be an integer") from None
-                state = rep.at_revision(thing_id, revision)
+                text = rep.at_revision(thing_id, revision)
             elif "at" in query:
                 try:
                     timestamp = float(query["at"])
                 except ValueError:
                     raise HttpError(400, "bad_request", "at must be a timestamp") from None
-                state = rep.at_time(thing_id, timestamp)
+                text = rep.at_time(thing_id, timestamp)
             else:
-                state = rep.latest(thing_id)
+                text = rep.latest(thing_id)
         except UnknownThing as err:
             raise HttpError(404, "not_found", f"no such thing state: {err.args[0]}") from err
-        return 200, state
+        return 200, JsonText(text)
 
     # -- dispatch -------------------------------------------------------------
 

@@ -3,13 +3,14 @@
 Server: one ThreadingHTTPServer carries many mounted services, each under a
 path prefix; a request goes to the mount with the longest prefix of its
 path. Services implement `dispatch(request) -> (status, payload)` and signal
-failures with HttpError. Every answer is JSON. Every error answer has the
-body {"code": ..., "message": ...}, and one function writes it: the
-handler's send_error, which the stdlib also calls for the requests it
-refuses itself (a malformed or unsupported request line, an overlong URI or
-header block, a method other than GET, POST, PUT and DELETE). The error
-code of those is their status name, such as "not_implemented". The answer
-to a HEAD request has no body.
+failures with HttpError. Every answer is JSON: a payload is encoded with
+json.dumps, except a JsonText, which is JSON text already and is sent as it
+is. Every error answer has the body {"code": ..., "message": ...}, and one
+function writes it: the handler's send_error, which the stdlib also calls
+for the requests it refuses itself (a malformed or unsupported request
+line, an overlong URI or header block, a method other than GET, POST, PUT
+and DELETE). The error code of those is their status name, such as
+"not_implemented". The answer to a HEAD request has no body.
 
 Connections are kept alive (HTTP/1.1), one handler thread per connection:
 - each response's head and body leave in a single send on a TCP_NODELAY
@@ -46,6 +47,7 @@ __all__ = [
     "ApiRequest",
     "HttpError",
     "JsonApi",
+    "JsonText",
     "RequestRejected",
     "SharedJsonServer",
     "TransportUnavailable",
@@ -92,6 +94,10 @@ class ApiRequest:
     body: Any = None
 
 
+class JsonText(str):
+    """A payload that is JSON text already; the server sends it unchanged."""
+
+
 class JsonApi:
     """A mountable service. Subclasses override dispatch."""
 
@@ -122,6 +128,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(self, status: int, payload: Any, close: bool = False) -> None:
         if status == 204 or payload is None and status < 400:
             body = b""
+        elif isinstance(payload, JsonText):
+            body = payload.encode("utf-8")
         else:
             body = json.dumps(payload).encode("utf-8")
         self.send_response(status)

@@ -409,7 +409,28 @@ class TestProgramErrors:
          "categories must be a list"),
         (["profile", "create", "-f"], {"profile_id": "p", "host_selector": ["a"], "sync_policy": 5},
          "sync_policy must be an object"),
-    ], ids=["host-entry", "relationship-entry", "host-selector", "categories", "sync-policy"])
+        (["inventory", "ingest"], {"hosts": 5}, "hosts must be a list, not 5"),
+        (["inventory", "ingest"], {"hosts": [HOST], "relationships": 5},
+         "relationships must be a list, not 5"),
+        (["inventory", "ingest"], {"hosts": [{**HOST, "host_id": {"a": 5}}]},
+         "host_id must be a string"),
+        (["inventory", "ingest"], {"hosts": [{**HOST, "role": 5}]}, "role must be a string"),
+        (["inventory", "ingest"], {"hosts": [{**HOST, "snapshot_ref": ["/a"]}]},
+         "snapshot_ref must be a string"),
+        (["inventory", "ingest"],
+         {"hosts": [HOST], "relationships": [{"source": "a", "kind": "SERVES", "target": 5}]},
+         "relationship target must be a string"),
+        (["profile", "create", "-f"],
+         {"profile_id": "p", "host_selector": ["a"],
+          "sync_policy": {"kind": "PERIODIC", "interval_seconds": "x"}},
+         "interval_seconds > 0, not 'x'"),
+        (["profile", "create", "-f"], {"profile_id": "p", "host_selector": [{"a": 1}]},
+         "host_selector entry must be a string"),
+        (["profile", "create", "-f"], {"profile_id": {"a": 5}, "host_selector": ["a"]},
+         "profile_id must be a string"),
+    ], ids=["host-entry", "relationship-entry", "host-selector", "categories", "sync-policy",
+            "hosts", "relationships", "host-id", "role", "snapshot-ref", "relationship-target",
+            "interval", "selector-entry", "profile-id"])
     def test_wrongly_shaped_value(self, runner, store_env, tmp_path, command, doc, message):
         path = tmp_path / "input.yaml"
         path.write_text(yaml.safe_dump(doc))

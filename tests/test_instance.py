@@ -1,6 +1,6 @@
 """Twin instance: representation history, access policy, service routes."""
 
-import copy
+import http.client
 import itertools
 import json
 from dataclasses import replace
@@ -28,7 +28,7 @@ from twinaudit.instance import (
     VersionConflict,
     thing_states_from_boms,
 )
-from twinaudit.jsonhttp import ApiRequest, HttpError
+from twinaudit.jsonhttp import ApiRequest, HttpError, JsonText, SharedJsonServer, http_json
 
 from .strategies import boms, order_trap_documents
 from .test_forge import algo_record, certificate_record, software_record
@@ -203,15 +203,15 @@ class TestStoredRepresentation:
         # nothing applied, not even the known things
         assert rep.current_version == 1
         assert len(rep.history("host-a")) == 1
-        assert rep.latest("host-a")["properties"]["n"] == 1
+        assert json.loads(rep.latest("host-a"))["properties"]["n"] == 1
 
     def test_old_revisions_stay_readable(self):
         rep = StoredRepresentation.build(simple_states(1))
         rep.apply_update(simple_states(2), 2)
         rep.apply_update(simple_states(3), 3)
-        assert rep.at_revision("host-a", 1)["properties"]["n"] == 1
-        assert rep.at_revision("host-a", 2)["properties"]["n"] == 2
-        assert rep.at_revision("host-a", 3)["properties"]["n"] == 3
+        assert json.loads(rep.at_revision("host-a", 1))["properties"]["n"] == 1
+        assert json.loads(rep.at_revision("host-a", 2))["properties"]["n"] == 2
+        assert json.loads(rep.at_revision("host-a", 3))["properties"]["n"] == 3
         with pytest.raises(UnknownThing):
             rep.at_revision("host-a", 4)
 
@@ -220,9 +220,9 @@ class TestStoredRepresentation:
         rep = StoredRepresentation.build(simple_states(1), clock=clock)
         clock.tick(10)
         rep.apply_update(simple_states(2), 2)
-        assert rep.at_time("host-a", 100.0)["properties"]["n"] == 1
-        assert rep.at_time("host-a", 105.0)["properties"]["n"] == 1
-        assert rep.at_time("host-a", 110.0)["properties"]["n"] == 2
+        assert json.loads(rep.at_time("host-a", 100.0))["properties"]["n"] == 1
+        assert json.loads(rep.at_time("host-a", 105.0))["properties"]["n"] == 1
+        assert json.loads(rep.at_time("host-a", 110.0))["properties"]["n"] == 2
         with pytest.raises(UnknownThing):
             rep.at_time("host-a", 99.9)
 
@@ -230,10 +230,10 @@ class TestStoredRepresentation:
         states = simple_states(1)
         rep = StoredRepresentation.build(states)
         states["host-a"]["properties"]["n"] = 999
-        assert rep.latest("host-a")["properties"]["n"] == 1
-        read = rep.latest("host-a")
+        assert json.loads(rep.latest("host-a"))["properties"]["n"] == 1
+        read = json.loads(rep.latest("host-a"))
         read["properties"]["n"] = 888
-        assert rep.latest("host-a")["properties"]["n"] == 1
+        assert json.loads(rep.latest("host-a"))["properties"]["n"] == 1
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -247,11 +247,11 @@ class TestStoredRepresentation:
         )
     )
     def test_history_immutability_property(self, updates):
-        """Snapshots already read never change under further updates, nor
-        when a read result or a pushed dict is mutated; a re-push of the same
+        """Stored texts already read never change under further updates, nor
+        when a decoded read or a pushed dict is mutated; a re-push of the same
         states with keys in another order appends no revision."""
         rep = StoredRepresentation.build(simple_states(0))
-        frozen: dict[tuple[str, int], dict] = {}
+        frozen: dict[tuple[str, int], str] = {}
         version = 1
         for update in updates:
             states = {
@@ -272,14 +272,15 @@ class TestStoredRepresentation:
                 state["properties"]["n"] = -1
                 state["links"].append("mutated")
             for tid in rep.thing_ids():
-                rep.latest(tid)["properties"]["n"] = -2
+                json.loads(rep.latest(tid))["properties"]["n"] = -2
                 for revision, _ in rep.history(tid):
-                    snap = rep.at_revision(tid, revision)
+                    text = rep.at_revision(tid, revision)
                     key = (tid, revision)
                     if key in frozen:
-                        assert snap == frozen[key]
+                        assert text == frozen[key]
                     else:
-                        frozen[key] = copy.deepcopy(snap)
+                        frozen[key] = text
+                    snap = json.loads(text)
                     snap["properties"]["n"] = -3
                     snap["links"].append("mutated")
         for tid in rep.thing_ids():
@@ -306,11 +307,15 @@ def make_service(states=None, tokens=None):
 def call(service, method, path, token=None, query=None, body=None):
     headers = {"Authorization": f"Bearer {token}"} if token else {}
     try:
-        return service.dispatch(
+        status, payload = service.dispatch(
             ApiRequest(method=method, path=path, query=query or {}, headers=headers, body=body)
         )
     except HttpError as err:
         return err.status, {"code": err.code, "message": err.message}
+    # A thing state comes as its stored JSON text; decode it as a client would.
+    if isinstance(payload, JsonText):
+        payload = json.loads(payload)
+    return status, payload
 
 
 def put(service, token, body):
@@ -420,6 +425,107 @@ class TestInstanceService:
         service = make_service(states)
         _, thing = call(service, "GET", "/things/web-01", token="tok-read")
         assert set(thing) == {"id", "title", "properties", "links"}
+
+
+def canonical_bytes(state):
+    """The canonical text a revision is stored as, encoded independently."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+THINGS = ("host-a", "host-b")
+
+
+def served_state(thing_id, value):
+    return {"id": thing_id, "title": thing_id[-1], "properties": {"v": value}, "links": []}
+
+
+class TestServedThingReads:
+    """Thing reads over a live server are the stored canonical text."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=st.fixed_dictionaries({tid: json_values for tid in THINGS}),
+        updates=st.lists(st.dictionaries(st.sampled_from(THINGS), json_values), max_size=5),
+    )
+    def test_reads_are_the_stored_text_byte_for_byte(self, first, updates):
+        service = make_service()
+        prefix = f"/sdt-{next(self.mounts)}"
+        url = self.server.mount(prefix, service)
+        host, port = self.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        auth = {"Authorization": "Bearer tok-read"}
+
+        def raw_get(path):
+            connection.request("GET", prefix + path, headers=auth)
+            response = connection.getresponse()
+            assert response.getheader("Content-Type") == "application/json"
+            return response.status, response.read()
+
+        try:
+            # Each thing's pushed states, one per revision the model expects.
+            pushed = {tid: [] for tid in THINGS}
+            for version, update in enumerate([first, *updates], start=1):
+                states = {tid: served_state(tid, value) for tid, value in update.items()}
+                status, _ = http_json(
+                    "PUT", url + "/representation", {"version": version, "things": states},
+                    token="tok-write",
+                )
+                assert status == 200
+                for tid, state in states.items():
+                    if not pushed[tid] or canonical_bytes(state) != canonical_bytes(pushed[tid][-1]):
+                        pushed[tid].append(state)
+
+            rep = service.representation()
+            for tid in THINGS:
+                history = rep.history(tid)
+                assert [revision for revision, _ in history] == list(range(1, len(pushed[tid]) + 1))
+                reads = [(f"/things/{tid}", pushed[tid][-1])]
+                for revision, timestamp in history:
+                    state = pushed[tid][revision - 1]
+                    assert rep.at_revision(tid, revision) == canonical_bytes(state).decode("ascii")
+                    # ?at=T answers the newest revision stamped at or before T.
+                    newest = max(r for r, t in history if t <= timestamp)
+                    reads += [
+                        (f"/things/{tid}?rev={revision}", state),
+                        (f"/things/{tid}?at={timestamp!r}", pushed[tid][newest - 1]),
+                    ]
+                for path, state in reads:
+                    status, body = raw_get(path)
+                    assert status == 200
+                    assert body == canonical_bytes(state)
+                    assert json.loads(body) == state
+                    # Every read of one revision is the same bytes.
+                    assert raw_get(path)[1] == body
+        finally:
+            connection.close()
+            self.server.unmount(prefix)
+
+    def test_dispatch_answers_a_thing_as_json_text(self):
+        service = make_service(simple_states(1))
+        request = ApiRequest(
+            method="GET", path="/things/host-a", headers={"Authorization": "Bearer tok-read"}
+        )
+        status, payload = service.dispatch(request)
+        assert status == 200 and isinstance(payload, JsonText)
+        assert payload == canonical_bytes(simple_states(1)["host-a"]).decode("ascii")
+
+    @classmethod
+    def setup_class(cls):
+        cls.server = SharedJsonServer().start()
+        cls.mounts = itertools.count()
+
+    @classmethod
+    def teardown_class(cls):
+        cls.server.stop()
 
 
 class TestAccessPolicy:

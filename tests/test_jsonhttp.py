@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 import twinaudit
 from twinaudit import jsonhttp
-from twinaudit.jsonhttp import JsonApi, SharedJsonServer, TransportUnavailable, http_json
+from twinaudit.jsonhttp import JsonApi, JsonText, SharedJsonServer, TransportUnavailable, http_json
 
 # Encodes to just under 64 KiB: one loopback segment, whose tail a server
 # without TCP_NODELAY holds back for the peer's delayed ACK.
 BIG = "x" * (64 * 1024 - 100)
+# JSON text in a layout json.dumps would not write.
+TEXT = '{"b": 1,"a":["\\u00e9"] }'
 
 
 class Echo(JsonApi):
@@ -33,6 +35,8 @@ class Echo(JsonApi):
         self.threads.add(threading.current_thread())
         if request.path == "/big":
             return 200, {"blob": BIG}
+        if request.path == "/text":
+            return 200, JsonText(TEXT)
         return 200, {"method": request.method, "path": request.path, "body": request.body}
 
 
@@ -156,6 +160,12 @@ class TestRequestFraming:
         second = plain.getresponse()
         assert second.status == 200 and json.loads(second.read())["path"] == "/next"
         assert plain.sock is sock
+
+    def test_json_text_is_sent_as_it_is(self, plain):
+        plain.request("GET", "/svc/text")
+        response = plain.getresponse()
+        assert response.status == 200 and response.read() == TEXT.encode("ascii")
+        assert response.getheader("Content-Type") == "application/json"
 
     def test_invalid_json_keeps_the_connection(self, plain):
         plain.request("PUT", "/svc/a", body=b"{not json")

@@ -279,7 +279,7 @@ class TestUpdate:
         )
         client.update(created["sdtId"], expected_version=1, bom_texts=[serialize_bom(new_sbom)])
         service = runtime.instance_service(created["endpoint"])
-        state = service.representation().latest("repl-host")
+        state = json.loads(service.representation().latest("repl-host"))
         versions = [e["version"] for e in state["properties"]["software"]]
         assert versions == ["3.0.0"]
         assert len(service.representation().history("repl-host")) == 2
@@ -495,8 +495,8 @@ class TestUpdate:
             created["sdtId"], expected_version=1, deltas=[delta_to_dict(diff_boms(a_sbom, moved))]
         )
         rep = runtime.instance_service(created["endpoint"]).representation()
-        assert "software" not in rep.latest("move-a")["properties"]
-        assert rep.latest("move-b")["properties"]["software"]
+        assert "software" not in json.loads(rep.latest("move-a"))["properties"]
+        assert json.loads(rep.latest("move-b"))["properties"]["software"]
 
 
 class TestDestroy:
