@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..collect import EvidenceCategory
-from ..config import read_data_file, typed_value
+from ..config import known_fields, read_data_file, typed_value
 from .store import FileDocumentStore
 from .topology import TopologyGraph, topology_from_store
 
@@ -86,9 +86,11 @@ class AuditProfile:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "AuditProfile":
+        known_fields(doc, _PROFILE_FIELDS, "profile", ProfileError)
         policy_doc = doc.get("sync_policy") or {}
         if not isinstance(policy_doc, dict):
             raise ProfileError(f"sync_policy must be an object, not {policy_doc!r}")
+        known_fields(policy_doc, _POLICY_FIELDS, "sync_policy", ProfileError)
         return cls(
             profile_id=doc.get("profile_id", ""),
             name=doc.get("name", doc.get("profile_id", "")),
@@ -99,6 +101,10 @@ class AuditProfile:
                 interval_seconds=policy_doc.get("interval_seconds"),
             ),
         )
+
+
+_PROFILE_FIELDS = frozenset(AuditProfile.__dataclass_fields__)
+_POLICY_FIELDS = frozenset(SyncPolicy.__dataclass_fields__)
 
 
 def _list(doc: dict[str, Any], key: str) -> tuple[Any, ...]:

@@ -50,6 +50,7 @@ class AuditRun:
     updated_at: float = 0.0
     hosts: tuple[str, ...] = ()
     bom_serials: tuple[str, ...] = ()
+    feeds: tuple[str, ...] = ()  # the advisory feeds the run was audited with
     sdt_id: Optional[str] = None
     representation_version: int = 0
     error: Optional[str] = None
@@ -88,6 +89,7 @@ class AuditRun:
             "updated_at": self.updated_at,
             "hosts": list(self.hosts),
             "bom_serials": list(self.bom_serials),
+            "feeds": list(self.feeds),
             "sdt_id": self.sdt_id,
             "representation_version": self.representation_version,
             "error": self.error,
@@ -104,6 +106,7 @@ class AuditRun:
             updated_at=float(doc.get("updated_at", 0.0)),
             hosts=tuple(doc.get("hosts") or ()),
             bom_serials=tuple(doc.get("bom_serials") or ()),
+            feeds=tuple(doc.get("feeds") or ()),
             sdt_id=doc.get("sdt_id"),
             representation_version=int(doc.get("representation_version", 0)),
             error=doc.get("error"),

@@ -207,6 +207,7 @@ class AuditService:
 
         run = AuditRun.new(profile_id, self.clock())
         run.hosts = tuple(host_ids)
+        run.feeds = tuple(self.vulnerabilities.feeds)
         self._save_run(run)
 
         self._advance(run, RunState.COLLECTING)

@@ -1,8 +1,9 @@
 """Document store: collections of JSON documents addressed by key.
 
-The store keeps one file per document and writes atomically (temp file,
-fsync, rename), so a crash mid-write never corrupts a stored document and
-restarts see only complete states. What must change together goes in one
+The store keeps one file per document, compact JSON with sorted keys (any
+JSON text reads back), and writes atomically (temp file, fsync, rename), so a
+crash mid-write never corrupts a stored document and restarts see only
+complete states. What must change together goes in one
 file, so one rename switches it.
 
 Besides JSON records, the store keeps document logs, for texts that should
@@ -118,7 +119,9 @@ class FileDocumentStore:
 
     def put(self, collection: str, key: str, doc: Any) -> None:
         path = self._doc_path(collection, key)
-        self._write(path, [json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")])
+        # No indent: an indent makes json encode in Python, not in C.
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        self._write(path, [text.encode("utf-8")])
 
     def get(self, collection: str, key: str) -> Optional[Any]:
         path = self._doc_path(collection, key)

@@ -71,16 +71,25 @@ def _manager_session(config: AppConfig) -> Iterator[ManagerClient]:
 
 
 def _service(
-    config: AppConfig, client: ManagerClient, feed: Optional[str] = None
+    config: AppConfig,
+    client: ManagerClient,
+    feed: Optional[str] = None,
+    run_id: Optional[str] = None,
 ) -> AuditService:
-    vulnerabilities = None
-    feed_path = feed or config.feed_path
-    if feed_path:
-        vulnerabilities = VulnerabilityStore()
-        vulnerabilities.load_feed(feed_path)
-    return AuditService(
-        FileDocumentStore(config.store), client, vulnerabilities=vulnerabilities
-    )
+    """A service with the advisory feed --feed or the config names; else,
+    for a rescan of run_id, with the feeds that run was audited with."""
+    store = FileDocumentStore(config.store)
+    named = feed or config.feed_path
+    if named:
+        feeds = (named,)
+    elif run_id is not None:
+        feeds = AuditService(store, client).load_run(run_id).feeds
+    else:
+        feeds = ()
+    vulnerabilities = VulnerabilityStore()
+    for path in feeds:
+        vulnerabilities.load_feed(path)
+    return AuditService(store, client, vulnerabilities=vulnerabilities)
 
 
 def _store_service(config: AppConfig) -> AuditService:
@@ -264,7 +273,12 @@ def audit_report(config: AppConfig, run_id: str, as_json: bool, top: int) -> Non
 @audit.command("update")
 @click.argument("run_id")
 @click.option("--hosts", default=None, help="comma-separated subset to rescan")
-@click.option("--feed", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option(
+    "--feed",
+    type=click.Path(exists=True, dir_okay=False),
+    default=None,
+    help="advisory feed (NDJSON); defaults to the configured feed, then to the run's",
+)
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
 def audit_update(
@@ -281,7 +295,7 @@ def audit_update(
     """
     subset = [h.strip() for h in hosts.split(",") if h.strip()] if hosts else None
     with _manager_session(config) as client:
-        run = _service(config, client, feed).update_audit(run_id, hosts=subset)
+        run = _service(config, client, feed, run_id).update_audit(run_id, hosts=subset)
     _finish_run(run, as_json)
 
 
@@ -296,7 +310,7 @@ def audit_watch(config: AppConfig, run_id: str, count: Optional[int]) -> None:
     other than SDT_READY, which exits 1.
     """
     with _manager_session(config) as client:
-        service = _service(config, client)
+        service = _service(config, client, run_id=run_id)
         profile_id = service.load_run(run_id).profile_id
         profile = get_profile(service.store, profile_id)
         if profile is None or profile.sync_policy.kind != PERIODIC:

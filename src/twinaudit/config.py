@@ -6,11 +6,18 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import AbstractSet, Any, Mapping, Optional, Union
 
 import yaml
 
-__all__ = ["AppConfig", "DataFileError", "load_config", "read_data_file", "typed_value"]
+__all__ = [
+    "AppConfig",
+    "DataFileError",
+    "known_fields",
+    "load_config",
+    "read_data_file",
+    "typed_value",
+]
 
 ENV_CONFIG = "TWINAUDIT_CONFIG"
 ENV_STORE = "TWINAUDIT_STORE"
@@ -27,6 +34,9 @@ class AppConfig:
     @property
     def store(self) -> Path:
         return Path(self.store_path)
+
+
+_SETTINGS = frozenset(AppConfig.__dataclass_fields__)
 
 
 class DataFileError(ValueError):
@@ -63,6 +73,15 @@ def typed_value(value: Any, kind: type, what: str, error: type[ValueError]) -> A
     return value
 
 
+def known_fields(doc: dict, fields: AbstractSet[str], what: str, error: type[ValueError]) -> None:
+    """Raises error, naming `what` and the keys, if doc has keys outside
+    `fields`. For the same readers as typed_value."""
+    unknown = doc.keys() - fields
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise error(f"unknown field{'s' if len(unknown) > 1 else ''} {names} in {what}")
+
+
 def load_config(
     path: Optional[str] = None,
     env: Optional[Mapping[str, str]] = None,
@@ -79,11 +98,8 @@ def load_config(
             data = {}
         if not isinstance(data, dict):
             raise DataFileError(f"{path}: expected a mapping at top level")
-        known = {k: v for k, v in data.items() if k in AppConfig.__dataclass_fields__}
-        unknown = set(data) - set(known)
-        if unknown:
-            raise DataFileError(f"{path}: unknown settings {sorted(unknown)}")
-        config = replace(config, **known)
+        known_fields(data, _SETTINGS, f"settings file {path}", DataFileError)
+        config = replace(config, **data)
 
     if env.get(ENV_STORE):
         config = replace(config, store_path=env[ENV_STORE])

@@ -14,6 +14,7 @@ the inventory, not the size of the feed.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -176,6 +177,8 @@ class VulnerabilityStore:
         # Normalized package name -> (CVE id, that package's ranges) for each
         # advisory naming it, in CVE-id order.
         self._by_package: dict[str, list[tuple[str, tuple[VersionRange, ...]]]] = {}
+        # The absolute path of each feed file loaded, in load order.
+        self.feeds: list[str] = []
 
     def __len__(self) -> int:
         return len(self._advisories)
@@ -221,18 +224,21 @@ class VulnerabilityStore:
             insort(entries, (cve_id, pkg.ranges), key=itemgetter(0))
 
     def load_feed(self, path: Union[str, Path]) -> int:
-        """ingest_lines over an NDJSON file; a FeedError names the file.
+        """ingest_lines over an NDJSON file, whose absolute path is then
+        added to `feeds`; a FeedError names the file.
 
         Raises DataFileError, naming the file, for one that cannot be read.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return self.ingest_lines(fh)
+                count = self.ingest_lines(fh)
         except FeedError as err:
             err.args = (f"{path}: {err}",)
             raise
         except (OSError, UnicodeDecodeError) as err:
             raise DataFileError(f"{path}: {getattr(err, 'strerror', None) or err}") from err
+        self.feeds.append(os.path.abspath(path))
+        return count
 
     def findings_for(self, name: str, version: str) -> list[Advisory]:
         """All advisories affecting the package at that version, by CVE id."""

@@ -39,6 +39,7 @@ from twinaudit.ams import (
 from twinaudit.ams.profiles import create_profile, get_profile
 import twinaudit.ams.service as service_module
 import twinaudit.ams.store as store_module
+import twinaudit.ams.topology as topology_module
 from twinaudit.config import load_config
 from twinaudit.bom import BomKind, parse_bom, serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
@@ -311,6 +312,20 @@ class TestFileDocumentStore:
         assert store.get("runs", "abc") == {"x": 1}
         assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["abc.json"]
 
+    def test_records_are_compact_and_indented_ones_still_read(self, tmp_path):
+        store = FileDocumentStore(tmp_path)
+        doc = {"state": "CREATED", "hosts": ["b", "a"], "nested": {"z": 1, "y": [None, 2.5]}}
+        store.put("runs", "new", doc)
+        assert (tmp_path / "runs" / "new.json").read_text(encoding="utf-8") == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")
+        )
+        # A record as stores wrote them before they were compact.
+        (tmp_path / "runs" / "old.json").write_text(
+            json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
+        )
+        assert store.get("runs", "old") == doc
+        assert store.query("runs") == {"new": doc, "old": doc}
+
     def test_restart_durability(self, tmp_path):
         FileDocumentStore(tmp_path).put("runs", "r1", {"state": "CREATED"})
         reopened = FileDocumentStore(tmp_path)
@@ -545,6 +560,45 @@ class TestInventory:
             assert [r.to_dict() for r in topology.relationships] == relationships
             assert [h.host_id for h in topology.hosts] == sorted(h.host_id for h in hosts)
             assert [p.name for p in (Path(tmp) / "new").iterdir()] == ["topology"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=inventories())
+    def test_a_stored_inventory_answers_as_the_file_does(self, doc):
+        """Records built as they are read, from the store, answer every
+        query as the graph of the file, read in full, does."""
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FileDocumentStore(tmp)
+            ingest_inventory(store, doc)
+            parsed = parse_inventory(doc)
+            stored = topology_from_store(store)
+            for host_id in parsed.host_ids():
+                assert stored.host(host_id) == parsed.host(host_id)
+            assert stored.hosts == parsed.hosts
+            assert stored.host_ids() == parsed.host_ids()
+            for role in ("web-server", "mail-server", "db-server"):
+                assert stored.by_role(role) == parsed.by_role(role)
+            assert stored.relationships == parsed.relationships
+            for graph in (stored, parsed, topology_from_store(store)):
+                with pytest.raises(InventoryError, match="'zzzz' is not in the inventory"):
+                    graph.host("zzzz")
+
+    def test_a_stored_entry_is_checked_when_it_is_built(self, tmp_path):
+        store = FileDocumentStore(tmp_path)
+        store.put("topology", "inventory", {
+            "hosts": [
+                {"host_id": "a", "role": "r", "segment": "LAN", "snapshot_ref": "/a"},
+                {"host_id": "b", "role": "r", "segment": "WAN", "snapshot_ref": "/b"},
+            ],
+            "relationships": [{"source": "a", "kind": "SERVES", "target": "ghost"}],
+        })
+        topology = topology_from_store(store)
+        assert topology.host("a").segment is Segment.LAN
+        with pytest.raises(InventoryError, match="unknown segment 'WAN'"):
+            topology.host("b")
+        with pytest.raises(InventoryError, match="unknown segment 'WAN'"):
+            topology.hosts
+        with pytest.raises(InventoryError, match="'ghost' is not a known host"):
+            topology.relationships
 
     def test_ingest_and_rebuild(self, tmp_path):
         store = FileDocumentStore(tmp_path)
@@ -1211,6 +1265,40 @@ class TestUpdateAudit:
         assert [d["version"] for d in revised] == [1, 1]
         assert before[0] in revised
         assert parsed == [revised[1]["text"]]
+
+    def test_a_rescan_builds_only_the_records_it_reads(self, service, monkeypatch):
+        """One host rescanned in an estate of 120 builds that host's record
+        and no relationship."""
+        others = [f"ws-{i:03}" for i in range(119)]
+        ingest_inventory(service.store, {
+            "hosts": [
+                {"host_id": h, "role": "user-workstation", "segment": "LAN",
+                 "snapshot_ref": f"/nowhere/{h}"}
+                for h in others
+            ],
+            "relationships": [
+                {"source": others[0], "kind": "CONNECTS_TO", "target": h} for h in others[1:]
+            ],
+        })
+        built, relationships = [], []
+        from_dict, parse_relationship = HostRecord.from_dict, topology_module._parse_relationship
+        monkeypatch.setattr(
+            HostRecord, "from_dict",
+            classmethod(lambda cls, doc: built.append(doc["host_id"]) or from_dict(doc)),
+        )
+        monkeypatch.setattr(
+            topology_module, "_parse_relationship",
+            lambda doc, known: relationships.append(doc) or parse_relationship(doc, known),
+        )
+        run = service.run_audit("profile-web")
+        assert run.state is RunState.SDT_READY
+        assert built == ["web-01"]
+
+        built.clear()
+        noop = service.update_audit(run.run_id, hosts=["web-01"])
+        assert noop.representation_version == 1
+        assert built == ["web-01"]
+        assert relationships == []
 
     def test_update_after_failure_is_rejected(self, service):
         run = service.run_audit("profile-web")

@@ -209,6 +209,28 @@ class TestAuditFlow:
         assert updated["state"] == "SDT_READY"
         assert updated["representation_version"] == 1
 
+    def test_update_rescans_with_the_feed_the_run_was_audited_with(
+        self, runner, store_env, minimal_fx, tmp_path
+    ):
+        feed = tmp_path / "feed.ndjson"
+        feed.write_bytes(Path(minimal_fx["feed"]).read_bytes())
+        prepared_store(runner, store_env, minimal_fx)
+        run = json.loads(ok(runner.invoke(
+            main, ["audit", "run", minimal_fx["profile_id"], "--feed", str(feed), "--json"],
+            env=store_env,
+        )).output)
+        assert run["feeds"] == [str(feed)]
+        # Without the run's feed, the rescan would drop the vulnerabilities
+        # and push that change, which the embedded twin refuses.
+        updated = json.loads(ok(runner.invoke(
+            main, ["audit", "update", run["run_id"], "--json"], env=store_env
+        )).output)
+        assert updated["state"] == "SDT_READY"
+        assert updated["representation_version"] == 1
+
+        feed.unlink()
+        refused(runner.invoke(main, ["audit", "update", run["run_id"]], env=store_env), str(feed))
+
     def test_config_file_supplies_store_and_feed(self, runner, tmp_path, minimal_fx):
         config_path = tmp_path / "settings.yaml"
         config_path.write_text(
@@ -428,9 +450,23 @@ class TestProgramErrors:
          "host_selector entry must be a string"),
         (["profile", "create", "-f"], {"profile_id": {"a": 5}, "host_selector": ["a"]},
          "profile_id must be a string"),
+        (["inventory", "ingest"], {"hosts": [{**HOST, "colour": "red"}]},
+         "unknown field 'colour' in host entry"),
+        (["inventory", "ingest"],
+         {"hosts": [HOST], "relationships": [
+             {"source": "a", "kind": "SERVES", "target": "a", "weight": 1, "note": ""}]},
+         "unknown fields 'note', 'weight' in relationship entry"),
+        (["inventory", "ingest"], {"hosts": [HOST], "owner": "ops"},
+         "unknown field 'owner' in inventory"),
+        (["profile", "create", "-f"], {"profile_id": "p", "host_selector": ["a"], "owner": "ops"},
+         "unknown field 'owner' in profile"),
+        (["profile", "create", "-f"],
+         {"profile_id": "p", "host_selector": ["a"], "sync_policy": {"a": 5}},
+         "unknown field 'a' in sync_policy"),
     ], ids=["host-entry", "relationship-entry", "host-selector", "categories", "sync-policy",
             "hosts", "relationships", "host-id", "role", "snapshot-ref", "relationship-target",
-            "interval", "selector-entry", "profile-id"])
+            "interval", "selector-entry", "profile-id", "host-field", "relationship-fields",
+            "inventory-field", "profile-field", "sync-policy-field"])
     def test_wrongly_shaped_value(self, runner, store_env, tmp_path, command, doc, message):
         path = tmp_path / "input.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -441,6 +477,12 @@ class TestProgramErrors:
         path.write_text("- store_path\n- feed_path\n")
         result = runner.invoke(main, ["--config", str(path), "audit", "status", "r"], env=store_env)
         refused(result, str(path))
+
+    def test_unknown_setting(self, runner, store_env, tmp_path):
+        path = tmp_path / "settings.yaml"
+        path.write_text("store_path: s\ncolour: red\n")
+        result = runner.invoke(main, ["--config", str(path), "audit", "status", "r"], env=store_env)
+        refused(result, f"unknown field 'colour' in settings file {path}")
 
     def test_malformed_feed(self, runner, store_env, tmp_path):
         path = tmp_path / "feed.ndjson"
