@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from ..bom import Bom, BomLink, delta_to_dict, diff_boms, parse_bom, serialize_bom
 from ..collect import EvidenceBundle, EvidenceCategory, HostSnapshot, scan_host
@@ -50,16 +50,6 @@ class UnknownRun(LookupError):
     """A run, or a document of one, that the store does not hold."""
 
 
-def _filtered(bundle: EvidenceBundle, categories: tuple[str, ...]) -> EvidenceBundle:
-    if not categories:
-        return bundle
-    wanted = {EvidenceCategory(c) for c in categories}
-    return EvidenceBundle(
-        host=bundle.host,
-        records=tuple(r for r in bundle.records if r.category in wanted),
-    )
-
-
 # One path from snapshots to documents: run_audit, update_audit and
 # `twinaudit bench deploy` all go through these functions.
 
@@ -86,10 +76,13 @@ def forge_host(
     vulnerabilities: VulnerabilityStore,
 ) -> list[Bom]:
     """The host's SBOM and CBOM over the profile's evidence categories."""
-    scoped = _filtered(bundle, categories)
-    sbom = build_sbom(scoped.host, scoped.records)
-    graph = build_graph(scoped.records)
-    cbom = build_cbom(scoped.host, graph, scoped.records)
+    records = bundle.records
+    if categories:
+        wanted = {EvidenceCategory(c) for c in categories}
+        records = tuple(r for r in records if r.category in wanted)
+    sbom = build_sbom(bundle.host, records)
+    graph = build_graph(records)
+    cbom = build_cbom(bundle.host, graph, records)
     return [
         enrich_with_vulnerabilities(sbom, vulnerabilities),
         enrich_with_vulnerabilities(cbom, vulnerabilities),
@@ -142,13 +135,12 @@ class AuditService:
         store: FileDocumentStore,
         manager: ManagerClient,
         vulnerabilities: Optional[VulnerabilityStore] = None,
-        clock: Callable[[], float] = time.time,
         sdt_options: Optional[dict[str, Any]] = None,
     ) -> None:
         self.store = store
         self.manager = manager
         self.vulnerabilities = vulnerabilities or VulnerabilityStore()
-        self.clock = clock
+        self.clock = time.time
         # Passed through on twin creation, e.g. consumer access tokens.
         self.sdt_options = dict(sdt_options or {})
 

@@ -122,6 +122,14 @@ def _finish_run(run: AuditRun, as_json: bool) -> None:
         sys.exit(1)
 
 
+def _non_empty(ctx: click.Context, param: click.Parameter, value: str) -> str:
+    """Refuse an empty id where click reads it, before any store or manager
+    sees it; a ClickException exits 1 with one `Error:` line."""
+    if not value:
+        raise click.ClickException(f"{param.human_readable_name} must not be empty")
+    return value
+
+
 class _Main(click.Group):
     def invoke(self, ctx: click.Context) -> Any:
         try:
@@ -212,7 +220,7 @@ def audit() -> None:
 
 
 @audit.command("run")
-@click.argument("profile_id")
+@click.argument("profile_id", callback=_non_empty)
 @click.option(
     "--feed",
     type=click.Path(exists=True, dir_okay=False),
@@ -231,7 +239,7 @@ def audit_run(
 
 
 @audit.command("status")
-@click.argument("run_id")
+@click.argument("run_id", callback=_non_empty)
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
 def audit_status(config: AppConfig, run_id: str, as_json: bool) -> None:
@@ -239,7 +247,7 @@ def audit_status(config: AppConfig, run_id: str, as_json: bool) -> None:
 
 
 @audit.command("report")
-@click.argument("run_id")
+@click.argument("run_id", callback=_non_empty)
 @click.option("--json", "as_json", is_flag=True, help="counts only, as JSON")
 @click.option("--top", type=int, default=10, show_default=True)
 @click.pass_obj
@@ -271,7 +279,7 @@ def audit_report(config: AppConfig, run_id: str, as_json: bool, top: int) -> Non
 
 
 @audit.command("update")
-@click.argument("run_id")
+@click.argument("run_id", callback=_non_empty)
 @click.option("--hosts", default=None, help="comma-separated subset to rescan")
 @click.option(
     "--feed",
@@ -300,7 +308,7 @@ def audit_update(
 
 
 @audit.command("watch")
-@click.argument("run_id")
+@click.argument("run_id", callback=_non_empty)
 @click.option("--count", type=click.IntRange(min=1), default=None, help="stop after N rescans")
 @click.pass_obj
 def audit_watch(config: AppConfig, run_id: str, count: Optional[int]) -> None:
@@ -347,7 +355,7 @@ def sdt_list(config: AppConfig) -> None:
 
 
 @sdt.command("get")
-@click.argument("sdt_id")
+@click.argument("sdt_id", callback=_non_empty)
 @click.pass_obj
 def sdt_get(config: AppConfig, sdt_id: str) -> None:
     with _manager_session(config) as client:
@@ -355,7 +363,7 @@ def sdt_get(config: AppConfig, sdt_id: str) -> None:
 
 
 @sdt.command("destroy")
-@click.argument("sdt_id")
+@click.argument("sdt_id", callback=_non_empty)
 @click.pass_obj
 def sdt_destroy(config: AppConfig, sdt_id: str) -> None:
     with _manager_session(config) as client:
@@ -364,7 +372,7 @@ def sdt_destroy(config: AppConfig, sdt_id: str) -> None:
 
 
 @sdt.command("footprint")
-@click.argument("sdt_id")
+@click.argument("sdt_id", callback=_non_empty)
 @click.pass_obj
 def sdt_footprint(config: AppConfig, sdt_id: str) -> None:
     with _manager_session(config) as client:

@@ -11,8 +11,6 @@ from .manifests import (
 from .records import EvidenceBundle, EvidenceCategory, EvidenceRecord, make_record
 from .scanners import (
     KNOWN_CRYPTO_LIBRARIES,
-    detect_algorithms,
-    mention_record,
     scan_crypto_libraries,
     scan_host,
     scan_kernel_settings,
@@ -39,11 +37,9 @@ __all__ = [
     "EvidenceRecord",
     "HostSnapshot",
     "SnapshotError",
-    "detect_algorithms",
     "extract_algorithm_mentions",
     "extract_protocol_mentions",
     "make_record",
-    "mention_record",
     "parse_certificate",
     "scan_certificates",
     "scan_composer",

@@ -56,10 +56,9 @@ def parse_certificate(
     key_token = token_for_key(key_algorithm, key_size, curve)
     if key_token is not None:
         tokens.append(key_token)
-    if signature_hash is not None:
-        hash_token = token_for_hash(signature_hash.name)
-        if hash_token is not None:
-            tokens.append(hash_token)
+    hash_token = token_for_hash(signature_hash.name) if signature_hash is not None else None
+    if hash_token is not None:
+        tokens.append(hash_token)
     signature_name = getattr(cert.signature_algorithm_oid, "_name", "unknown")
 
     attributes = {
@@ -75,8 +74,8 @@ def parse_certificate(
         attributes["key_size"] = str(key_size)
     if curve:
         attributes["curve"] = curve
-    if tokens:
-        attributes["algorithms"] = ",".join(sorted({t.name for t in tokens}))
+    if hash_token is not None:
+        attributes["signature_hash"] = hash_token.name
 
     subject_cn = None
     for attr in cert.subject:

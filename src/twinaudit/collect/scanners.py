@@ -1,14 +1,15 @@
 """Config, kernel, log, and library scanners plus the host scan orchestrator.
 
-Everything here only reads through the HostSnapshot facade. Raw algorithm
-mentions carry one record per sighting; detect_algorithms folds them into
-one record per canonical token with merged modes and source paths.
+Everything here only reads through the HostSnapshot facade. Scanners
+return algorithm sightings as (path, mention) pairs; scan_host folds them
+into one ALGORITHM record per canonical token, with its merged modes and
+source paths.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .certs import scan_certificates
 from .manifests import scan_manifests
@@ -63,69 +64,38 @@ _LOG_EVENT_PATTERNS = [
 ]
 
 
-def mention_record(host: str, source_path: str, mention: AlgorithmMention) -> EvidenceRecord:
-    token = mention.token
-    attributes = {
-        "family": token.family,
-        "primitive": token.primitive,
-    }
-    if token.parameter:
-        attributes["parameter"] = token.parameter
-    if mention.mode:
-        attributes["mode"] = mention.mode
-    return make_record(
-        EvidenceCategory.ALGORITHM,
-        name=token.name,
-        host=host,
-        source_path=source_path,
-        attributes=attributes,
-    )
-
-
-def detect_algorithms(records: Iterable[EvidenceRecord]) -> list[EvidenceRecord]:
-    """Fold raw algorithm sightings into one record per canonical token.
-
-    Records that are not ALGORITHM evidence pass through untouched to the
-    caller's discretion; they are simply ignored here.
-    """
-    folded: dict[str, dict] = {}
-    for record in records:
-        if record.category != EvidenceCategory.ALGORITHM:
-            continue
-        slot = folded.setdefault(
-            record.name,
-            {
-                "host": record.host,
-                "family": record.attribute("family") or "",
-                "primitive": record.attribute("primitive") or "",
-                "parameter": record.attribute("parameter") or "",
-                "modes": set(),
-                "sources": set(),
-            },
-        )
-        slot["sources"].add(record.source_path)
-        mode = record.attribute("mode")
-        if mode:
-            slot["modes"].add(mode)
+def _fold_sightings(
+    host: str, sightings: Iterable[tuple[str, AlgorithmMention]]
+) -> list[EvidenceRecord]:
+    """One ALGORITHM record per canonical token, carrying the sorted union
+    of the paths it was seen at and the modes it was seen with."""
+    folded: dict[str, tuple[AlgorithmToken, set[str], set[str]]] = {}
+    for path, mention in sightings:
+        token = mention.token
+        slot = folded.get(token.name)
+        if slot is None:
+            slot = folded[token.name] = (token, set(), set())
+        slot[1].add(path)
+        if mention.mode:
+            slot[2].add(mention.mode)
 
     out = []
-    for name in sorted(folded):
-        slot = folded[name]
-        sources = sorted(slot["sources"])
+    for token, paths, modes in folded.values():
+        sources = sorted(paths)
         attributes = {
-            "family": slot["family"],
-            "primitive": slot["primitive"],
+            "family": token.family,
+            "primitive": token.primitive,
             "sources": ",".join(sources),
         }
-        if slot["parameter"]:
-            attributes["parameter"] = slot["parameter"]
-        if slot["modes"]:
-            attributes["modes"] = ",".join(sorted(slot["modes"]))
+        if token.parameter:
+            attributes["parameter"] = token.parameter
+        if modes:
+            attributes["modes"] = ",".join(sorted(modes))
         out.append(
             make_record(
                 EvidenceCategory.ALGORITHM,
-                name=name,
-                host=slot["host"],
+                name=token.name,
+                host=host,
                 source_path=sources[0],
                 attributes=attributes,
             )
@@ -285,35 +255,32 @@ def scan_crypto_libraries(snapshot: HostSnapshot) -> list[EvidenceRecord]:
 
 def scan_host(snapshot: HostSnapshot) -> EvidenceBundle:
     """Full non-intrusive evidence pass over one snapshot."""
-    host = snapshot.hostname
     records: list[EvidenceRecord] = []
-    raw_mentions: list[EvidenceRecord] = []
+    sightings: list[tuple[str, AlgorithmMention]] = []
 
     records.extend(scan_manifests(snapshot))
     records.extend(scan_crypto_libraries(snapshot))
 
     cert_records, cert_tokens = scan_certificates(snapshot)
     records.extend(cert_records)
-    raw_mentions.extend(
-        mention_record(host, path, AlgorithmMention(token)) for path, token in cert_tokens
-    )
+    sightings.extend((path, AlgorithmMention(token)) for path, token in cert_tokens)
 
     for path in OPENSSL_CONFIG_PATHS:
         if snapshot.exists(path):
             found, mentions = scan_openssl_config(snapshot, path)
             records.extend(found)
-            raw_mentions.extend(mention_record(host, p, m) for p, m in mentions)
+            sightings.extend(mentions)
     for path in SSH_CONFIG_PATHS:
         if snapshot.exists(path):
             found, mentions = scan_ssh_config(snapshot, path)
             records.extend(found)
-            raw_mentions.extend(mention_record(host, p, m) for p, m in mentions)
+            sightings.extend(mentions)
 
     records.extend(scan_kernel_settings(snapshot))
 
     log_records, log_mentions = scan_logs(snapshot)
     records.extend(log_records)
-    raw_mentions.extend(mention_record(host, p, m) for p, m in log_mentions)
+    sightings.extend(log_mentions)
 
-    records.extend(detect_algorithms(raw_mentions))
-    return EvidenceBundle(host=host, records=tuple(records))
+    records.extend(_fold_sightings(snapshot.hostname, sightings))
+    return EvidenceBundle(host=snapshot.hostname, records=tuple(records))

@@ -106,8 +106,8 @@ class HostSnapshot:
             raise FileNotFoundError(f"{self._root}: no file {path!r} in snapshot")
         return self._files[key]
 
-    def read_text(self, path: str, errors: str = "replace") -> str:
-        return self.read_bytes(path).decode("utf-8", errors=errors)
+    def read_text(self, path: str) -> str:
+        return self.read_bytes(path).decode("utf-8", errors="replace")
 
     def iter_files(self) -> list[str]:
         return sorted(self._files)

@@ -154,20 +154,8 @@ def token_for_key(algorithm: str, key_size: Optional[int], curve: Optional[str])
 
 
 def token_for_hash(name: str) -> Optional[AlgorithmToken]:
-    """Canonical token for a digest name such as sha256 or md5.
-
-    Also accepts signature-algorithm OID names (sha256WithRSAEncryption,
-    ecdsa-with-SHA384) where the digest runs into surrounding letters.
-    """
+    """Canonical token for a digest name such as sha256 or md5."""
     for mention in extract_algorithm_mentions(name):
         if mention.token.primitive == "hash":
             return mention.token
-    lowered = name.lower()
-    match = re.search(r"sha(?:2-?)?-?(224|256|384|512)", lowered)
-    if match:
-        return _token(f"SHA-{match.group(1)}", "SHA2", match.group(1), "hash")
-    if re.search(r"sha-?1(?![0-9])", lowered):
-        return _token("SHA-1", "SHA1", "", "hash")
-    if "md5" in lowered:
-        return _token("MD5", "MD5", "", "hash")
     return None

@@ -29,7 +29,7 @@ from ..bom import (
     validate_bom,
 )
 from ..collect.records import EvidenceCategory, EvidenceRecord, by_sort_key
-from ..collect.tokens import token_for_hash, token_for_key
+from ..collect.tokens import token_for_key
 from ..vulnstore import VulnerabilityStore
 from .hierarchy import ALGORITHM_PRIMITIVES, CryptoHierarchyGraph
 
@@ -47,7 +47,7 @@ def _component_ref(record: EvidenceRecord) -> str:
     return f"{record.name}@{record.version}" if record.version else record.name
 
 
-def build_sbom(host_id: str, records: Iterable[EvidenceRecord], version: int = 1) -> Bom:
+def build_sbom(host_id: str, records: Iterable[EvidenceRecord]) -> Bom:
     """Software inventory document for one host.
 
     One component per distinct (name, version); per-manifest project records
@@ -89,7 +89,7 @@ def build_sbom(host_id: str, records: Iterable[EvidenceRecord], version: int = 1
 
     return Bom(
         serial_number=document_serial("sbom", host_id),
-        version=version,
+        version=1,
         kind=BomKind.SBOM,
         metadata=BomMetadata(subject_kind=SubjectKind.HOST, subject_name=host_id),
         components=tuple(by_identity[k] for k in sorted(by_identity)),
@@ -175,9 +175,9 @@ def _cbom_certificates(
             ref = f"cert:{record.name}#{record.attribute('serial') or record.source_path}"
         seen_refs.add(ref)
 
-        hash_token = token_for_hash(record.attribute("signature_algorithm") or "")
-        if hash_token is not None:
-            signature_ref = algorithm_refs.get(hash_token.name, hash_token.name)
+        hash_name = record.attribute("signature_hash")
+        if hash_name is not None:
+            signature_ref = algorithm_refs.get(hash_name, hash_name)
         else:
             signature_ref = record.attribute("signature_algorithm") or "unknown"
 
@@ -202,13 +202,8 @@ def _cbom_certificates(
             int(record.attribute("key_size") or 0) or None,
             record.attribute("curve"),
         )
-        targets = sorted(
-            {
-                algorithm_refs[t.name]
-                for t in (key_token, hash_token)
-                if t is not None and t.name in algorithm_refs
-            }
-        )
+        names = (key_token.name if key_token is not None else None, hash_name)
+        targets = sorted({algorithm_refs[n] for n in names if n in algorithm_refs})
         if targets:
             dependencies.append(Dependency(ref=ref, depends_on=tuple(targets)))
     return components, dependencies
@@ -264,7 +259,6 @@ def build_cbom(
     host_id: str,
     graph: CryptoHierarchyGraph,
     records: Iterable[EvidenceRecord] = (),
-    version: int = 1,
 ) -> Bom:
     """Cryptographic inventory for one host from its slice of the graph.
 
@@ -282,7 +276,7 @@ def build_cbom(
 
     return Bom(
         serial_number=document_serial("cbom", host_id),
-        version=version,
+        version=1,
         kind=BomKind.CBOM,
         metadata=BomMetadata(subject_kind=SubjectKind.HOST, subject_name=host_id),
         components=tuple(algorithms + protocols + certificates + libraries + settings),
@@ -326,12 +320,12 @@ def profile_manifest(profile_id: str, links: Iterable[BomLink], version: int = 1
     )
 
 
-def link_to_profile(boms: list[Bom], profile_id: str, version: int = 1) -> list[Bom]:
+def link_to_profile(boms: list[Bom], profile_id: str) -> list[Bom]:
     """Index host documents under one profile manifest.
 
     Returns [manifest, *boms]; host documents carry no link back, so a
     change to one host re-versions that host's documents and the manifest
-    only. `version` is the manifest's document version.
+    only.
     """
     serials = Counter(b.serial_number for b in boms)
     duplicates = {s for s, n in serials.items() if n > 1}
@@ -341,7 +335,7 @@ def link_to_profile(boms: list[Bom], profile_id: str, version: int = 1) -> list[
             for serial in sorted(duplicates)
         )
     links = (BomLink(target_serial=b.serial_number, target_version=b.version) for b in boms)
-    return [profile_manifest(profile_id, links, version), *boms]
+    return [profile_manifest(profile_id, links), *boms]
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ class CryptoHierarchyGraph:
             if primitive not in ALGORITHM_PRIMITIVES:
                 self.quarantine.append(record)
                 return self
-            modes = (record.attribute("modes") or record.attribute("mode") or "").split(",")
+            modes = (record.attribute("modes") or "").split(",")
             self._insert_chain(
                 primitive=primitive,
                 family=record.attribute("family") or record.name,

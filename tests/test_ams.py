@@ -1410,8 +1410,8 @@ class TestStoreTwinAgreement:
                             for b in forged[h, scanned[h]]
                         ],
                         "p",
-                        version=1 + changed_rescans,
                     )
+                    expected[0] = replace(expected[0], version=1 + changed_rescans)
                     texts = [text for _, text in log_contents(store, run.run_id)]
                     assert texts == [serialize_bom(b) for b in expected]
                     # One log per run, however many rescans committed to it.

@@ -511,6 +511,18 @@ class TestProgramErrors:
     def test_unknown_run(self, runner, store_env, command):
         refused(runner.invoke(main, [*command, "nope"], env=store_env), "unknown run nope")
 
+    @pytest.mark.parametrize("command", [
+        ["audit", "run"], ["audit", "status"], ["audit", "report"], ["audit", "update"],
+        ["audit", "watch"], ["sdt", "get"], ["sdt", "destroy"], ["sdt", "footprint"],
+    ], ids=" ".join)
+    def test_empty_id(self, runner, store_env, command, monkeypatch):
+        reached = []
+        monkeypatch.setattr(cli_module, "FileDocumentStore", lambda *a: reached.append(a))
+        monkeypatch.setattr(cli_module, "_manager_session", lambda *a: reached.append(a))
+        result = runner.invoke(main, [*command, ""], env=store_env)
+        refused(result, "_ID must not be empty")
+        assert reached == []
+
     def test_a_bug_keeps_its_traceback(self, runner, store_env, minimal_fx, monkeypatch):
         def broken(store, source):
             raise RuntimeError("a bug")

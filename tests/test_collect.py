@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinaudit.collect import (
+    AlgorithmMention,
     EvidenceCategory,
     HostSnapshot,
     SnapshotError,
-    detect_algorithms,
     extract_algorithm_mentions,
     extract_protocol_mentions,
     scan_host,
 )
+from twinaudit.collect.records import by_sort_key
+from twinaudit.collect.scanners import _fold_sightings
 
 FACTS = {
     "hostname": "web-01",
@@ -361,6 +363,12 @@ class TestScanHost:
         assert first == second
 
 
+_FOLD_TOKENS = tuple(
+    m.token
+    for m in extract_algorithm_mentions("aes-128 aes-256 3des sha256 md5 rsa-2048 p-256 x25519")
+)
+
+
 class TestDetectAlgorithms:
     def test_merges_modes_and_sources(self, tmp_path):
         tree = write_tree(
@@ -378,5 +386,61 @@ class TestDetectAlgorithms:
         assert aes[0].attribute("sources") == "etc/ssh/sshd_config,etc/ssl/openssl.cnf"
         assert aes[0].attribute("family") == "AES"
 
-    def test_ignores_non_algorithm_records(self):
-        assert detect_algorithms([]) == []
+    def test_ignores_non_algorithm_records(self, tmp_path):
+        tree = write_tree(
+            tmp_path / "h",
+            {
+                "facts.json": json.dumps({"hostname": "h", "packages": {"openssl": "3.0.13"}}),
+                "etc/sysctl.conf": "net.ipv4.ip_forward = 0\n",
+                "var/log/auth.log": "Accepted password for alice from 10.0.0.7\n",
+            },
+        )
+        bundle = scan_host(HostSnapshot.open(tree))
+        assert {r.category for r in bundle.records} == {
+            EvidenceCategory.CRYPTO_LIBRARY,
+            EvidenceCategory.KERNEL_SETTING,
+            EvidenceCategory.SYSTEM_LOG_EVENT,
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sightings=st.lists(
+            st.tuples(
+                st.sampled_from(("etc/ssl/openssl.cnf", "etc/ssh/sshd_config", "var/log/auth.log")),
+                st.builds(
+                    AlgorithmMention,
+                    st.sampled_from(_FOLD_TOKENS),
+                    st.sampled_from((None, "cbc", "gcm")),
+                ),
+            ),
+            max_size=30,
+        ),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_fold_keeps_one_record_per_token_in_any_order(self, sightings, rng):
+        repeated = sightings + sightings[: len(sightings) // 2]
+        rng.shuffle(repeated)
+        folded = _fold_sightings("h", sightings)
+        assert sorted(_fold_sightings("h", repeated), key=by_sort_key) == sorted(
+            folded, key=by_sort_key
+        )
+
+        expected: dict[str, tuple[set, set]] = {}
+        for path, mention in sightings:
+            paths, modes = expected.setdefault(mention.token.name, (set(), set()))
+            paths.add(path)
+            if mention.mode:
+                modes.add(mention.mode)
+        assert sorted(r.name for r in folded) == sorted(expected)
+        tokens = {t.name: t for t in _FOLD_TOKENS}
+        for record in folded:
+            paths, modes = expected[record.name]
+            token = tokens[record.name]
+            assert record.category == EvidenceCategory.ALGORITHM
+            assert record.host == "h"
+            assert record.source_path == min(paths)
+            assert record.attribute("sources") == ",".join(sorted(paths))
+            assert record.attribute("modes") == (",".join(sorted(modes)) or None)
+            assert record.attribute("family") == token.family
+            assert record.attribute("primitive") == token.primitive
+            assert record.attribute("parameter") == (token.parameter or None)

@@ -41,7 +41,7 @@ from twinaudit.forge import (
 )
 from twinaudit.vulnstore import VulnerabilityStore
 
-from .test_collect import sample_tree
+from .test_collect import sample_tree, write_tree
 
 
 def algo_record(host, name, family, parameter="", primitive="cipher", source="etc/ssl/openssl.cnf", modes=""):
@@ -91,6 +91,7 @@ def certificate_record(host, cn="web-01.example.test", source="etc/ssl/certs/hos
             "key_algorithm": "rsa",
             "key_size": "2048",
             "signature_algorithm": "sha256WithRSAEncryption",
+            "signature_hash": "SHA-256",
             "serial": "ab12",
         },
     )
@@ -346,6 +347,44 @@ class TestBuildCbom:
         cert_dep = next(d for d in bom.dependencies if d.ref.startswith("cert:"))
         assert set(cert_dep.depends_on) == {"alg:RSA-2048", "alg:SHA-256"}
 
+    def test_pss_certificate_refers_to_its_signature_hash(self, tmp_path):
+        from datetime import datetime, timedelta, timezone
+
+        from cryptography import x509
+        from cryptography.hazmat.primitives import hashes, serialization
+        from cryptography.hazmat.primitives.asymmetric import padding, rsa
+
+        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+        name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "pss.example.test")])
+        start = datetime(2025, 1, 1, tzinfo=timezone.utc)
+        cert = (
+            x509.CertificateBuilder()
+            .subject_name(name)
+            .issuer_name(name)
+            .public_key(key.public_key())
+            .serial_number(1)
+            .not_valid_before(start)
+            .not_valid_after(start + timedelta(days=365))
+            .sign(
+                key,
+                hashes.SHA256(),
+                rsa_padding=padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32),
+            )
+        )
+        tree = write_tree(
+            tmp_path / "pss",
+            {
+                "facts.json": json.dumps({"hostname": "pss"}),
+                "etc/ssl/certs/pss.pem": cert.public_bytes(serialization.Encoding.PEM),
+            },
+        )
+        bundle = scan_host(HostSnapshot.open(tree))
+        bom = build_cbom("pss", build_graph(bundle.records), bundle.records)
+        certificate = next(c for c in bom.components if c.component_type == ComponentType.CERTIFICATE)
+        assert certificate.crypto.signature_algorithm_ref == "alg:SHA-256"
+        dependency = next(d for d in bom.dependencies if d.ref == certificate.bom_ref)
+        assert dependency.depends_on == ("alg:RSA-2048", "alg:SHA-256")
+
     def test_dependency_graph_is_acyclic(self):
         records = [
             algo_record("web-01", "AES-256", "AES"),
@@ -541,7 +580,7 @@ class TestCounting:
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twinaudit.collect.scanners import mention_record  # noqa: E402
+from twinaudit.collect.scanners import _fold_sightings  # noqa: E402
 from twinaudit.collect.tokens import extract_algorithm_mentions  # noqa: E402
 
 _MENTION_SAMPLE = (
@@ -553,13 +592,19 @@ _MENTION_SAMPLE = (
 def _record_pool():
     pool = []
     for host in ("host-a", "host-b"):
-        for path, text in (
-            ("etc/ssl/openssl.cnf", _MENTION_SAMPLE),
-            ("etc/ssh/sshd_config", "aes256-gcm hmac-sha2-256 ssh-ed25519"),
-        ):
-            pool.extend(
-                mention_record(host, path, m) for m in extract_algorithm_mentions(text)
+        pool.extend(
+            _fold_sightings(
+                host,
+                [
+                    (path, m)
+                    for path, text in (
+                        ("etc/ssl/openssl.cnf", _MENTION_SAMPLE),
+                        ("etc/ssh/sshd_config", "aes256-gcm hmac-sha2-256 ssh-ed25519"),
+                    )
+                    for m in extract_algorithm_mentions(text)
+                ],
             )
+        )
         pool.append(
             make_record(
                 EvidenceCategory.CRYPTO_LIBRARY,
@@ -658,8 +703,9 @@ def crypto_records(draw):
         name = draw(st.sampled_from(("AES-256", "SHA-256", "RSA-2048", "X25519", "ROT13")))
         attributes["family"] = name.split("-")[0]
         attributes["primitive"] = draw(st.sampled_from(ALGORITHM_PRIMITIVES + ("obfuscation",)))
-        if draw(st.booleans()):
-            attributes["mode"] = draw(st.sampled_from(("gcm", "cbc")))
+        modes = draw(st.lists(st.sampled_from(("cbc", "gcm")), unique=True))
+        if modes:
+            attributes["modes"] = ",".join(sorted(modes))
         category, version = EvidenceCategory.ALGORITHM, ""
     elif kind == "protocol":
         name, version = draw(st.sampled_from((("TLS", "1.2"), ("TLS", "1.3"), ("SSH", "2"))))

@@ -272,9 +272,11 @@ class TestUpdate:
 
         _, client, runtime = env.make_manager()
         created = client.create("profile-a", bom_texts("repl-host"))
-        new_sbom = build_sbom(
-            "repl-host",
-            [software_record("repl-host", "flask", "3.0.0", "dependency", "requirements.txt")],
+        new_sbom = replace(
+            build_sbom(
+                "repl-host",
+                [software_record("repl-host", "flask", "3.0.0", "dependency", "requirements.txt")],
+            ),
             version=2,
         )
         client.update(created["sdtId"], expected_version=1, bom_texts=[serialize_bom(new_sbom)])
