@@ -60,8 +60,22 @@ _PATTERNS: list[tuple[re.Pattern, Callable[[re.Match], AlgorithmMention]]] = [
         ),
     ),
     (
-        re.compile(rf"{_L}sha(?:2[-_])?[-_]?(224|256|384|512){_R}", re.IGNORECASE),
+        # SHA-512 unless a "-" or "/" and 224 or 256 follow: SHA-512/224 and
+        # SHA-512/256 are hashes of their own.
+        re.compile(
+            rf"{_L}sha(?:2[-_])?[-_]?(224|256|384|512(?![-/](?:224|256){_R})){_R}", re.IGNORECASE
+        ),
         lambda m: AlgorithmMention(_token(f"SHA-{m.group(1)}", "SHA2", m.group(1), "hash")),
+    ),
+    (
+        re.compile(rf"{_L}sha(?:2[-_])?[-_]?512[-/](224|256){_R}", re.IGNORECASE),
+        lambda m: AlgorithmMention(
+            _token(f"SHA-512/{m.group(1)}", "SHA2", f"512/{m.group(1)}", "hash")
+        ),
+    ),
+    (
+        re.compile(rf"{_L}sha3[-_](224|256|384|512){_R}", re.IGNORECASE),
+        lambda m: AlgorithmMention(_token(f"SHA3-{m.group(1)}", "SHA3", m.group(1), "hash")),
     ),
     (
         re.compile(rf"{_L}sha[-_]?1{_R}", re.IGNORECASE),

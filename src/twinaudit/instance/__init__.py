@@ -8,7 +8,7 @@ from .representation import (
     StoredRepresentation,
     UnknownThing,
     VersionConflict,
-    thing_states_from_boms,
+    thing_texts_from_boms,
 )
 from .service import InstanceService
 
@@ -21,5 +21,5 @@ __all__ = [
     "StoredRepresentation",
     "UnknownThing",
     "VersionConflict",
-    "thing_states_from_boms",
+    "thing_texts_from_boms",
 ]

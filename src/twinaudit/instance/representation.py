@@ -5,9 +5,11 @@ profile manifest. Every thing keeps an append-only revision history; past
 revisions stay readable verbatim after any number of updates.
 
 Each revision is stored as canonical JSON text (sorted keys, compact
-separators, ASCII only): it is encoded once on write, compared as text to
-detect an unchanged state, and handed out as that text on every read, so a
-read costs a lookup and no caller can change the stored history.
+separators, ASCII only). The projection from parsed documents writes that
+text directly, one thing at a time, with no intermediate state objects; a
+state pushed as a JSON object is encoded once on write. The text is compared
+as text to detect an unchanged state and handed out as it is on every read,
+so a read costs a lookup and no caller can change the stored history.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Optional
 
 from ..bom import Bom, BomKind, Component, SubjectKind, VulnerabilityEntry
+from ..jsonhttp import JsonText
 
 __all__ = [
     "RepresentationError",
@@ -27,7 +30,7 @@ __all__ = [
     "StoredRepresentation",
     "UnknownThing",
     "VersionConflict",
-    "thing_states_from_boms",
+    "thing_texts_from_boms",
 ]
 
 
@@ -50,22 +53,14 @@ class VersionConflict(Exception):
 
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# Property lists are ordered by each entry's json.dumps(entry, sort_keys=True)
-# text. Each entry is built with a sort key that orders exactly as that text
-# without encoding the entry: a tuple of tokens, in the entry's sorted-key
-# order, that spell its text minus the punctuation between them:
-# - a string is its JSON text, quotes included;
-# - a number is its repr plus the delimiter that follows it ("," or "}");
-# - a list of strings is its full JSON text;
-# - a key name stands, quoted, wherever the entry's key set varies;
-# - the tuple ends with "}".
-# Each token is prefix-free where it stands: a string ends at its only
-# unescaped quote, a number carries its delimiter, a list ends at its "]".
-# So the first token two keys differ in starts at the same offset of both
-# texts and differs from the other within both, and the tuples compare as the
-# texts do. The compact canonical text would order the same: two texts first
-# differ after a common prefix, and a separator's trailing space follows a
-# separator in both, so it is never that first difference.
+# The projection writes each thing's canonical text itself, as _canonical
+# would encode the same state: every object's keys in sorted order, compact
+# separators, strings through the encoder's own ASCII quoting, and ints and
+# finite floats as their repr, as json writes them. Each property list is
+# sorted by its entries' texts, which orders it as their json.dumps(entry,
+# sort_keys=True) texts would: two texts first differ after a common prefix,
+# which spells the same structure in both forms, and a separator's trailing
+# space follows a separator in both, so it is never that first difference.
 
 
 def _text_or_null(value: Optional[str]) -> str:
@@ -73,137 +68,102 @@ def _text_or_null(value: Optional[str]) -> str:
 
 
 def _canonical_texts(states: dict[str, Any]) -> dict[str, str]:
-    """Each state's canonical text; rejects a state that is not an object."""
+    """Each state's canonical text: a JsonText is that text already, an
+    object is encoded; rejects anything else."""
     texts = {}
     for thing_id, state in states.items():
-        if not isinstance(state, dict):
+        if isinstance(state, JsonText):
+            texts[thing_id] = state
+        elif isinstance(state, dict):
+            texts[thing_id] = _canonical(state)
+        else:
             raise RepresentationError(f"state of thing {thing_id!r} must be an object")
-        texts[thing_id] = _canonical(state)
     return texts
 
 
-# A property entry with its sort key, as the entry builders return it.
-_Keyed = tuple[tuple[str, ...], dict[str, Any]]
-
-
-def _software_entry(component: Component) -> _Keyed:
-    entry: dict[str, Any] = {
-        "name": component.name,
-        "version": component.version,
-        "ref": component.bom_ref,
-        "type": component.component_type.value,
-    }
-    tail = (
-        _quote(component.bom_ref),
-        _quote(entry["type"]),
-        _quote(component.version),
-        "}",
+def _software_text(component: Component) -> str:
+    purl = f',"purl":{_quote(component.package_url)}' if component.package_url else ""
+    return (
+        f'{{"name":{_quote(component.name)}{purl}'
+        f',"ref":{_quote(component.bom_ref)}'
+        f',"type":{_quote(component.component_type.value)}'
+        f',"version":{_quote(component.version)}}}'
     )
-    if component.package_url:
-        entry["purl"] = component.package_url
-        key = (_quote(component.name), '"purl"', _quote(component.package_url), '"ref"', *tail)
-    else:
-        key = (_quote(component.name), '"ref"', *tail)
-    return key, entry
+
+
+_CRYPTO_BUCKETS = {
+    "ALGORITHM": "algorithms",
+    "PROTOCOL": "protocols",
+    "CERTIFICATE": "certificates",
+    "KEY_MATERIAL": "keyMaterial",
+}
 
 
 def _crypto_bucket(component: Component) -> str:
     if component.crypto is None:
         return "libraries" if component.component_type.value == "LIBRARY" else "settings"
-    kind = component.crypto.asset_kind.value
-    return {
-        "ALGORITHM": "algorithms",
-        "PROTOCOL": "protocols",
-        "CERTIFICATE": "certificates",
-        "KEY_MATERIAL": "keyMaterial",
-    }.get(kind, "settings")
+    return _CRYPTO_BUCKETS.get(component.crypto.asset_kind.value, "settings")
 
 
-def _crypto_entry(component: Component) -> _Keyed:
-    entry: dict[str, Any] = {
-        "name": component.name,
-        "version": component.version,
-        "ref": component.bom_ref,
-    }
-    name = ('"name"', _quote(component.name))
-    ref = ('"ref"', _quote(component.bom_ref))
-    version = ('"version"', _quote(component.version), "}")
+def _crypto_text(component: Component) -> str:
+    name = f'"name":{_quote(component.name)},'
+    ref = f'"ref":{_quote(component.bom_ref)},'
+    version = f'"version":{_quote(component.version)}}}'
     crypto = component.crypto
     if crypto is None:
-        return (*name, *ref, *version), entry
+        return "{" + name + ref + version
     # Keys in sorted order: family, issuer, mode, name, notValidAfter,
     # notValidBefore, parameter, protocolVersion, ref, subject, version.
-    key: list[str] = []
+    parts = ["{"]
     if crypto.algorithm_family:
-        entry["family"] = crypto.algorithm_family
-        key += ('"family"', _quote(crypto.algorithm_family))
+        parts.append(f'"family":{_quote(crypto.algorithm_family)},')
     certificate = bool(crypto.certificate_subject)
     if certificate:
-        key += ('"issuer"', _text_or_null(crypto.certificate_issuer))
+        parts.append(f'"issuer":{_text_or_null(crypto.certificate_issuer)},')
     if crypto.mode:
-        key += ('"mode"', _quote(crypto.mode))
-    key += name
+        parts.append(f'"mode":{_quote(crypto.mode)},')
+    parts.append(name)
     if certificate:
-        key += (
-            '"notValidAfter"',
-            _text_or_null(crypto.not_after),
-            '"notValidBefore"',
-            _text_or_null(crypto.not_before),
+        parts.append(
+            f'"notValidAfter":{_text_or_null(crypto.not_after)},'
+            f'"notValidBefore":{_text_or_null(crypto.not_before)},'
         )
     if crypto.parameter_set:
-        entry["parameter"] = crypto.parameter_set
-        key += ('"parameter"', _quote(crypto.parameter_set))
-    if crypto.mode:
-        entry["mode"] = crypto.mode
+        parts.append(f'"parameter":{_quote(crypto.parameter_set)},')
     if crypto.protocol_version:
-        entry["protocolVersion"] = crypto.protocol_version
-        key += ('"protocolVersion"', _quote(crypto.protocol_version))
-    key += ref
+        parts.append(f'"protocolVersion":{_quote(crypto.protocol_version)},')
+    parts.append(ref)
     if certificate:
-        entry["subject"] = crypto.certificate_subject
-        entry["issuer"] = crypto.certificate_issuer
-        entry["notValidBefore"] = crypto.not_before
-        entry["notValidAfter"] = crypto.not_after
-        key += ('"subject"', _quote(crypto.certificate_subject))
-    key += version
-    return tuple(key), entry
+        parts.append(f'"subject":{_quote(crypto.certificate_subject)},')
+    parts.append(version)
+    return "".join(parts)
 
 
-def _vulnerability_entry(vuln: VulnerabilityEntry) -> _Keyed:
-    entry = {
-        "cve": vuln.cve_id,
-        "score": vuln.cvss_score,
-        "severity": vuln.severity.value,
-        "state": vuln.analysis_state.value,
-        "affects": list(vuln.affects),
-    }
-    key = (
-        "[" + ", ".join(map(_quote, vuln.affects)) + "]",
-        _quote(vuln.cve_id),
-        repr(vuln.cvss_score) + ",",
-        _quote(entry["severity"]),
-        _quote(entry["state"]),
-        "}",
+def _vulnerability_text(vuln: VulnerabilityEntry) -> str:
+    return (
+        f'{{"affects":[{",".join(map(_quote, vuln.affects))}]'
+        f',"cve":{_quote(vuln.cve_id)}'
+        f',"score":{vuln.cvss_score!r}'
+        f',"severity":{_quote(vuln.severity.value)}'
+        f',"state":{_quote(vuln.analysis_state.value)}}}'
     )
-    return key, entry
 
 
-def _document_entry(bom: Bom) -> _Keyed:
-    entry = {"serial": bom.serial_number, "version": bom.version, "kind": bom.kind.value}
-    return (_quote(entry["kind"]), _quote(bom.serial_number), repr(bom.version) + "}"), entry
+def _document_text(bom: Bom) -> str:
+    return (
+        f'{{"kind":{_quote(bom.kind.value)}'
+        f',"serial":{_quote(bom.serial_number)}'
+        f',"version":{bom.version!r}}}'
+    )
 
 
-def _first(keyed: _Keyed) -> tuple[str, ...]:
-    return keyed[0]
-
-
-def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
-    """Project parsed documents onto per-thing states.
+def thing_texts_from_boms(boms: Iterable[Bom]) -> dict[str, JsonText]:
+    """Project parsed documents onto each thing's canonical state text.
 
     One thing per host subject, one per profile subject. Each document kind
     may appear once per subject; duplicates are rejected. Every property
-    list is ordered by its entries' json.dumps(entry, sort_keys=True) text,
-    through sort keys that encode nothing but strings (see above).
+    list is ordered by its entries' json.dumps(entry, sort_keys=True) text
+    (see above).
     """
     parsed = list(boms)
     seen: set[tuple[str, str, str]] = set()
@@ -215,41 +175,40 @@ def thing_states_from_boms(boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
             )
         seen.add(key)
 
-    states: dict[str, dict[str, Any]] = {}
+    texts: dict[str, JsonText] = {}
     software_kinds = (BomKind.SBOM, BomKind.MIXED)
     ordered = sorted(parsed, key=lambda b: (b.metadata.subject_name, b.kind.value))
-    # One subject at a time, so only one thing's sort keys are alive at once.
     for subject, group in groupby(ordered, key=lambda b: b.metadata.subject_name):
         documents = list(group)
         if documents[0].metadata.subject_kind == SubjectKind.PROFILE:
             title = f"Audit profile manifest for {subject}"
         else:
             title = f"Security twin of host {subject}"
-        keyed: dict[str, list[_Keyed]] = {"documents": []}
-        links: dict[str, None] = {}
+        buckets: dict[str, list[str]] = {"documents": []}
+        links: set[str] = set()
         for bom in documents:
-            keyed["documents"].append(_document_entry(bom))
+            buckets["documents"].append(_document_text(bom))
             for component in bom.components:
                 if component.crypto is None and bom.kind in software_kinds:
-                    bucket, pair = "software", _software_entry(component)
+                    bucket, text = "software", _software_text(component)
                 else:
-                    bucket, pair = _crypto_bucket(component), _crypto_entry(component)
-                keyed.setdefault(bucket, []).append(pair)
+                    bucket, text = _crypto_bucket(component), _crypto_text(component)
+                buckets.setdefault(bucket, []).append(text)
             if bom.vulnerabilities:
-                keyed.setdefault("vulnerabilities", []).extend(
-                    map(_vulnerability_entry, bom.vulnerabilities)
+                buckets.setdefault("vulnerabilities", []).extend(
+                    map(_vulnerability_text, bom.vulnerabilities)
                 )
-            links.update(dict.fromkeys(link.render() for link in bom.links))
-        states[subject] = {
-            "id": subject,
-            "title": title,
-            "properties": {
-                bucket: [entry for _, entry in sorted(pairs, key=_first)]
-                for bucket, pairs in keyed.items()
-            },
-            "links": sorted(links),
-        }
-    return states
+            links.update(link.render() for link in bom.links)
+        properties = ",".join(
+            f'{_quote(bucket)}:[{",".join(sorted(buckets[bucket]))}]' for bucket in sorted(buckets)
+        )
+        texts[subject] = JsonText(
+            f'{{"id":{_quote(subject)}'
+            f',"links":[{",".join(map(_quote, sorted(links)))}]'
+            f',"properties":{{{properties}}}'
+            f',"title":{_quote(title)}}}'
+        )
+    return texts
 
 
 @dataclass(frozen=True)
@@ -277,7 +236,7 @@ class StoredRepresentation:
 
     @classmethod
     def build(
-        cls, states: dict[str, dict[str, Any]], clock: Callable[[], float] = time.time
+        cls, states: dict[str, Any], clock: Callable[[], float] = time.time
     ) -> "StoredRepresentation":
         if not states:
             raise RepresentationError("representation requires at least one thing")
@@ -289,7 +248,7 @@ class StoredRepresentation:
         rep._version = 1
         return rep
 
-    def apply_update(self, states: dict[str, dict[str, Any]], new_version: int) -> int:
+    def apply_update(self, states: dict[str, Any], new_version: int) -> int:
         """Advance to new_version; returns the number of things revised.
 
         Atomic: validation happens before any append. A thing gains a

@@ -11,7 +11,11 @@ Routes (bearer-token auth, except /health):
 
 A thing state is answered as a JsonText: the revision's stored canonical
 text, byte for byte, with no decode and re-encode per read. Every other
-answer is a payload that the server encodes.
+answer is a payload that the server encodes. On PUT /representation each
+state is a JSON object, encoded once as it is stored, or a JsonText that
+the manager's in-process push hands over finished and that is stored as it
+is; JSON decoded from a request never yields a JsonText, so a state sent
+over HTTP as a string is refused.
 """
 
 from __future__ import annotations

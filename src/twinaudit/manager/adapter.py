@@ -1,13 +1,13 @@
-"""Data Adapter: turns BOM documents into thing states and hands them to a
-mounted instance through its service interface, in-process."""
+"""Data Adapter: turns BOM documents into canonical thing texts and hands
+them to a mounted instance through its service interface, in-process."""
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
 from ..bom import Bom
-from ..instance import thing_states_from_boms
-from ..jsonhttp import ApiRequest, HttpError, RequestRejected, TransportUnavailable
+from ..instance import thing_texts_from_boms
+from ..jsonhttp import ApiRequest, HttpError, JsonText, RequestRejected, TransportUnavailable
 from .runtime import InProcessRuntime
 
 __all__ = ["DataAdapter"]
@@ -17,9 +17,9 @@ class DataAdapter:
     def __init__(self, runtime: InProcessRuntime):
         self._runtime = runtime
 
-    def process(self, boms: Iterable[Bom]) -> dict[str, dict[str, Any]]:
+    def process(self, boms: Iterable[Bom]) -> dict[str, JsonText]:
         """Pure projection; raises RepresentationError on inconsistent input."""
-        return thing_states_from_boms(boms)
+        return thing_texts_from_boms(boms)
 
     def _call(self, endpoint: str, method: str, token: str, body: Any = None) -> Any:
         """One `/representation` request through the instance's dispatch, so
@@ -44,9 +44,9 @@ class DataAdapter:
         endpoint: str,
         token: str,
         version: int,
-        states: dict[str, dict[str, Any]],
+        states: dict[str, JsonText],
     ) -> dict[str, Any]:
-        """Apply the states as representation `version`; returns the
+        """Apply the thing texts as representation `version`; returns the
         instance's {"version", "revisedThings"}."""
         return self._call(endpoint, "PUT", token, {"version": version, "things": states})
 

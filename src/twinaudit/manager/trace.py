@@ -1,12 +1,14 @@
 """Stage tracing for lifecycle operations.
 
 Create and update handlers record named stages as they pass through the
-manager's components; conformance tests check the recorded order against
-the expected chains as a strict subsequence.
+manager's components, each with the `time.perf_counter()` reading taken as
+it is recorded; conformance tests check the recorded order against the
+expected chains as a strict subsequence.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,9 +52,18 @@ UPDATE_STAGES = (
 class TraceSpan:
     kind: str
     stages: list[str] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
+    opened: float = field(default_factory=time.perf_counter)
 
     def record(self, stage: str) -> None:
         self.stages.append(stage)
+        self.times.append(time.perf_counter())
+
+    def durations(self) -> list[tuple[str, float]]:
+        """Each stage with its elapsed seconds: the time from the stage
+        recorded before it, or for the first stage from the span opening."""
+        starts = [self.opened, *self.times]
+        return [(stage, end - start) for stage, start, end in zip(self.stages, starts, self.times)]
 
 
 class TraceRecorder:

@@ -45,7 +45,7 @@ from twinaudit.bom import BomKind, parse_bom, serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
 from twinaudit.forge import link_to_profile, summarize_bom
-from twinaudit.instance import thing_states_from_boms
+from twinaudit.instance import thing_texts_from_boms
 from twinaudit.jsonhttp import SharedJsonServer, http_json
 from twinaudit.manager import (
     InProcessRuntime,
@@ -1440,8 +1440,9 @@ class TestStoreTwinAgreement:
                         reparsed, roles=roles, now=now
                     )
 
-                    projected = json.loads(json.dumps(thing_states_from_boms(boms)))
-                    for thing, state in projected.items():
+                    projected = thing_texts_from_boms(boms)
+                    for thing, text in projected.items():
+                        state = json.loads(text)
                         status, body = http_json(
                             "GET", f"{endpoint}/things/{thing}", token="operator-token"
                         )

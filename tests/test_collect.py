@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import hashes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from twinaudit.collect import (
     extract_algorithm_mentions,
     extract_protocol_mentions,
     scan_host,
+    token_for_hash,
 )
 from twinaudit.collect.records import by_sort_key
 from twinaudit.collect.scanners import _fold_sightings
@@ -269,10 +271,47 @@ class TestTokenExtraction:
             ("rsa_4096 key with md5 digest", {"RSA-4096", "MD5"}),
             ("nothing cryptographic here", set()),
             ("plain RSA and bare SHA stay unmapped", set()),
+            ("SHA-512/256 and sha512-224", {"SHA-512/256", "SHA-512/224"}),
+            ("sha3-256, SHA3_512", {"SHA3-256", "SHA3-512"}),
         ],
     )
     def test_spellings(self, text, expected):
         assert {m.token.name for m in extract_algorithm_mentions(text)} == expected
+
+    def test_every_cryptography_hash_name(self):
+        """Each digest name `cryptography` gives a certificate's signature
+        hash maps to its own token, or to none where no token exists."""
+        expected = {
+            "md5": "MD5",
+            "sha1": "SHA-1",
+            "sha224": "SHA-224",
+            "sha256": "SHA-256",
+            "sha384": "SHA-384",
+            "sha512": "SHA-512",
+            "sha512-224": "SHA-512/224",
+            "sha512-256": "SHA-512/256",
+            "sha3-224": "SHA3-224",
+            "sha3-256": "SHA3-256",
+            "sha3-384": "SHA3-384",
+            "sha3-512": "SHA3-512",
+            "shake128": None,
+            "shake256": None,
+            "blake2b": None,
+            "blake2s": None,
+            "sm3": None,
+        }
+        names = {
+            algorithm.name
+            for algorithm in vars(hashes).values()
+            if isinstance(algorithm, type)
+            and issubclass(algorithm, hashes.HashAlgorithm)
+            and isinstance(algorithm.name, str)
+        }
+        assert names <= set(expected), names - set(expected)
+        for name, token in expected.items():
+            found = token_for_hash(name)
+            assert (found.name if found else None) == token, name
+            assert found is None or found.primitive == "hash"
 
     def test_mode_capture(self):
         mentions = {m.token.name: m.mode for m in extract_algorithm_mentions("aes-256-gcm")}

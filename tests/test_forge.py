@@ -347,15 +347,17 @@ class TestBuildCbom:
         cert_dep = next(d for d in bom.dependencies if d.ref.startswith("cert:"))
         assert set(cert_dep.depends_on) == {"alg:RSA-2048", "alg:SHA-256"}
 
-    def test_pss_certificate_refers_to_its_signature_hash(self, tmp_path):
+    @staticmethod
+    def signed_certificate_cbom(tmp_path, hash_algorithm, rsa_padding=None):
+        """The CBOM of a host holding one self-signed RSA certificate."""
         from datetime import datetime, timedelta, timezone
 
         from cryptography import x509
-        from cryptography.hazmat.primitives import hashes, serialization
-        from cryptography.hazmat.primitives.asymmetric import padding, rsa
+        from cryptography.hazmat.primitives import serialization
+        from cryptography.hazmat.primitives.asymmetric import rsa
 
         key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "pss.example.test")])
+        name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "signed.example.test")])
         start = datetime(2025, 1, 1, tzinfo=timezone.utc)
         cert = (
             x509.CertificateBuilder()
@@ -365,25 +367,36 @@ class TestBuildCbom:
             .serial_number(1)
             .not_valid_before(start)
             .not_valid_after(start + timedelta(days=365))
-            .sign(
-                key,
-                hashes.SHA256(),
-                rsa_padding=padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32),
-            )
+            .sign(key, hash_algorithm, rsa_padding=rsa_padding)
         )
         tree = write_tree(
-            tmp_path / "pss",
+            tmp_path / "signed",
             {
-                "facts.json": json.dumps({"hostname": "pss"}),
-                "etc/ssl/certs/pss.pem": cert.public_bytes(serialization.Encoding.PEM),
+                "facts.json": json.dumps({"hostname": "signed"}),
+                "etc/ssl/certs/signed.pem": cert.public_bytes(serialization.Encoding.PEM),
             },
         )
         bundle = scan_host(HostSnapshot.open(tree))
-        bom = build_cbom("pss", build_graph(bundle.records), bundle.records)
+        bom = build_cbom("signed", build_graph(bundle.records), bundle.records)
         certificate = next(c for c in bom.components if c.component_type == ComponentType.CERTIFICATE)
-        assert certificate.crypto.signature_algorithm_ref == "alg:SHA-256"
         dependency = next(d for d in bom.dependencies if d.ref == certificate.bom_ref)
+        return certificate, dependency
+
+    def test_pss_certificate_refers_to_its_signature_hash(self, tmp_path):
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import padding
+
+        pss = padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32)
+        certificate, dependency = self.signed_certificate_cbom(tmp_path, hashes.SHA256(), pss)
+        assert certificate.crypto.signature_algorithm_ref == "alg:SHA-256"
         assert dependency.depends_on == ("alg:RSA-2048", "alg:SHA-256")
+
+    def test_sha3_certificate_refers_to_its_signature_hash(self, tmp_path):
+        from cryptography.hazmat.primitives import hashes
+
+        certificate, dependency = self.signed_certificate_cbom(tmp_path, hashes.SHA3_256())
+        assert certificate.crypto.signature_algorithm_ref == "alg:SHA3-256"
+        assert dependency.depends_on == ("alg:RSA-2048", "alg:SHA3-256")
 
     def test_dependency_graph_is_acyclic(self):
         records = [

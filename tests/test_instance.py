@@ -26,12 +26,13 @@ from twinaudit.instance import (
     StoredRepresentation,
     UnknownThing,
     VersionConflict,
-    thing_states_from_boms,
+    thing_texts_from_boms,
 )
 from twinaudit.jsonhttp import ApiRequest, HttpError, JsonText, SharedJsonServer, http_json
 
 from .strategies import boms, order_trap_documents
 from .test_forge import algo_record, certificate_record, software_record
+from .thing_oracle import canonical, thing_states_from_boms
 
 
 def host_boms(host="web-01"):
@@ -51,16 +52,30 @@ def linked_set(host="web-01", profile="profile-a"):
     return link_to_profile(host_boms(host), profile)
 
 
+def projected_states(documents):
+    """Each thing's projected text, decoded as a client would."""
+    return {thing: json.loads(text) for thing, text in thing_texts_from_boms(documents).items()}
+
+
+def unique_documents(documents):
+    """The first document of each (subject kind, subject, kind)."""
+    unique = {}
+    for bom in documents:
+        meta = bom.metadata
+        unique.setdefault((meta.subject_kind, meta.subject_name, bom.kind), bom)
+    return list(unique.values())
+
+
 class TestThingStates:
     def test_single_host_set_yields_host_and_manifest_things(self):
-        states = thing_states_from_boms(linked_set())
+        states = projected_states(linked_set())
         assert set(states) == {"web-01", "profile-a"}
         assert states["web-01"]["id"] == "web-01"
         assert states["profile-a"]["properties"]["documents"]
 
     def test_every_component_reachable_exactly_once(self):
         boms = linked_set()
-        states = thing_states_from_boms(boms)
+        states = projected_states(boms)
         found = []
         for state in states.values():
             for key, entries in state["properties"].items():
@@ -74,11 +89,11 @@ class TestThingStates:
         assert sorted(found) == sorted(expected)
 
     def test_certificate_property_count(self):
-        states = thing_states_from_boms(host_boms())
+        states = projected_states(host_boms())
         assert len(states["web-01"]["properties"]["certificates"]) == 1
 
     def test_links_rendered(self):
-        states = thing_states_from_boms(linked_set())
+        states = projected_states(linked_set())
         assert all(link.startswith("urn:cdx:") for link in states["profile-a"]["links"])
         assert len(states["profile-a"]["links"]) == 2
         assert states["web-01"]["links"] == []
@@ -97,14 +112,16 @@ class TestThingStates:
         for link in manifest.links + overlap.links:
             if link.render() not in expected:
                 expected.append(link.render())
-        state = thing_states_from_boms([manifest, overlap])["profile-big"]
+        state = projected_states([manifest, overlap])["profile-big"]
         assert json.dumps(state["links"]) == json.dumps(sorted(expected))
         assert len(state["links"]) == 1401
 
     def test_duplicate_host_document_rejected(self):
         sbom = host_boms()[0]
-        with pytest.raises(RepresentationError):
-            thing_states_from_boms([sbom, sbom])
+        with pytest.raises(
+            RepresentationError, match="^duplicate SBOM document for subject 'web-01'$"
+        ):
+            thing_texts_from_boms([sbom, sbom])
 
     def test_empty_rejected(self):
         with pytest.raises(RepresentationError):
@@ -130,7 +147,7 @@ class TestThingStates:
             ]
         )
         sbom = enrich_with_vulnerabilities(host_boms()[0], store)
-        states = thing_states_from_boms([sbom])
+        states = projected_states([sbom])
         vulns = states["web-01"]["properties"]["vulnerabilities"]
         assert [v["cve"] for v in vulns] == ["CVE-2023-30861"]
 
@@ -138,14 +155,23 @@ class TestThingStates:
     @given(st.lists(boms(max_components=4), max_size=4), order_trap_documents())
     def test_property_lists_follow_json_key_order(self, documents, traps):
         """Exported property lists keep the order of their sort_keys JSON text."""
-        unique = {}
-        for bom in traps + documents:
-            meta = bom.metadata
-            unique.setdefault((meta.subject_kind, meta.subject_name, bom.kind), bom)
-        for state in thing_states_from_boms(unique.values()).values():
+        for state in projected_states(unique_documents(traps + documents)).values():
             for entries in state["properties"].values():
                 keys = [json.dumps(item, sort_keys=True) for item in entries]
                 assert keys == sorted(keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(boms(max_components=4), max_size=4), order_trap_documents())
+    def test_texts_equal_the_canonical_dict_projection(self, documents, traps):
+        """Each thing's text is the canonical encoding of the plain dict
+        projection's state, byte for byte."""
+        unique = unique_documents(traps + documents)
+        texts = thing_texts_from_boms(unique)
+        states = thing_states_from_boms(unique)
+        assert list(texts) == list(states)
+        for thing, text in texts.items():
+            assert isinstance(text, JsonText)
+            assert text == canonical(states[thing])
 
 
 class FakeClock:
@@ -421,7 +447,7 @@ class TestInstanceService:
         assert (status, payload["code"]) == (404, "no_representation")
 
     def test_wot_shape(self):
-        states = thing_states_from_boms(linked_set())
+        states = thing_texts_from_boms(linked_set())
         service = make_service(states)
         _, thing = call(service, "GET", "/things/web-01", token="tok-read")
         assert set(thing) == {"id", "title", "properties", "links"}
@@ -517,6 +543,32 @@ class TestServedThingReads:
         status, payload = service.dispatch(request)
         assert status == 200 and isinstance(payload, JsonText)
         assert payload == canonical_bytes(simple_states(1)["host-a"]).decode("ascii")
+
+    def test_a_state_sent_as_json_text_over_http_is_refused(self):
+        """Only the in-process projection hands over finished text: a state
+        that arrives as a JSON string is refused, on build and on update."""
+        service = make_service()
+        prefix = f"/sdt-{next(self.mounts)}"
+        url = self.server.mount(prefix, service) + "/representation"
+        text = canonical_bytes(served_state("host-a", 1)).decode("ascii")
+        try:
+            for version in (1, 2):
+                status, body = http_json(
+                    "PUT", url, {"version": version, "things": {"host-a": text}}, token="tok-write"
+                )
+                assert (status, body["code"]) == (400, "invalid_representation")
+                assert body["message"] == "state of thing 'host-a' must be an object"
+                if version == 1:
+                    assert service.representation() is None
+                    status, _ = http_json(
+                        "PUT", url, {"version": 1, "things": {"host-a": json.loads(text)}},
+                        token="tok-write",
+                    )
+                    assert status == 200
+            assert service.representation().current_version == 1
+            assert service.representation().latest("host-a") == text
+        finally:
+            self.server.unmount(prefix)
 
     @classmethod
     def setup_class(cls):

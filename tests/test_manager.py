@@ -3,6 +3,7 @@
 import json
 import re
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -155,9 +156,19 @@ class TestCreate:
 
     def test_trace_matches_create_chain(self, env):
         manager, client, _ = env.make_manager()
+        started = time.perf_counter()
         client.create("profile-a", bom_texts("trace-host"))
+        elapsed = time.perf_counter() - started
         span = manager.tracer.last("create")
         assert is_subsequence(CREATE_STAGES, span.stages)
+        durations = span.durations()
+        assert [stage for stage, _ in durations] == span.stages
+        assert all(seconds >= 0 for _, seconds in durations)
+        # The stages tile the span from its opening to its last mark.
+        assert sum(seconds for _, seconds in durations) == pytest.approx(
+            span.times[-1] - span.opened
+        )
+        assert span.times[-1] - span.opened <= elapsed
 
     def test_trace_records_exact_stage_chains(self, env):
         manager, client, _ = env.make_manager()
@@ -724,6 +735,136 @@ class TestHttpContract:
         with pytest.raises(Exception) as err:
             client.footprint(created["sdtId"])
         assert getattr(err.value, "status", None) == 409
+
+
+MISSING = object()  # a field left out of the body
+
+# JSON values of every type; each field below draws the wrongly typed ones.
+any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Strings a BOM list may hold that parse to no document: not JSON at all, or
+# JSON that is no CycloneDX object.
+bad_bom_texts = st.text(max_size=12).filter(_not_json) | st.sampled_from(
+    ["{}", "[]", "5", '"x"', "null", '{"bomFormat": "CycloneDX"}']
+)
+
+
+@st.composite
+def bad_bom_lists(draw, valid):
+    """A truthy `boms` value that is not a list of documents: a non-list, or
+    the valid list with one entry replaced by a non-string or a bad text."""
+    if draw(st.booleans()):
+        return draw(any_json.filter(lambda v: v and not isinstance(v, list)))
+    entries = list(valid)
+    bad = draw(any_json.filter(lambda v: not isinstance(v, str)) | bad_bom_texts)
+    entries[draw(st.integers(0, len(entries) - 1))] = bad
+    return entries
+
+
+bad_options = any_json.filter(lambda v: v is not None and not isinstance(v, dict)) | st.one_of(
+    any_json.filter(lambda v: v and not isinstance(v, dict)).map(lambda v: {"tokens": v}),
+    st.just({"tokens": {"": ["READ"]}}),
+    any_json.filter(lambda v: not isinstance(v, list)).map(lambda v: {"tokens": {"t": v}}),
+    st.lists(any_json, max_size=2).map(lambda v: {"tokens": {"t": [*v, "NO-SUCH-SCOPE"]}}),
+)
+
+bad_deltas = any_json.filter(lambda v: v and not isinstance(v, list)) | st.lists(
+    any_json, min_size=1, max_size=2
+)
+
+
+@st.composite
+def malformed_bodies(draw, fields):
+    """A body with at least one field from `fields` ({name: (valid, bad)})
+    malformed, or no object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(any_json.filter(lambda v: not isinstance(v, dict)))
+    broken = draw(st.sets(st.sampled_from(sorted(fields)), min_size=1))
+    body = {}
+    for name, (valid, bad) in fields.items():
+        value = draw(bad if name in broken else valid)
+        if value is not MISSING:
+            body[name] = value
+    return body
+
+
+class TestMalformedBodies:
+    """Every malformed create or update body gets a 4xx JSON error."""
+
+    @staticmethod
+    def assert_refused(status, body):
+        assert 400 <= status < 500, (status, body)
+        assert isinstance(body, dict) and set(body) == {"code", "message"}, body
+        assert isinstance(body["code"], str) and isinstance(body["message"], str)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_create(self, data):
+        manager, client, runtime = self.create_env
+        texts = self.texts
+        body = data.draw(
+            malformed_bodies(
+                {
+                    "profileId": (
+                        st.just("profile-a"),
+                        st.just(MISSING) | st.just("") | any_json.filter(
+                            lambda v: not isinstance(v, str)
+                        ),
+                    ),
+                    "boms": (
+                        st.just(texts),
+                        st.just(MISSING) | st.just([]) | bad_bom_lists(texts),
+                    ),
+                    "options": (st.just(MISSING) | st.just(None), bad_options),
+                }
+            )
+        )
+        status, payload = http_json("POST", client.base_url + "/sdts", body)
+        self.assert_refused(status, payload)
+        assert runtime.deployed == set() and manager.list_descriptors() == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_update(self, data):
+        manager, client, _ = self.update_env
+        body = data.draw(
+            malformed_bodies(
+                {
+                    "expectedVersion": (
+                        st.just(1),
+                        st.just(MISSING) | any_json.filter(
+                            lambda v: not isinstance(v, int) or isinstance(v, bool)
+                        ),
+                    ),
+                    "boms": (st.just(MISSING) | st.just(self.texts), bad_bom_lists(self.texts)),
+                    "deltas": (st.just(MISSING) | st.just([]), bad_deltas),
+                }
+            )
+        )
+        status, payload = http_json("PUT", f"{client.base_url}/sdts/{self.sdt_id}", body)
+        self.assert_refused(status, payload)
+        descriptor = manager.get_descriptor(self.sdt_id)
+        assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+
+    @classmethod
+    def setup_class(cls):
+        cls.texts = bom_texts("malformed-host")
+        cls.create_env = _PROP_ENV.make_manager(sabotage=True)
+        cls.update_env = _PROP_ENV.make_manager()
+        cls.sdt_id = cls.update_env[1].create("profile-a", cls.texts)["sdtId"]
 
 
 class TestListOrdering:
