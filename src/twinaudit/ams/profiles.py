@@ -139,7 +139,12 @@ def get_profile(store: FileDocumentStore, profile_id: str) -> Optional[AuditProf
 
 
 def load_profile_file(path: Union[str, Path]) -> AuditProfile:
+    """The profile a file holds; a ProfileError names the file."""
     data = read_data_file(path)
     if not isinstance(data, dict):
         raise ProfileError(f"{path}: a profile file must contain an object")
-    return AuditProfile.from_dict(data)
+    try:
+        return AuditProfile.from_dict(data)
+    except ProfileError as err:
+        err.args = (f"{path}: {err}",)
+        raise

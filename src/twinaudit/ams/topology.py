@@ -193,7 +193,13 @@ def parse_inventory(data: Any) -> TopologyGraph:
 
 
 def load_inventory(path: Union[str, Path]) -> TopologyGraph:
-    return parse_inventory(read_data_file(path))
+    """The inventory a file holds; an InventoryError names the file."""
+    data = read_data_file(path)
+    try:
+        return parse_inventory(data)
+    except InventoryError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def ingest_inventory(store: FileDocumentStore, source: Union[str, Path, dict]) -> TopologyGraph:

@@ -206,7 +206,11 @@ def profile() -> None:
 def profile_create(config: AppConfig, path: str) -> None:
     """Register a profile; its selector must match the ingested inventory."""
     store = FileDocumentStore(config.store)
-    created = create_profile(store, load_profile_file(path))
+    profile = load_profile_file(path)
+    try:
+        created = create_profile(store, profile)
+    except ProfileError as err:  # a selector entry that matches no host
+        raise ProfileError(f"{path}: {err}") from err
     hosts = selected_hosts(created, topology_from_store(store))
     click.echo(f"profile {created.profile_id} selects {len(hosts)} hosts")
 

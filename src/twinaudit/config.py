@@ -99,6 +99,9 @@ def load_config(
         if not isinstance(data, dict):
             raise DataFileError(f"{path}: expected a mapping at top level")
         known_fields(data, _SETTINGS, f"settings file {path}", DataFileError)
+        for key, value in data.items():
+            if value is not None or key == "store_path":  # manager_url, feed_path may be null
+                typed_value(value, str, f"{path}: {key}", DataFileError)
         config = replace(config, **data)
 
     if env.get(ENV_STORE):

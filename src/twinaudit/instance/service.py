@@ -4,7 +4,9 @@ Routes (bearer-token auth, except /health):
   GET  /health                          liveness, unauthenticated
   GET  /things                          thing id list            [READ]
   GET  /things/{id}?rev=N|at=T          state at revision/time   [READ]
-                                        (T in Unix epoch seconds)
+                                        (T in Unix epoch seconds; a
+                                        blank or non-integer N and a
+                                        blank or non-finite T are 400)
   GET  /things/{id}/history             revision metadata        [READ]
   PUT  /representation                  build or update          [WRITE_REPRESENTATION]
   GET  /representation                  full export (footprint)  [ADMIN]
@@ -20,6 +22,7 @@ over HTTP as a string is refused.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Optional
 
@@ -109,7 +112,9 @@ class InstanceService(JsonApi):
                 try:
                     timestamp = float(query["at"])
                 except ValueError:
-                    raise HttpError(400, "bad_request", "at must be a timestamp") from None
+                    timestamp = math.nan
+                if not math.isfinite(timestamp):
+                    raise HttpError(400, "bad_request", "at must be a finite timestamp")
                 text = rep.at_time(thing_id, timestamp)
             else:
                 text = rep.latest(thing_id)

@@ -535,6 +535,27 @@ class TestServedThingReads:
             connection.close()
             self.server.unmount(prefix)
 
+    @pytest.mark.parametrize("query,message", [
+        ("rev=", "rev must be an integer"),
+        ("at=", "at must be a finite timestamp"),
+        ("at=nan", "at must be a finite timestamp"),
+        ("at=inf", "at must be a finite timestamp"),
+        ("at=-inf", "at must be a finite timestamp"),
+        ("rev=1&rev=2", "a query parameter is repeated"),
+        ("at=1&at=1", "a query parameter is repeated"),
+    ], ids=["blank-rev", "blank-at", "nan-at", "inf-at", "minus-inf-at", "repeated-rev",
+            "repeated-at"])
+    def test_a_bad_query_is_a_400_not_the_latest_state(self, query, message):
+        service = make_service(simple_states(1))
+        prefix = f"/sdt-{next(self.mounts)}"
+        url = self.server.mount(prefix, service)
+        try:
+            assert http_json("GET", f"{url}/things/host-a?rev=1", token="tok-read")[0] == 200
+            status, body = http_json("GET", f"{url}/things/host-a?{query}", token="tok-read")
+            assert (status, body) == (400, {"code": "bad_request", "message": message})
+        finally:
+            self.server.unmount(prefix)
+
     def test_dispatch_answers_a_thing_as_json_text(self):
         service = make_service(simple_states(1))
         request = ApiRequest(
