@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from cryptography import x509
+from cryptography.exceptions import UnsupportedAlgorithm
 from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, rsa
 
 from .records import EvidenceCategory, EvidenceRecord, make_record
@@ -15,7 +16,12 @@ _PEM_MARKER = b"-----BEGIN CERTIFICATE-----"
 
 
 def _key_facts(cert: x509.Certificate) -> tuple[str, Optional[int], Optional[str]]:
-    key = cert.public_key()
+    try:
+        key = cert.public_key()
+    except (UnsupportedAlgorithm, ValueError):
+        # A key type cryptography does not know, or key bits it cannot
+        # load: the certificate's other facts still stand.
+        return "unknown", None, None
     if isinstance(key, rsa.RSAPublicKey):
         return "rsa", key.key_size, None
     if isinstance(key, ec.EllipticCurvePublicKey):

@@ -1,10 +1,16 @@
 """Package-manifest scanners: maven, pip, npm, composer.
 
 Each produces SOFTWARE_COMPONENT records: one per declared project
-(role=project) and one per resolved dependency (role=dependency). Lockfiles
-win over manifests for dependency versions because they carry the resolved
-pins. Malformed manifests are skipped, never fatal: collection must degrade
-per file, not per host.
+(role=project) and one per resolved dependency (role=dependency), each with
+the package URL `pkg:<ecosystem>/<purl name>@<version>`
+(https://github.com/package-url/purl-spec); the purl name is the package
+name, or `group/artifact` for maven, with the artifact standing in for a
+missing group. Lockfiles win over manifests for dependency versions because
+they carry the resolved pins.
+
+Collection must degrade per file, not per host: a file that does not parse
+yields nothing, and a JSON file or field that is not an object reads as
+empty, so an odd manifest costs its own records and never the host's.
 """
 
 from __future__ import annotations
@@ -13,43 +19,69 @@ import json
 import posixpath
 import re
 import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import Any, Iterable, Optional
 
 from .records import EvidenceCategory, EvidenceRecord, make_record
 from .snapshot import HostSnapshot
 
 _VERSION_PREFIX = re.compile(r"^[~^>=<\s]+")
 
+# (name, version, purl name) of one package.
+_Package = tuple[str, str, str]
 
-def _component(
+
+def _components(
     host: str,
-    source: str,
-    name: str,
-    version: str,
     ecosystem: str,
-    role: str,
-    purl: str,
-    manifest: str = "",
-) -> EvidenceRecord:
-    # manifest groups a project with its dependencies across manifest+lockfile.
-    return make_record(
-        EvidenceCategory.SOFTWARE_COMPONENT,
-        name=name,
-        host=host,
-        source_path=source,
-        version=version,
-        attributes={
-            "ecosystem": ecosystem,
-            "role": role,
-            "purl": purl,
-            "manifest": manifest or source,
-        },
-    )
+    manifest: str,
+    project: Optional[_Package],
+    dependencies: Iterable[_Package],
+    source: str = "",
+) -> list[EvidenceRecord]:
+    """The project's record, if any, then one per dependency. Dependencies
+    come from source (a lockfile) or else from the manifest itself; the
+    manifest attribute groups them with their project."""
+    roles = (("project", manifest, [project] if project else []),
+             ("dependency", source or manifest, dependencies))
+    return [
+        make_record(
+            EvidenceCategory.SOFTWARE_COMPONENT,
+            name=name,
+            host=host,
+            source_path=path,
+            version=version,
+            attributes={
+                "ecosystem": ecosystem,
+                "role": role,
+                "purl": f"pkg:{ecosystem}/{purl_name}@{version}",
+                "manifest": manifest,
+            },
+        )
+        for role, path, packages in roles
+        for name, version, purl_name in packages
+    ]
 
 
-def _xml_text(parent: Optional[ET.Element], tag: str) -> str:
-    if parent is None:
-        return ""
+def _object(value: Any) -> dict:
+    """value if it is a JSON object, else {}."""
+    return value if isinstance(value, dict) else {}
+
+
+def _read_object(snapshot: HostSnapshot, path: str) -> dict:
+    """The file's JSON object; {} for a file that does not parse (nested
+    too deep included) or holds another JSON value."""
+    try:
+        return _object(json.loads(snapshot.read_text(path)))
+    except (ValueError, RecursionError):
+        return {}
+
+
+def _project(manifest: dict) -> _Package:
+    name = str(manifest["name"])
+    return name, str(manifest.get("version", "")), name
+
+
+def _xml_text(parent: ET.Element, tag: str) -> str:
     node = parent.find(tag)
     return (node.text or "").strip() if node is not None else ""
 
@@ -63,194 +95,85 @@ def scan_maven(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
     ns = re.match(r"\{.*\}", root.tag)
     prefix = ns.group(0) if ns else ""
 
-    def tagged(tag: str) -> str:
-        return f"{prefix}{tag}"
+    def coordinates(node: ET.Element) -> _Package:
+        group, artifact, version = (
+            _xml_text(node, prefix + tag) for tag in ("groupId", "artifactId", "version"))
+        return artifact, version, f"{group or artifact}/{artifact}"
 
-    group = _xml_text(root, tagged("groupId"))
-    artifact = _xml_text(root, tagged("artifactId"))
-    version = _xml_text(root, tagged("version"))
-    if not artifact:
+    project = coordinates(root)
+    if not project[0]:
         return []
-    out = [
-        _component(
-            snapshot.hostname,
-            path,
-            artifact,
-            version,
-            "maven",
-            "project",
-            f"pkg:maven/{group or artifact}/{artifact}@{version}",
-        )
-    ]
-    deps = root.find(tagged("dependencies"))
-    if deps is not None:
-        for dep in deps.findall(tagged("dependency")):
-            dep_group = _xml_text(dep, tagged("groupId"))
-            dep_artifact = _xml_text(dep, tagged("artifactId"))
-            dep_version = _xml_text(dep, tagged("version"))
-            if not dep_artifact:
-                continue
-            out.append(
-                _component(
-                    snapshot.hostname,
-                    path,
-                    dep_artifact,
-                    dep_version,
-                    "maven",
-                    "dependency",
-                    f"pkg:maven/{dep_group or dep_artifact}/{dep_artifact}@{dep_version}",
-                )
-            )
-    return out
+    deps = root.find(prefix + "dependencies")
+    listed = () if deps is None else map(coordinates, deps.findall(prefix + "dependency"))
+    return _components(snapshot.hostname, "maven", path, project,
+                       [dep for dep in listed if dep[0]])
 
 
 def scan_pip(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
-    out = []
+    deps = []
     for line in snapshot.read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
-        if not line or line.startswith("-"):
-            continue
-        if "==" not in line:
+        if line.startswith("-") or "==" not in line:
             continue
         name, _, version = line.partition("==")
         name = name.strip().lower().replace("_", "-")
         version = version.split(";", 1)[0].strip()
-        if not name or not version:
-            continue
-        out.append(
-            _component(
-                snapshot.hostname,
-                path,
-                name,
-                version,
-                "pypi",
-                "dependency",
-                f"pkg:pypi/{name}@{version}",
-            )
-        )
-    return out
+        if name and version:
+            deps.append((name, version, name))
+    return _components(snapshot.hostname, "pypi", path, None, deps)
 
 
 def scan_npm(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
-    try:
-        manifest = json.loads(snapshot.read_text(path))
-    except ValueError:
+    manifest = _read_object(snapshot, path)
+    if not manifest.get("name"):
         return []
-    if not isinstance(manifest, dict) or not manifest.get("name"):
-        return []
-    out = []
-    name, version = str(manifest["name"]), str(manifest.get("version", ""))
-    out.append(
-        _component(
-            snapshot.hostname,
-            path,
-            name,
-            version,
-            "npm",
-            "project",
-            f"pkg:npm/{name}@{version}",
-        )
-    )
-
     lock_path = posixpath.join(posixpath.dirname(path), "package-lock.json")
-    deps: dict[str, str] = {}
     if snapshot.exists(lock_path):
-        try:
-            lock = json.loads(snapshot.read_text(lock_path))
-        except ValueError:
-            lock = {}
+        lock = _read_object(snapshot, lock_path)
         packages = lock.get("packages")
-        if isinstance(packages, dict):
-            for key, info in packages.items():
-                if not key or not isinstance(info, dict):
-                    continue
-                dep_name = key.rsplit("node_modules/", 1)[-1]
-                deps[dep_name] = str(info.get("version", ""))
+        if isinstance(packages, dict):  # lockfile v2 and later
+            pins = {key.rsplit("node_modules/", 1)[-1]: info.get("version", "")
+                    for key, info in packages.items() if key and isinstance(info, dict)}
         else:
-            for dep_name, info in (lock.get("dependencies") or {}).items():
-                if isinstance(info, dict):
-                    deps[dep_name] = str(info.get("version", ""))
+            pins = {name: info.get("version", "")
+                    for name, info in _object(lock.get("dependencies")).items()
+                    if isinstance(info, dict)}
         source = lock_path
     else:
-        for dep_name, spec in (manifest.get("dependencies") or {}).items():
-            deps[dep_name] = _VERSION_PREFIX.sub("", str(spec))
+        pins = {name: _VERSION_PREFIX.sub("", str(spec))
+                for name, spec in _object(manifest.get("dependencies")).items()}
         source = path
-
-    for dep_name in sorted(deps):
-        out.append(
-            _component(
-                snapshot.hostname,
-                source,
-                dep_name,
-                deps[dep_name],
-                "npm",
-                "dependency",
-                f"pkg:npm/{dep_name}@{deps[dep_name]}",
-                manifest=path,
-            )
-        )
-    return out
+    deps = [(name, str(pins[name]), name) for name in sorted(pins)]
+    return _components(snapshot.hostname, "npm", path, _project(manifest), deps, source)
 
 
 def scan_composer(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
-    try:
-        manifest = json.loads(snapshot.read_text(path))
-    except ValueError:
+    manifest = _read_object(snapshot, path)
+    if not manifest.get("name"):
         return []
-    if not isinstance(manifest, dict) or not manifest.get("name"):
-        return []
-    out = []
-    name, version = str(manifest["name"]), str(manifest.get("version", ""))
-    out.append(
-        _component(
-            snapshot.hostname,
-            path,
-            name,
-            version,
-            "composer",
-            "project",
-            f"pkg:composer/{name}@{version}",
-        )
-    )
-
     lock_path = posixpath.join(posixpath.dirname(path), "composer.lock")
-    if snapshot.exists(lock_path):
-        try:
-            lock = json.loads(snapshot.read_text(lock_path))
-        except ValueError:
-            lock = {}
-        for info in lock.get("packages") or []:
-            if not isinstance(info, dict):
-                continue
-            dep_name = str(info.get("name", ""))
-            # Platform pseudo-packages describe the runtime, not shipped code.
-            if not dep_name or dep_name == "php" or dep_name.startswith(("ext-", "lib-")):
-                continue
-            dep_version = str(info.get("version", "")).lstrip("v")
-            out.append(
-                _component(
-                    snapshot.hostname,
-                    lock_path,
-                    dep_name,
-                    dep_version,
-                    "composer",
-                    "dependency",
-                    f"pkg:composer/{dep_name}@{dep_version}",
-                    manifest=path,
-                )
-            )
-    return out
+    lock = _read_object(snapshot, lock_path) if snapshot.exists(lock_path) else {}
+    packages = lock.get("packages")
+    deps = []
+    for info in packages if isinstance(packages, list) else ():
+        name = str(info.get("name", "")) if isinstance(info, dict) else ""
+        # Platform pseudo-packages describe the runtime, not shipped code.
+        if name and name != "php" and not name.startswith(("ext-", "lib-")):
+            deps.append((name, str(info.get("version", "")).lstrip("v"), name))
+    return _components(snapshot.hostname, "composer", path, _project(manifest), deps, lock_path)
+
+
+_SCANNERS = (
+    ("pom.xml", scan_maven),
+    ("requirements.txt", scan_pip),
+    ("package.json", scan_npm),
+    ("composer.json", scan_composer),
+)
 
 
 def scan_manifests(snapshot: HostSnapshot) -> list[EvidenceRecord]:
-    """All package manifests in the snapshot, in path order."""
-    out: list[EvidenceRecord] = []
-    for path in snapshot.find_named("pom.xml"):
-        out.extend(scan_maven(snapshot, path))
-    for path in snapshot.find_named("requirements.txt"):
-        out.extend(scan_pip(snapshot, path))
-    for path in snapshot.find_named("package.json"):
-        out.extend(scan_npm(snapshot, path))
-    for path in snapshot.find_named("composer.json"):
-        out.extend(scan_composer(snapshot, path))
-    return out
+    """All package manifests in the snapshot: each ecosystem in turn, each
+    in path order."""
+    return [record for filename, scan in _SCANNERS
+            for path in snapshot.find_named(filename)
+            for record in scan(snapshot, path)]

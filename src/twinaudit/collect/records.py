@@ -69,6 +69,10 @@ _RECORD_SLOTS = tuple(EvidenceRecord.__dict__[f.name].__set__ for f in fields(Ev
 # The key that orders records canonically (bundles, CBOM sections).
 by_sort_key = attrgetter("sort_key")
 
+# Joins an ALGORITHM record's "sources" paths. A snapshot key never holds
+# NUL (no file or tar member name can), whereas a comma is a legal name.
+SOURCES_SEPARATOR = "\0"
+
 
 def make_record(
     category: EvidenceCategory,

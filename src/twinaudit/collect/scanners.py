@@ -13,7 +13,13 @@ from typing import Iterable
 
 from .certs import scan_certificates
 from .manifests import scan_manifests
-from .records import EvidenceBundle, EvidenceCategory, EvidenceRecord, make_record
+from .records import (
+    SOURCES_SEPARATOR,
+    EvidenceBundle,
+    EvidenceCategory,
+    EvidenceRecord,
+    make_record,
+)
 from .snapshot import HostSnapshot
 from .tokens import (
     AlgorithmMention,
@@ -85,7 +91,7 @@ def _fold_sightings(
         attributes = {
             "family": token.family,
             "primitive": token.primitive,
-            "sources": ",".join(sources),
+            "sources": SOURCES_SEPARATOR.join(sources),
         }
         if token.parameter:
             attributes["parameter"] = token.parameter

@@ -21,7 +21,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
-from ..collect.records import EvidenceCategory, EvidenceRecord
+from ..collect.records import SOURCES_SEPARATOR, EvidenceCategory, EvidenceRecord
 from ..collect.tokens import token_for_key
 
 # Primitive classes accepted at layer 0. "library" extends the algorithm
@@ -185,7 +185,7 @@ class CryptoHierarchyGraph:
         edges untouched. Growth is monotone and permutation-independent: any
         insertion order of the same record set produces the same final graph.
         """
-        sources = (record.attribute("sources") or record.source_path).split(",")
+        sources = (record.attribute("sources") or record.source_path).split(SOURCES_SEPARATOR)
         if record.category == EvidenceCategory.ALGORITHM:
             primitive = record.attribute("primitive") or ""
             if primitive not in ALGORITHM_PRIMITIVES:

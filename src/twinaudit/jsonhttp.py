@@ -137,7 +137,8 @@ class JsonApi:
 
 
 def bearer_token(headers: Mapping[str, str]) -> Optional[str]:
-    value = headers.get("Authorization") or headers.get("authorization") or ""
+    # Field names are case-insensitive (RFC 9110 section 5.1).
+    value = next((v for k, v in headers.items() if k.lower() == "authorization"), "")
     if value.startswith("Bearer "):
         return value[len("Bearer "):].strip() or None
     return None

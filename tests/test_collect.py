@@ -369,7 +369,7 @@ class TestScanHost:
         # Each token appears exactly once however many sources mentioned it.
         sha256 = [r for r in of_category(bundle, EvidenceCategory.ALGORITHM) if r.name == "SHA-256"]
         assert len(sha256) == 1
-        assert len(sha256[0].attribute("sources").split(",")) >= 2
+        assert len(sha256[0].attribute("sources").split("\0")) >= 2
 
     def test_protocol_records(self, bundle):
         protocols = {
@@ -422,7 +422,7 @@ class TestDetectAlgorithms:
         aes = [r for r in of_category(bundle, EvidenceCategory.ALGORITHM) if r.name == "AES-128"]
         assert len(aes) == 1
         assert aes[0].attribute("modes") == "cbc,gcm"
-        assert aes[0].attribute("sources") == "etc/ssh/sshd_config,etc/ssl/openssl.cnf"
+        assert aes[0].attribute("sources") == "etc/ssh/sshd_config\0etc/ssl/openssl.cnf"
         assert aes[0].attribute("family") == "AES"
 
     def test_ignores_non_algorithm_records(self, tmp_path):
@@ -478,7 +478,7 @@ class TestDetectAlgorithms:
             assert record.category == EvidenceCategory.ALGORITHM
             assert record.host == "h"
             assert record.source_path == min(paths)
-            assert record.attribute("sources") == ",".join(sorted(paths))
+            assert record.attribute("sources") == "\0".join(sorted(paths))
             assert record.attribute("modes") == (",".join(sorted(modes)) or None)
             assert record.attribute("family") == token.family
             assert record.attribute("primitive") == token.primitive

@@ -41,7 +41,7 @@ from twinaudit.forge import (
 )
 from twinaudit.vulnstore import VulnerabilityStore
 
-from .test_collect import sample_tree, write_tree
+from .test_collect import cert_pem, sample_tree, write_tree
 
 
 def algo_record(host, name, family, parameter="", primitive="cipher", source="etc/ssl/openssl.cnf", modes=""):
@@ -257,6 +257,19 @@ class TestGraphInsertion:
                 if e.target == node_id and e.kind == EdgeKind.USED_BY
             ]
             assert len(parents) == 1
+
+    def test_a_comma_in_a_path_keeps_one_occurrence(self, tmp_path):
+        files = {
+            "etc/ssl/openssl.cnf": "CipherString = AES256-GCM-SHA384\n",
+            "var/log/a,b.log": "TLS handshake with AES256-GCM-SHA384 done\n",
+            "etc/ssl/certs/web,01.pem": cert_pem("web-01.pem"),
+        }
+        tree = write_tree(tmp_path / "h", {"facts.json": json.dumps({"hostname": "h"}), **files})
+        bundle = scan_host(HostSnapshot.open(tree))
+        [aes] = [r for r in bundle.records if r.name == "AES-256"]
+        assert aes.attribute("sources").split("\0") == ["etc/ssl/openssl.cnf", "var/log/a,b.log"]
+        occurrences = build_graph(bundle.records).occurrences_for_host("h")
+        assert {o.source_path for o in occurrences} == set(files)
 
 
 class TestBuildSbom:
@@ -710,7 +723,7 @@ _GRAPH_PATHS = ("etc/ssl/openssl.cnf", "etc/ssh/sshd_config", "var/log/auth.log"
 def crypto_records(draw):
     host = draw(st.sampled_from(_GRAPH_HOSTS))
     sources = draw(st.lists(st.sampled_from(_GRAPH_PATHS), min_size=1, max_size=3, unique=True))
-    attributes = {"sources": ",".join(sources)}
+    attributes = {"sources": "\0".join(sources)}
     kind = draw(st.sampled_from(("algorithm", "protocol", "library", "certificate")))
     if kind == "algorithm":
         name = draw(st.sampled_from(("AES-256", "SHA-256", "RSA-2048", "X25519", "ROT13")))

@@ -556,6 +556,29 @@ class TestServedThingReads:
         finally:
             self.server.unmount(prefix)
 
+    def test_the_authorization_field_name_has_any_case(self):
+        """HTTP field names are case-insensitive (RFC 9110 section 5.1)."""
+        service = make_service(simple_states(1))
+        prefix = f"/sdt-{next(self.mounts)}"
+        self.server.mount(prefix, service)
+        host, port = self.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+
+        def status(headers):
+            connection.request("GET", prefix + "/things/host-a", headers=headers)
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            return response.status, body.get("code")
+
+        try:
+            for name in ("Authorization", "authorization", "AUTHORIZATION"):
+                assert status({name: "Bearer tok-read"}) == (200, None), name
+            assert status({}) == (401, "unauthorized")
+            assert status({"Authorisation": "Bearer tok-read"}) == (401, "unauthorized")
+        finally:
+            connection.close()
+            self.server.unmount(prefix)
+
     def test_dispatch_answers_a_thing_as_json_text(self):
         service = make_service(simple_states(1))
         request = ApiRequest(
