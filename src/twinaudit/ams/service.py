@@ -4,17 +4,29 @@ Each run's documents are one document log in the store, keyed by run id
 (see store.py): its texts are the documents' serialize_bom texts, verbatim,
 and its index has one entry per document, in run.bom_serials order, whose
 meta is `<serial> <version> <summary>`, the summary being one compact JSON
-text. A rescan reads the index, parses the entries it needs, and reads the
-texts of the hosts it rescans; an accepted update appends the new texts and
-commits one new index. Reports read only the index.
+text, followed for a host document by ` <input key>`.
+
+A host's input key is one sha256 over everything its documents' bytes
+depend on: every file its snapshot holds (keys and bytes, length-framed,
+whatever the snapshot's path or mtimes), the profile's categories, the
+content digest of the advisory feed and FORGE_REVISION. A rescan opens each
+host's snapshot and computes its key. A host whose key equals the stored key
+of both its documents is read but not scanned or forged, and its stored texts
+stand. The other hosts are scanned and forged, and the texts of their stored
+documents read and compared. An accepted update appends the new texts and
+commits them with the new keys in one new index; a rescan whose keys changed
+but whose texts did not commits only the keys. An entry written without a key
+(before keys were stored) never matches, so its host is rescanned. Reports
+read only the index.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import replace
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, TypeVar, Union
 
 from ..bom import Bom, BomLink, delta_to_dict, diff_boms, parse_bom, serialize_bom
 from ..collect import EvidenceBundle, EvidenceCategory, HostSnapshot, scan_host
@@ -22,6 +34,7 @@ from ..forge import (
     build_cbom,
     build_graph,
     build_sbom,
+    document_serial,
     enrich_with_vulnerabilities,
     link_to_profile,
     profile_manifest,
@@ -45,6 +58,12 @@ __all__ = [
 # One document log per run id (see the module docstring).
 RUN_DOCUMENTS = "run_documents"
 
+# Part of every input key. Raise it with any change to scanning, forging or
+# serializing that changes the documents of an unchanged snapshot, so that no
+# stored key matches across the change; tests/test_forge_golden.py pins it to
+# the golden bytes.
+FORGE_REVISION = 1
+
 
 class UnknownRun(LookupError):
     """A run, or a document of one, that the store does not hold."""
@@ -54,20 +73,47 @@ class UnknownRun(LookupError):
 # `twinaudit bench deploy` all go through these functions.
 
 
+T = TypeVar("T")
+
+
+def _each_host(
+    hosts: list[HostRecord], work: Callable[[HostRecord], T]
+) -> tuple[dict[str, T], dict[str, str]]:
+    """work over each host in turn; one bad snapshot fails only itself."""
+    done: dict[str, T] = {}
+    errors: dict[str, str] = {}
+    for record in hosts:
+        try:
+            done[record.host_id] = work(record)
+        except Exception as exc:
+            errors[record.host_id] = str(exc)
+    return done, errors
+
+
+def _open_snapshot(record: HostRecord) -> HostSnapshot:
+    if not record.snapshot_ref:
+        raise ValueError("host has no snapshot reference")
+    return HostSnapshot.open(record.snapshot_ref)
+
+
 def collect_evidence(
     hosts: list[HostRecord],
 ) -> tuple[dict[str, EvidenceBundle], dict[str, str]]:
     """Scan each host in turn; one bad snapshot fails only itself."""
-    bundles: dict[str, EvidenceBundle] = {}
-    errors: dict[str, str] = {}
-    for record in hosts:
-        try:
-            if not record.snapshot_ref:
-                raise ValueError("host has no snapshot reference")
-            bundles[record.host_id] = scan_host(HostSnapshot.open(record.snapshot_ref))
-        except Exception as exc:
-            errors[record.host_id] = str(exc)
-    return bundles, errors
+    return _each_host(hosts, lambda record: scan_host(_open_snapshot(record)))
+
+
+def input_key(snapshot: HostSnapshot, categories: tuple[str, ...], feed: str) -> str:
+    """The input key of the host documents forged from this snapshot over
+    these categories and the advisory feed whose content digest is `feed`
+    (see the module docstring)."""
+    head = json.dumps([FORGE_REVISION, list(categories), feed]).encode()
+    return hashlib.sha256(head + snapshot.digest()).hexdigest()
+
+
+def _host_serials(hostname: str) -> tuple[str, str]:
+    """The serials of the documents forge_host gives for this host."""
+    return document_serial("sbom", hostname), document_serial("cbom", hostname)
 
 
 def forge_host(
@@ -110,6 +156,29 @@ def _meta(bom: Bom) -> str:
     return f"{bom.serial_number} {bom.version} {summary}"
 
 
+def _index_meta(bom: Bom, keys: dict[str, str]) -> str:
+    """A host document's meta in its run's index: _meta and the input key
+    of its host, from `keys` by the hostname its snapshot gives (which
+    names the document's subject)."""
+    return f"{_meta(bom)} {keys[bom.metadata.subject_name]}"
+
+
+def _summary_and_key(meta: bytes) -> tuple[bytes, str]:
+    """An index meta's summary, and its input key: "" for the manifest's
+    and for an entry written before input keys were stored."""
+    rest = meta.split(b" ", 2)[2]
+    if rest.endswith(b"}"):
+        return rest, ""
+    summary, key = rest.rsplit(b" ", 1)
+    return summary, key.decode()
+
+
+def _unchanged(log: DocumentLog, positions: list[Optional[int]], key: str) -> bool:
+    """Whether the documents at these index positions are all stored with
+    this input key, so their stored texts are what a forge would give."""
+    return all(i is not None and _summary_and_key(log.meta(i))[1] == key for i in positions)
+
+
 def _stored_version(log: DocumentLog, i: int, serial: str) -> int:
     """The version the run's index gives its i-th document, which must be
     the document `serial`."""
@@ -123,9 +192,10 @@ class AuditService:
     """Stateless over a document store: every run survives a restart.
 
     A run's documents are one document log keyed by its run id, so runs of
-    one profile keep their own documents. A rescan reads only the log's
-    index and the texts of the hosts it rescans, and commits an accepted
-    update with one atomic index replace. The index carries each document's
+    one profile keep their own documents. A rescan reads each rescanned
+    host's snapshot, the log's index and the texts of the hosts whose input
+    key changed, and commits an accepted update with one atomic index
+    replace. The index carries each document's
     summary, written with its text, so reports parse no document and read
     only the index.
     """
@@ -183,7 +253,7 @@ class AuditService:
         log = self.store.get_log(RUN_DOCUMENTS, run.run_id)
         if log is None:
             return []
-        return [json.loads(log.meta(i).split(b" ", 2)[2]) for i in range(len(log.entries))]
+        return [json.loads(_summary_and_key(log.meta(i))[0]) for i in range(len(log.entries))]
 
     # -- run lifecycle ------------------------------------------------------
 
@@ -205,16 +275,28 @@ class AuditService:
         self._advance(run, RunState.COLLECTING)
         step = "collect"
         try:
-            bundles, run.host_errors = collect_evidence([topology.host(h) for h in host_ids])
+            feed = self.vulnerabilities.digest()
+            keys: dict[str, str] = {}  # the subject of a host's documents -> input key
+
+            def scan(record: HostRecord) -> EvidenceBundle:
+                snapshot = _open_snapshot(record)
+                key = input_key(snapshot, profile.categories, feed)
+                bundle = scan_host(snapshot)
+                keys[bundle.host] = key
+                return bundle
+
+            bundles, run.host_errors = _each_host([topology.host(h) for h in host_ids], scan)
             if not bundles:
                 return self._advance(run, RunState.FAILED, "no_evidence")
 
             step = "forge"
             linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
             step = "persist"
-            self.store.put_log(
-                RUN_DOCUMENTS, run.run_id, [(_meta(b), t) for b, t in zip(linked, texts)]
-            )
+            # link_to_profile puts the profile manifest, which has no key, first.
+            self.store.put_log(RUN_DOCUMENTS, run.run_id, [
+                (_meta(linked[0]), texts[0]),
+                *((_index_meta(b, keys), t) for b, t in zip(linked[1:], texts[1:])),
+            ])
             run.bom_serials = tuple(b.serial_number for b in linked)
             self._advance(run, RunState.BOMS_BUILT)
 
@@ -241,19 +323,23 @@ class AuditService:
     def update_audit(self, run_id: str, hosts: Optional[Iterable[str]] = None) -> AuditRun:
         """Rescan, diff against the persisted documents, and push deltas.
 
-        By default every host with documents in the run is rescanned. The
-        run's index and the rescanned hosts' stored texts are read; nothing
-        else is. Only documents whose text changed get a new version, a
-        parse of their stored text and a delta. So does the manifest that
-        indexes them, except that its stored form is rebuilt from the
-        index's versions instead of parsed. The others are carried over as
-        stored. New texts are stored only after the manager accepts the
-        update, and committed by one index replace, so a failed push or a
-        failed write leaves the previous inventory intact.
+        By default every host with documents in the run is rescanned. Each
+        rescanned host's snapshot is read and its input key computed; a host
+        whose key equals the stored key of both its documents is not scanned
+        or forged, and its documents are carried over as stored. The other
+        hosts are scanned and forged, and only their stored texts are read.
+        Only documents whose text changed get a new version, a parse of
+        their stored text and a delta. So does the manifest that indexes
+        them, except that its stored form is rebuilt from the index's
+        versions instead of parsed. New texts and keys are stored only after
+        the manager accepts the update, and committed by one index replace,
+        so a failed push or a failed write leaves the previous inventory
+        intact.
 
         The run record is saved UPDATING only right before the push, the
         first step that changes the twin. A rescan that finds nothing to
-        push saves the run once, still SDT_READY with a new updated_at.
+        push commits the keys that changed, if any, and saves the run once,
+        still SDT_READY with a new updated_at.
         A host that has no documents in the run or is not in the inventory,
         and a run that may not move to UPDATING, raise before anything
         changes. Whatever raises after that and before the last save ends
@@ -286,26 +372,48 @@ class AuditService:
             position = {serial: i for i, serial in enumerate(run.bom_serials)}
 
             step = "collect"
-            bundles, errors = collect_evidence(records)
+            feed = self.vulnerabilities.digest()
+            keys: dict[str, str] = {}  # as in run_audit, of the hosts scanned
+
+            def scan(record: HostRecord) -> Optional[EvidenceBundle]:
+                snapshot = _open_snapshot(record)
+                key = input_key(snapshot, profile.categories, feed)
+                serials = _host_serials(snapshot.hostname)
+                if _unchanged(log, [position.get(s) for s in serials], key):
+                    return None
+                bundle = scan_host(snapshot)
+                keys[bundle.host] = key
+                return bundle
+
+            bundles, errors = _each_host(records, scan)
             if errors:
                 run.host_errors = {**run.host_errors, **errors}
                 return self._advance(run, RunState.FAILED, "no_evidence")
 
-            # Rebuild each rescanned document at its stored version: an
-            # unchanged one serializes to its stored text and is not parsed.
+            # Rebuild each scanned host's documents at their stored version:
+            # an unchanged one serializes to its stored text and is not parsed.
             step = "forge"
             docs = [
                 doc
-                for host_id in rescan_ids
-                for doc in forge_host(bundles[host_id], profile.categories, self.vulnerabilities)
+                for bundle in bundles.values()
+                if bundle is not None
+                for doc in forge_host(bundle, profile.categories, self.vulnerabilities)
             ]
-            stored = self.store.read_texts(log, [position[d.serial_number] for d in docs])
+            at = [position[d.serial_number] for d in docs]
+            stored = self.store.read_texts(log, at) if at else []
             revised: list[tuple[Bom, str]] = []
+            rekeyed: dict[int, tuple[str, Optional[str]]] = {}  # new key, same text
             for doc, text in zip(docs, stored):
-                version = _stored_version(log, position[doc.serial_number], doc.serial_number)
-                if serialize_bom(replace(doc, version=version)) != text:
-                    revised.append((replace(doc, version=version + 1), text))
+                i = position[doc.serial_number]
+                current = replace(doc, version=_stored_version(log, i, doc.serial_number))
+                if serialize_bom(current) != text:
+                    revised.append((replace(current, version=current.version + 1), text))
+                elif _summary_and_key(log.meta(i))[1] != keys[doc.metadata.subject_name]:
+                    rekeyed[i] = (_index_meta(current, keys), None)
             if not revised:
+                if rekeyed:
+                    step = "persist"
+                    self.store.commit_log(log, rekeyed)
                 step = "save"
                 run.touch(self.clock())
                 self._save_run(run)
@@ -346,8 +454,12 @@ class AuditService:
 
             step = "persist"
             self.store.commit_log(log, {
-                position[bom.serial_number]: (_meta(bom), serialize_bom(bom))
-                for bom in (new_manifest, *(b for b, _ in revised))
+                **rekeyed,
+                position[manifest_serial]: (_meta(new_manifest), serialize_bom(new_manifest)),
+                **{
+                    position[b.serial_number]: (_index_meta(b, keys), serialize_bom(b))
+                    for b, _ in revised
+                },
             })
             run.representation_version = int(result["representationVersion"])
             step = "save"

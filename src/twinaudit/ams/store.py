@@ -17,13 +17,18 @@ change a few at a time. A log is a directory holding two files:
   entry's text lies in the log, and the caller's own index data.
 
 A commit appends the new texts and fsyncs the log, then replaces the index:
-that rename is its one commit point. The other entries' index lines are
-carried over as bytes, never parsed. Bytes that no entry points at are dead:
+that rename is its one commit point. A change may also give an entry a new
+meta alone: its text is not written again, and its index line keeps its
+place. The other entries' index lines are carried over as bytes, never
+parsed. Bytes that no entry points at are dead:
 the texts that entries no longer name, and the tail of a commit that died
 before its rename. When a commit would leave more dead bytes than live ones,
 it writes the live texts to a new generation instead, with the same temp
 file, fsync and rename, and removes the old log once the index names the new
-one. The audit service keeps each run's document texts this way.
+one. The audit service keeps each run's document texts this way, with each
+host document's input key in its meta, so a rescan that finds a host's
+inputs unchanged reads nothing of that host from the log, and one that finds
+new inputs but the same texts commits the new metas alone.
 """
 
 from __future__ import annotations
@@ -192,21 +197,30 @@ class FileDocumentStore:
             base = self.get_log(collection, key) or empty
             return self._rewrite(base, list(new.values()))
 
-    def commit_log(self, log: DocumentLog, changes: Mapping[int, tuple[str, str]]) -> DocumentLog:
+    def commit_log(
+        self, log: DocumentLog, changes: Mapping[int, tuple[str, Optional[str]]]
+    ) -> DocumentLog:
         """Give the entries at these positions a new (meta, text), in one
-        atomic commit, and return the log's new state. Refuses what put_log
-        refuses, before anything is written."""
+        atomic commit, and return the log's new state. A change whose text
+        is None gives its entry the new meta and keeps its text, which is not
+        written again. Refuses what put_log refuses, before anything is
+        written."""
         new = _encoded(changes)
         with self._write_lock:
-            appended = sum(len(line) for _, line in new.values())
-            live = log.live - sum(_place(log.entries[i])[1] + 1 for i in new) + appended
-            if log.path.stat().st_size + appended > 2 * live:
-                return self._rewrite(log, [new.get(i, e) for i, e in enumerate(log.entries)])
-            at = self._append(log.path, [line for _, line in new.values()])
             entries = list(log.entries)
             for i, (meta, line) in new.items():
-                entries[i] = b"%d %d %s" % (at, len(line) - 1, meta)
-                at += len(line)
+                if line is None:
+                    entries[i] = b"%d %d %s" % (*_place(entries[i]), meta)
+            texts = {i: change for i, change in new.items() if change[1] is not None}
+            appended = sum(len(line) for _, line in texts.values())
+            live = log.live - sum(_place(log.entries[i])[1] + 1 for i in texts) + appended
+            if log.path.stat().st_size + appended > 2 * live:
+                return self._rewrite(log, [texts.get(i, e) for i, e in enumerate(entries)])
+            if texts:
+                at = self._append(log.path, [line for _, line in texts.values()])
+                for i, (meta, line) in texts.items():
+                    entries[i] = b"%d %d %s" % (at, len(line) - 1, meta)
+                    at += len(line)
             return self._commit_index(log.directory, log.generation, live, entries)
 
     def _rewrite(self, log: DocumentLog, items: list[Union[bytes, tuple[bytes, bytes]]]) -> DocumentLog:
@@ -260,12 +274,16 @@ class FileDocumentStore:
         return DocumentLog(directory, generation, live, tuple(entries))
 
 
-def _encoded(entries: Mapping[int, tuple[str, str]]) -> dict[int, tuple[bytes, bytes]]:
-    """Each (meta, text) as UTF-8 meta and text line; raises ValueError for
-    a newline in either, and UnicodeEncodeError for text UTF-8 cannot hold."""
+def _encoded(
+    entries: Mapping[int, tuple[str, Optional[str]]],
+) -> dict[int, tuple[bytes, Optional[bytes]]]:
+    """Each (meta, text) as UTF-8 meta and text line, or None for no text;
+    raises ValueError for a newline in either, and UnicodeEncodeError for
+    text UTF-8 cannot hold."""
     encoded = {}
     for i, (meta, text) in entries.items():
-        if "\n" in meta or "\n" in text:
+        if "\n" in meta or (text is not None and "\n" in text):
             raise ValueError(f"entry {i} holds a newline")
-        encoded[i] = (meta.encode("utf-8"), f"{text}\n".encode("utf-8"))
+        line = None if text is None else f"{text}\n".encode("utf-8")
+        encoded[i] = (meta.encode("utf-8"), line)
     return encoded

@@ -1,4 +1,8 @@
-"""X.509 certificate evidence from PEM files in the snapshot."""
+"""X.509 certificate evidence from PEM files in the snapshot.
+
+Every certificate of a file counts, so a chain or bundle file gives one
+CERTIFICATE record per certificate it holds.
+"""
 
 from __future__ import annotations
 
@@ -45,17 +49,30 @@ def _validity(cert: x509.Certificate) -> tuple[str, str]:
 def parse_certificate(
     snapshot: HostSnapshot, path: str
 ) -> tuple[list[EvidenceRecord], list[AlgorithmToken]]:
-    """CERTIFICATE records plus the algorithm tokens the certificate implies."""
+    """A CERTIFICATE record for each certificate of the PEM file, in file
+    order, plus the algorithm tokens they imply."""
     try:
-        cert = x509.load_pem_x509_certificate(snapshot.read_bytes(path))
+        certs = x509.load_pem_x509_certificates(snapshot.read_bytes(path))
     except ValueError:
         return [], []
+    records: list[EvidenceRecord] = []
+    tokens: list[AlgorithmToken] = []
+    for cert in certs:
+        record, implied = _certificate_record(snapshot, path, cert)
+        records.append(record)
+        tokens.extend(implied)
+    return records, tokens
 
+
+def _certificate_record(
+    snapshot: HostSnapshot, path: str, cert: x509.Certificate
+) -> tuple[EvidenceRecord, list[AlgorithmToken]]:
     key_algorithm, key_size, curve = _key_facts(cert)
     not_before, not_after = _validity(cert)
     try:
         signature_hash = cert.signature_hash_algorithm
-    except Exception:
+    except UnsupportedAlgorithm:
+        # A signature algorithm cryptography does not know.
         signature_hash = None
 
     tokens: list[AlgorithmToken] = []
@@ -96,7 +113,7 @@ def parse_certificate(
         source_path=path,
         attributes=attributes,
     )
-    return [record], tokens
+    return record, tokens
 
 
 def scan_certificates(

@@ -110,14 +110,21 @@ def scan_maven(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
 
 
 def scan_pip(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
+    """Pinned requirement lines (PEP 508): `name[extras]==version ; marker`,
+    the name without its extras, and `===` read as arbitrary equality. URL
+    requirements (`name @ url`) pin no version and are skipped."""
     deps = []
     for line in snapshot.read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if line.startswith("-") or "==" not in line:
             continue
         name, _, version = line.partition("==")
-        name = name.strip().lower().replace("_", "-")
+        if "@" in name:
+            continue
+        name = name.split("[", 1)[0].strip().lower().replace("_", "-")
         version = version.split(";", 1)[0].strip()
+        if version.startswith("="):
+            version = version[1:].strip()
         if name and version:
             deps.append((name, version, name))
     return _components(snapshot.hostname, "pypi", path, None, deps)

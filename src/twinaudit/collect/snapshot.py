@@ -10,11 +10,16 @@ A directory is read by one os.scandir walk that follows no link: each entry
 is classified from its own type (is_dir/is_file with follow_symlinks=False),
 so a symlinked file or directory is neither read nor descended into, and a
 file's key is its parent's key plus its name.
+
+A snapshot's digest is one sha256 over what it holds: each file key and its
+bytes, length-framed, in key order. Neither its path nor any mtime enters it,
+so two reads of the same files give one digest.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import hashlib
 import json
 import os
 import tarfile
@@ -96,6 +101,18 @@ class HostSnapshot:
     @property
     def root(self) -> str:
         return self._root
+
+    def digest(self) -> bytes:
+        """The sha256 of every file key and its bytes, length-framed, in
+        key order."""
+        content = hashlib.sha256()
+        for key in sorted(self._files):
+            name = key.encode("utf-8", "surrogatepass")
+            data = self._files[key]
+            content.update(b"%d:%d:" % (len(name), len(data)))
+            content.update(name)
+            content.update(data)
+        return content.digest()
 
     def exists(self, path: str) -> bool:
         return _clean(path) in self._files

@@ -8,11 +8,13 @@ inventory spellings do not have to agree.
 
 The store indexes advisories by CVE id and by normalized package name, so a
 lookup tests only the advisories that name the package: its cost follows
-the inventory, not the size of the feed.
+the inventory, not the size of the feed. It also keeps a content digest:
+a running sha256 over every line it has indexed, length-framed, in order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from bisect import bisect_left, insort
@@ -179,6 +181,7 @@ class VulnerabilityStore:
         self._by_package: dict[str, list[tuple[str, tuple[VersionRange, ...]]]] = {}
         # The absolute path of each feed file loaded, in load order.
         self.feeds: list[str] = []
+        self._content = hashlib.sha256()
 
     def __len__(self) -> int:
         return len(self._advisories)
@@ -206,8 +209,16 @@ class VulnerabilityStore:
             if not isinstance(data, dict):
                 raise FeedError(i, "record must be a JSON object")
             self._put(_parse_record(i, data))
+            encoded = line.encode("utf-8", "surrogatepass")
+            self._content.update(b"%d:" % len(encoded))
+            self._content.update(encoded)
             count += 1
         return count
+
+    def digest(self) -> str:
+        """The hex sha256 over the lines indexed so far, in order: equal for
+        two stores fed the same lines, by load_feed or ingest_lines."""
+        return self._content.hexdigest()
 
     def _put(self, advisory: Advisory) -> None:
         cve_id = advisory.cve_id

@@ -1,5 +1,7 @@
 """Reference manifest scanners: the collector's former maven, pip, npm and
-composer scanners, kept as they were.
+composer scanners, kept as they were but for pip's reading of PEP 508 (the
+lines marked so): extras leave the name, `===` is arbitrary equality, and a
+URL requirement is skipped.
 
 `twinaudit.collect.manifests` reads each JSON file and field through one
 type guard and builds every record in one place. Tests scan the same
@@ -115,8 +117,12 @@ def scan_pip(snapshot: HostSnapshot, path: str) -> list[EvidenceRecord]:
         if "==" not in line:
             continue
         name, _, version = line.partition("==")
-        name = name.strip().lower().replace("_", "-")
+        if "@" in name:  # PEP 508: a URL requirement
+            continue
+        name = name.split("[", 1)[0].strip().lower().replace("_", "-")  # PEP 508: no extras
         version = version.split(";", 1)[0].strip()
+        if version.startswith("="):  # PEP 508: `===`, arbitrary equality
+            version = version[1:].strip()
         if not name or not version:
             continue
         out.append(

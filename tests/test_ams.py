@@ -42,7 +42,7 @@ import twinaudit.ams.store as store_module
 import twinaudit.ams.topology as topology_module
 from twinaudit.config import load_config
 from twinaudit.bom import BomKind, parse_bom, serialize_bom
-from twinaudit.collect import HostSnapshot, scan_host
+from twinaudit.collect import EvidenceCategory, HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
 from twinaudit.forge import link_to_profile, summarize_bom
 from twinaudit.instance import thing_texts_from_boms
@@ -104,11 +104,15 @@ def log_contents(store, key):
 
 
 def stored_entries(service, run):
-    """The run's index entries, each with its document's text."""
+    """The run's index entries, each with its document's text. A host
+    document's meta ends in its input key; the manifest's has none."""
     entries = []
     for meta, text in log_contents(service.store, run.run_id):
         serial, version, summary = meta.split(" ", 2)
-        entries.append({"serial": serial, "version": int(version), "summary": summary, "text": text})
+        summary, key = (summary, "") if summary.endswith("}") else summary.rsplit(" ", 1)
+        entries.append({
+            "serial": serial, "version": int(version), "summary": summary, "key": key, "text": text
+        })
     return entries
 
 
@@ -402,13 +406,18 @@ class TestRunFile:
     @settings(max_examples=60, deadline=None)
     @given(
         documents=st.lists(
-            st.tuples(LINE_TEXT, st.dictionaries(AWKWARD, AWKWARD | st.integers())), max_size=6
+            st.tuples(
+                LINE_TEXT,
+                st.dictionaries(AWKWARD, AWKWARD | st.integers()),
+                st.sampled_from(["", " " + "0f" * 32]),  # no input key, or one
+            ),
+            max_size=6,
         )
     )
     def test_round_trip_and_index_only_read(self, documents):
         entries = [
-            (f"urn:uuid:{i} {i + 1} {json.dumps(summary)}", text)
-            for i, (text, summary) in enumerate(documents)
+            (f"urn:uuid:{i} {i + 1} {json.dumps(summary)}{key}", text)
+            for i, (text, summary, key) in enumerate(documents)
         ]
         with tempfile.TemporaryDirectory() as tmp:
             store = FileDocumentStore(tmp)
@@ -418,7 +427,7 @@ class TestRunFile:
             # Reports read the index alone: they need no log file.
             store.get_log("run_documents", "r").path.unlink()
             run = AuditRun(run_id="r", profile_id="p")
-            assert svc.run_boms(run) == [summary for _, summary in documents]
+            assert svc.run_boms(run) == [summary for _, summary, _ in documents]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -467,7 +476,8 @@ class TestRunFile:
         first=st.lists(LINE_TEXT, min_size=1, max_size=5),
         commits=st.lists(
             st.tuples(
-                st.dictionaries(st.integers(0, 4), LINE_TEXT, max_size=5),  # replaced texts
+                # Replaced texts; None gives the entry a new meta alone.
+                st.dictionaries(st.integers(0, 4), st.none() | LINE_TEXT, max_size=5),
                 st.integers(0, 12),  # the write step that dies
                 st.floats(0, 1),  # the share of its bytes a dying write puts down
             ),
@@ -488,7 +498,8 @@ class TestRunFile:
                 replaced, wanted = {}, list(committed)
                 for i, text in changes.items():
                     if i < len(wanted):
-                        replaced[i] = wanted[i] = (f"m{i}.{n}", text)
+                        replaced[i] = (f"m{i}.{n}", text)
+                        wanted[i] = (f"m{i}.{n}", wanted[i][1] if text is None else text)
                 crashing = CrashingOs(at, cut)
                 with mock.patch.object(store_module, "os", crashing):
                     try:
@@ -1207,6 +1218,7 @@ class TestUpdateAudit:
             raise RuntimeError("injected forge failure")
 
         monkeypatch.setattr(service_module, "build_sbom", broken_forge)
+        change_web_01(service._snapshots, "4.17.20")  # an unchanged host is not forged
         assert failed_update(run, "injected forge").startswith("forge_failed:")
 
     def test_a_no_op_rescan_saves_the_run_once(self, service, monkeypatch):
@@ -1245,11 +1257,10 @@ class TestUpdateAudit:
         )
 
         service.update_audit(run.run_id)
-        # Rebuilt documents compare equal to their stored text: no parse.
+        # The host's input key is unchanged: nothing is parsed, read or written.
         assert parsed == []
         assert [c for c in puts if c != "runs"] == []
-        # Only the rescanned host's texts are read, not the manifest's.
-        assert read == [[1, 2]]
+        assert read == []
 
         before = stored_entries(service, run)
         read.clear()
@@ -1259,12 +1270,17 @@ class TestUpdateAudit:
         assert read == [[1, 2]]
         after = stored_entries(service, run)
         # Only the changed SBOM and the manifest are re-versioned; the CBOM's
-        # entry is carried over verbatim. Only the SBOM is parsed: the old
-        # manifest is rebuilt from the index's versions.
-        revised = [old for old, new in zip(before, after) if new != old]
+        # entry is carried over verbatim but for the host's new input key.
+        # Only the SBOM is parsed: the old manifest is rebuilt from the
+        # index's versions.
+        revised = [
+            old for old, new in zip(before, after) if {**new, "key": ""} != {**old, "key": ""}
+        ]
         assert [d["version"] for d in revised] == [1, 1]
         assert before[0] in revised
         assert parsed == [revised[1]["text"]]
+        assert [d["key"] for d in before][0] == [d["key"] for d in after][0] == ""
+        assert after[1]["key"] == after[2]["key"] not in ("", before[1]["key"])
 
     def test_a_rescan_builds_only_the_records_it_reads(self, service, monkeypatch):
         """One host rescanned in an estate of 120 builds that host's record
@@ -1450,3 +1466,179 @@ class TestStoreTwinAgreement:
             finally:
                 client.destroy(run.sdt_id)
 
+
+
+def _feed_variant(fixed: str, score: float) -> list[str]:
+    """FEED_LINES with the lodash advisory's fixed bound and score changed."""
+    advisory = json.loads(FEED_LINES[0])
+    advisory["affects"][0]["fixed"] = fixed
+    advisory["cvss"]["score"] = score
+    return [json.dumps(advisory), *FEED_LINES[1:]]
+
+
+CATEGORIES = [c.value for c in EvidenceCategory]
+
+snapshot_edits = st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 1), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("add"), st.integers(0, 1), st.sampled_from([
+        ("srv/extra/requirements.txt", "mako==1.2.0\n"),
+        ("etc/notes.txt", "aes-128 was here\n"),
+        ("etc/ssl/certs/extra.pem", data_path("user-01.pem").read_text()),
+    ])),
+    st.tuples(st.just("remove"), st.integers(0, 1), st.integers(0, 10**6)),
+    st.tuples(st.just("rename"), st.integers(0, 1), st.integers(0, 10**6)),
+    st.tuples(st.just("feed"), st.sampled_from(["4.17.21", "4.17.20", "5.0.0"]),
+              st.sampled_from([7.2, 9.8])),
+    st.tuples(st.just("categories"),
+              st.lists(st.sampled_from(CATEGORIES), max_size=3, unique=True).map(tuple)),
+    st.just(("none",)),
+)
+
+
+class TestInputKeys:
+    """A rescan that skips hosts whose input key is unchanged leaves the
+    run, the index and the twin exactly as a rescan that scans and forges
+    every host does, and an unchanged host is not scanned."""
+
+    @staticmethod
+    def snapshot_files(root: Path) -> list[Path]:
+        """The host's files that an edit may touch: all but facts.json."""
+        return sorted(p for p in root.rglob("*") if p.is_file() and p.name != "facts.json")
+
+    def apply(self, edit, snapshots: Path, hosts, services) -> None:
+        kind, *args = edit
+        if kind in ("byte", "add", "remove", "rename"):
+            root = snapshots / hosts[args[0]]
+            files = self.snapshot_files(root)
+        if kind == "byte":
+            # One byte, with the file's size and times as they were.
+            path = files[args[1] % len(files)]
+            data = bytearray(path.read_bytes())
+            at = args[1] % len(data)
+            data[at] = (data[at] + args[2]) % 256
+            before = path.stat()
+            path.write_bytes(bytes(data))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        elif kind == "add":
+            rel, text = args[1]
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        elif kind == "remove":
+            files[args[1] % len(files)].unlink()
+        elif kind == "rename":
+            path = files[args[1] % len(files)]
+            path.rename(path.with_name("renamed-" + path.name))
+        elif kind == "feed":
+            for svc in services:
+                svc.vulnerabilities = VulnerabilityStore()
+                svc.vulnerabilities.ingest_lines(_feed_variant(*args))
+        elif kind == "categories":
+            for svc in services:
+                create_profile(svc.store, AuditProfile(
+                    profile_id="p", name="p", host_selector=("web-server",), categories=args[0]))
+
+    @staticmethod
+    def run_fields(run):
+        doc = run.to_dict()
+        for volatile in ("run_id", "sdt_id", "created_at", "updated_at"):
+            del doc[volatile]
+        return doc
+
+    @staticmethod
+    def twin(client, run):
+        endpoint = client.get(run.sdt_id)["endpoint"]
+        status, listing = http_json("GET", f"{endpoint}/things", token="operator-token")
+        assert status == 200
+        states = {}
+        for thing in listing["things"]:
+            status, states[thing] = http_json(
+                "GET", f"{endpoint}/things/{thing}", token="operator-token"
+            )
+            assert status == 200
+        return client.get(run.sdt_id)["representationVersion"], states
+
+    @settings(max_examples=20, deadline=None)
+    @given(edits=st.lists(snapshot_edits, min_size=1, max_size=4))
+    def test_a_skipping_rescan_equals_a_full_one(self, edits):
+        hosts = ["h-0", "h-1"]
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshots = Path(tmp) / "snapshots"
+            for host in hosts:
+                write_snapshot(
+                    snapshots, host,
+                    packages={"lodash": "4.17.20", "requests": "2.28.0"},
+                    cert_pem=data_path("web-01.pem").read_bytes(),
+                    sysctl={"net.ipv4.ip_forward": "0"},
+                )
+            # Two services over one set of snapshots: `skipping` as it is,
+            # `full` with the skip patched out.
+            services, clients, runs = [], [], []
+            for name in ("skipping", "full"):
+                store = FileDocumentStore(Path(tmp) / name)
+                ingest_inventory(
+                    store, inventory_doc(snapshots, [(h, "web-server", "DMZ") for h in hosts])
+                )
+                create_profile(
+                    store, AuditProfile(profile_id="p", name="p", host_selector=("web-server",))
+                )
+                _, client = _ENV.make_manager_client()
+                svc = AuditService(store, client, vulnerabilities=vuln_store(),
+                                   sdt_options={"tokens": {"operator-token": ["READ"]}})
+                services.append(svc)
+                clients.append(client)
+                runs.append(svc.run_audit("p"))
+            skipping, full = services
+            try:
+                assert log_contents(skipping.store, runs[0].run_id) == log_contents(
+                    full.store, runs[1].run_id)
+                for edit in edits:
+                    self.apply(edit, snapshots, hosts, services)
+                    runs[0] = skipping.update_audit(runs[0].run_id)
+                    with mock.patch.object(service_module, "_unchanged", lambda *a: False):
+                        runs[1] = full.update_audit(runs[1].run_id)
+                    assert runs[0].state is RunState.SDT_READY, runs[0].error
+                    assert self.run_fields(runs[0]) == self.run_fields(runs[1])
+                    index = log_contents(skipping.store, runs[0].run_id)
+                    assert index == log_contents(full.store, runs[1].run_id)
+                    assert self.twin(clients[0], runs[0]) == self.twin(clients[1], runs[1])
+
+                    # Nothing changed since: no host is scanned, nothing is written.
+                    def unexpected_scan(snapshot):
+                        raise AssertionError(f"{snapshot.root} scanned with unchanged inputs")
+
+                    with mock.patch.object(service_module, "scan_host", unexpected_scan):
+                        again = skipping.update_audit(runs[0].run_id)
+                    assert self.run_fields(again) == self.run_fields(runs[0])
+                    assert log_contents(skipping.store, runs[0].run_id) == index
+            finally:
+                for client, run in zip(clients, runs):
+                    client.destroy(run.sdt_id)
+
+    def test_an_index_without_keys_reports_the_same_and_is_rescanned(self, service):
+        """An index written before input keys were stored still reports, and
+        its first rescan scans every host and commits only the keys."""
+        run = service.run_audit("profile-web")
+        now = "2026-01-01T00:00:00Z"
+        boms = service.run_boms(run)
+        report = render_report(boms, roles={"web-01": "web-server"}, now=now)
+        keyed = log_contents(service.store, run.run_id)
+        parent_format = [
+            (meta if meta.endswith("}") else meta.rsplit(" ", 1)[0], text) for meta, text in keyed
+        ]
+        assert [meta for meta, _ in parent_format] != [meta for meta, _ in keyed]
+        service.store.put_log("run_documents", run.run_id, parent_format)
+
+        # `audit report` renders run_boms, or prints its report_counts.
+        assert service.run_boms(run) == boms
+        assert render_report(service.run_boms(run), roles={"web-01": "web-server"}, now=now) == report
+        assert report_counts(service.run_boms(run)) == report_counts(boms)
+        scanned = []
+        with mock.patch.object(
+            service_module, "scan_host", lambda s: scanned.append(s.hostname) or scan_host(s)
+        ):
+            rescanned = service.update_audit(run.run_id)
+            assert scanned == ["web-01"]
+            assert rescanned.representation_version == run.representation_version
+            assert log_contents(service.store, run.run_id) == keyed
+            service.update_audit(run.run_id)
+            assert scanned == ["web-01"]

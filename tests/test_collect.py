@@ -355,6 +355,28 @@ class TestScanHost:
         assert cert.attribute("key_size") == "2048"
         assert "2024" in cert.attribute("not_before")
 
+    def test_every_certificate_of_a_bundle(self, tmp_path):
+        """A PEM file holding two certificates gives a record for each, and
+        the key and hash sightings of both, as two files of one each do."""
+        def scanned(files):
+            tree = write_tree(tmp_path / str(len(files)), {"facts.json": json.dumps(FACTS), **files})
+            bundle = scan_host(HostSnapshot.open(tree))
+            return (
+                [(r.name, r.source_path) for r in of_category(bundle, EvidenceCategory.CERTIFICATE)],
+                {r.name: r.attribute("sources").split("\0")
+                 for r in of_category(bundle, EvidenceCategory.ALGORITHM)},
+            )
+
+        chain = "etc/ssl/certs/chain.pem"
+        certs, sightings = scanned({chain: cert_pem("mail-01.pem") + cert_pem("user-01.pem")})
+        assert certs == [("mail-01.example.test", chain), ("user-01.example.test", chain)]
+        apart, apart_sightings = scanned({
+            "etc/ssl/certs/a.pem": cert_pem("mail-01.pem"),
+            "etc/ssl/certs/b.pem": cert_pem("user-01.pem"),
+        })
+        assert [name for name, _ in apart] == [name for name, _ in certs]
+        assert {name: [chain] for name in apart_sightings} == sightings
+
     def test_algorithms_deduplicated(self, bundle):
         algos = {r.name for r in of_category(bundle, EvidenceCategory.ALGORITHM)}
         assert algos == {

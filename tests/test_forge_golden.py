@@ -9,6 +9,11 @@ every byte of it. Regenerate the fixture only when the documents are meant
 to change:
 
     PYTHONPATH=src python -m tests.test_forge_golden --write
+
+and then raise `FORGE_REVISION` (`twinaudit/ams/service.py`) and add the
+new fixture's sha256 under it in `GOLDEN_AT_REVISION`: stored input keys
+include the revision, so no rescan carries a document forged by the former
+code over a snapshot that has not changed.
 """
 
 from __future__ import annotations
@@ -22,13 +27,17 @@ from pathlib import Path
 import pytest
 
 from twinaudit.ams.profiles import load_profile_file, selected_hosts
-from twinaudit.ams.service import _meta, collect_evidence, forge_documents
+from twinaudit.ams.service import FORGE_REVISION, _meta, collect_evidence, forge_documents
 from twinaudit.ams.topology import load_inventory
 from twinaudit.fixtures.generator import FIXTURE_SPECS, generate
 from twinaudit.vulnstore import VulnerabilityStore
 
 FIXTURE = Path(__file__).parent / "data" / "forge_golden.json"
 SEEDS = (3, 19, 907)
+# The sha256 of the fixture's bytes at each FORGE_REVISION.
+GOLDEN_AT_REVISION = {
+    1: "06706c838b758ca09c25202bd46c929328b5feed2dc1ffd50339fd9065119dea",
+}
 
 
 def _sha(text: str) -> str:
@@ -61,6 +70,12 @@ def _expected() -> dict:
 @pytest.mark.parametrize("spec", FIXTURE_SPECS)
 def test_forge_output_is_byte_identical(spec, seed, tmp_path):
     assert forged(spec, seed, tmp_path) == _expected()[spec][str(seed)]
+
+
+def test_forge_revision_follows_the_golden_bytes():
+    """Golden bytes that change with FORGE_REVISION as it was fail here."""
+    digest = hashlib.sha256(FIXTURE.read_bytes()).hexdigest()
+    assert GOLDEN_AT_REVISION.get(FORGE_REVISION) == digest
 
 
 def _write() -> None:

@@ -227,6 +227,7 @@ class Scripted:
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
         self.answer = b""
+        self.closing = False
         self.thread = threading.Thread(target=self.serve, daemon=True)
         self.thread.start()
 
@@ -235,6 +236,9 @@ class Scripted:
             try:
                 sock, _ = self.listener.accept()
             except OSError:
+                return
+            if self.closing:
+                sock.close()
                 return
             with sock, sock.makefile("rb") as rfile:
                 line = rfile.readline()
@@ -245,8 +249,13 @@ class Scripted:
                     sock.shutdown(socket.SHUT_WR)
 
     def close(self):
-        self.listener.close()
+        # Closing the listener does not wake a thread blocked in accept() on
+        # Linux; one connection does.
+        self.closing = True
+        socket.create_connection(("127.0.0.1", self.port), timeout=5).close()
         self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+        self.listener.close()
 
 
 def stdlib_reading(port):

@@ -11,7 +11,7 @@ import pytest
 from cryptography import x509
 from cryptography.exceptions import UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, ed25519
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
 from cryptography.x509.oid import NameOID
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +104,7 @@ def poms(draw) -> str:
 requirement_lines = st.sampled_from((
     "flask==2.0.1", "Jinja2 == 2.11.2  # pinned", "Flask_Login==0.6", "-e pkg==1.0",
     "requests>=2.0", "pywin32==306 ; sys_platform == 'win32'", "==1.0", "x==", "# note", "",
+    "requests[security]==2.19.0", "Django===3.2", "pkg @ https://example.test/pkg==1.0.zip",
 )) | st.text(max_size=10)
 
 
@@ -199,6 +200,13 @@ def unknown_key_type() -> bytes:
     return _pem(der[:at] + bytes.fromhex("06032b6563") + der[at + len(oid):])
 
 
+def unknown_signature_algorithm() -> bytes:
+    """An RSA certificate whose signature algorithm OID reads
+    1.2.840.113549.1.1.127, in the certificate and in its signed part."""
+    der = _certificate(rsa.generate_private_key(65537, 2048), hashes.SHA256())
+    return _pem(der.replace(bytes.fromhex("2a864886f70d01010b"), bytes.fromhex("2a864886f70d01017f")))
+
+
 def invalid_ec_point() -> bytes:
     """A P-256 certificate whose public point is all zeroes."""
     key = ec.generate_private_key(ec.SECP256R1())
@@ -230,6 +238,28 @@ class TestOddFilesKeepTheirHost:
     def test_an_odd_manifest_keeps_its_project(self, tmp_path, files, project):
         bundle = audit_host(tmp_path / "h", files)
         assert projects(bundle) == [project]
+
+    def test_a_certificate_whose_signature_hash_is_unknown(self, tmp_path):
+        pem = unknown_signature_algorithm()
+        with pytest.raises(UnsupportedAlgorithm):
+            x509.load_pem_x509_certificate(pem).signature_hash_algorithm
+        bundle = audit_host(tmp_path / "h", {"etc/ssl/certs/odd.pem": pem})
+        [cert] = [r for r in bundle.records if r.category == EvidenceCategory.CERTIFICATE]
+        assert (cert.name, cert.attribute("key_algorithm")) == ("odd-key.test", "rsa")
+        assert cert.attribute("signature_hash") is None
+
+    def test_pep_508_requirement_lines(self, tmp_path):
+        bundle = audit_host(tmp_path / "h", {"srv/api/requirements.txt": (
+            "requests[security]==2.19.0\nDjango===3.2\n"
+            "pkg @ https://example.test/pkg==1.0.zip\nflask [async] == 2.0.1 ; python_version > '3'\n"
+        )})
+        pins = [(r.name, r.version, r.attribute("purl")) for r in bundle.records
+                if r.category == EvidenceCategory.SOFTWARE_COMPONENT]
+        assert pins == [
+            ("django", "3.2", "pkg:pypi/django@3.2"),
+            ("flask", "2.0.1", "pkg:pypi/flask@2.0.1"),
+            ("requests", "2.19.0", "pkg:pypi/requests@2.19.0"),
+        ]
 
     @pytest.mark.parametrize("make,error", [
         (unknown_key_type, UnsupportedAlgorithm),
