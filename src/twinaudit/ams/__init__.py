@@ -12,6 +12,7 @@ from .profiles import (
 from .runs import TRANSITIONS, AuditRun, InvalidTransition, RunState
 from .service import (
     AuditService,
+    TwinNotFound,
     UnknownRun,
     collect_evidence,
     forge_documents,
@@ -46,6 +47,7 @@ __all__ = [
     "Segment",
     "SyncPolicy",
     "TopologyGraph",
+    "TwinNotFound",
     "UnknownRun",
     "collect_evidence",
     "create_profile",

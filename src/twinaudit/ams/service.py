@@ -9,15 +9,27 @@ text, followed for a host document by ` <input key>`.
 A host's input key is one sha256 over everything its documents' bytes
 depend on: every file its snapshot holds (keys and bytes, length-framed,
 whatever the snapshot's path or mtimes), the profile's categories, the
-content digest of the advisory feed and FORGE_REVISION. A rescan opens each
-host's snapshot and computes its key. A host whose key equals the stored key
-of both its documents is read but not scanned or forged, and its stored texts
-stand. The other hosts are scanned and forged, and the texts of their stored
-documents read and compared. An accepted update appends the new texts and
-commits them with the new keys in one new index; a rescan whose keys changed
-but whose texts did not commits only the keys. An entry written without a key
-(before keys were stored) never matches, so its host is rescanned. Reports
-read only the index.
+content digest of the advisory feed and FORGE_REVISION. Audits and rescans
+take each host through one step, _reuse_or_scan: open its snapshot, compute
+its key, and keep its stored documents when both carry that key; only the
+other hosts are scanned and forged.
+
+- A rescan keeps a host's documents in its own run's index at whatever
+  version they stand. The texts of the other hosts' documents are read and
+  compared. An accepted update appends the new texts and commits them with
+  the new keys in one new index; a rescan whose keys changed but whose
+  texts did not commits only the keys.
+- An audit keeps a host's documents from the last audit of its profile,
+  found through a pointer record (LATEST_RUNS, by profile id) that each
+  audit writes once its documents are stored. Only entries at version 1
+  are kept, since a fresh forge gives version 1: their metas and texts are
+  copied verbatim into the new run's log. When the source log cannot be
+  read (a concurrent rescan rewrote or cut it), the host is scanned. The
+  new run's documents, manifest, errors and twin are those of an audit on a
+  fresh store.
+
+An entry written without a key (before keys were stored) never matches, so
+its host is scanned. Reports read only the index.
 """
 
 from __future__ import annotations
@@ -26,7 +38,8 @@ import hashlib
 import json
 import time
 from dataclasses import replace
-from typing import Any, Callable, Iterable, Optional, TypeVar, Union
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from ..bom import Bom, BomLink, delta_to_dict, diff_boms, parse_bom, serialize_bom
 from ..collect import EvidenceBundle, EvidenceCategory, HostSnapshot, scan_host
@@ -50,6 +63,7 @@ from .topology import HostRecord, TopologyGraph, ingest_inventory, topology_from
 
 __all__ = [
     "AuditService",
+    "TwinNotFound",
     "UnknownRun",
     "collect_evidence",
     "forge_documents",
@@ -57,6 +71,9 @@ __all__ = [
 
 # One document log per run id (see the module docstring).
 RUN_DOCUMENTS = "run_documents"
+# By profile id, {"run_id": ...}: the last audit of the profile whose
+# documents were stored, where the next audit finds the documents it keeps.
+LATEST_RUNS = "latest_runs"
 
 # Part of every input key. Raise it with any change to scanning, forging or
 # serializing that changes the documents of an unchanged snapshot, so that no
@@ -67,6 +84,11 @@ FORGE_REVISION = 1
 
 class UnknownRun(LookupError):
     """A run, or a document of one, that the store does not hold."""
+
+
+class TwinNotFound(LookupError):
+    """The manager a rescan pushed to holds no twin of the run: it is not
+    the manager that created the twin. The run stands as it was."""
 
 
 # One path from snapshots to documents: run_audit, update_audit and
@@ -103,6 +125,16 @@ def collect_evidence(
     return _each_host(hosts, lambda record: scan_host(_open_snapshot(record)))
 
 
+class StoredDocument(NamedTuple):
+    """A host document as its run's log holds it: its index meta and text,
+    carried into another log verbatim."""
+
+    serial_number: str
+    version: int
+    meta: str
+    text: str
+
+
 def input_key(snapshot: HostSnapshot, categories: tuple[str, ...], feed: str) -> str:
     """The input key of the host documents forged from this snapshot over
     these categories and the advisory feed whose content digest is `feed`
@@ -136,17 +168,22 @@ def forge_host(
 
 
 def forge_documents(
-    bundles: dict[str, EvidenceBundle],
+    bundles: Mapping[str, Union[EvidenceBundle, tuple[StoredDocument, ...]]],
     profile: AuditProfile,
     vulnerabilities: VulnerabilityStore,
-) -> tuple[list[Bom], list[str]]:
-    """Forge each host in host-id order, link the set to the profile, and
-    serialize each document once: the documents and their texts."""
-    host_docs: list[Bom] = []
+) -> tuple[list[Union[Bom, StoredDocument]], list[str]]:
+    """Forge each host in host-id order, or take its stored documents where
+    it has them instead of evidence, link the set to the profile, and
+    serialize each forged document once: the documents and their texts."""
+    host_docs: list[Union[Bom, StoredDocument]] = []
     for host_id in sorted(bundles):
-        host_docs.extend(forge_host(bundles[host_id], profile.categories, vulnerabilities))
+        found = bundles[host_id]
+        if isinstance(found, EvidenceBundle):
+            host_docs.extend(forge_host(found, profile.categories, vulnerabilities))
+        else:
+            host_docs.extend(found)
     linked = link_to_profile(host_docs, profile.profile_id)
-    return linked, [serialize_bom(b) for b in linked]
+    return linked, [d.text if isinstance(d, StoredDocument) else serialize_bom(d) for d in linked]
 
 
 def _meta(bom: Bom) -> str:
@@ -173,10 +210,68 @@ def _summary_and_key(meta: bytes) -> tuple[bytes, str]:
     return summary, key.decode()
 
 
-def _unchanged(log: DocumentLog, positions: list[Optional[int]], key: str) -> bool:
+def _unchanged(log: Optional[DocumentLog], positions: Sequence[Optional[int]], key: str) -> bool:
     """Whether the documents at these index positions are all stored with
     this input key, so their stored texts are what a forge would give."""
     return all(i is not None and _summary_and_key(log.meta(i))[1] == key for i in positions)
+
+
+class _Host(NamedTuple):
+    """What _reuse_or_scan found of one host. Its documents' positions in
+    the log are None where the log has no document of that serial; it has
+    evidence unless its stored documents stand, and their texts if it was
+    asked to read them."""
+
+    hostname: str
+    key: str
+    positions: tuple[Optional[int], ...]
+    bundle: Optional[EvidenceBundle]
+    texts: Optional[list[str]] = None
+
+
+def _reuse_or_scan(
+    record: HostRecord,
+    categories: tuple[str, ...],
+    feed: str,
+    log: Optional[DocumentLog],
+    position: Mapping[str, int],
+    read: Optional[Callable[[Sequence[int]], list[str]]] = None,
+) -> _Host:
+    """The one per-host step of audits and rescans: open the host's snapshot
+    and compute its input key. When `log` holds both of the host's documents
+    with that key, at the positions the serial -> index map `position`
+    gives, they stand, and `read` (if given) reads their texts. Otherwise,
+    or when that read finds the log rewritten or cut short, the snapshot is
+    scanned."""
+    snapshot = _open_snapshot(record)
+    key = input_key(snapshot, categories, feed)
+    at = tuple(position.get(s) for s in _host_serials(snapshot.hostname))
+    if _unchanged(log, at, key):
+        try:
+            return _Host(snapshot.hostname, key, at, None, read(at) if read else None)
+        except (FileNotFoundError, ValueError):
+            pass  # the log changed under this read: forge the host instead
+    return _Host(snapshot.hostname, key, at, scan_host(snapshot))
+
+
+def _stored_or_bundle(
+    log: Optional[DocumentLog], host: _Host
+) -> Union[EvidenceBundle, tuple[StoredDocument, ...]]:
+    """A host's evidence, or, where its stored documents stand, those."""
+    if host.bundle is not None:
+        return host.bundle
+    stored = []
+    for i, text in zip(host.positions, host.texts):
+        meta = log.meta(i).decode()
+        serial, version, _ = meta.split(" ", 2)
+        stored.append(StoredDocument(serial, int(version), meta, text))
+    return tuple(stored)
+
+
+def _subject(log: DocumentLog, i: int) -> str:
+    """The subject of the log's i-th document: for a host document, the
+    hostname it was forged under."""
+    return json.loads(_summary_and_key(log.meta(i))[0])["subject"]
 
 
 def _stored_version(log: DocumentLog, i: int, serial: str) -> int:
@@ -195,9 +290,10 @@ class AuditService:
     one profile keep their own documents. A rescan reads each rescanned
     host's snapshot, the log's index and the texts of the hosts whose input
     key changed, and commits an accepted update with one atomic index
-    replace. The index carries each document's
-    summary, written with its text, so reports parse no document and read
-    only the index.
+    replace. An audit reads the index of the profile's last audit and the
+    texts of the hosts whose input key did not change. The index carries
+    each document's summary, written with its text, so reports parse no
+    document and read only the index.
     """
 
     def __init__(
@@ -257,8 +353,32 @@ class AuditService:
 
     # -- run lifecycle ------------------------------------------------------
 
+    def _latest_log(self, profile_id: str) -> tuple[Optional[DocumentLog], dict[str, int]]:
+        """The document log of the profile's last stored audit, found by one
+        get of its pointer record, and the index positions of its documents
+        at version 1 by serial: a fresh forge gives version 1, so only those
+        can be kept. (None, {}) when there is no such log."""
+        latest = self.store.get(LATEST_RUNS, profile_id)
+        log = self.store.get_log(RUN_DOCUMENTS, latest["run_id"]) if latest else None
+        if log is None:
+            return None, {}
+        position = {}
+        for i, entry in enumerate(log.entries):
+            _, _, serial, version, _ = entry.split(b" ", 4)  # offset, length, meta
+            if version == b"1":
+                position[serial.decode()] = i
+        return log, position
+
     def run_audit(self, profile_id: str) -> AuditRun:
         """Collect, forge, store the documents and create the twin.
+
+        A host whose documents the profile's last audit stored at version 1
+        with the host's current input key keeps them: it is not scanned,
+        forged or serialized, and their metas and texts are copied into the
+        new log. Every other host is scanned and forged. Either way the run,
+        its documents and the texts sent to the manager are those of an
+        audit on a fresh store. Once the documents are stored, the profile's
+        pointer names this run.
 
         Whatever raises once the run is COLLECTING ends it FAILED, with an
         error naming the step, before the exception propagates.
@@ -276,27 +396,33 @@ class AuditService:
         step = "collect"
         try:
             feed = self.vulnerabilities.digest()
-            keys: dict[str, str] = {}  # the subject of a host's documents -> input key
-
-            def scan(record: HostRecord) -> EvidenceBundle:
-                snapshot = _open_snapshot(record)
-                key = input_key(snapshot, profile.categories, feed)
-                bundle = scan_host(snapshot)
-                keys[bundle.host] = key
-                return bundle
-
-            bundles, run.host_errors = _each_host([topology.host(h) for h in host_ids], scan)
-            if not bundles:
+            source, position = self._latest_log(profile_id)
+            read = partial(self.store.read_texts, source)
+            found, run.host_errors = _each_host(
+                [topology.host(h) for h in host_ids],
+                lambda r: _reuse_or_scan(r, profile.categories, feed, source, position, read),
+            )
+            if not found:
                 return self._advance(run, RunState.FAILED, "no_evidence")
 
             step = "forge"
-            linked, texts = forge_documents(bundles, profile, self.vulnerabilities)
+            linked, texts = forge_documents(
+                {h: _stored_or_bundle(source, f) for h, f in found.items()},
+                profile,
+                self.vulnerabilities,
+            )
+            # The subject of a host's forged documents -> its input key.
+            keys = {f.hostname: f.key for f in found.values() if f.bundle is not None}
             step = "persist"
             # link_to_profile puts the profile manifest, which has no key, first.
             self.store.put_log(RUN_DOCUMENTS, run.run_id, [
                 (_meta(linked[0]), texts[0]),
-                *((_index_meta(b, keys), t) for b, t in zip(linked[1:], texts[1:])),
+                *(
+                    (d.meta if isinstance(d, StoredDocument) else _index_meta(d, keys), t)
+                    for d, t in zip(linked[1:], texts[1:])
+                ),
             ])
+            self.store.put(LATEST_RUNS, profile_id, {"run_id": run.run_id})
             run.bom_serials = tuple(b.serial_number for b in linked)
             self._advance(run, RunState.BOMS_BUILT)
 
@@ -373,31 +499,37 @@ class AuditService:
 
             step = "collect"
             feed = self.vulnerabilities.digest()
-            keys: dict[str, str] = {}  # as in run_audit, of the hosts scanned
-
-            def scan(record: HostRecord) -> Optional[EvidenceBundle]:
-                snapshot = _open_snapshot(record)
-                key = input_key(snapshot, profile.categories, feed)
-                serials = _host_serials(snapshot.hostname)
-                if _unchanged(log, [position.get(s) for s in serials], key):
-                    return None
-                bundle = scan_host(snapshot)
-                keys[bundle.host] = key
-                return bundle
-
-            bundles, errors = _each_host(records, scan)
+            found, errors = _each_host(
+                records, lambda r: _reuse_or_scan(r, profile.categories, feed, log, position)
+            )
             if errors:
                 run.host_errors = {**run.host_errors, **errors}
                 return self._advance(run, RunState.FAILED, "no_evidence")
+            # A host's documents follow the manifest, two per host, in
+            # host-id order. A host whose hostname changed finds others, or
+            # none: its documents' serials name its subject.
+            order = {h: k for k, h in enumerate(sorted(documented))}
+            renamed = {
+                h: 1 + 2 * order[h]
+                for h, f in found.items()
+                if f.positions != (1 + 2 * order[h], 2 + 2 * order[h])
+            }
+            if renamed:
+                raise ProfileError("; ".join(
+                    f"host {h} was audited as {_subject(log, i)!r} but its snapshot"
+                    f" now names it {found[h].hostname!r}"
+                    for h, i in renamed.items()
+                ) + ": restore the hostname, or audit the profile again")
 
             # Rebuild each scanned host's documents at their stored version:
             # an unchanged one serializes to its stored text and is not parsed.
             step = "forge"
+            scanned = [f for f in found.values() if f.bundle is not None]
+            keys = {f.hostname: f.key for f in scanned}  # as in run_audit
             docs = [
                 doc
-                for bundle in bundles.values()
-                if bundle is not None
-                for doc in forge_host(bundle, profile.categories, self.vulnerabilities)
+                for f in scanned
+                for doc in forge_host(f.bundle, profile.categories, self.vulnerabilities)
             ]
             at = [position[d.serial_number] for d in docs]
             stored = self.store.read_texts(log, at) if at else []
@@ -450,7 +582,14 @@ class AuditService:
             except TransportUnavailable:
                 return self._advance(run, RunState.FAILED, "transport")
             except RequestRejected as exc:
-                return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
+                if exc.code != "not_found":
+                    return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
+                # Another manager than the twin's: nothing changed anywhere.
+                self._advance(run, RunState.SDT_READY)
+                raise TwinNotFound(
+                    f"the manager holds no twin {run.sdt_id} of run {run.run_id}:"
+                    " rescan against the manager that created it"
+                ) from exc
 
             step = "persist"
             self.store.commit_log(log, {
@@ -464,6 +603,8 @@ class AuditService:
             run.representation_version = int(result["representationVersion"])
             step = "save"
             return self._advance(run, RunState.SDT_READY)
+        except (ProfileError, TwinNotFound):
+            raise  # refused with the run as it stood
         except Exception as exc:
             if step != "save" and run.state is not RunState.FAILED:
                 self._advance(run, RunState.FAILED, f"{step}_failed:{exc}")

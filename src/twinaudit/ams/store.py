@@ -28,7 +28,9 @@ file, fsync and rename, and removes the old log once the index names the new
 one. The audit service keeps each run's document texts this way, with each
 host document's input key in its meta, so a rescan that finds a host's
 inputs unchanged reads nothing of that host from the log, and one that finds
-new inputs but the same texts commits the new metas alone.
+new inputs but the same texts commits the new metas alone. An audit that
+finds a host's inputs unchanged since the profile's last audit reads that
+host's entries from the last audit's log and writes them into its own.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .ams import (
     InventoryError,
     ProfileError,
     RunState,
+    TwinNotFound,
     UnknownRun,
     collect_evidence,
     create_profile,
@@ -139,6 +140,10 @@ class _Main(click.Group):
             InvalidTransition, BenchError, TransportUnavailable, RequestRejected,
         ) as err:
             raise click.ClickException(str(err)) from err
+        except TwinNotFound as err:
+            raise click.ClickException(
+                f"{err} (set manager_url to that manager's URL)"
+            ) from err
 
 
 @click.group(cls=_Main)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import uuid
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, Protocol, TypeVar, Union
 
 from ..bom import (
     Bom,
@@ -320,12 +320,26 @@ def profile_manifest(profile_id: str, links: Iterable[BomLink], version: int = 1
     )
 
 
-def link_to_profile(boms: list[Bom], profile_id: str) -> list[Bom]:
+class Linkable(Protocol):
+    """What a manifest links to: a document's serial and version."""
+
+    @property
+    def serial_number(self) -> str: ...
+
+    @property
+    def version(self) -> int: ...
+
+
+D = TypeVar("D", bound=Linkable)
+
+
+def link_to_profile(boms: list[D], profile_id: str) -> list[Union[Bom, D]]:
     """Index host documents under one profile manifest.
 
     Returns [manifest, *boms]; host documents carry no link back, so a
     change to one host re-versions that host's documents and the manifest
-    only.
+    only. A document is linked by its serial and version alone, so a
+    stored document stands in for a forged one.
     """
     serials = Counter(b.serial_number for b in boms)
     duplicates = {s for s, n in serials.items() if n > 1}

@@ -41,7 +41,7 @@ import twinaudit.ams.service as service_module
 import twinaudit.ams.store as store_module
 import twinaudit.ams.topology as topology_module
 from twinaudit.config import load_config
-from twinaudit.bom import BomKind, parse_bom, serialize_bom
+from twinaudit.bom import BomKind, BomValidationError, parse_bom, serialize_bom
 from twinaudit.collect import EvidenceCategory, HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
 from twinaudit.forge import link_to_profile, summarize_bom
@@ -179,13 +179,25 @@ class Env:
         self.server = SharedJsonServer().start()
         self.runtime = InProcessRuntime(self.server)
         self.counter = 0
+        self.mounted = []  # (prefix, manager) since the last release
 
     def make_manager_client(self):
         manager = SdtManager(runtimes=[self.runtime])
         self.counter += 1
         prefix = f"/ams-mgr{self.counter}"
         self.server.mount(prefix, ManagerService(manager))
+        self.mounted.append((prefix, manager))
         return manager, ManagerClient(self.server.url_for(prefix))
+
+    def release(self):
+        """Destroy every twin of the managers mounted since the last
+        release, and unmount them, so that nothing of a finished test or
+        hypothesis example stays reachable from the shared server."""
+        while self.mounted:
+            prefix, manager = self.mounted.pop()
+            for descriptor in manager.list_descriptors():
+                manager.handle_destroy(descriptor["sdtId"])
+            self.server.unmount(prefix)
 
     def stop(self):
         self.server.stop()
@@ -199,6 +211,14 @@ def setup_module(module):
 def teardown_module(module):
     if _ENV is not None:
         _ENV.stop()
+
+
+@pytest.fixture(autouse=True)
+def released_managers():
+    """Each test's managers are released when it ends (hypothesis examples
+    release their own, as each ends)."""
+    yield
+    _ENV.release()
 
 
 @pytest.fixture()
@@ -1330,6 +1350,45 @@ class TestUpdateAudit:
         with pytest.raises(ProfileError, match="mail-99"):
             service.update_audit(run.run_id, hosts=["mail-99"])
 
+    def test_a_renamed_host_is_refused_and_nothing_moves(self, service):
+        """A rescan cannot rename a host's documents: it names the host and
+        both names, and pushes, commits and saves nothing."""
+        run = service.run_audit("profile-web")
+        facts = service._snapshots / "web-01" / "facts.json"
+        original = facts.read_bytes()
+        facts.write_text(json.dumps({"hostname": "web-01.corp"}), encoding="utf-8")
+        record = service.store.get("runs", run.run_id)
+        index = log_contents(service.store, run.run_id)
+        with pytest.raises(ProfileError, match=r"web-01 was audited as 'web-01'.*'web-01\.corp'"):
+            service.update_audit(run.run_id)
+        assert service.store.get("runs", run.run_id) == record
+        assert log_contents(service.store, run.run_id) == index
+        assert service.manager.get(run.sdt_id)["representationVersion"] == 1
+
+        facts.write_bytes(original)
+        again = service.update_audit(run.run_id)
+        assert (again.state, again.representation_version) == (RunState.SDT_READY, 1)
+
+    def test_a_push_to_another_manager_leaves_the_run_ready(self, service, env):
+        """A manager that holds no twin of the run answers not_found: the
+        run goes back to SDT_READY and its index stays; a rescan against the
+        twin's manager then pushes the change."""
+        run = service.run_audit("profile-web")
+        _, other = env.make_manager_client()
+        elsewhere = AuditService(service.store, other, vulnerabilities=vuln_store())
+        change_web_01(service._snapshots, "4.17.21")
+        index = log_contents(service.store, run.run_id)
+        with pytest.raises(service_module.TwinNotFound, match=run.sdt_id):
+            elsewhere.update_audit(run.run_id)
+        stood = service.load_run(run.run_id)
+        assert (stood.state, stood.representation_version, stood.error) == (
+            RunState.SDT_READY, 1, None)
+        assert log_contents(service.store, run.run_id) == index
+
+        updated = service.update_audit(run.run_id)
+        assert (updated.state, updated.representation_version) == (RunState.SDT_READY, 2)
+        assert service.manager.get(run.sdt_id)["representationVersion"] == 2
+
 
 PINS = ("4.17.20", "4.17.21")
 
@@ -1464,7 +1523,7 @@ class TestStoreTwinAgreement:
                         )
                         assert (status, body) == (200, state)
             finally:
-                client.destroy(run.sdt_id)
+                _ENV.release()
 
 
 
@@ -1611,8 +1670,7 @@ class TestInputKeys:
                     assert self.run_fields(again) == self.run_fields(runs[0])
                     assert log_contents(skipping.store, runs[0].run_id) == index
             finally:
-                for client, run in zip(clients, runs):
-                    client.destroy(run.sdt_id)
+                _ENV.release()
 
     def test_an_index_without_keys_reports_the_same_and_is_rescanned(self, service):
         """An index written before input keys were stored still reports, and
@@ -1642,3 +1700,195 @@ class TestInputKeys:
             assert log_contents(service.store, run.run_id) == keyed
             service.update_audit(run.run_id)
             assert scanned == ["web-01"]
+
+
+audit_changes = st.one_of(
+    snapshot_edits,
+    st.tuples(st.just("revision"), st.integers(2, 3)),
+    st.tuples(st.just("hostname"), st.integers(0, 1), st.sampled_from(["h-0", "h-1", "h-x"])),
+    st.tuples(st.just("rescan"), st.integers(0, 1)),
+)
+
+
+def audit_service(root: Path, snapshots: Path, hosts, categories, feed_lines, client):
+    """A service over a new store at root that audits `hosts` under profile
+    p with these categories and advisory lines."""
+    store = FileDocumentStore(root)
+    ingest_inventory(store, inventory_doc(snapshots, [(h, "web-server", "DMZ") for h in hosts]))
+    create_profile(store, AuditProfile(
+        profile_id="p", name="p", host_selector=("web-server",), categories=categories))
+    vulnerabilities = VulnerabilityStore()
+    vulnerabilities.ingest_lines(feed_lines)
+    return AuditService(store, client, vulnerabilities=vulnerabilities,
+                        sdt_options={"tokens": {"operator-token": ["READ"]}})
+
+
+def recording_creates(client):
+    """Keep the texts of every create the client sends, in a list."""
+    sent = []
+    create = client.create
+
+    def recording(profile_id, texts, options=None):
+        sent.append(list(texts))
+        return create(profile_id, texts, options=options)
+
+    client.create = recording
+    return sent
+
+
+class TestAuditReuse:
+    """An audit that keeps the stored documents of the hosts whose inputs
+    did not change since the profile's last audit stores, and sends to the
+    manager, exactly what an audit on a fresh store does."""
+
+    @staticmethod
+    def outcome(svc, run, sent):
+        """What an audit leaves: the run (but for its ids and times), its
+        log's metas and texts, and the texts it sent to the manager."""
+        logged = svc.store.get_log("run_documents", run.run_id) is not None
+        return (
+            TestInputKeys.run_fields(run),
+            log_contents(svc.store, run.run_id) if logged else None,
+            sent,
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(changes=st.lists(audit_changes, min_size=1, max_size=5))
+    def test_a_reusing_audit_equals_a_fresh_one(self, changes):
+        hosts = ["h-0", "h-1"]
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshots = Path(tmp) / "snapshots"
+            for host in hosts:
+                write_snapshot(
+                    snapshots, host,
+                    packages={"lodash": "4.17.20", "requests": "2.28.0"},
+                    cert_pem=data_path("web-01.pem").read_bytes(),
+                    sysctl={"net.ipv4.ip_forward": "0"},
+                )
+            categories, feed_lines, revision = (), FEED_LINES, service_module.FORGE_REVISION
+            _, client = _ENV.make_manager_client()
+            sent = recording_creates(client)
+            shared = audit_service(Path(tmp) / "shared", snapshots, hosts, categories,
+                                   feed_lines, client)
+            try:
+                shared.run_audit("p")
+                for step, change in enumerate(changes):
+                    kind, *args = change
+                    if kind == "revision":
+                        revision = args[0]
+                    elif kind == "hostname":
+                        facts = snapshots / hosts[args[0]] / "facts.json"
+                        facts.write_text(json.dumps({"hostname": args[1]}), encoding="utf-8")
+                    elif kind == "rescan":
+                        # The source run's documents of this host go to version 2.
+                        pins = snapshots / hosts[args[0]] / "srv" / "app" / "requirements.txt"
+                        pins.parent.mkdir(parents=True, exist_ok=True)
+                        with pins.open("a", encoding="utf-8") as lines:
+                            lines.write(f"mako==1.2.{step}\n")
+                        source = shared.store.get("latest_runs", "p")["run_id"]
+                        with mock.patch.object(service_module, "FORGE_REVISION", revision):
+                            try:
+                                shared.update_audit(source)
+                            except ProfileError:
+                                pass  # a renamed host: the source run stands
+                    elif kind in ("byte", "remove", "rename") and not TestInputKeys.snapshot_files(
+                            snapshots / hosts[args[0]]):
+                        continue
+                    else:
+                        TestInputKeys().apply(change, snapshots, hosts, [shared])
+                        if kind == "feed":
+                            feed_lines = _feed_variant(*args)
+                        elif kind == "categories":
+                            categories = args[0]
+
+                    fresh = audit_service(Path(tmp) / f"fresh-{step}", snapshots, hosts,
+                                          categories, feed_lines, client)
+                    outcomes = []
+                    for svc in (shared, fresh):
+                        sent.clear()
+                        before = set(svc.store.query("runs"))
+                        # Two hosts of one hostname are refused as a fresh forge refuses them.
+                        with mock.patch.object(service_module, "FORGE_REVISION", revision):
+                            try:
+                                svc.run_audit("p")
+                                refused = None
+                            except BomValidationError as exc:
+                                refused = str(exc)
+                        (run_id,) = set(svc.store.query("runs")) - before
+                        run = svc.load_run(run_id)
+                        outcomes.append((refused, *self.outcome(svc, run, list(sent))))
+                    assert outcomes[0] == outcomes[1]
+                    if run.sdt_id:
+                        client.destroy(run.sdt_id)
+            finally:
+                _ENV.release()
+
+    @staticmethod
+    def three_hosts(tmp_path, env):
+        snapshots = tmp_path / "snapshots"
+        hosts = ["a-0", "a-1", "a-2"]
+        for host in hosts:
+            write_snapshot(snapshots, host, packages={"lodash": "4.17.20"},
+                           sysctl={"net.ipv4.ip_forward": "0"})
+        _, client = env.make_manager_client()
+        svc = audit_service(tmp_path / "store", snapshots, hosts, (), FEED_LINES, client)
+        return svc, snapshots
+
+    def test_only_changed_hosts_are_scanned_and_only_kept_texts_read(self, tmp_path, env):
+        svc, snapshots = self.three_hosts(tmp_path, env)
+        scanned, read = [], []
+        read_texts = svc.store.read_texts
+
+        def reading(log, positions):
+            read.append(list(positions))
+            return read_texts(log, positions)
+
+        def audit():
+            scanned.clear()
+            read.clear()
+            run = svc.run_audit("p")
+            assert run.state is RunState.SDT_READY, run.error
+            return run
+
+        with mock.patch.object(
+            service_module, "scan_host", lambda s: scanned.append(s.hostname) or scan_host(s)
+        ), mock.patch.object(svc.store, "read_texts", reading):
+            first = audit()
+            assert (scanned, read) == (["a-0", "a-1", "a-2"], [])
+            write_snapshot(snapshots, "a-1", packages={"lodash": "4.17.21"})
+            second = audit()
+            assert (scanned, read) == (["a-1"], [[1, 2], [5, 6]])
+            third = audit()
+            assert (scanned, read) == ([], [[1, 2], [3, 4], [5, 6]])
+        assert FileDocumentStore(svc.store.root).get("latest_runs", "p") == {"run_id": third.run_id}
+        entries = log_contents(svc.store, second.run_id)
+        assert log_contents(svc.store, third.run_id) == entries
+        assert log_contents(svc.store, first.run_id) != entries
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate"])
+    def test_a_source_log_that_cannot_be_read_is_forged_again(self, tmp_path, env, damage):
+        """A concurrent rescan may rewrite the source log's generation, or a
+        log may end early: the hosts whose texts cannot be read are scanned
+        and forged, and the audit stores what it would have kept."""
+        svc, _ = self.three_hosts(tmp_path, env)
+        first = svc.run_audit("p")
+        expected = log_contents(svc.store, first.run_id)
+        get_log = svc.store.get_log
+
+        def damaged(collection, key):
+            log = get_log(collection, key)
+            if key == first.run_id:
+                if damage == "delete":
+                    log.path.unlink()
+                else:
+                    os.truncate(log.path, log.live // 2)
+            return log
+
+        scanned = []
+        with mock.patch.object(svc.store, "get_log", damaged), mock.patch.object(
+            service_module, "scan_host", lambda s: scanned.append(s.hostname) or scan_host(s)
+        ):
+            second = svc.run_audit("p")
+        assert second.state is RunState.SDT_READY, second.error
+        assert scanned == (["a-0", "a-1", "a-2"] if damage == "delete" else ["a-1", "a-2"])
+        assert log_contents(svc.store, second.run_id) == expected

@@ -324,6 +324,28 @@ class TestExternalManager:
         assert isinstance(again.exception, SystemExit)
         assert "cannot move from FAILED to UPDATING" in again.output
 
+    def test_a_rescan_without_the_twins_manager_is_one_error_line(self, runner, ext_env):
+        """An embedded manager holds no twin of a run another command made:
+        the rescan that would push exits 1 naming manager_url, the run stays
+        SDT_READY, and a rescan against the twin's manager pushes."""
+        env, fx = ext_env
+        prepared_store(runner, env, fx)
+        run = json.loads(
+            ok(runner.invoke(main, ["audit", "run", fx["profile_id"], "--json"], env=env)).output
+        )
+        self._touch_snapshot(fx)
+        embedded = {name: value for name, value in env.items() if name != "TWINAUDIT_MANAGER_URL"}
+        refused(runner.invoke(main, ["audit", "update", run["run_id"]], env=embedded),
+                "set manager_url")
+        status = json.loads(ok(
+            runner.invoke(main, ["audit", "status", run["run_id"], "--json"], env=env)
+        ).output)
+        assert (status["state"], status["representation_version"]) == ("SDT_READY", 1)
+        updated = json.loads(
+            ok(runner.invoke(main, ["audit", "update", run["run_id"], "--json"], env=env)).output
+        )
+        assert (updated["state"], updated["representation_version"]) == ("SDT_READY", 2)
+
     def test_unknown_sdt_id_fails(self, runner, ext_env):
         env, _ = ext_env
         result = runner.invoke(main, ["sdt", "footprint", "nope"], env=env)
