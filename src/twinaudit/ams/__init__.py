@@ -16,6 +16,7 @@ from .service import (
     UnknownRun,
     collect_evidence,
     forge_documents,
+    forge_entries,
 )
 from .store import FileDocumentStore
 from .topology import (
@@ -52,6 +53,7 @@ __all__ = [
     "collect_evidence",
     "create_profile",
     "forge_documents",
+    "forge_entries",
     "get_profile",
     "ingest_inventory",
     "load_inventory",

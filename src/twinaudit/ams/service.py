@@ -3,8 +3,16 @@
 Each run's documents are one document log in the store, keyed by run id
 (see store.py): its texts are the documents' serialize_bom texts, verbatim,
 and its index has one entry per document, in run.bom_serials order, whose
-meta is `<serial> <version> <summary>`, the summary being one compact JSON
-text, followed for a host document by ` <input key>`.
+meta is
+
+    <serial> <version> <summary>[ <input key>]
+
+the summary being the document's summarize_bom as one compact JSON text.
+A host document's meta ends in the input key of its host; the profile
+manifest's, and one written before input keys were stored, end at the
+summary. _meta writes this format and _Meta reads it; no other code knows
+it. A document travels as the entry its run's log stores, a StoredDocument,
+from when it is forged or read.
 
 A host's input key is one sha256 over everything its documents' bytes
 depend on: every file its snapshot holds (keys and bytes, length-framed,
@@ -22,11 +30,11 @@ other hosts are scanned and forged.
 - An audit keeps a host's documents from the last audit of its profile,
   found through a pointer record (LATEST_RUNS, by profile id) that each
   audit writes once its documents are stored. Only entries at version 1
-  are kept, since a fresh forge gives version 1: their metas and texts are
-  copied verbatim into the new run's log. When the source log cannot be
-  read (a concurrent rescan rewrote or cut it), the host is scanned. The
-  new run's documents, manifest, errors and twin are those of an audit on a
-  fresh store.
+  are kept, since a fresh forge gives version 1: they are copied verbatim
+  into the new run's log. When the source log cannot be read (a
+  concurrent rescan rewrote or cut it), the host is scanned. The new run's
+  documents, manifest, errors and twin are those of an audit on a fresh
+  store.
 
 An entry written without a key (before keys were stored) never matches, so
 its host is scanned. Reports read only the index.
@@ -67,6 +75,7 @@ __all__ = [
     "UnknownRun",
     "collect_evidence",
     "forge_documents",
+    "forge_entries",
 ]
 
 # One document log per run id (see the module docstring).
@@ -126,8 +135,8 @@ def collect_evidence(
 
 
 class StoredDocument(NamedTuple):
-    """A host document as its run's log holds it: its index meta and text,
-    carried into another log verbatim."""
+    """A document as its run's log stores it: the serial and version a
+    manifest links it by, its index meta and its text."""
 
     serial_number: str
     version: int
@@ -167,66 +176,85 @@ def forge_host(
     ]
 
 
-def forge_documents(
-    bundles: Mapping[str, Union[EvidenceBundle, tuple[StoredDocument, ...]]],
-    profile: AuditProfile,
-    vulnerabilities: VulnerabilityStore,
-) -> tuple[list[Union[Bom, StoredDocument]], list[str]]:
-    """Forge each host in host-id order, or take its stored documents where
-    it has them instead of evidence, link the set to the profile, and
-    serialize each forged document once: the documents and their texts."""
-    host_docs: list[Union[Bom, StoredDocument]] = []
-    for host_id in sorted(bundles):
-        found = bundles[host_id]
-        if isinstance(found, EvidenceBundle):
-            host_docs.extend(forge_host(found, profile.categories, vulnerabilities))
-        else:
-            host_docs.extend(found)
-    linked = link_to_profile(host_docs, profile.profile_id)
-    return linked, [d.text if isinstance(d, StoredDocument) else serialize_bom(d) for d in linked]
-
-
-def _meta(bom: Bom) -> str:
-    """A document's meta in its run's index: serial, version, and its
-    summarize_bom as one compact JSON text."""
+def _meta(bom: Bom, key: str = "") -> str:
+    """The document's meta in its run's index, ending in `key` if one is
+    given: the one writer of the format (see the module docstring)."""
     summary = json.dumps(summarize_bom(bom), sort_keys=True, separators=(",", ":"))
-    return f"{bom.serial_number} {bom.version} {summary}"
+    return f"{bom.serial_number} {bom.version} {summary}" + (f" {key}" if key else "")
 
 
-def _index_meta(bom: Bom, keys: dict[str, str]) -> str:
-    """A host document's meta in its run's index: _meta and the input key
-    of its host, from `keys` by the hostname its snapshot gives (which
-    names the document's subject)."""
-    return f"{_meta(bom)} {keys[bom.metadata.subject_name]}"
+def _stored(bom: Bom, key: str = "") -> StoredDocument:
+    """A forged document as its run's log stores it."""
+    return StoredDocument(bom.serial_number, bom.version, _meta(bom, key), serialize_bom(bom))
 
 
-def _summary_and_key(meta: bytes) -> tuple[bytes, str]:
-    """An index meta's summary, and its input key: "" for the manifest's
-    and for an entry written before input keys were stored."""
-    rest = meta.split(b" ", 2)[2]
-    if rest.endswith(b"}"):
-        return rest, ""
-    summary, key = rest.rsplit(b" ", 1)
-    return summary, key.decode()
+def forge_entries(
+    bundle: EvidenceBundle,
+    categories: tuple[str, ...],
+    vulnerabilities: VulnerabilityStore,
+    key: str = "",
+) -> tuple[StoredDocument, ...]:
+    """forge_host's documents as their run's log stores them, each
+    serialized once, under the host's input key."""
+    return tuple(_stored(bom, key) for bom in forge_host(bundle, categories, vulnerabilities))
+
+
+def forge_documents(
+    hosts: Mapping[str, Sequence[StoredDocument]], profile_id: str
+) -> list[StoredDocument]:
+    """A run's documents: each host's entries in host-id order, after the
+    entry of the profile manifest that links them."""
+    manifest, *entries = link_to_profile([d for h in sorted(hosts) for d in hosts[h]], profile_id)
+    return [_stored(manifest), *entries]
+
+
+class _Meta:
+    """The one reader of the index meta format (see the module docstring):
+    a log entry's meta, cut where its fields end, so that reading its
+    serial, version or key neither copies nor decodes its summary."""
+
+    __slots__ = ("raw", "_serial", "_version", "_summary")
+
+    def __init__(self, log: DocumentLog, i: int) -> None:
+        self.raw = raw = log.meta(i)
+        self._serial = raw.index(b" ")
+        self._version = raw.index(b" ", self._serial + 1)
+        # The manifest's meta, and one written before keys, has no key.
+        self._summary = len(raw) if raw.endswith(b"}") else raw.rindex(b" ")
+
+    serial = property(lambda m: m.raw[: m._serial].decode())
+    version = property(lambda m: int(m.raw[m._serial + 1 : m._version]))
+    key = property(lambda m: m.raw[m._summary + 1 :].decode())  # "" for no key
+    summary = property(lambda m: json.loads(m.raw[m._version + 1 : m._summary]))
+
+    def version_of(self, serial: str) -> int:
+        """The version, of an entry that must be the document `serial`."""
+        if self.serial != serial:
+            raise UnknownRun(f"stored document {serial} is missing")
+        return self.version
+
+    def stored(self, text: str) -> StoredDocument:
+        """The entry, with its text, to carry into another log verbatim."""
+        return StoredDocument(self.serial, self.version, self.raw.decode(), text)
 
 
 def _unchanged(log: Optional[DocumentLog], positions: Sequence[Optional[int]], key: str) -> bool:
     """Whether the documents at these index positions are all stored with
     this input key, so their stored texts are what a forge would give."""
-    return all(i is not None and _summary_and_key(log.meta(i))[1] == key for i in positions)
+    return all(i is not None and _Meta(log, i).key == key for i in positions)
 
 
 class _Host(NamedTuple):
     """What _reuse_or_scan found of one host. Its documents' positions in
     the log are None where the log has no document of that serial; it has
-    evidence unless its stored documents stand, and their texts if it was
-    asked to read them."""
+    evidence unless its stored documents stand, and their entries if it
+    was asked to read them."""
 
     hostname: str
     key: str
     positions: tuple[Optional[int], ...]
     bundle: Optional[EvidenceBundle]
-    texts: Optional[list[str]] = None
+    entries: tuple[StoredDocument, ...] = ()
 
 
 def _reuse_or_scan(
@@ -240,47 +268,21 @@ def _reuse_or_scan(
     """The one per-host step of audits and rescans: open the host's snapshot
     and compute its input key. When `log` holds both of the host's documents
     with that key, at the positions the serial -> index map `position`
-    gives, they stand, and `read` (if given) reads their texts. Otherwise,
-    or when that read finds the log rewritten or cut short, the snapshot is
-    scanned."""
+    gives, they stand, and `read` (if given) reads their texts into entries.
+    Otherwise, or when that read finds the log rewritten or cut short, the
+    snapshot is scanned."""
     snapshot = _open_snapshot(record)
     key = input_key(snapshot, categories, feed)
     at = tuple(position.get(s) for s in _host_serials(snapshot.hostname))
     if _unchanged(log, at, key):
         try:
-            return _Host(snapshot.hostname, key, at, None, read(at) if read else None)
+            texts = read(at) if read else ()
         except (FileNotFoundError, ValueError):
             pass  # the log changed under this read: forge the host instead
+        else:
+            entries = tuple(_Meta(log, i).stored(t) for i, t in zip(at, texts))
+            return _Host(snapshot.hostname, key, at, None, entries)
     return _Host(snapshot.hostname, key, at, scan_host(snapshot))
-
-
-def _stored_or_bundle(
-    log: Optional[DocumentLog], host: _Host
-) -> Union[EvidenceBundle, tuple[StoredDocument, ...]]:
-    """A host's evidence, or, where its stored documents stand, those."""
-    if host.bundle is not None:
-        return host.bundle
-    stored = []
-    for i, text in zip(host.positions, host.texts):
-        meta = log.meta(i).decode()
-        serial, version, _ = meta.split(" ", 2)
-        stored.append(StoredDocument(serial, int(version), meta, text))
-    return tuple(stored)
-
-
-def _subject(log: DocumentLog, i: int) -> str:
-    """The subject of the log's i-th document: for a host document, the
-    hostname it was forged under."""
-    return json.loads(_summary_and_key(log.meta(i))[0])["subject"]
-
-
-def _stored_version(log: DocumentLog, i: int, serial: str) -> int:
-    """The version the run's index gives its i-th document, which must be
-    the document `serial`."""
-    stored, version, _ = log.meta(i).split(b" ", 2)
-    if stored.decode() != serial:
-        raise UnknownRun(f"stored document {serial} is missing")
-    return int(version)
 
 
 class AuditService:
@@ -349,7 +351,7 @@ class AuditService:
         log = self.store.get_log(RUN_DOCUMENTS, run.run_id)
         if log is None:
             return []
-        return [json.loads(_summary_and_key(log.meta(i))[0]) for i in range(len(log.entries))]
+        return [_Meta(log, i).summary for i in range(len(log.entries))]
 
     # -- run lifecycle ------------------------------------------------------
 
@@ -363,10 +365,10 @@ class AuditService:
         if log is None:
             return None, {}
         position = {}
-        for i, entry in enumerate(log.entries):
-            _, _, serial, version, _ = entry.split(b" ", 4)  # offset, length, meta
-            if version == b"1":
-                position[serial.decode()] = i
+        for i in range(len(log.entries)):
+            meta = _Meta(log, i)
+            if meta.version == 1:
+                position[meta.serial] = i
         return log, position
 
     def run_audit(self, profile_id: str) -> AuditRun:
@@ -374,8 +376,8 @@ class AuditService:
 
         A host whose documents the profile's last audit stored at version 1
         with the host's current input key keeps them: it is not scanned,
-        forged or serialized, and their metas and texts are copied into the
-        new log. Every other host is scanned and forged. Either way the run,
+        forged or serialized, and their entries are copied into the new
+        log. Every other host is scanned and forged. Either way the run,
         its documents and the texts sent to the manager are those of an
         audit on a fresh store. Once the documents are stored, the profile's
         pointer names this run.
@@ -406,24 +408,15 @@ class AuditService:
                 return self._advance(run, RunState.FAILED, "no_evidence")
 
             step = "forge"
-            linked, texts = forge_documents(
-                {h: _stored_or_bundle(source, f) for h, f in found.items()},
-                profile,
-                self.vulnerabilities,
-            )
-            # The subject of a host's forged documents -> its input key.
-            keys = {f.hostname: f.key for f in found.values() if f.bundle is not None}
+            entries = forge_documents({
+                h: f.entries
+                or forge_entries(f.bundle, profile.categories, self.vulnerabilities, f.key)
+                for h, f in found.items()
+            }, profile_id)
             step = "persist"
-            # link_to_profile puts the profile manifest, which has no key, first.
-            self.store.put_log(RUN_DOCUMENTS, run.run_id, [
-                (_meta(linked[0]), texts[0]),
-                *(
-                    (d.meta if isinstance(d, StoredDocument) else _index_meta(d, keys), t)
-                    for d, t in zip(linked[1:], texts[1:])
-                ),
-            ])
+            self.store.put_log(RUN_DOCUMENTS, run.run_id, [(d.meta, d.text) for d in entries])
             self.store.put(LATEST_RUNS, profile_id, {"run_id": run.run_id})
-            run.bom_serials = tuple(b.serial_number for b in linked)
+            run.bom_serials = tuple(d.serial_number for d in entries)
             self._advance(run, RunState.BOMS_BUILT)
 
             step = "create"
@@ -431,7 +424,7 @@ class AuditService:
             try:
                 created = self.manager.create(
                     profile_id,
-                    texts,
+                    [d.text for d in entries],
                     options=self.sdt_options or None,
                 )
             except TransportUnavailable:
@@ -516,7 +509,7 @@ class AuditService:
             }
             if renamed:
                 raise ProfileError("; ".join(
-                    f"host {h} was audited as {_subject(log, i)!r} but its snapshot"
+                    f"host {h} was audited as {_Meta(log, i).summary['subject']!r} but its snapshot"
                     f" now names it {found[h].hostname!r}"
                     for h, i in renamed.items()
                 ) + ": restore the hostname, or audit the profile again")
@@ -524,24 +517,22 @@ class AuditService:
             # Rebuild each scanned host's documents at their stored version:
             # an unchanged one serializes to its stored text and is not parsed.
             step = "forge"
-            scanned = [f for f in found.values() if f.bundle is not None]
-            keys = {f.hostname: f.key for f in scanned}  # as in run_audit
-            docs = [
-                doc
-                for f in scanned
+            scanned = [
+                (doc, f.key)
+                for f in found.values() if f.bundle is not None
                 for doc in forge_host(f.bundle, profile.categories, self.vulnerabilities)
             ]
-            at = [position[d.serial_number] for d in docs]
+            at = [position[doc.serial_number] for doc, _ in scanned]
             stored = self.store.read_texts(log, at) if at else []
-            revised: list[tuple[Bom, str]] = []
+            revised: list[tuple[Bom, str, str]] = []  # revised document, stored text, key
             rekeyed: dict[int, tuple[str, Optional[str]]] = {}  # new key, same text
-            for doc, text in zip(docs, stored):
-                i = position[doc.serial_number]
-                current = replace(doc, version=_stored_version(log, i, doc.serial_number))
+            for (doc, key), i, text in zip(scanned, at, stored):
+                meta = _Meta(log, i)
+                current = replace(doc, version=meta.version_of(doc.serial_number))
                 if serialize_bom(current) != text:
-                    revised.append((replace(current, version=current.version + 1), text))
-                elif _summary_and_key(log.meta(i))[1] != keys[doc.metadata.subject_name]:
-                    rekeyed[i] = (_index_meta(current, keys), None)
+                    revised.append((replace(current, version=current.version + 1), text, key))
+                elif meta.key != key:
+                    rekeyed[i] = (_meta(current, key), None)
             if not revised:
                 if rekeyed:
                     step = "persist"
@@ -555,21 +546,21 @@ class AuditService:
             # manifest is rebuilt from the index's versions, not parsed.
             manifest_serial, *host_serials = run.bom_serials
             links = {
-                s: BomLink(target_serial=s, target_version=_stored_version(log, position[s], s))
+                s: BomLink(target_serial=s, target_version=_Meta(log, position[s]).version_of(s))
                 for s in host_serials
             }
             old_manifest = profile_manifest(
-                run.profile_id, links.values(), version=_stored_version(log, 0, manifest_serial)
+                run.profile_id, links.values(), version=_Meta(log, 0).version_of(manifest_serial)
             )
             links.update(
                 (b.serial_number, BomLink(target_serial=b.serial_number, target_version=b.version))
-                for b, _ in revised
+                for b, _, _ in revised
             )
             new_manifest = profile_manifest(
                 run.profile_id, links.values(), version=old_manifest.version + 1
             )
             deltas = [diff_boms(old_manifest, new_manifest)]
-            deltas += [diff_boms(parse_bom(text), bom) for bom, text in revised]
+            deltas += [diff_boms(parse_bom(text), bom) for bom, text, _ in revised]
 
             step = "push"
             self._advance(run, RunState.UPDATING)
@@ -596,8 +587,8 @@ class AuditService:
                 **rekeyed,
                 position[manifest_serial]: (_meta(new_manifest), serialize_bom(new_manifest)),
                 **{
-                    position[b.serial_number]: (_index_meta(b, keys), serialize_bom(b))
-                    for b, _ in revised
+                    position[b.serial_number]: (_meta(b, key), serialize_bom(b))
+                    for b, _, key in revised
                 },
             })
             run.representation_version = int(result["representationVersion"])

@@ -36,6 +36,7 @@ from .ams import (
     collect_evidence,
     create_profile,
     forge_documents,
+    forge_entries,
     get_profile,
     ingest_inventory,
     load_inventory,
@@ -444,7 +445,11 @@ def bench_deploy(
             bundles, errors = collect_evidence(hosts)
             if errors:
                 raise click.ClickException(f"collection failed: {errors}")
-            return forge_documents(bundles, audit_profile, vulnerabilities)[1]
+            entries = {
+                h: forge_entries(b, audit_profile.categories, vulnerabilities)
+                for h, b in bundles.items()
+            }
+            return [d.text for d in forge_documents(entries, audit_profile.profile_id)]
 
         texts = build()
         with _manager_session(config) as client:

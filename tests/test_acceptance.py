@@ -38,14 +38,10 @@ from twinaudit.forge import (
     enrich_with_vulnerabilities,
     link_to_profile,
 )
-from twinaudit.jsonhttp import SharedJsonServer, http_json
-from twinaudit.manager import (
-    InProcessRuntime,
-    ManagerClient,
-    ManagerService,
-    SdtManager,
-)
+from twinaudit.jsonhttp import http_json
 from twinaudit.vulnstore import VulnerabilityStore
+
+from .test_ams import Env
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,23 +58,6 @@ TARGET_GROUPS = {
 _ENV = None
 
 
-class Env:
-    def __init__(self):
-        self.server = SharedJsonServer().start()
-        self.runtime = InProcessRuntime(self.server)
-        self.counter = 0
-
-    def make_manager_client(self):
-        manager = SdtManager(runtimes=[self.runtime])
-        self.counter += 1
-        prefix = f"/acc-mgr{self.counter}"
-        self.server.mount(prefix, ManagerService(manager))
-        return manager, ManagerClient(self.server.url_for(prefix))
-
-    def stop(self):
-        self.server.stop()
-
-
 def setup_module(module):
     global _ENV
     _ENV = Env()
@@ -87,6 +66,13 @@ def setup_module(module):
 def teardown_module(module):
     if _ENV is not None:
         _ENV.stop()
+
+
+@pytest.fixture(autouse=True)
+def released_managers():
+    """Each test's managers are released when it ends."""
+    yield
+    _ENV.release()
 
 
 @pytest.fixture()

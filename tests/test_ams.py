@@ -1,5 +1,6 @@
 """Audit orchestration: inventory, profiles, run lifecycle, twin sync."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -44,6 +45,7 @@ from twinaudit.config import load_config
 from twinaudit.bom import BomKind, BomValidationError, parse_bom, serialize_bom
 from twinaudit.collect import EvidenceCategory, HostSnapshot, scan_host
 from twinaudit.fixtures import data_path
+from twinaudit.fixtures.generator import generate
 from twinaudit.forge import link_to_profile, summarize_bom
 from twinaudit.instance import thing_texts_from_boms
 from twinaudit.jsonhttp import SharedJsonServer, http_json
@@ -169,7 +171,8 @@ def vuln_store():
 
 
 # ---------------------------------------------------------------------------
-# shared manager environment (one HTTP server for the whole module)
+# shared manager environment (one HTTP server for each module that uses it;
+# tests/test_bench.py and tests/test_acceptance.py import Env too)
 
 _ENV = None
 
@@ -1569,6 +1572,8 @@ class TestInputKeys:
         if kind in ("byte", "add", "remove", "rename"):
             root = snapshots / hosts[args[0]]
             files = self.snapshot_files(root)
+            if not files and kind != "add":
+                return  # no file left to edit: the host stays as it is
         if kind == "byte":
             # One byte, with the file's size and times as they were.
             path = files[args[1] % len(files)]
@@ -1595,6 +1600,15 @@ class TestInputKeys:
             for svc in services:
                 create_profile(svc.store, AuditProfile(
                     profile_id="p", name="p", host_selector=("web-server",), categories=args[0]))
+
+    def test_an_edit_of_a_host_without_files_leaves_it_unchanged(self, tmp_path):
+        write_snapshot(tmp_path, "h-0", packages={"lodash": "4.17.20"})
+        self.apply(("remove", 0, 5), tmp_path, ["h-0"], [])
+        left = files_under(tmp_path)
+        assert list(left) == ["h-0/facts.json"]
+        for edit in [("remove", 0, 5), ("byte", 0, 3, 7), ("rename", 0, 1)]:
+            self.apply(edit, tmp_path, ["h-0"], [])
+            assert files_under(tmp_path) == left
 
     @staticmethod
     def run_fields(run):
@@ -1701,6 +1715,38 @@ class TestInputKeys:
             service.update_audit(run.run_id)
             assert scanned == ["web-01"]
 
+    # The sha256 of the run's index metas, "\n"-joined, after an audit of the
+    # smb fixture at seed 3 and after a rescan that changed one of its hosts.
+    SMB_INDEX = (
+        "44d6a65a3578cccbe169e33942d4732d13e23084d0611d16dfc419ac44811987",
+        "18cccb5153444fc135c0ac9830a8afd09a4ca68d0953cc6f2c4cb760e735357d",
+    )
+
+    def test_the_keyed_index_of_an_estate_keeps_its_bytes(self, tmp_path, env):
+        """Input keys are the same for the same snapshots, so the metas an
+        audit and a rescan store, keys included, are pinned byte for byte."""
+        manifest = generate("smb", 3, tmp_path / "estate")
+        store = FileDocumentStore(tmp_path / "store")
+        ingest_inventory(store, manifest["inventory"])
+        create_profile(store, load_profile_file(manifest["profile"]))
+        vulnerabilities = VulnerabilityStore()
+        vulnerabilities.load_feed(manifest["feed"])
+        _, client = env.make_manager_client()
+        svc = AuditService(store, client, vulnerabilities=vulnerabilities)
+
+        def index(run):
+            metas = [meta for meta, _ in log_contents(store, run.run_id)]
+            assert all(meta.endswith("}") is (i == 0) for i, meta in enumerate(metas))
+            return hashlib.sha256("\n".join(metas).encode("utf-8")).hexdigest()
+
+        run = svc.run_audit(manifest["profile_id"])
+        audited = index(run)
+        pins = Path(manifest["snapshots"]["web-01"]) / "srv" / "www" / "api" / "requirements.txt"
+        pins.write_text(pins.read_text(encoding="utf-8") + "mako==1.2.0\n", encoding="utf-8")
+        rescanned = svc.update_audit(run.run_id)
+        assert rescanned.representation_version == run.representation_version + 1
+        assert (audited, index(rescanned)) == self.SMB_INDEX
+
 
 audit_changes = st.one_of(
     snapshot_edits,
@@ -1791,9 +1837,6 @@ class TestAuditReuse:
                                 shared.update_audit(source)
                             except ProfileError:
                                 pass  # a renamed host: the source run stands
-                    elif kind in ("byte", "remove", "rename") and not TestInputKeys.snapshot_files(
-                            snapshots / hosts[args[0]]):
-                        continue
                     else:
                         TestInputKeys().apply(change, snapshots, hosts, [shared])
                         if kind == "feed":

@@ -13,32 +13,12 @@ from twinaudit.bom import serialize_bom
 from twinaudit.collect import HostSnapshot, scan_host
 from twinaudit.fixtures.generator import generate
 from twinaudit.forge import build_cbom, build_graph, build_sbom, link_to_profile
-from twinaudit.jsonhttp import RequestRejected, SharedJsonServer, TransportUnavailable
-from twinaudit.manager import (
-    InProcessRuntime,
-    ManagerClient,
-    ManagerService,
-    SdtManager,
-)
+from twinaudit.jsonhttp import RequestRejected, TransportUnavailable
+from twinaudit.manager import ManagerClient
+
+from .test_ams import Env
 
 _ENV = None
-
-
-class Env:
-    def __init__(self):
-        self.server = SharedJsonServer().start()
-        self.runtime = InProcessRuntime(self.server)
-        self.counter = 0
-
-    def make_manager_client(self):
-        manager = SdtManager(runtimes=[self.runtime])
-        self.counter += 1
-        prefix = f"/bench-mgr{self.counter}"
-        self.server.mount(prefix, ManagerService(manager))
-        return manager, ManagerClient(self.server.url_for(prefix))
-
-    def stop(self):
-        self.server.stop()
 
 
 def setup_module(module):
@@ -49,6 +29,13 @@ def setup_module(module):
 def teardown_module(module):
     if _ENV is not None:
         _ENV.stop()
+
+
+@pytest.fixture(autouse=True)
+def released_managers():
+    """Each test's managers are released when it ends."""
+    yield
+    _ENV.release()
 
 
 @pytest.fixture()

@@ -1,11 +1,11 @@
 """Golden forge output: the exact bytes the audit path stores.
 
 `tests/data/forge_golden.json` holds, for the `smb` and `minimal` fixtures
-at three seeds, the SHA-256 of every text and of every index meta that
-`forge_documents` gives (in document order), after collecting each
-selected host's evidence. It pins canonical serialization byte for byte,
-so a change to collection or forging that claims to keep its output keeps
-every byte of it. Regenerate the fixture only when the documents are meant
+at three seeds, the SHA-256 of every text and of every index meta without
+an input key that `forge_documents` gives (in document order), after
+collecting and forging each selected host's evidence. It pins canonical
+serialization byte for byte, so a change to collection or forging that
+claims to keep its output keeps every byte of it. Regenerate the fixture only when the documents are meant
 to change:
 
     PYTHONPATH=src python -m tests.test_forge_golden --write
@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from twinaudit.ams.profiles import load_profile_file, selected_hosts
-from twinaudit.ams.service import FORGE_REVISION, _meta, collect_evidence, forge_documents
+from twinaudit.ams.service import FORGE_REVISION, collect_evidence, forge_documents, forge_entries
 from twinaudit.ams.topology import load_inventory
 from twinaudit.fixtures.generator import FIXTURE_SPECS, generate
 from twinaudit.vulnstore import VulnerabilityStore
@@ -55,10 +55,13 @@ def forged(spec: str, seed: int, out: Path) -> dict[str, list[str]]:
         [topology.host(h) for h in selected_hosts(profile, topology)]
     )
     assert not errors
-    linked, texts = forge_documents(bundles, profile, vulnerabilities)
+    entries = forge_documents(
+        {h: forge_entries(b, profile.categories, vulnerabilities) for h, b in bundles.items()},
+        profile.profile_id,
+    )
     return {
-        "texts": [_sha(t) for t in texts],
-        "metas": [_sha(_meta(b)) for b in linked],
+        "texts": [_sha(d.text) for d in entries],
+        "metas": [_sha(d.meta) for d in entries],
     }
 
 
