@@ -53,12 +53,19 @@ def parse_certificate(
     order, plus the algorithm tokens they imply."""
     try:
         certs = x509.load_pem_x509_certificates(snapshot.read_bytes(path))
-    except ValueError:
+    except (ValueError, x509.InvalidVersion):
         return [], []
     records: list[EvidenceRecord] = []
     tokens: list[AlgorithmToken] = []
     for cert in certs:
-        record, implied = _certificate_record(snapshot, path, cert)
+        try:
+            record, implied = _certificate_record(snapshot, path, cert)
+        except (ValueError, KeyError):
+            # cryptography decodes the names, validity and serial only when
+            # read, and raises KeyError for a name string of an unknown tag:
+            # a certificate with a field it cannot decode is skipped, as an
+            # unloadable PEM is, and the file's other certificates still count.
+            continue
         records.append(record)
         tokens.extend(implied)
     return records, tokens

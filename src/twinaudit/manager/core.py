@@ -5,6 +5,15 @@ runtime deploy -> data-adapter push -> controller confirmation -> response;
 any failure after deploy tears the instance down again so no orphan keeps
 running. Updates are guarded by an optimistic representation-version
 precondition.
+
+The BOM parse step parses only the texts that no live twin holds. One
+`urn:cdx:<serial>/<version>` names one content, so the manager keeps one
+table from a document text to its parsed `Bom` and the number of live
+twins that hold it, and twins of one estate share their unchanged
+documents. A twin takes its holds when its documents are committed (create
+or accepted update) and lets them go when an update replaces the serial,
+by a text or by a delta, and on destroy; an entry whose last holder lets
+it go is dropped, so the table holds nothing that no live twin holds.
 """
 
 from __future__ import annotations
@@ -73,7 +82,17 @@ class _SdtRecord:
     descriptor: SdtDescriptor
     write_token: str
     boms: dict[str, Bom] = field(default_factory=dict)
+    # serial -> the shared text its Bom was parsed from; a serial last
+    # revised by a delta holds a Bom of its own and no text.
+    texts: dict[str, str] = field(default_factory=dict)
     lock: threading.RLock = field(default_factory=threading.RLock)
+
+
+@dataclass(slots=True)
+class _Shared:
+    text: str
+    bom: Bom
+    holders: int = 0
 
 
 def _scope_names(values: Iterable[Any]) -> tuple[str, ...]:
@@ -93,7 +112,8 @@ class SdtManager:
         self._adapter = DataAdapter(self._runtime)
         self._records: dict[str, _SdtRecord] = {}
         self._tombstones: deque[str] = deque()  # destroyed ids, oldest first
-        self._registry_lock = threading.RLock()
+        self._shared: dict[str, _Shared] = {}  # document text -> its parse and holders
+        self._registry_lock = threading.RLock()  # guards _records, _tombstones, _shared
 
     # -- registry -------------------------------------------------------------
 
@@ -126,25 +146,55 @@ class SdtManager:
 
     # -- create ---------------------------------------------------------------
 
-    def _parse_boms(self, texts: Any) -> list[Bom]:
+    def _parse_boms(self, texts: Any) -> list[tuple[str, Bom]]:
+        """Each text with its Bom: the shared one (and its text) when a live
+        twin holds the text, else a fresh parse that nothing holds yet."""
         if not isinstance(texts, list) or not texts:
             raise HttpError(400, "bad_request", "boms must be a non-empty list")
-        parsed: list[Bom] = []
+        with self._registry_lock:
+            shared = [self._shared.get(t) if isinstance(t, str) else None for t in texts]
+        parsed: list[tuple[str, Bom]] = []
         serials: set[str] = set()
-        for index, text in enumerate(texts):
-            if not isinstance(text, str):
+        for index, (text, entry) in enumerate(zip(texts, shared)):
+            if entry is not None:
+                text, bom = entry.text, entry.bom
+            elif not isinstance(text, str):
                 raise HttpError(400, "invalid_bom", f"boms[{index}] must be a string document")
-            try:
-                bom = parse_bom(text, strict=False)
-            except (BomParseError, BomSchemaError, BomValidationError) as err:
-                raise HttpError(400, "invalid_bom", f"boms[{index}]: {err}") from err
+            else:
+                try:
+                    bom = parse_bom(text, strict=False)
+                except (BomParseError, BomSchemaError, BomValidationError) as err:
+                    raise HttpError(400, "invalid_bom", f"boms[{index}]: {err}") from err
             if bom.serial_number in serials:
                 raise HttpError(
                     400, "invalid_bom", f"duplicate serial number {bom.serial_number}"
                 )
             serials.add(bom.serial_number)
-            parsed.append(bom)
+            parsed.append((text, bom))
         return parsed
+
+    def _commit(self, record: _SdtRecord, boms: dict[str, Bom], texts: dict[str, str]) -> None:
+        """Make boms the record's documents, `texts` naming the serials whose
+        Bom is a text's parse. Called under the record's lock: the new holds
+        are taken before the replaced ones are let go."""
+        old = record.texts
+        with self._registry_lock:
+            for serial, text in texts.items():
+                if old.get(serial) == text:
+                    continue
+                entry = self._shared.get(text)
+                if entry is None:
+                    entry = self._shared[text] = _Shared(text, boms[serial])
+                # One Bom per text, whichever twin parsed it first.
+                boms[serial], texts[serial] = entry.bom, entry.text
+                entry.holders += 1
+            for serial, text in old.items():
+                if texts.get(serial) != text:
+                    entry = self._shared[text]
+                    entry.holders -= 1
+                    if not entry.holders:
+                        del self._shared[text]
+        record.boms, record.texts = boms, texts
 
     def _parse_tokens(self, options: Any) -> dict[str, tuple[str, ...]]:
         if options is None:
@@ -176,10 +226,10 @@ class SdtManager:
             raise HttpError(400, "bad_request", "profileId must be a non-empty string")
 
         # All validation happens before anything deploys.
-        boms = self._parse_boms(payload.get("boms"))
+        parsed = self._parse_boms(payload.get("boms"))
         span.record("parse")
         try:
-            states = self._adapter.process(boms)
+            states = self._adapter.process(bom for _, bom in parsed)
         except RepresentationError as err:
             raise HttpError(400, "invalid_bom", str(err)) from err
         span.record("project")
@@ -231,7 +281,11 @@ class SdtManager:
                 ) from err
             span.record("controller")
 
-            record.boms = {b.serial_number: b for b in boms}
+            self._commit(
+                record,
+                {bom.serial_number: bom for _, bom in parsed},
+                {bom.serial_number: text for text, bom in parsed},
+            )
             descriptor.representation_version = 1
             descriptor.state = SdtState.READY
             self._touch(descriptor)
@@ -242,12 +296,13 @@ class SdtManager:
 
     def _updated_boms(
         self, record: _SdtRecord, payload: dict[str, Any]
-    ) -> tuple[dict[str, Bom], set[str]]:
-        """The document set after the payload, and the serials it touched."""
-        new_boms = dict(record.boms)
+    ) -> tuple[dict[str, Bom], dict[str, str], set[str]]:
+        """The document set after the payload, the texts it holds, and the
+        serials it touched."""
+        new_boms, new_texts = dict(record.boms), dict(record.texts)
         touched: set[str] = set()
         if payload.get("boms"):
-            for index, bom in enumerate(self._parse_boms(payload["boms"])):
+            for index, (text, bom) in enumerate(self._parse_boms(payload["boms"])):
                 stored = record.boms.get(bom.serial_number)
                 # One urn:cdx:<serial>/<version> names one content.
                 if stored is not None and bom.version <= stored.version and bom != stored:
@@ -259,6 +314,7 @@ class SdtManager:
                         " higher version",
                     )
                 new_boms[bom.serial_number] = bom
+                new_texts[bom.serial_number] = text
                 touched.add(bom.serial_number)
         deltas = payload.get("deltas") or []
         if not isinstance(deltas, list):
@@ -291,8 +347,9 @@ class SdtManager:
                 raise HttpError(409, "delta_mismatch", f"deltas[{index}]: {err}") from err
             except BomValidationError as err:
                 raise HttpError(400, "invalid_delta", f"deltas[{index}]: {err}") from err
+            new_texts.pop(delta.base_serial, None)
             touched.add(delta.base_serial)
-        return new_boms, touched
+        return new_boms, new_texts, touched
 
     def handle_update(
         self, sdt_id: str, payload: Any, span: Optional[TraceSpan] = None
@@ -322,7 +379,7 @@ class SdtManager:
                 )
 
             # Validation failures leave the descriptor READY and unchanged.
-            new_boms, touched = self._updated_boms(record, payload)
+            new_boms, new_texts, touched = self._updated_boms(record, payload)
             span.record("parse")
             # Re-project only the subjects of touched documents, old and new.
             # The set was unique before, so any duplicate (subject, kind)
@@ -364,7 +421,7 @@ class SdtManager:
                 raise HttpError(409, "update_rejected", str(err)) from err
             span.record("controller")
 
-            record.boms = new_boms
+            self._commit(record, new_boms, new_texts)
             descriptor.representation_version += 1
             descriptor.state = SdtState.READY
             self._touch(descriptor)
@@ -386,7 +443,7 @@ class SdtManager:
             descriptor.state = SdtState.DESTROYED
             # The descriptor stays as a tombstone; the parsed documents are
             # released.
-            record.boms = {}
+            self._commit(record, {}, {})
             self._touch(descriptor)
         with self._registry_lock:
             self._tombstones.append(sdt_id)

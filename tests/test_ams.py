@@ -1633,6 +1633,14 @@ class TestInputKeys:
     @settings(max_examples=20, deadline=None)
     @given(edits=st.lists(snapshot_edits, min_size=1, max_size=4))
     def test_a_skipping_rescan_equals_a_full_one(self, edits):
+        self.assert_rescans_agree(edits)
+
+    def test_a_certificate_with_an_undecodable_issuer_keeps_its_host(self):
+        """This byte edit leaves server.pem's issuer undecodable: the
+        certificate is skipped, and both rescans end ready and agree."""
+        self.assert_rescans_agree([("byte", 0, 3117, 1)])
+
+    def assert_rescans_agree(self, edits):
         hosts = ["h-0", "h-1"]
         with tempfile.TemporaryDirectory() as tmp:
             snapshots = Path(tmp) / "snapshots"

@@ -14,6 +14,7 @@ from twinaudit.cli import main
 from twinaudit.fixtures.generator import generate
 from twinaudit.jsonhttp import SharedJsonServer
 from twinaudit.manager import InProcessRuntime, ManagerService, SdtManager
+from twinaudit.manager import core as manager_core
 
 _ENV = None
 
@@ -588,6 +589,36 @@ class TestBenchCommand:
         )
         assert "iterations: 2 ok, 0 failed" in result.output
 
+
+    def test_deploy_creates_stay_cold(self, runner, store_env, monkeypatch):
+        """The paper's deployment benchmark measures cold creates: each create
+        of the smb twin parses all 15 documents, because between its
+        create/destroy cycles the manager holds no shared document."""
+        parses, held = [], []
+        parse = manager_core.parse_bom
+        handle_create, handle_destroy = SdtManager.handle_create, SdtManager.handle_destroy
+
+        def counting(text, **kwargs):
+            parses[-1] += 1
+            return parse(text, **kwargs)
+
+        def create(self, payload, span=None):
+            held.append(len(self._shared))
+            parses.append(0)
+            return handle_create(self, payload, span)
+
+        def destroy(self, sdt_id):
+            handle_destroy(self, sdt_id)
+            held.append(len(self._shared))
+
+        monkeypatch.setattr(manager_core, "parse_bom", counting)
+        monkeypatch.setattr(SdtManager, "handle_create", create)
+        monkeypatch.setattr(SdtManager, "handle_destroy", destroy)
+        result = ok(runner.invoke(
+            main, ["bench", "deploy", "--fixture", "smb", "--iterations", "4"], env=store_env))
+        assert "iterations: 4 ok, 0 failed" in result.output
+        assert parses == [15] * 5  # the warm-up and four measured creates
+        assert held == [0] * 10
 
     def test_deploy_payload_is_what_audit_run_stores(
         self, runner, tmp_path, store_env, monkeypatch

@@ -377,6 +377,30 @@ class TestScanHost:
         assert [name for name, _ in apart] == [name for name, _ in certs]
         assert {name: [chain] for name in apart_sightings} == sightings
 
+    @pytest.mark.parametrize(
+        "at,step,kept",
+        [(110, 2, ["mail-01.example.test"]), (114, 1, ["mail-01.example.test"]),
+         (237, 1, ["mail-01.example.test"]), (44, 1, [])],
+        ids=["unknown-name-tag", "issuer", "subject", "bad-version"],
+    )
+    def test_an_undecodable_certificate_costs_only_itself(self, tmp_path, at, step, kept):
+        """One byte edit of web-01.pem that leaves a name string's tag, its
+        issuer or its subject undecodable skips that certificate, and the
+        bundle's other certificate stays; one that leaves its version bad
+        makes the file unloadable, so the file gives none. The host's other
+        records stay."""
+        broken = bytearray(cert_pem("web-01.pem"))
+        broken[at] = (broken[at] + step) % 256
+        tree = write_tree(tmp_path, {
+            "facts.json": json.dumps(FACTS),
+            "etc/ssl/certs/chain.pem": bytes(broken) + cert_pem("mail-01.pem"),
+            "srv/app/requirements.txt": "flask==2.0.1\n",
+        })
+        bundle = scan_host(HostSnapshot.open(tree))
+        assert [r.name for r in of_category(bundle, EvidenceCategory.CERTIFICATE)] == kept
+        assert [r.name for r in of_category(bundle, EvidenceCategory.SOFTWARE_COMPONENT)] == [
+            "flask"]
+
     def test_algorithms_deduplicated(self, bundle):
         algos = {r.name for r in of_category(bundle, EvidenceCategory.ALGORITHM)}
         assert algos == {

@@ -1,7 +1,9 @@
 """Lifecycle manager: HTTP contract, trace conformance, failure injection."""
 
+import gc
 import json
 import re
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinaudit import jsonhttp
-from twinaudit.bom import delta_to_dict, diff_boms, parse_bom, serialize_bom
+from twinaudit.bom import Bom, delta_to_dict, diff_boms, parse_bom, serialize_bom
 from twinaudit.forge import document_serial, link_to_profile
 from twinaudit.instance.policy import DECISION_LOG_SIZE
 from twinaudit.instance.representation import StoredRepresentation
@@ -36,6 +38,7 @@ from twinaudit.manager import (
 )
 
 from .test_instance import host_boms, linked_set
+from .thing_oracle import canonical, thing_states_from_boms
 
 
 class SabotageRuntime:
@@ -970,3 +973,385 @@ class TestLifecycleProperties:
 
         final = client.get(sdt_id)["representationVersion"]
         assert sorted(successes) == list(range(2, final + 1))
+
+
+def holds(manager):
+    """The manager's shared table: each text with the number of twins holding it."""
+    with manager._registry_lock:
+        return {text: entry.holders for text, entry in manager._shared.items()}
+
+
+def live_boms():
+    """The number of Bom objects alive in the process."""
+    gc.collect()
+    return sum(type(o) is Bom for o in gc.get_objects())
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The texts the manager parses, in call order."""
+    seen = []
+    parse = manager_core.parse_bom
+
+    def counting(text, **kwargs):
+        seen.append(text)
+        return parse(text, **kwargs)
+
+    monkeypatch.setattr(manager_core, "parse_bom", counting)
+    return seen
+
+
+def linked_texts(*hosts):
+    """The serialized documents of the hosts, linked to profile-a's manifest."""
+    return [serialize_bom(b) for b in link_to_profile(
+        [bom for host in hosts for bom in host_boms(host)], "profile-a")]
+
+
+class TestSharedDocuments:
+    """Twins that hold one document text share its one parsed Bom, and the
+    table holds a text only while some live twin holds it."""
+
+    def test_a_create_parses_only_the_texts_no_live_twin_holds(self, env, parses):
+        manager, _, runtime = env.make_manager()
+        one, two = linked_texts("share-a"), linked_texts("share-a", "share-b")
+        first = manager.handle_create({"profileId": "profile-a", "boms": one})
+        assert parses == one
+        del parses[:]
+        second = manager.handle_create({"profileId": "profile-a", "boms": two})
+        # The hosts' documents of share-a are shared; the manifest differs.
+        assert sorted(parses) == sorted(set(two) - set(one))
+        a, b = (manager._records[d["sdtId"]] for d in (first, second))
+        for serial, bom in a.boms.items():
+            if serial in b.boms and a.texts[serial] in two:
+                assert b.boms[serial] is bom and b.texts[serial] is a.texts[serial]
+        assert holds(manager) == {text: 1 + (text in one and text in two)
+                                  for text in one + two}
+        rep = runtime.instance_service(second["endpoint"]).representation()
+        assert {t: rep.latest(t) for t in rep.thing_ids()} == {
+            t: canonical(s) for t, s in thing_states_from_boms(map(parse_bom, two)).items()}
+        manager.handle_destroy(first["sdtId"])
+        assert holds(manager) == dict.fromkeys(two, 1)
+        manager.handle_destroy(second["sdtId"])
+        assert holds(manager) == {}
+
+    def test_failed_creates_leave_the_table_as_it_was(self, env):
+        manager, _, runtime = env.make_manager(sabotage=True)
+        texts = linked_texts("fail-a")
+        manager.handle_create({"profileId": "profile-a", "boms": texts})
+        before = holds(manager)
+        sbom = host_boms("fail-b")[0]
+        twin_sbom = replace(sbom, serial_number=document_serial("sbom", "fail-c"))
+        other = linked_texts("fail-b")
+        refused = [
+            ([*texts, texts[1]], "duplicate serial number"),  # held texts
+            ([*other, other[1]], "duplicate serial number"),  # texts no twin holds
+            ([*other, serialize_bom(twin_sbom)], "duplicate SBOM document"),  # projection
+        ]
+        for boms, message in refused:
+            with pytest.raises(HttpError) as err:
+                manager.handle_create({"profileId": "profile-a", "boms": boms})
+            assert (err.value.status, err.value.code) == (400, "invalid_bom")
+            assert message in err.value.message
+            assert holds(manager) == before
+        for flag, code in (("fail_deploy", "deploy"), ("poison_tokens", "representation")):
+            setattr(runtime, flag, True)
+            for boms in (texts, other):
+                with pytest.raises(HttpError) as err:
+                    manager.handle_create({"profileId": "profile-a", "boms": boms})
+                assert (err.value.status, err.value.code) == (502, code)
+                assert holds(manager) == before
+            setattr(runtime, flag, False)
+
+    def test_refused_updates_leave_every_hold(self, env, monkeypatch):
+        manager, _, _ = env.make_manager()
+        texts = linked_texts("refuse-a")
+        keep = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        sdt_id = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        before, record = holds(manager), manager._records[sdt_id]
+        boms, held = dict(record.boms), dict(record.texts)
+        v1 = parse_bom(texts[1])
+        v2 = replace(v1, version=2, components=v1.components[1:])
+        delta = delta_to_dict(diff_boms(v1, v2))
+
+        def rejecting(*args):
+            raise RequestRejected(409, "version_conflict", "injected")
+
+        refusals = [
+            ({"expectedVersion": 2, "boms": [serialize_bom(v2)]}, "version_conflict"),
+            ({"expectedVersion": 1, "deltas": [{**delta, "baseVersion": 2, "newVersion": 3}]},
+             "delta_mismatch"),
+            ({"expectedVersion": 1, "boms": [serialize_bom(v2)]}, "update_rejected"),
+            ({"expectedVersion": 1, "deltas": [delta]}, "update_rejected"),
+        ]
+        for payload, code in refusals:
+            with monkeypatch.context() as patch:
+                if code == "update_rejected":
+                    patch.setattr(manager._adapter, "push", rejecting)
+                with pytest.raises(HttpError) as err:
+                    manager.handle_update(sdt_id, payload)
+            assert (err.value.status, err.value.code) == (409, code)
+            assert holds(manager) == before
+            assert (record.boms, record.texts) == (boms, held)
+            assert manager.get_descriptor(sdt_id)["representationVersion"] == 1
+        assert manager._records[keep].boms == boms
+
+    def test_an_update_releases_what_it_replaces(self, env):
+        """A text replaced by another or by a delta is let go, and a text and
+        a delta for one serial leave the twin holding the delta's result; the
+        other twin's shared Bom stays as parse_bom gives it."""
+        manager, _, _ = env.make_manager()
+        texts = linked_texts("replace-a")
+        keep = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        sdt_id = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        record = manager._records[sdt_id]
+        v1 = parse_bom(texts[1])
+        v2 = replace(v1, version=2, components=v1.components[1:])
+        v3 = replace(v1, version=3)
+        manager.handle_update(sdt_id, {"expectedVersion": 1, "boms": [serialize_bom(v2)]})
+        assert holds(manager) == {**dict.fromkeys(texts, 2), texts[1]: 1, serialize_bom(v2): 1}
+        assert record.boms[v1.serial_number] == v2
+        manager.handle_update(sdt_id, {"expectedVersion": 2,
+                                       "deltas": [delta_to_dict(diff_boms(v2, v3))]})
+        assert holds(manager) == {**dict.fromkeys(texts, 2), texts[1]: 1}
+        assert v1.serial_number not in record.texts
+        assert record.boms[v1.serial_number] == v3
+        # A text and a delta for one serial: the twin holds the delta's
+        # result, and the shared Bom the delta started from stays as it was.
+        shared = manager._shared[texts[1]].bom
+        v4 = replace(v1, version=4, components=v1.components[1:])
+        manager.handle_update(keep, {"expectedVersion": 1, "boms": [texts[1]],
+                                     "deltas": [delta_to_dict(diff_boms(v1, v4))]})
+        assert holds(manager) == dict.fromkeys(texts[:1] + texts[2:], 2)
+        assert v1.serial_number not in manager._records[keep].texts
+        assert manager._records[keep].boms[v1.serial_number] == v4
+        assert shared == v1 == parse_bom(texts[1])
+        manager.handle_destroy(keep)
+        manager.handle_destroy(sdt_id)
+        assert holds(manager) == {}
+
+    def test_destroyed_twins_past_the_tombstones_hold_nothing(self, env):
+        manager, _, _ = env.make_manager()
+        payloads = [linked_texts("roll-a"), linked_texts("roll-a", "roll-b")]
+        revised = serialize_bom(replace(parse_bom(payloads[0][1]), version=2))
+        before = live_boms()
+        for cycle in range(manager_core.TOMBSTONES + 6):
+            ids = [manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+                   for texts in payloads]
+            if cycle % 2:
+                manager.handle_update(ids[0], {"expectedVersion": 1, "boms": [revised]})
+            for sdt_id in ids:
+                manager.handle_destroy(sdt_id)
+            assert holds(manager) == {}
+        assert len(manager._records) == manager_core.TOMBSTONES
+        assert live_boms() == before
+
+    def test_concurrent_creates_of_one_payload_count_both_twins(self, env, monkeypatch):
+        """Both creates miss the table and parse; the second to commit takes
+        the first's Bom, and each text counts two holders."""
+        manager, _, _ = env.make_manager()
+        texts = linked_texts("race-a")
+        barrier = threading.Barrier(2, timeout=10)
+        parse, waited = manager_core.parse_bom, threading.local()
+
+        def meeting(text, **kwargs):
+            if not getattr(waited, "done", False):
+                waited.done = True
+                barrier.wait()
+            return parse(text, **kwargs)
+
+        monkeypatch.setattr(manager_core, "parse_bom", meeting)
+        created = []
+        threads = [
+            threading.Thread(target=lambda: created.append(
+                manager.handle_create({"profileId": "profile-a", "boms": texts})))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        a, b = (manager._records[d["sdtId"]] for d in created)
+        assert holds(manager) == dict.fromkeys(texts, 2)
+        assert all(b.boms[serial] is bom for serial, bom in a.boms.items())
+        for descriptor in created:
+            manager.handle_destroy(descriptor["sdtId"])
+        assert holds(manager) == {}
+
+    def test_threads_sharing_documents_lose_no_hold(self, env, monkeypatch):
+        """More threads than cores create, update and destroy twins that
+        share documents with a standing twin, switching often and yielding
+        as a new entry is made: a lost increment or decrement would leave a
+        count other than the standing twin's one, or drop a text it still
+        holds."""
+
+        class Yielding(manager_core._Shared):
+            def __init__(self, *args):
+                time.sleep(0)
+                super().__init__(*args)
+
+        monkeypatch.setattr(manager_core, "_Shared", Yielding)
+        manager, _, _ = env.make_manager()
+        one, two = linked_texts("stress-a"), linked_texts("stress-a", "stress-b")
+        manager.handle_create({"profileId": "profile-a", "boms": two})
+        v1 = parse_bom(one[1])
+        revised = serialize_bom(replace(v1, version=2, components=v1.components[1:]))
+        errors = []
+
+        def worker(texts):
+            try:
+                for _ in range(15):
+                    sdt_id = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+                    manager.handle_update(sdt_id, {"expectedVersion": 1, "boms": [revised]})
+                    manager.handle_destroy(sdt_id)
+            except Exception as err:  # reported below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=((one, two)[i % 2],)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert holds(manager) == dict.fromkeys(two, 1)
+
+
+class UnsharedManager(SdtManager):
+    """The manager without its table: every text is parsed."""
+
+    def _parse_boms(self, texts):
+        shared, self._shared = self._shared, {}
+        try:
+            return super()._parse_boms(texts)
+        finally:
+            self._shared = shared
+
+
+HOSTS = ("prop-a", "prop-b")
+
+
+def revision(host, kind, version):
+    """Version `version` of one of a host's two documents; each version
+    names one content."""
+    bom = host_boms(host)[kind]
+    if kind == 0 and version % 2 == 0:
+        bom = replace(bom, components=bom.components[1:])
+    return replace(bom, version=version)
+
+
+HOST_SETS = st.sampled_from([HOSTS[:1], HOSTS, HOSTS[1:]])
+# A create's second field repeats one of its documents (0 or 1 times).
+CREATES = st.tuples(st.just("create"), HOST_SETS, st.integers(0, 1))
+UPDATES = st.tuples(st.sampled_from(["text", "delta"]), st.integers(0, 7), st.sampled_from(HOSTS),
+                    st.integers(0, 1), st.integers(1, 4))
+SHARE_OPS = st.one_of(
+    CREATES,
+    UPDATES,
+    UPDATES,
+    st.tuples(st.sampled_from(["stale", "destroy"]), st.integers(0, 7)),
+    st.tuples(st.just("garbled"), st.integers(0, 7), st.integers(0, 400)),
+)
+
+
+VOLATILE = ("sdtId", "createdAt", "updatedAt", "endpoint")
+
+
+class TestSharedDocumentsProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.just("create"), HOST_SETS, st.just(0)), st.lists(SHARE_OPS, max_size=12))
+    def test_the_table_changes_no_answer(self, first, ops):
+        """Creates and updates answer the same, leave the same descriptors
+        and give the same thing texts with the table as on managers that
+        parse every text and share nothing; the thing texts are the
+        oracle's, and the table counts the live twins holding each text."""
+        shared = SdtManager(runtimes=[_PROP_ENV.runtime])
+        references: list[SdtManager] = []  # one per twin
+        ids: list[tuple[str, str]] = []  # (id on `shared`, id on its reference)
+
+        def answer(call, sdt_id=""):
+            try:
+                doc = call()
+            except HttpError as err:
+                return err.status, err.code, err.message.replace(sdt_id, "<id>")
+            return {k: v for k, v in doc.items() if k not in VOLATILE}
+
+        def things(manager, sdt_id):
+            descriptor = manager.get_descriptor(sdt_id)
+            if descriptor["state"] != "READY":
+                return None
+            service = _PROP_ENV.runtime.instance_service(descriptor["endpoint"])
+            rep = service.representation()
+            return {t: rep.latest(t) for t in rep.thing_ids()}
+
+        def check(index):
+            """The twin's descriptor and thing texts on both sides, and the
+            table's counts over every twin."""
+            (s, r), reference = ids[index], references[index]
+            assert answer(lambda: shared.get_descriptor(s)) == answer(
+                lambda: reference.get_descriptor(r))
+            got = things(shared, s)
+            assert got == things(reference, r)
+            record = shared._records[s]
+            if got is not None:
+                assert got == {t: canonical(state) for t, state in
+                               thing_states_from_boms(record.boms.values()).items()}
+            counts: dict[str, int] = {}
+            for twin in (shared._records[i] for i, _ in ids):
+                for serial, text in twin.texts.items():
+                    assert shared._shared[text].bom is twin.boms[serial]
+                    assert twin.boms[serial] == parse_bom(text, strict=False)
+                    counts[text] = counts.get(text, 0) + 1
+            assert holds(shared) == counts
+
+        try:
+            for kind, *args in [first, *ops]:
+                if kind == "create":
+                    texts = linked_texts(*args[0])
+                    payload = {"profileId": "profile-a", "boms": texts + texts[1:2] * args[1]}
+                    reference = UnsharedManager(runtimes=[_PROP_ENV.runtime])
+                    got = [answer(lambda m=m: m.handle_create(payload)) for m in (shared, reference)]
+                    assert got[0] == got[1]
+                    if isinstance(got[0], dict):
+                        references.append(reference)
+                        ids.append(tuple(m.list_descriptors()[-1]["sdtId"]
+                                         for m in (shared, reference)))
+                        check(len(ids) - 1)
+                    continue
+                if not ids:
+                    continue
+                index = args[0] % len(ids)
+                pair = list(zip((shared, references[index]), ids[index]))
+                record = references[index]._records[ids[index][1]]
+                version = record.descriptor.representation_version
+                if kind == "destroy":
+                    payload = None
+                elif kind == "stale":
+                    payload = {"expectedVersion": version + 1}
+                elif kind == "garbled":
+                    text = linked_texts(HOSTS[0])[1]
+                    cut = args[1] % len(text)
+                    payload = {"expectedVersion": version, "boms": [text[:cut] + text[cut + 1:]]}
+                elif kind == "text":
+                    payload = {"expectedVersion": version, "boms": [serialize_bom(revision(*args[1:]))]}
+                else:
+                    new = revision(*args[1:])
+                    base = record.boms.get(new.serial_number, new)
+                    payload = {"expectedVersion": version,
+                               "deltas": [delta_to_dict(diff_boms(base, new))]}
+                if payload is None:
+                    got = [answer(lambda m=m, i=i: m.handle_destroy(i) or {}, i) for m, i in pair]
+                else:
+                    got = [answer(lambda m=m, i=i: m.handle_update(i, payload), i) for m, i in pair]
+                assert got[0] == got[1]
+                check(index)
+        finally:
+            for manager in (shared, *references):
+                for descriptor in manager.list_descriptors():
+                    manager.handle_destroy(descriptor["sdtId"])
+        assert holds(shared) == {}
