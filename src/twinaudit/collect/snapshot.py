@@ -9,7 +9,10 @@ skipped, so nothing outside the snapshot is ever read.
 A directory is read by one os.scandir walk that follows no link: each entry
 is classified from its own type (is_dir/is_file with follow_symlinks=False),
 so a symlinked file or directory is neither read nor descended into, and a
-file's key is its parent's key plus its name.
+file's key is its parent's key plus its name. A file is opened without
+following a link and read only if what was opened is a regular file, so a
+file swapped for a symlink (or anything else) after the walk listed it is
+skipped too.
 
 A snapshot's digest is one sha256 over what it holds: each file key and its
 bytes, length-framed, in key order. Neither its path nor any mtime enters it,
@@ -18,13 +21,15 @@ so two reads of the same files give one digest.
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import hashlib
 import json
 import os
+import stat
 import tarfile
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 
 class SnapshotError(ValueError):
@@ -55,9 +60,36 @@ def _read_tree(root: str) -> dict[str, bytes]:
                 if entry.is_dir(follow_symlinks=False):
                     pending.append((key + "/", entry.path))
                 elif entry.is_file(follow_symlinks=False):
-                    with open(entry.path, "rb") as handle:
-                        files[key] = handle.read()
+                    data = _read_regular(entry.path)
+                    if data is not None:
+                        files[key] = data
     return files
+
+
+# O_NOFOLLOW refuses a file swapped for a symlink after the scandir; with
+# O_NONBLOCK a file swapped for a FIFO opens without waiting for a writer.
+_READ_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC | os.O_NONBLOCK
+
+
+def _read_regular(path: str) -> Optional[bytes]:
+    """The bytes of the regular file at path, or None when path is now a
+    symlink or, by fstat of what was opened, anything but a regular file."""
+    try:
+        fd = os.open(path, _READ_FLAGS)
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:
+            return None
+        raise
+    try:
+        status = os.fstat(fd)
+        if not stat.S_ISREG(status.st_mode):
+            return None
+        chunks = []  # one read takes the file as fstat sized it, the next its end
+        while chunk := os.read(fd, max(status.st_size + 1, 1 << 12)):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 class HostSnapshot:

@@ -1,19 +1,23 @@
 """Lifecycle core: descriptor registry plus create/update/destroy handlers.
 
-Create follows interface -> core -> BOM parse -> projection -> LCM ->
+Create follows interface -> core -> BOM parse (of the texts no live twin
+holds) -> projection (of the subjects no live twin holds) -> LCM ->
 runtime deploy -> data-adapter push -> controller confirmation -> response;
 any failure after deploy tears the instance down again so no orphan keeps
 running. Updates are guarded by an optimistic representation-version
 precondition.
 
-The BOM parse step parses only the texts that no live twin holds. One
-`urn:cdx:<serial>/<version>` names one content, so the manager keeps one
-table from a document text to its parsed `Bom` and the number of live
-twins that hold it, and twins of one estate share their unchanged
-documents. A twin takes its holds when its documents are committed (create
-or accepted update) and lets them go when an update replaces the serial,
-by a text or by a delta, and on destroy; an entry whose last holder lets
-it go is dropped, so the table holds nothing that no live twin holds.
+One `urn:cdx:<serial>/<version>` names one content, so the manager keeps
+two tables of held entries: one from a document text to its parsed `Bom`,
+and one from the texts of one subject's documents, in serial order, to
+that subject's thing text. Each entry counts the live twins that hold it,
+and twins of one estate share their unchanged documents and things. A twin
+holds a subject's thing only while every document of that subject is a
+held text; a document last revised by a delta holds nothing. A twin takes
+its holds when its documents are committed (create or accepted update) and
+lets them go when an update replaces the serial, by a text or by a delta,
+or re-projects the subject, and on destroy; an entry whose last holder
+lets it go is dropped, so a table holds nothing that no live twin holds.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Hashable, Iterable, Optional, Sequence
 
 from ..bom import Bom, BomParseError, BomSchemaError, BomValidationError, parse_bom
 from ..bom.diff import DeltaMismatch, apply_delta, delta_from_dict
 from ..instance import RepresentationError, Scope
-from ..jsonhttp import HttpError, RequestRejected, TransportUnavailable
+from ..jsonhttp import HttpError, JsonText, RequestRejected, TransportUnavailable
 from .adapter import DataAdapter
 from .runtime import InProcessRuntime
 from .trace import TraceRecorder, TraceSpan
@@ -85,14 +89,61 @@ class _SdtRecord:
     # serial -> the shared text its Bom was parsed from; a serial last
     # revised by a delta holds a Bom of its own and no text.
     texts: dict[str, str] = field(default_factory=dict)
+    # subject -> the key of its shared thing text: the texts of its
+    # documents in serial order, None while one of them holds no text.
+    things: dict[str, Optional[tuple[str, ...]]] = field(default_factory=dict)
     lock: threading.RLock = field(default_factory=threading.RLock)
 
 
 @dataclass(slots=True)
 class _Shared:
-    text: str
-    bom: Bom
+    key: Hashable  # a document text, or the texts of one subject's documents
+    value: Any  # the text's parsed Bom, or the subject's thing text
     holders: int = 0
+
+
+def _rehold(
+    table: dict[Any, _Shared], old: dict[str, Any], new: dict[str, Any], values: dict[str, Any]
+) -> None:
+    """Move the holds in table from `old` to `new`, each a map from a name
+    (a serial or a subject) to a key, None holding nothing. A key that new
+    holds under a name where old held another gains a holder, and is
+    entered with values[name] when no twin holds it; values[name] and
+    new[name] then take the entry's objects, so twins share one per key.
+    Only then does each key that old held under a name where new holds
+    another lose a holder, and an entry is dropped with its last."""
+    for name, key in new.items():
+        if key is None or old.get(name) == key:
+            continue
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = _Shared(key, values[name])
+        values[name], new[name] = entry.value, entry.key
+        entry.holders += 1
+    for name, key in old.items():
+        if key is not None and new.get(name) != key:
+            entry = table[key]
+            entry.holders -= 1
+            if not entry.holders:
+                del table[key]
+
+
+def _subject_documents(
+    boms: dict[str, Bom], texts: dict[str, str], subjects: Optional[set[str]] = None
+) -> dict[str, tuple[list[Bom], Optional[tuple[str, ...]]]]:
+    """Each subject's documents (of `subjects`, or all) in serial order, with
+    its thing key: their texts, or None when one of them has no text."""
+    serials: dict[str, list[str]] = {}
+    for serial, bom in boms.items():
+        subject = bom.metadata.subject_name
+        if subjects is None or subject in subjects:
+            serials.setdefault(subject, []).append(serial)
+    groups = {}
+    for subject, names in serials.items():
+        names.sort()
+        key = tuple(texts[n] for n in names) if all(n in texts for n in names) else None
+        groups[subject] = ([boms[n] for n in names], key)
+    return groups
 
 
 def _scope_names(values: Iterable[Any]) -> tuple[str, ...]:
@@ -113,7 +164,11 @@ class SdtManager:
         self._records: dict[str, _SdtRecord] = {}
         self._tombstones: deque[str] = deque()  # destroyed ids, oldest first
         self._shared: dict[str, _Shared] = {}  # document text -> its parse and holders
-        self._registry_lock = threading.RLock()  # guards _records, _tombstones, _shared
+        # a subject's document texts -> its thing text and holders
+        self._shared_things: dict[tuple[str, ...], _Shared] = {}
+        # guards _records, _tombstones and both tables; taken after a
+        # record's lock, never before it
+        self._registry_lock = threading.RLock()
 
     # -- registry -------------------------------------------------------------
 
@@ -157,7 +212,7 @@ class SdtManager:
         serials: set[str] = set()
         for index, (text, entry) in enumerate(zip(texts, shared)):
             if entry is not None:
-                text, bom = entry.text, entry.bom
+                text, bom = entry.key, entry.value
             elif not isinstance(text, str):
                 raise HttpError(400, "invalid_bom", f"boms[{index}] must be a string document")
             else:
@@ -173,28 +228,29 @@ class SdtManager:
             parsed.append((text, bom))
         return parsed
 
-    def _commit(self, record: _SdtRecord, boms: dict[str, Bom], texts: dict[str, str]) -> None:
+    def _commit(
+        self,
+        record: _SdtRecord,
+        boms: dict[str, Bom],
+        texts: dict[str, str],
+        things: dict[str, Optional[tuple[str, ...]]],
+        states: dict[str, JsonText],
+    ) -> None:
         """Make boms the record's documents, `texts` naming the serials whose
-        Bom is a text's parse. Called under the record's lock: the new holds
-        are taken before the replaced ones are let go."""
-        old = record.texts
+        Bom is a text's parse, and `things` its things' keys, `states`
+        holding the thing text of each subject it pushed. Called under the
+        record's lock: the new holds are taken before the replaced ones are
+        let go."""
         with self._registry_lock:
-            for serial, text in texts.items():
-                if old.get(serial) == text:
-                    continue
-                entry = self._shared.get(text)
-                if entry is None:
-                    entry = self._shared[text] = _Shared(text, boms[serial])
-                # One Bom per text, whichever twin parsed it first.
-                boms[serial], texts[serial] = entry.bom, entry.text
-                entry.holders += 1
-            for serial, text in old.items():
-                if texts.get(serial) != text:
-                    entry = self._shared[text]
-                    entry.holders -= 1
-                    if not entry.holders:
-                        del self._shared[text]
-        record.boms, record.texts = boms, texts
+            _rehold(self._shared, record.texts, texts, boms)
+            _rehold(self._shared_things, record.things, things, states)
+        record.boms, record.texts, record.things = boms, texts, things
+
+    def _project(self, boms: Iterable[Bom]) -> dict[str, JsonText]:
+        try:
+            return self._adapter.process(boms)
+        except RepresentationError as err:
+            raise HttpError(400, "invalid_bom", str(err)) from err
 
     def _parse_tokens(self, options: Any) -> dict[str, tuple[str, ...]]:
         if options is None:
@@ -227,11 +283,23 @@ class SdtManager:
 
         # All validation happens before anything deploys.
         parsed = self._parse_boms(payload.get("boms"))
+        boms = {bom.serial_number: bom for _, bom in parsed}
+        texts = {bom.serial_number: text for text, bom in parsed}
         span.record("parse")
-        try:
-            states = self._adapter.process(bom for _, bom in parsed)
-        except RepresentationError as err:
-            raise HttpError(400, "invalid_bom", str(err)) from err
+        # A subject whose documents a live twin holds reuses its thing text;
+        # the rest are projected, which checks them for duplicates (a held
+        # subject was checked when it was first projected).
+        groups = _subject_documents(boms, texts)
+        things = {subject: key for subject, (_, key) in groups.items()}
+        with self._registry_lock:
+            states = {
+                subject: entry.value for subject, key in things.items()
+                if (entry := self._shared_things.get(key)) is not None
+            }
+        states.update(self._project(
+            bom for subject, (documents, _) in groups.items() if subject not in states
+            for bom in documents
+        ))
         span.record("project")
         user_tokens = self._parse_tokens(payload.get("options"))
 
@@ -281,11 +349,7 @@ class SdtManager:
                 ) from err
             span.record("controller")
 
-            self._commit(
-                record,
-                {bom.serial_number: bom for _, bom in parsed},
-                {bom.serial_number: text for text, bom in parsed},
-            )
+            self._commit(record, boms, texts, things, states)
             descriptor.representation_version = 1
             descriptor.state = SdtState.READY
             self._touch(descriptor)
@@ -381,22 +445,26 @@ class SdtManager:
             # Validation failures leave the descriptor READY and unchanged.
             new_boms, new_texts, touched = self._updated_boms(record, payload)
             span.record("parse")
+            # An update revises the twin's things; it makes none.
+            joined = {new_boms[serial].metadata.subject_name for serial in touched}
+            unknown = sorted(joined.difference(record.things))
+            if unknown:
+                raise HttpError(
+                    400, "unknown_thing", f"update references unknown thing {unknown[0]!r}"
+                )
             # Re-project only the subjects of touched documents, old and new.
             # The set was unique before, so any duplicate (subject, kind)
             # pairs a touched document with another of the same subject:
             # the projection's uniqueness check still covers the whole set.
-            subjects = {
-                boms[serial].metadata.subject_name
-                for serial in touched
-                for boms in (record.boms, new_boms)
-                if serial in boms
-            }
-            try:
-                states = self._adapter.process(
-                    b for b in new_boms.values() if b.metadata.subject_name in subjects
-                )
-            except RepresentationError as err:
-                raise HttpError(400, "invalid_bom", str(err)) from err
+            subjects = joined.union(
+                record.boms[serial].metadata.subject_name for serial in touched
+                if serial in record.boms
+            )
+            groups = _subject_documents(new_boms, new_texts, subjects)
+            states = self._project(bom for documents, _ in groups.values() for bom in documents)
+            new_things = dict(record.things)
+            for subject in subjects:
+                new_things[subject] = groups[subject][1] if subject in groups else None
             span.record("project")
 
             descriptor.state = SdtState.UPDATING
@@ -421,7 +489,7 @@ class SdtManager:
                 raise HttpError(409, "update_rejected", str(err)) from err
             span.record("controller")
 
-            self._commit(record, new_boms, new_texts)
+            self._commit(record, new_boms, new_texts, new_things, states)
             descriptor.representation_version += 1
             descriptor.state = SdtState.READY
             self._touch(descriptor)
@@ -443,7 +511,7 @@ class SdtManager:
             descriptor.state = SdtState.DESTROYED
             # The descriptor stays as a tombstone; the parsed documents are
             # released.
-            self._commit(record, {}, {})
+            self._commit(record, {}, {}, {}, {})
             self._touch(descriptor)
         with self._registry_lock:
             self._tombstones.append(sdt_id)

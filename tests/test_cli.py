@@ -15,6 +15,7 @@ from twinaudit.fixtures.generator import generate
 from twinaudit.jsonhttp import SharedJsonServer
 from twinaudit.manager import InProcessRuntime, ManagerService, SdtManager
 from twinaudit.manager import core as manager_core
+from twinaudit.manager.adapter import DataAdapter
 
 _ENV = None
 
@@ -592,33 +593,42 @@ class TestBenchCommand:
 
     def test_deploy_creates_stay_cold(self, runner, store_env, monkeypatch):
         """The paper's deployment benchmark measures cold creates: each create
-        of the smb twin parses all 15 documents, because between its
-        create/destroy cycles the manager holds no shared document."""
-        parses, held = [], []
-        parse = manager_core.parse_bom
+        of the smb twin parses all 15 documents and projects all 8 things,
+        because between its create/destroy cycles the manager holds no
+        shared document or thing."""
+        parses, projected, held = [], [], []
+        parse, process = manager_core.parse_bom, DataAdapter.process
         handle_create, handle_destroy = SdtManager.handle_create, SdtManager.handle_destroy
 
         def counting(text, **kwargs):
             parses[-1] += 1
             return parse(text, **kwargs)
 
+        def projecting(self, boms):
+            states = process(self, boms)
+            projected[-1] += len(states)
+            return states
+
         def create(self, payload, span=None):
-            held.append(len(self._shared))
+            held.append((len(self._shared), len(self._shared_things)))
             parses.append(0)
+            projected.append(0)
             return handle_create(self, payload, span)
 
         def destroy(self, sdt_id):
             handle_destroy(self, sdt_id)
-            held.append(len(self._shared))
+            held.append((len(self._shared), len(self._shared_things)))
 
         monkeypatch.setattr(manager_core, "parse_bom", counting)
+        monkeypatch.setattr(DataAdapter, "process", projecting)
         monkeypatch.setattr(SdtManager, "handle_create", create)
         monkeypatch.setattr(SdtManager, "handle_destroy", destroy)
         result = ok(runner.invoke(
             main, ["bench", "deploy", "--fixture", "smb", "--iterations", "4"], env=store_env))
         assert "iterations: 4 ok, 0 failed" in result.output
         assert parses == [15] * 5  # the warm-up and four measured creates
-        assert held == [0] * 10
+        assert projected == [8] * 5  # seven hosts and the profile's manifest
+        assert held == [(0, 0)] * 10
 
     def test_deploy_payload_is_what_audit_run_stores(
         self, runner, tmp_path, store_env, monkeypatch

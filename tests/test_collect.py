@@ -5,6 +5,7 @@ import json
 import os
 import tarfile
 import tempfile
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -234,6 +235,53 @@ class TestSnapshotWalk:
         assert "srv/caf\u00e9/na\u00efve-\u65e5\u672c.conf" in expected
         assert "srv/app name/with space.txt" in expected
         assert not any(path.startswith(("etc/dir-link", "etc/outside")) for path in expected)
+
+    @pytest.mark.parametrize("kind", ["symlink", "directory", "fifo"])
+    def test_a_file_swapped_after_the_listing_is_not_read(self, tmp_path, monkeypatch, kind):
+        """A file that the walk lists as regular, and that is replaced by a
+        symlink out of the root, a directory or a FIFO before it is opened,
+        is skipped: its key is absent, nothing outside the root is read and
+        the open does not wait for a FIFO's writer."""
+        outside = write_tree(tmp_path / "outside", {"secret.txt": SENTINEL})
+        facts = json.dumps(FACTS).encode()
+        root = write_tree(tmp_path / "host", {"facts.json": facts, "etc/app.conf": b"inside"})
+        swapped = root / "etc" / "app.conf"
+        scandir = os.scandir
+
+        class Swapping:
+            """scandir, swapping app.conf once its entry is listed."""
+
+            def __init__(self, path):
+                self.entries = scandir(path)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.entries.close()
+
+            def __iter__(self):
+                for entry in self.entries:
+                    if entry.name == "app.conf" and entry.is_file(follow_symlinks=False):
+                        swapped.unlink()
+                        if kind == "symlink":
+                            swapped.symlink_to(outside / "secret.txt")
+                        elif kind == "directory":
+                            write_tree(swapped, {"inner.txt": SENTINEL})
+                        else:
+                            os.mkfifo(swapped)
+                    yield entry
+
+        monkeypatch.setattr(os, "scandir", Swapping)
+        opened = []
+        reader = threading.Thread(target=lambda: opened.append(HostSnapshot.open(root)),
+                                  daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        (snapshot,) = opened
+        read = {path: snapshot.read_bytes(path) for path in snapshot.iter_files()}
+        assert read == {"facts.json": facts}
 
     def test_a_backslash_in_a_name_keeps_its_own_key(self, tmp_path):
         root = write_tree(

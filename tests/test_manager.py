@@ -20,12 +20,14 @@ from twinaudit.instance.policy import DECISION_LOG_SIZE
 from twinaudit.instance.representation import StoredRepresentation
 from twinaudit.jsonhttp import (
     HttpError,
+    JsonText,
     RequestRejected,
     SharedJsonServer,
     TransportUnavailable,
     http_json,
 )
 from twinaudit.manager import core as manager_core
+from twinaudit.manager.adapter import DataAdapter
 from twinaudit.manager import (
     CREATE_STAGES,
     ID_PATTERN,
@@ -80,6 +82,7 @@ class Env:
         self.server = SharedJsonServer().start()
         self.runtime = InProcessRuntime(self.server)
         self.counter = 0
+        self.mounted = []  # (prefix, manager) since the last release
 
     def make_manager(self, sabotage=False):
         runtime = SabotageRuntime(self.runtime) if sabotage else self.runtime
@@ -87,8 +90,20 @@ class Env:
         self.counter += 1
         prefix = f"/mgr{self.counter}"
         self.server.mount(prefix, ManagerService(manager))
+        self.mounted.append((prefix, manager))
         client = ManagerClient(self.server.url_for(prefix))
         return manager, client, runtime
+
+    def release(self):
+        """Destroy every twin of the managers mounted since the last
+        release, and unmount them, so that nothing of a finished test stays
+        reachable from the shared server."""
+        while self.mounted:
+            prefix, manager = self.mounted.pop()
+            for descriptor in manager.list_descriptors():
+                if descriptor["state"] != "DESTROYED":
+                    manager.handle_destroy(descriptor["sdtId"])
+            self.server.unmount(prefix)
 
     def stop(self):
         self.server.stop()
@@ -105,6 +120,13 @@ def setup_module(module):
 def teardown_module(module):
     if _PROP_ENV is not None:
         _PROP_ENV.stop()
+
+
+@pytest.fixture(autouse=True)
+def released_managers():
+    """Each test's managers are released when it ends."""
+    yield
+    _PROP_ENV.release()
 
 
 @pytest.fixture(scope="module")
@@ -862,12 +884,15 @@ class TestMalformedBodies:
         descriptor = manager.get_descriptor(self.sdt_id)
         assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
 
-    @classmethod
-    def setup_class(cls):
-        cls.texts = bom_texts("malformed-host")
-        cls.create_env = _PROP_ENV.make_manager(sabotage=True)
-        cls.update_env = _PROP_ENV.make_manager()
-        cls.sdt_id = cls.update_env[1].create("profile-a", cls.texts)["sdtId"]
+    def setup_method(self, method):
+        # Per test, as the managers are released when each test ends.
+        self.texts = bom_texts("malformed-host")
+        self.create_env = _PROP_ENV.make_manager(sabotage=True)
+        self.update_env = _PROP_ENV.make_manager()
+        self.sdt_id = self.update_env[1].create("profile-a", self.texts)["sdtId"]
+
+    def teardown_method(self, method):
+        del self.create_env, self.update_env
 
 
 class TestListOrdering:
@@ -981,10 +1006,41 @@ def holds(manager):
         return {text: entry.holders for text, entry in manager._shared.items()}
 
 
-def live_boms():
-    """The number of Bom objects alive in the process."""
+def thing_holds(manager):
+    """The manager's thing table: each key (a subject's document texts) with
+    the number of twins holding it."""
+    with manager._registry_lock:
+        return {key: entry.holders for key, entry in manager._shared_things.items()}
+
+
+def live(kind=Bom):
+    """The number of objects of exactly that type alive in the process."""
     gc.collect()
-    return sum(type(o) is Bom for o in gc.get_objects())
+    return sum(type(o) is kind for o in gc.get_objects())
+
+
+def thing_key(record, subject):
+    """The texts of the subject's documents in serial order, or None when
+    it has none or one of them holds no text."""
+    serials = sorted(s for s, b in record.boms.items() if b.metadata.subject_name == subject)
+    if serials and all(s in record.texts for s in serials):
+        return tuple(record.texts[s] for s in serials)
+    return None
+
+
+@pytest.fixture()
+def projections(monkeypatch):
+    """The subjects of each DataAdapter.process call, in call order."""
+    seen = []
+    process = DataAdapter.process
+
+    def counting(self, boms):
+        states = process(self, boms)
+        seen.append(sorted(states))
+        return states
+
+    monkeypatch.setattr(DataAdapter, "process", counting)
+    return seen
 
 
 @pytest.fixture()
@@ -1038,7 +1094,7 @@ class TestSharedDocuments:
         manager, _, runtime = env.make_manager(sabotage=True)
         texts = linked_texts("fail-a")
         manager.handle_create({"profileId": "profile-a", "boms": texts})
-        before = holds(manager)
+        before, things = holds(manager), thing_holds(manager)
         sbom = host_boms("fail-b")[0]
         twin_sbom = replace(sbom, serial_number=document_serial("sbom", "fail-c"))
         other = linked_texts("fail-b")
@@ -1053,6 +1109,7 @@ class TestSharedDocuments:
             assert (err.value.status, err.value.code) == (400, "invalid_bom")
             assert message in err.value.message
             assert holds(manager) == before
+            assert thing_holds(manager) == things
         for flag, code in (("fail_deploy", "deploy"), ("poison_tokens", "representation")):
             setattr(runtime, flag, True)
             for boms in (texts, other):
@@ -1060,6 +1117,7 @@ class TestSharedDocuments:
                     manager.handle_create({"profileId": "profile-a", "boms": boms})
                 assert (err.value.status, err.value.code) == (502, code)
                 assert holds(manager) == before
+                assert thing_holds(manager) == things
             setattr(runtime, flag, False)
 
     def test_refused_updates_leave_every_hold(self, env, monkeypatch):
@@ -1067,8 +1125,8 @@ class TestSharedDocuments:
         texts = linked_texts("refuse-a")
         keep = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
         sdt_id = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
-        before, record = holds(manager), manager._records[sdt_id]
-        boms, held = dict(record.boms), dict(record.texts)
+        before, record = (holds(manager), thing_holds(manager)), manager._records[sdt_id]
+        boms, held, things = dict(record.boms), dict(record.texts), dict(record.things)
         v1 = parse_bom(texts[1])
         v2 = replace(v1, version=2, components=v1.components[1:])
         delta = delta_to_dict(diff_boms(v1, v2))
@@ -1090,8 +1148,8 @@ class TestSharedDocuments:
                 with pytest.raises(HttpError) as err:
                     manager.handle_update(sdt_id, payload)
             assert (err.value.status, err.value.code) == (409, code)
-            assert holds(manager) == before
-            assert (record.boms, record.texts) == (boms, held)
+            assert (holds(manager), thing_holds(manager)) == before
+            assert (record.boms, record.texts, record.things) == (boms, held, things)
             assert manager.get_descriptor(sdt_id)["representationVersion"] == 1
         assert manager._records[keep].boms == boms
 
@@ -1117,7 +1175,7 @@ class TestSharedDocuments:
         assert record.boms[v1.serial_number] == v3
         # A text and a delta for one serial: the twin holds the delta's
         # result, and the shared Bom the delta started from stays as it was.
-        shared = manager._shared[texts[1]].bom
+        shared = manager._shared[texts[1]].value
         v4 = replace(v1, version=4, components=v1.components[1:])
         manager.handle_update(keep, {"expectedVersion": 1, "boms": [texts[1]],
                                      "deltas": [delta_to_dict(diff_boms(v1, v4))]})
@@ -1133,7 +1191,7 @@ class TestSharedDocuments:
         manager, _, _ = env.make_manager()
         payloads = [linked_texts("roll-a"), linked_texts("roll-a", "roll-b")]
         revised = serialize_bom(replace(parse_bom(payloads[0][1]), version=2))
-        before = live_boms()
+        before = live(Bom), live(manager_core._Shared), live(JsonText)
         for cycle in range(manager_core.TOMBSTONES + 6):
             ids = [manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
                    for texts in payloads]
@@ -1141,9 +1199,9 @@ class TestSharedDocuments:
                 manager.handle_update(ids[0], {"expectedVersion": 1, "boms": [revised]})
             for sdt_id in ids:
                 manager.handle_destroy(sdt_id)
-            assert holds(manager) == {}
+            assert holds(manager) == {} and thing_holds(manager) == {}
         assert len(manager._records) == manager_core.TOMBSTONES
-        assert live_boms() == before
+        assert (live(Bom), live(manager_core._Shared), live(JsonText)) == before
 
     def test_concurrent_creates_of_one_payload_count_both_twins(self, env, monkeypatch):
         """Both creates miss the table and parse; the second to commit takes
@@ -1173,6 +1231,7 @@ class TestSharedDocuments:
             assert not t.is_alive()
         a, b = (manager._records[d["sdtId"]] for d in created)
         assert holds(manager) == dict.fromkeys(texts, 2)
+        assert thing_holds(manager) == dict.fromkeys(a.things.values(), 2)
         assert all(b.boms[serial] is bom for serial, bom in a.boms.items())
         for descriptor in created:
             manager.handle_destroy(descriptor["sdtId"])
@@ -1193,7 +1252,7 @@ class TestSharedDocuments:
         monkeypatch.setattr(manager_core, "_Shared", Yielding)
         manager, _, _ = env.make_manager()
         one, two = linked_texts("stress-a"), linked_texts("stress-a", "stress-b")
-        manager.handle_create({"profileId": "profile-a", "boms": two})
+        standing = manager.handle_create({"profileId": "profile-a", "boms": two})["sdtId"]
         v1 = parse_bom(one[1])
         revised = serialize_bom(replace(v1, version=2, components=v1.components[1:]))
         errors = []
@@ -1220,6 +1279,138 @@ class TestSharedDocuments:
             sys.setswitchinterval(interval)
         assert errors == []
         assert holds(manager) == dict.fromkeys(two, 1)
+        assert thing_holds(manager) == dict.fromkeys(manager._records[standing].things.values(), 1)
+
+
+class TestSharedThings:
+    """Twins whose subject holds the same document texts share its one thing
+    text, projected once; the table holds a key only while some live twin
+    holds every document of that subject as a text."""
+
+    def test_a_create_projects_only_the_subjects_no_live_twin_holds(self, env, projections):
+        manager, _, runtime = env.make_manager()
+        one, two = linked_texts("thing-a"), linked_texts("thing-a", "thing-b")
+        first = manager.handle_create({"profileId": "profile-a", "boms": one})
+        # In another order: a key does not depend on the payload's order.
+        second = manager.handle_create({"profileId": "profile-a", "boms": two[::-1]})
+        # thing-a's documents are held; the manifest lists another host.
+        assert projections == [["profile-a", "thing-a"], ["profile-a", "thing-b"]]
+        a, b = (manager._records[d["sdtId"]] for d in (first, second))
+        assert a.things["thing-a"] is b.things["thing-a"]
+        assert thing_holds(manager) == {a.things["profile-a"]: 1, a.things["thing-a"]: 2,
+                                        b.things["profile-a"]: 1, b.things["thing-b"]: 1}
+        for record in (a, b):
+            assert record.things == {t: thing_key(record, t) for t in record.things}
+        reps = [runtime.instance_service(d["endpoint"]).representation() for d in (first, second)]
+        assert reps[0].latest("thing-a") is reps[1].latest("thing-a")
+        assert {t: reps[1].latest(t) for t in reps[1].thing_ids()} == {
+            t: canonical(s) for t, s in thing_states_from_boms(map(parse_bom, two)).items()}
+        manager.handle_destroy(first["sdtId"])
+        assert thing_holds(manager) == dict.fromkeys(b.things.values(), 1)
+        manager.handle_destroy(second["sdtId"])
+        assert thing_holds(manager) == {}
+
+    def test_an_update_naming_an_unknown_subject_is_a_bad_request(self, env, projections):
+        """A text or a delta whose document names a subject the twin has no
+        thing for is refused before it is projected, and holds nothing."""
+        manager, client, _ = env.make_manager()
+        texts = linked_texts("known-a")
+        sdt_id = client.create("profile-a", texts)["sdtId"]
+        before = holds(manager), thing_holds(manager), dict(manager._records[sdt_id].things)
+        del projections[:]
+        sbom = host_boms("known-b")[0]
+        known = parse_bom(texts[0])
+        moved = replace(known, version=2,
+                        metadata=replace(known.metadata, subject_name="known-b"))
+        for body in ({"expectedVersion": 1, "boms": [serialize_bom(sbom)]},
+                     {"expectedVersion": 1, "deltas": [delta_to_dict(diff_boms(known, moved))]}):
+            status, answer = http_json("PUT", f"{client.base_url}/sdts/{sdt_id}", body)
+            assert (status, answer) == (400, {
+                "code": "unknown_thing",
+                "message": "update references unknown thing 'known-b'"})
+            assert projections == []
+            assert (holds(manager), thing_holds(manager),
+                    manager._records[sdt_id].things) == before
+            descriptor = client.get(sdt_id)
+            assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+
+    def test_updates_hold_the_things_they_project(self, env, projections):
+        """A text update re-projects its subject only and holds the new key,
+        letting the old one go; a delta leaves the subject holding nothing
+        until a text revises it again."""
+        manager, _, _ = env.make_manager()
+        texts = linked_texts("revise-a", "revise-b")
+        keep = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        sdt_id = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        record, kept = manager._records[sdt_id], manager._records[keep].things
+        v1 = parse_bom(texts[0])
+        subject = v1.metadata.subject_name
+        v2 = replace(v1, version=2, components=v1.components[1:])
+        del projections[:]
+        manager.handle_update(sdt_id, {"expectedVersion": 1, "boms": [serialize_bom(v2)]})
+        assert projections == [[subject]]
+        assert record.things[subject] == thing_key(record, subject) != kept[subject]
+        assert thing_holds(manager) == {**dict.fromkeys(kept.values(), 2),
+                                        kept[subject]: 1, record.things[subject]: 1}
+        manager.handle_update(sdt_id, {"expectedVersion": 2,
+                                       "deltas": [delta_to_dict(diff_boms(v2, replace(v1, version=3)))]})
+        assert record.things[subject] is None
+        assert thing_holds(manager) == {**dict.fromkeys(kept.values(), 2), kept[subject]: 1}
+        # A later text of the same serial holds the subject's thing again,
+        # sharing the other twin's text once the two hold the same documents.
+        manager.handle_update(keep, {"expectedVersion": 1,
+                                     "boms": [serialize_bom(replace(v1, version=4))]})
+        manager.handle_update(sdt_id, {"expectedVersion": 3,
+                                       "boms": [serialize_bom(replace(v1, version=4))]})
+        assert record.things == manager._records[keep].things
+        assert thing_holds(manager) == dict.fromkeys(record.things.values(), 2)
+        manager.handle_destroy(keep)
+        manager.handle_destroy(sdt_id)
+        assert thing_holds(manager) == {}
+
+    def test_locks_are_taken_record_first(self, env, monkeypatch):
+        """No record's lock is taken while the registry lock is held, and
+        the tables change only under the committing record's lock."""
+        manager, client, _ = env.make_manager()
+        registry, checked = manager._registry_lock, []
+
+        class Ordered:
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                assert not registry._is_owned()
+                checked.append(self)
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+            def _is_owned(self):
+                return self.lock._is_owned()
+
+        record_type, commit = manager_core._SdtRecord, manager._commit
+
+        def ordered_record(**fields):
+            record = record_type(**fields)
+            record.lock = Ordered(record.lock)
+            return record
+
+        def committing(record, *args):
+            assert record.lock._is_owned()
+            return commit(record, *args)
+
+        monkeypatch.setattr(manager_core, "_SdtRecord", ordered_record)
+        monkeypatch.setattr(manager, "_commit", committing)
+        texts = linked_texts("order-a")
+        first = client.create("profile-a", texts)["sdtId"]
+        second = client.create("profile-a", texts)["sdtId"]
+        v1 = parse_bom(texts[0])
+        client.update(first, 1, bom_texts=[serialize_bom(replace(v1, version=2))])
+        client.footprint(second)
+        client.destroy(first)
+        client.destroy(second)
+        assert len(checked) >= 6 and thing_holds(manager) == {}
 
 
 class UnsharedManager(SdtManager):
@@ -1301,13 +1492,23 @@ class TestSharedDocumentsProperty:
             if got is not None:
                 assert got == {t: canonical(state) for t, state in
                                thing_states_from_boms(record.boms.values()).items()}
+                assert set(got) == set(record.things)
+                for subject, key in record.things.items():
+                    if key is not None:
+                        assert shared._shared_things[key].value == got[subject]
             counts: dict[str, int] = {}
+            thing_counts: dict[tuple[str, ...], int] = {}
             for twin in (shared._records[i] for i, _ in ids):
                 for serial, text in twin.texts.items():
-                    assert shared._shared[text].bom is twin.boms[serial]
+                    assert shared._shared[text].value is twin.boms[serial]
                     assert twin.boms[serial] == parse_bom(text, strict=False)
                     counts[text] = counts.get(text, 0) + 1
+                for subject, key in twin.things.items():
+                    assert key == thing_key(twin, subject)
+                    if key is not None:
+                        thing_counts[key] = thing_counts.get(key, 0) + 1
             assert holds(shared) == counts
+            assert thing_holds(shared) == thing_counts
 
         try:
             for kind, *args in [first, *ops]:
@@ -1354,4 +1555,4 @@ class TestSharedDocumentsProperty:
             for manager in (shared, *references):
                 for descriptor in manager.list_descriptors():
                     manager.handle_destroy(descriptor["sdtId"])
-        assert holds(shared) == {}
+        assert holds(shared) == {} and thing_holds(shared) == {}
