@@ -311,7 +311,9 @@ def audit_update(
     Needs the manager that created the twin, so configure manager_url
     unless nothing changed on disk.
     """
-    subset = [h.strip() for h in hosts.split(",") if h.strip()] if hosts else None
+    subset = [h.strip() for h in hosts.split(",") if h.strip()] if hosts is not None else None
+    if subset == []:
+        raise click.ClickException("--hosts names no host")
     with _manager_session(config) as client:
         run = _service(config, client, feed, run_id).update_audit(run_id, hosts=subset)
     _finish_run(run, as_json)

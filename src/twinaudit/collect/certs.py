@@ -14,7 +14,7 @@ from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, r
 
 from .records import EvidenceCategory, EvidenceRecord, make_record
 from .snapshot import HostSnapshot
-from .tokens import AlgorithmToken, token_for_hash, token_for_key
+from .tokens import AlgorithmMention, AlgorithmToken, token_for_hash, token_for_key
 
 _PEM_MARKER = b"-----BEGIN CERTIFICATE-----"
 
@@ -125,10 +125,11 @@ def _certificate_record(
 
 def scan_certificates(
     snapshot: HostSnapshot,
-) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmToken]]]:
-    """All PEM certificates; tokens come back tagged with their source path."""
+) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmMention]]]:
+    """All PEM certificates, and the algorithms they imply sighted at
+    their source path."""
     records: list[EvidenceRecord] = []
-    tagged_tokens: list[tuple[str, AlgorithmToken]] = []
+    sightings: list[tuple[str, AlgorithmMention]] = []
     candidates = sorted(
         set(snapshot.glob("*.pem") + snapshot.glob("*.crt") + snapshot.glob("*.cert"))
     )
@@ -137,5 +138,5 @@ def scan_certificates(
             continue
         found, tokens = parse_certificate(snapshot, path)
         records.extend(found)
-        tagged_tokens.extend((path, token) for token in tokens)
-    return records, tagged_tokens
+        sightings.extend((path, AlgorithmMention(token)) for token in tokens)
+    return records, sightings

@@ -1,15 +1,17 @@
 """Config, kernel, log, and library scanners plus the host scan orchestrator.
 
-Everything here only reads through the HostSnapshot facade. Scanners
-return algorithm sightings as (path, mention) pairs; scan_host folds them
-into one ALGORITHM record per canonical token, with its merged modes and
-source paths.
+Everything here only reads through the HostSnapshot facade. One reader
+splits every openssl, ssh and sysctl settings line into its key and value,
+and openssl and ssh directives are built in one place. Every scanner that
+sights algorithms returns (records, [(path, mention)]); scan_host walks
+one list of those scans and folds the sightings once, into one ALGORITHM
+record per canonical token, with its merged modes and source paths.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
 from .certs import scan_certificates
 from .manifests import scan_manifests
@@ -109,109 +111,96 @@ def _fold_sightings(
     return out
 
 
-def _directive_record(
-    host: str, path: str, key: str, value: str, file_kind: str
-) -> EvidenceRecord:
-    return make_record(
-        EvidenceCategory.OPENSSL_CONFIG,
-        name=key,
-        host=host,
-        source_path=path,
-        attributes={"kind": "directive", "value": value, "file": file_kind},
-    )
+def _settings(text: str, separator: Optional[str]) -> Iterator[tuple[str, str]]:
+    """Each line's stripped (key, value), split at the first `separator`
+    (None: the first run of whitespace after the key) once its `#` comment
+    is cut off; a line without one yields nothing."""
+    for line in text.splitlines():
+        parts = line.partition("#")[0].split(separator, 1)
+        if len(parts) == 2:
+            yield parts[0].strip(), parts[1].strip()
 
 
-def _protocol_record(host: str, path: str, name: str, version: str) -> EvidenceRecord:
-    return make_record(
-        EvidenceCategory.OPENSSL_CONFIG,
-        name=name,
-        host=host,
-        source_path=path,
-        version=version,
-        attributes={"kind": "protocol"},
-    )
+def _directives(
+    snapshot: HostSnapshot,
+    path: str,
+    file_kind: str,
+    settings: list[tuple[str, str]],
+    protocols: Iterable[tuple[str, str]],
+) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmMention]]]:
+    """A directive record and the algorithm sightings of each (key, value)
+    setting of the file, then a protocol record of each (name, version)."""
+    records: list[EvidenceRecord] = []
+    sightings: list[tuple[str, AlgorithmMention]] = []
+    for key, value in settings:
+        records.append(
+            make_record(
+                EvidenceCategory.OPENSSL_CONFIG,
+                name=key,
+                host=snapshot.hostname,
+                source_path=path,
+                attributes={"kind": "directive", "value": value, "file": file_kind},
+            )
+        )
+        sightings.extend((path, m) for m in extract_algorithm_mentions(value))
+    for name, version in protocols:
+        records.append(
+            make_record(
+                EvidenceCategory.OPENSSL_CONFIG,
+                name=name,
+                host=snapshot.hostname,
+                source_path=path,
+                version=version,
+                attributes={"kind": "protocol"},
+            )
+        )
+    return records, sightings
 
 
 def scan_openssl_config(
     snapshot: HostSnapshot, path: str
 ) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmMention]]]:
-    records: list[EvidenceRecord] = []
-    mentions: list[tuple[str, AlgorithmMention]] = []
-    seen_protocols: set[tuple[str, str]] = set()
-    for line in snapshot.read_text(path).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            continue
-        records.append(_directive_record(snapshot.hostname, path, key, value, "openssl"))
-        mentions.extend((path, m) for m in extract_algorithm_mentions(value))
-        for proto, version in extract_protocol_mentions(value):
-            if (proto, version) not in seen_protocols:
-                seen_protocols.add((proto, version))
-                records.append(_protocol_record(snapshot.hostname, path, proto, version))
-    return records, mentions
+    """`key = value` directives with both sides set, and each distinct
+    protocol their values name, in first-seen order."""
+    settings = [(k, v) for k, v in _settings(snapshot.read_text(path), "=") if k and v]
+    protocols = [p for _, value in settings for p in extract_protocol_mentions(value)]
+    return _directives(snapshot, path, "openssl", settings, dict.fromkeys(protocols))
 
 
 def scan_ssh_config(
     snapshot: HostSnapshot, path: str
 ) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmMention]]]:
-    records: list[EvidenceRecord] = []
-    mentions: list[tuple[str, AlgorithmMention]] = []
-    saw_directive = False
-    for line in snapshot.read_text(path).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            continue
-        key, value = parts
-        if key.lower() not in _SSH_CRYPTO_DIRECTIVES:
-            continue
-        saw_directive = True
-        records.append(_directive_record(snapshot.hostname, path, key, value, "ssh"))
-        mentions.extend((path, m) for m in extract_algorithm_mentions(value))
-    if saw_directive:
-        records.append(_protocol_record(snapshot.hostname, path, "SSH", "2"))
-    return records, mentions
+    """`Keyword value` crypto directives, and SSH 2 when there is one."""
+    settings = [
+        (k, v) for k, v in _settings(snapshot.read_text(path), None)
+        if k.lower() in _SSH_CRYPTO_DIRECTIVES
+    ]
+    return _directives(snapshot, path, "ssh", settings, [("SSH", "2")] if settings else [])
 
 
 def scan_kernel_settings(snapshot: HostSnapshot) -> list[EvidenceRecord]:
-    records = []
-    conf_paths = [p for p in ("etc/sysctl.conf",) if snapshot.exists(p)]
+    """sysctl `key = value` lines with a key, an empty value kept, then
+    each proc/sys file as the dotted key of its path."""
+    settings = []
+    conf_paths = ["etc/sysctl.conf"] if snapshot.exists("etc/sysctl.conf") else []
     conf_paths += snapshot.glob("etc/sysctl.d/*.conf")
     for path in conf_paths:
-        for line in snapshot.read_text(path).splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+        for key, value in _settings(snapshot.read_text(path), "="):
             if key:
-                records.append(
-                    make_record(
-                        EvidenceCategory.KERNEL_SETTING,
-                        name=key,
-                        host=snapshot.hostname,
-                        source_path=path,
-                        attributes={"value": value},
-                    )
-                )
+                settings.append((path, key, value))
     for path in snapshot.glob("proc/sys/*"):
         name = path[len("proc/sys/"):].replace("/", ".")
-        records.append(
-            make_record(
-                EvidenceCategory.KERNEL_SETTING,
-                name=name,
-                host=snapshot.hostname,
-                source_path=path,
-                attributes={"value": snapshot.read_text(path).strip()},
-            )
+        settings.append((path, name, snapshot.read_text(path).strip()))
+    return [
+        make_record(
+            EvidenceCategory.KERNEL_SETTING,
+            name=key,
+            host=snapshot.hostname,
+            source_path=path,
+            attributes={"value": value},
         )
-    return records
+        for path, key, value in settings
+    ]
 
 
 def scan_logs(
@@ -261,32 +250,18 @@ def scan_crypto_libraries(snapshot: HostSnapshot) -> list[EvidenceRecord]:
 
 def scan_host(snapshot: HostSnapshot) -> EvidenceBundle:
     """Full non-intrusive evidence pass over one snapshot."""
-    records: list[EvidenceRecord] = []
+    records = scan_manifests(snapshot)
+    records += scan_crypto_libraries(snapshot)
+    records += scan_kernel_settings(snapshot)
+    # A name's ALGORITHM record takes the token of its first sighting, so
+    # the order of the scans is part of the output.
+    scans = [scan_certificates(snapshot)]
+    scans += [scan_openssl_config(snapshot, p) for p in OPENSSL_CONFIG_PATHS if snapshot.exists(p)]
+    scans += [scan_ssh_config(snapshot, p) for p in SSH_CONFIG_PATHS if snapshot.exists(p)]
+    scans.append(scan_logs(snapshot))
     sightings: list[tuple[str, AlgorithmMention]] = []
-
-    records.extend(scan_manifests(snapshot))
-    records.extend(scan_crypto_libraries(snapshot))
-
-    cert_records, cert_tokens = scan_certificates(snapshot)
-    records.extend(cert_records)
-    sightings.extend((path, AlgorithmMention(token)) for path, token in cert_tokens)
-
-    for path in OPENSSL_CONFIG_PATHS:
-        if snapshot.exists(path):
-            found, mentions = scan_openssl_config(snapshot, path)
-            records.extend(found)
-            sightings.extend(mentions)
-    for path in SSH_CONFIG_PATHS:
-        if snapshot.exists(path):
-            found, mentions = scan_ssh_config(snapshot, path)
-            records.extend(found)
-            sightings.extend(mentions)
-
-    records.extend(scan_kernel_settings(snapshot))
-
-    log_records, log_mentions = scan_logs(snapshot)
-    records.extend(log_records)
-    sightings.extend(log_mentions)
-
-    records.extend(_fold_sightings(snapshot.hostname, sightings))
+    for found, seen in scans:
+        records += found
+        sightings += seen
+    records += _fold_sightings(snapshot.hostname, sightings)
     return EvidenceBundle(host=snapshot.hostname, records=tuple(records))

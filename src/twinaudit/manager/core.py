@@ -461,10 +461,16 @@ class SdtManager:
                 if serial in record.boms
             )
             groups = _subject_documents(new_boms, new_texts, subjects)
+            # An instance drops no thing, so a thing keeps a document.
+            emptied = sorted(subjects.difference(groups))
+            if emptied:
+                raise HttpError(
+                    400, "invalid_bom", f"update leaves thing {emptied[0]!r} with no document"
+                )
             states = self._project(bom for documents, _ in groups.values() for bom in documents)
             new_things = dict(record.things)
             for subject in subjects:
-                new_things[subject] = groups[subject][1] if subject in groups else None
+                new_things[subject] = groups[subject][1]
             span.record("project")
 
             descriptor.state = SdtState.UPDATING

@@ -547,6 +547,17 @@ class TestProgramErrors:
         refused(result, "_ID must not be empty")
         assert reached == []
 
+    @pytest.mark.parametrize("hosts", [" , ", ""], ids=["commas", "empty"])
+    def test_update_of_no_host(self, runner, store_env, hosts, monkeypatch):
+        """A --hosts that names no host would rescan nothing and still save
+        the run; it is refused before any store or manager is used."""
+        reached = []
+        monkeypatch.setattr(cli_module, "FileDocumentStore", lambda *a: reached.append(a))
+        monkeypatch.setattr(cli_module, "_manager_session", lambda *a: reached.append(a))
+        result = runner.invoke(main, ["audit", "update", "run-1", "--hosts", hosts], env=store_env)
+        refused(result, "--hosts names no host")
+        assert reached == []
+
     def test_a_bug_keeps_its_traceback(self, runner, store_env, minimal_fx, monkeypatch):
         def broken(store, source):
             raise RuntimeError("a bug")

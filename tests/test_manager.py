@@ -536,6 +536,29 @@ class TestUpdate:
         assert "software" not in json.loads(rep.latest("move-a"))["properties"]
         assert json.loads(rep.latest("move-b"))["properties"]["software"]
 
+    def test_an_update_leaving_a_subject_with_no_document_is_invalid(self, env):
+        """An instance drops no thing: a delta or a text that moves a
+        subject's only document to another subject answers 400, and the
+        twin keeps its holds, its version and its READY state."""
+        manager, client, _ = env.make_manager()
+        a_sbom = host_boms("move-a")[0]
+        b_cbom = host_boms("move-b")[1]
+        sdt_id = client.create(
+            "profile-a", [serialize_bom(b) for b in link_to_profile([a_sbom, b_cbom], "profile-a")]
+        )["sdtId"]
+        record = manager._records[sdt_id]
+        before = holds(manager), thing_holds(manager), dict(record.things), dict(record.boms)
+        moved = replace(a_sbom, version=2, metadata=replace(a_sbom.metadata, subject_name="move-b"))
+        for body in ({"expectedVersion": 1, "deltas": [delta_to_dict(diff_boms(a_sbom, moved))]},
+                     {"expectedVersion": 1, "boms": [serialize_bom(moved)]}):
+            status, answer = http_json("PUT", f"{client.base_url}/sdts/{sdt_id}", body)
+            assert (status, answer) == (400, {
+                "code": "invalid_bom",
+                "message": "update leaves thing 'move-a' with no document"})
+            assert (holds(manager), thing_holds(manager), record.things, record.boms) == before
+            descriptor = client.get(sdt_id)
+            assert (descriptor["state"], descriptor["representationVersion"]) == ("READY", 1)
+
 
 class TestDestroy:
     def test_destroy_is_terminal_and_idempotent(self, env):
