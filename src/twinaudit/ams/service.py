@@ -34,7 +34,10 @@ other hosts are scanned and forged.
   into the new run's log. When the source log cannot be read (a
   concurrent rescan rewrote or cut it), the host is scanned. The new run's
   documents, manifest, errors and twin are those of an audit on a fresh
-  store.
+  store. The create names each copied document by its digest (a HeldText),
+  as a live twin most likely holds its text, and sends the texts of the
+  documents it forged; the manager answers a digest that no live twin holds
+  by asking for its text.
 
 An entry written without a key (before keys were stored) never matches, so
 its host is scanned. Reports read only the index.
@@ -62,7 +65,7 @@ from ..forge import (
     summarize_bom,
 )
 from ..jsonhttp import RequestRejected, TransportUnavailable
-from ..manager import ManagerClient
+from ..manager import HeldText, ManagerClient
 from ..vulnstore import VulnerabilityStore
 from .profiles import AuditProfile, ProfileError, create_profile, get_profile, selected_hosts
 from .runs import RUNS, TRANSITIONS, AuditRun, InvalidTransition, RunState
@@ -88,7 +91,7 @@ LATEST_RUNS = "latest_runs"
 # serializing that changes the documents of an unchanged snapshot, so that no
 # stored key matches across the change; tests/test_forge_golden.py pins it to
 # the golden bytes.
-FORGE_REVISION = 1
+FORGE_REVISION = 2
 
 
 class UnknownRun(LookupError):
@@ -377,10 +380,11 @@ class AuditService:
         A host whose documents the profile's last audit stored at version 1
         with the host's current input key keeps them: it is not scanned,
         forged or serialized, and their entries are copied into the new
-        log. Every other host is scanned and forged. Either way the run,
-        its documents and the texts sent to the manager are those of an
-        audit on a fresh store. Once the documents are stored, the profile's
-        pointer names this run.
+        log. Every other host is scanned and forged. Either way the run and
+        its documents are those of an audit on a fresh store, and so is the
+        twin: the create sends the copied documents as HeldTexts, named by
+        digest, and the forged ones, the manifest among them, as texts.
+        Once the documents are stored, the profile's pointer names this run.
 
         Whatever raises once the run is COLLECTING ends it FAILED, with an
         error naming the step, before the exception propagates.
@@ -421,16 +425,17 @@ class AuditService:
 
             step = "create"
             self._advance(run, RunState.SDT_REQUESTED)
+            copied = {d.serial_number for f in found.values() for d in f.entries}
             try:
                 created = self.manager.create(
                     profile_id,
-                    [d.text for d in entries],
+                    [HeldText(d.text) if d.serial_number in copied else d.text for d in entries],
                     options=self.sdt_options or None,
                 )
             except TransportUnavailable:
                 return self._advance(run, RunState.FAILED, "transport")
             except RequestRejected as exc:
-                return self._advance(run, RunState.FAILED, f"update_rejected:{exc.code}")
+                return self._advance(run, RunState.FAILED, f"create_rejected:{exc.code}")
             run.sdt_id = created["sdtId"]
             run.representation_version = int(created["representationVersion"])
             return self._advance(run, RunState.SDT_READY)

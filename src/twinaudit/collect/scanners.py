@@ -11,7 +11,7 @@ record per canonical token, with its merged modes and source paths.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .certs import scan_certificates
 from .manifests import scan_manifests
@@ -111,12 +111,19 @@ def _fold_sightings(
     return out
 
 
-def _settings(text: str, separator: Optional[str]) -> Iterator[tuple[str, str]]:
+# Where a settings line's key ends: openssl.cnf and sysctl.conf(5) lines at
+# their first `=`; sshd_config(5) and ssh_config(5) lines at the first run
+# of whitespace, or at exactly one `=` between optional whitespace, so that
+# `Keyword value`, `Keyword=value` and `Keyword = value` read alike.
+_EQUALS = re.compile("=")
+_SSH_SEPARATOR = re.compile(r"\s*=\s*|\s+")
+
+
+def _settings(text: str, separator: re.Pattern[str]) -> Iterator[tuple[str, str]]:
     """Each line's stripped (key, value), split at the first `separator`
-    (None: the first run of whitespace after the key) once its `#` comment
-    is cut off; a line without one yields nothing."""
+    once its `#` comment is cut off; a line without one yields nothing."""
     for line in text.splitlines():
-        parts = line.partition("#")[0].split(separator, 1)
+        parts = separator.split(line.partition("#")[0].strip(), 1)
         if len(parts) == 2:
             yield parts[0].strip(), parts[1].strip()
 
@@ -162,7 +169,7 @@ def scan_openssl_config(
 ) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmMention]]]:
     """`key = value` directives with both sides set, and each distinct
     protocol their values name, in first-seen order."""
-    settings = [(k, v) for k, v in _settings(snapshot.read_text(path), "=") if k and v]
+    settings = [(k, v) for k, v in _settings(snapshot.read_text(path), _EQUALS) if k and v]
     protocols = [p for _, value in settings for p in extract_protocol_mentions(value)]
     return _directives(snapshot, path, "openssl", settings, dict.fromkeys(protocols))
 
@@ -170,23 +177,25 @@ def scan_openssl_config(
 def scan_ssh_config(
     snapshot: HostSnapshot, path: str
 ) -> tuple[list[EvidenceRecord], list[tuple[str, AlgorithmMention]]]:
-    """`Keyword value` crypto directives, and SSH 2 when there is one."""
+    """`Keyword value` crypto directives with a value, and SSH 2 when there
+    is one."""
     settings = [
-        (k, v) for k, v in _settings(snapshot.read_text(path), None)
-        if k.lower() in _SSH_CRYPTO_DIRECTIVES
+        (k, v) for k, v in _settings(snapshot.read_text(path), _SSH_SEPARATOR)
+        if v and k.lower() in _SSH_CRYPTO_DIRECTIVES
     ]
     return _directives(snapshot, path, "ssh", settings, [("SSH", "2")] if settings else [])
 
 
 def scan_kernel_settings(snapshot: HostSnapshot) -> list[EvidenceRecord]:
     """sysctl `key = value` lines with a key, an empty value kept, then
-    each proc/sys file as the dotted key of its path."""
+    each proc/sys file as the dotted key of its path. A line that starts
+    with `;`, like one that starts with `#`, is a comment (sysctl.conf(5))."""
     settings = []
     conf_paths = ["etc/sysctl.conf"] if snapshot.exists("etc/sysctl.conf") else []
     conf_paths += snapshot.glob("etc/sysctl.d/*.conf")
     for path in conf_paths:
-        for key, value in _settings(snapshot.read_text(path), "="):
-            if key:
+        for key, value in _settings(snapshot.read_text(path), _EQUALS):
+            if key and not key.startswith(";"):
                 settings.append((path, key, value))
     for path in snapshot.glob("proc/sys/*"):
         name = path[len("proc/sys/"):].replace("/", ".")

@@ -6,7 +6,8 @@ path prefix; a request goes to the mount with the longest prefix of its
 path. Services implement `dispatch(request) -> (status, payload)` and signal
 failures with HttpError. Every answer is JSON: a payload is encoded with
 json.dumps, except a JsonText, which is JSON text already and is sent as it
-is. Every error answer has the body {"code": ..., "message": ...}, and one
+is. Every error answer has the body {"code": ..., "message": ...}, with a
+"missing" list when the error names what the service lacks, and one
 function writes it: the handler's send_error.
 
 The handler parses each request itself. The request line is read up to
@@ -69,7 +70,7 @@ from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
 from http.server import ThreadingHTTPServer
-from typing import Any, BinaryIO, Mapping, Optional
+from typing import Any, BinaryIO, Mapping, Optional, Sequence
 from urllib.parse import parse_qsl, urlsplit
 
 __all__ = [
@@ -92,28 +93,28 @@ MAX_LINE = 64 * 1024  # longest request, status or header line
 MAX_HEADERS = 100  # most header lines in one message
 
 
-class HttpError(Exception):
-    """Failure a service wants reported as an HTTP status + error body."""
+class _ErrorAnswer(Exception):
+    """An error answer: its status and error body, whose `missing` list
+    names what the service lacks to answer, if anything."""
 
-    def __init__(self, status: int, code: str, message: str):
+    def __init__(self, status: int, code: str, message: str, missing: Sequence[str] = ()):
         super().__init__(f"{status} {code}: {message}")
         self.status = status
         self.code = code
         self.message = message
+        self.missing = tuple(missing)
+
+
+class HttpError(_ErrorAnswer):
+    """Failure a service wants reported as an HTTP status + error body."""
 
 
 class TransportUnavailable(Exception):
     """The remote service could not be reached at all."""
 
 
-class RequestRejected(Exception):
+class RequestRejected(_ErrorAnswer):
     """The remote service answered with an error status."""
-
-    def __init__(self, status: int, code: str, message: str):
-        super().__init__(f"{status} {code}: {message}")
-        self.status = status
-        self.code = code
-        self.message = message
 
 
 @dataclass
@@ -212,8 +213,10 @@ class _Handler(socketserver.StreamRequestHandler):
         *,
         error: Optional[str] = None,
         close: bool = True,
+        missing: Sequence[str] = (),
     ) -> None:
-        """Answer with an error: the one writer of {code, message} bodies.
+        """Answer with an error: the one writer of {code, message} bodies,
+        and of their `missing` list when there is one.
 
         A request refused before any service sees it has the status name as
         its error code, and, like a framing error, closes the connection.
@@ -221,7 +224,10 @@ class _Handler(socketserver.StreamRequestHandler):
         if error is None:
             status = HTTPStatus(code)
             error, message = status.name.lower(), message or status.phrase
-        self._respond(code, {"code": error, "message": message}, close)
+        body: dict[str, Any] = {"code": error, "message": message}
+        if missing:
+            body["missing"] = list(missing)
+        self._respond(code, body, close)
 
     def _serve_one(self) -> None:
         """Read one request and answer it; a request that cannot be read
@@ -339,7 +345,8 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             status, payload = api.dispatch(request)
         except HttpError as err:
-            self.send_error(err.status, err.message, error=err.code, close=False)
+            self.send_error(err.status, err.message, error=err.code, close=False,
+                            missing=err.missing)
             return
         except Exception as err:  # service bug: report, keep the server alive
             self.send_error(500, str(err), error="internal", close=False)
@@ -669,9 +676,11 @@ def expect_json(
     status, payload = http_json(method, url, body=body, token=token, timeout=timeout)
     if status >= 400:
         detail = payload if isinstance(payload, dict) else {}
+        missing = detail.get("missing")
         raise RequestRejected(
             status,
             str(detail.get("code", "error")),
             str(detail.get("message", f"request failed with status {status}")),
+            [str(m) for m in missing] if isinstance(missing, list) else (),
         )
     return payload

@@ -3,7 +3,7 @@ runtime, pushing BOM-derived state through the Data Adapter."""
 
 from .adapter import DataAdapter
 from .api import ManagerService
-from .client import ManagerClient
+from .client import HeldText, ManagerClient
 from .core import ID_PATTERN, SdtDescriptor, SdtManager, SdtState
 from .runtime import InProcessRuntime
 from .trace import CREATE_STAGES, UPDATE_STAGES, TraceRecorder, TraceSpan, is_subsequence
@@ -11,6 +11,7 @@ from .trace import CREATE_STAGES, UPDATE_STAGES, TraceRecorder, TraceSpan, is_su
 __all__ = [
     "CREATE_STAGES",
     "DataAdapter",
+    "HeldText",
     "ID_PATTERN",
     "InProcessRuntime",
     "ManagerClient",

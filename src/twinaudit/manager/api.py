@@ -1,12 +1,13 @@
 """HTTP face of the lifecycle manager.
 
-POST   /sdts                 -> 201 descriptor
+POST   /sdts                 -> 201 descriptor | 409 unknown_digest
 PUT    /sdts/{id}            -> 200 {sdtId, representationVersion} | 409
 DELETE /sdts/{id}            -> 204
 GET    /sdts                 -> 200 {sdts: [...]}
 GET    /sdts/{id}            -> 200 descriptor
 GET    /sdts/{id}/footprint  -> 200 {sdtId, footprintBytes}
-Errors carry {code, message}.
+Errors carry {code, message}; unknown_digest also lists the `missing`
+digests of the {"sha256": ...} items that no live twin holds.
 """
 
 from __future__ import annotations

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..jsonhttp import expect_json
+from ..jsonhttp import RequestRejected, expect_json
+from .core import text_digest
 
-__all__ = ["ManagerClient"]
+__all__ = ["HeldText", "ManagerClient"]
+
+
+class HeldText(str):
+    """A document text that a live twin on the manager is likely to hold:
+    a create names it by its text_digest instead of sending it."""
 
 
 class ManagerClient:
@@ -23,10 +29,29 @@ class ManagerClient:
         bom_texts: list[str],
         options: Optional[dict[str, Any]] = None,
     ) -> dict[str, Any]:
+        """Create a twin of the documents. Each HeldText travels as its
+        {"sha256": digest}. A manager that holds no twin of some of them
+        refuses with unknown_digest, and the create is sent once more with
+        their texts; if the manager then lacks another (a destroy raced the
+        first request), it is sent with every text. So a create makes at
+        most three requests, and one of plain texts makes one."""
+        digests = {i: text_digest(t) for i, t in enumerate(bom_texts) if isinstance(t, HeldText)}
         body: dict[str, Any] = {"profileId": profile_id, "boms": bom_texts}
         if options:
             body["options"] = options
-        return expect_json("POST", f"{self.base_url}/sdts", body=body, timeout=self.timeout)
+        retried = False
+        while True:
+            body["boms"] = [
+                {"sha256": digests[i]} if i in digests else text for i, text in enumerate(bom_texts)
+            ] if digests else bom_texts
+            try:
+                return expect_json("POST", f"{self.base_url}/sdts", body=body, timeout=self.timeout)
+            except RequestRejected as err:
+                if err.code != "unknown_digest" or not digests:
+                    raise
+                missing = set(err.missing)
+                digests = {} if retried else {i: d for i, d in digests.items() if d not in missing}
+                retried = True
 
     def update(
         self,

@@ -7,22 +7,33 @@ any failure after deploy tears the instance down again so no orphan keeps
 running. Updates are guarded by an optimistic representation-version
 precondition.
 
-One `urn:cdx:<serial>/<version>` names one content, so the manager keeps
-two tables of held entries: one from a document text to its parsed `Bom`,
-and one from the texts of one subject's documents, in serial order, to
-that subject's thing text. Each entry counts the live twins that hold it,
-and twins of one estate share their unchanged documents and things. A twin
-holds a subject's thing only while every document of that subject is a
-held text; a document last revised by a delta holds nothing. A twin takes
-its holds when its documents are committed (create or accepted update) and
-lets them go when an update replaces the serial, by a text or by a delta,
-or re-projects the subject, and on destroy; an entry whose last holder
-lets it go is dropped, so a table holds nothing that no live twin holds.
+Twins of one estate share their unchanged documents and things, so the
+manager keeps two tables of held entries: one from a document text to its
+parsed `Bom`, and one from the texts of one subject's documents, in serial
+order, to that subject's thing text. They are keyed by text, not by
+`urn:cdx:<serial>/<version>`: one such link can name more than one content
+(each audit forges its documents at version 1, so a host that changed
+between two audits gives one link two texts), and two stores give the same
+serials. Each entry counts the live twins that hold it. A twin holds a
+subject's thing only while every document of that subject is a held text;
+a document last revised by a delta holds nothing. A twin takes its holds
+when its documents are committed (create or accepted update) and lets them
+go when an update replaces the serial, by a text or by a delta, or
+re-projects the subject, and on destroy; an entry whose last holder lets
+it go is dropped, so a table holds nothing that no live twin holds.
+
+A create may name a document by the sha256 digest of its text's UTF-8
+bytes, `{"sha256": <64 lowercase hex digits>}`, instead of sending the
+text. The manager computes each held text's digest itself, when a lookup
+first needs it; a digest that no live twin holds is refused with 409
+`unknown_digest`, whose body lists the `missing` ones.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import secrets
 import threading
 import time
@@ -42,6 +53,7 @@ from .trace import TraceRecorder, TraceSpan
 __all__ = ["SdtDescriptor", "SdtManager", "SdtState"]
 
 ID_PATTERN = "[0-9a-f]{32}"
+_DIGEST = re.compile("[0-9a-f]{64}")
 # Destroyed descriptors kept for GET and an idempotent DELETE, the oldest
 # dropped first; an expired id answers 404 like an unknown one.
 TOMBSTONES = 64
@@ -100,6 +112,47 @@ class _Shared:
     key: Hashable  # a document text, or the texts of one subject's documents
     value: Any  # the text's parsed Bom, or the subject's thing text
     holders: int = 0
+    digest: str = ""  # a document text's text_digest
+
+
+def text_digest(text: str) -> str:
+    """The sha256 of a document text's UTF-8 bytes, in lowercase hex: the
+    name by which a create may send a document that a live twin holds. A
+    lone surrogate, which JSON text can carry and UTF-8 cannot encode, is
+    hashed as it stands, so that no held text fails a lookup."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+class _HeldTexts(dict):
+    """The table of held document texts, each with its _Shared entry, and
+    their index by text_digest. Texts are hashed when a lookup by digest
+    first needs them, not as they enter, so that creates that send only
+    texts hash none. Used under the registry lock."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._digests: dict[str, _Shared] = {}
+        self._unhashed: dict[str, _Shared] = {}
+
+    def __setitem__(self, text: str, entry: _Shared) -> None:
+        super().__setitem__(text, entry)
+        self._unhashed[text] = entry
+
+    def __delitem__(self, text: str) -> None:
+        entry = self.pop(text)
+        if entry.digest:
+            del self._digests[entry.digest]
+        else:
+            del self._unhashed[text]
+
+    def by_digest(self, digest: str) -> Optional[_Shared]:
+        """The entry of the held text whose text_digest this is, if any."""
+        if digest not in self._digests:
+            for text, entry in self._unhashed.items():
+                entry.digest = text_digest(text)
+                self._digests[entry.digest] = entry
+            self._unhashed.clear()
+        return self._digests.get(digest)
 
 
 def _rehold(
@@ -163,10 +216,10 @@ class SdtManager:
         self._adapter = DataAdapter(self._runtime)
         self._records: dict[str, _SdtRecord] = {}
         self._tombstones: deque[str] = deque()  # destroyed ids, oldest first
-        self._shared: dict[str, _Shared] = {}  # document text -> its parse and holders
+        self._shared = _HeldTexts()  # document text -> its parse and holders
         # a subject's document texts -> its thing text and holders
         self._shared_things: dict[tuple[str, ...], _Shared] = {}
-        # guards _records, _tombstones and both tables; taken after a
+        # guards _records, _tombstones and the tables; taken after a
         # record's lock, never before it
         self._registry_lock = threading.RLock()
 
@@ -201,13 +254,32 @@ class SdtManager:
 
     # -- create ---------------------------------------------------------------
 
-    def _parse_boms(self, texts: Any) -> list[tuple[str, Bom]]:
+    def _parse_boms(self, texts: Any, named: bool = False) -> list[tuple[str, Bom]]:
         """Each text with its Bom: the shared one (and its text) when a live
-        twin holds the text, else a fresh parse that nothing holds yet."""
+        twin holds the text, else a fresh parse that nothing holds yet.
+        Where the documents may be `named`, an item {"sha256": <digest>}
+        stands for the held text of that text_digest; digests that no live
+        twin holds are refused together, before any text is parsed."""
         if not isinstance(texts, list) or not texts:
             raise HttpError(400, "bad_request", "boms must be a non-empty list")
+        digests = {}
+        for index, item in enumerate(texts if named else ()):
+            if not isinstance(item, str):
+                digest = item.get("sha256") if isinstance(item, dict) and len(item) == 1 else None
+                if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+                    raise HttpError(400, "bad_request", f"boms[{index}] must be a document"
+                                    ' text or {"sha256": <64 lowercase hex digits>}')
+                digests[index] = digest
         with self._registry_lock:
-            shared = [self._shared.get(t) if isinstance(t, str) else None for t in texts]
+            shared = [
+                self._shared.by_digest(digests[i]) if i in digests
+                else self._shared.get(t) if isinstance(t, str) else None
+                for i, t in enumerate(texts)
+            ]
+        missing = list(dict.fromkeys(d for i, d in digests.items() if shared[i] is None))
+        if missing:
+            raise HttpError(409, "unknown_digest", f"no live twin holds {len(missing)} of the"
+                            " documents named by digest; send their texts", missing)
         parsed: list[tuple[str, Bom]] = []
         serials: set[str] = set()
         for index, (text, entry) in enumerate(zip(texts, shared)):
@@ -282,7 +354,7 @@ class SdtManager:
             raise HttpError(400, "bad_request", "profileId must be a non-empty string")
 
         # All validation happens before anything deploys.
-        parsed = self._parse_boms(payload.get("boms"))
+        parsed = self._parse_boms(payload.get("boms"), named=True)
         boms = {bom.serial_number: bom for _, bom in parsed}
         texts = {bom.serial_number: text for text, bom in parsed}
         span.record("parse")
@@ -368,7 +440,7 @@ class SdtManager:
         if payload.get("boms"):
             for index, (text, bom) in enumerate(self._parse_boms(payload["boms"])):
                 stored = record.boms.get(bom.serial_number)
-                # One urn:cdx:<serial>/<version> names one content.
+                # Within a twin, one urn:cdx:<serial>/<version> names one content.
                 if stored is not None and bom.version <= stored.version and bom != stored:
                     raise HttpError(
                         400,
@@ -390,7 +462,7 @@ class SdtManager:
                 delta = delta_from_dict(delta_doc)
             except BomSchemaError as err:
                 raise HttpError(400, "invalid_delta", f"deltas[{index}]: {err}") from err
-            # One urn:cdx:<serial>/<version> names one content.
+            # Within a twin, one urn:cdx:<serial>/<version> names one content.
             if delta.new_version <= delta.base_version:
                 raise HttpError(
                     400,

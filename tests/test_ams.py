@@ -1724,10 +1724,11 @@ class TestInputKeys:
             assert scanned == ["web-01"]
 
     # The sha256 of the run's index metas, "\n"-joined, after an audit of the
-    # smb fixture at seed 3 and after a rescan that changed one of its hosts.
+    # smb fixture at seed 3 and after a rescan that changed one of its hosts,
+    # at FORGE_REVISION 2 (the keys hold the revision).
     SMB_INDEX = (
-        "44d6a65a3578cccbe169e33942d4732d13e23084d0611d16dfc419ac44811987",
-        "18cccb5153444fc135c0ac9830a8afd09a4ca68d0953cc6f2c4cb760e735357d",
+        "3d48f9250e1522c27172fd906f3c8aa1893657447fd97b975c89d05e1533092a",
+        "632471452c3ddc1bd1f02e6bec302bc380377f3abea077cbdf2c83ff74f2d05b",
     )
 
     def test_the_keyed_index_of_an_estate_keeps_its_bytes(self, tmp_path, env):
@@ -1943,3 +1944,52 @@ class TestAuditReuse:
         assert second.state is RunState.SDT_READY, second.error
         assert scanned == (["a-0", "a-1", "a-2"] if damage == "delete" else ["a-1", "a-2"])
         assert log_contents(svc.store, second.run_id) == expected
+
+    def test_an_audit_whose_source_twin_is_gone_sends_the_texts_again(self, tmp_path, env):
+        """A reusing audit names its copied documents by digest. With the
+        source run's twin destroyed, the manager holds none of them: one
+        refusal, one more request with their texts, and the run and twin
+        are a fresh audit's."""
+        svc, snapshots = self.three_hosts(tmp_path, env)
+        manager = env.mounted[-1][1]
+        first = svc.run_audit("p")
+        svc.manager.destroy(first.sdt_id)
+        requests, handle_create = [], manager.handle_create
+
+        def counting(payload, span=None):
+            requests.append([isinstance(item, dict) for item in payload["boms"]])
+            return handle_create(payload, span)
+
+        with mock.patch.object(manager, "handle_create", counting):
+            second = svc.run_audit("p")
+        assert second.state is RunState.SDT_READY, second.error
+        assert requests == [[False] + [True] * 6, [False] * 7]
+        _, client = env.make_manager_client()
+        fresh = audit_service(tmp_path / "fresh", snapshots, ["a-0", "a-1", "a-2"], (),
+                              FEED_LINES, client)
+        expected = fresh.run_audit("p")
+        assert log_contents(svc.store, second.run_id) == log_contents(fresh.store, expected.run_id)
+
+        def things(service, run):
+            endpoint = service.manager.get(run.sdt_id)["endpoint"]
+            rep = env.runtime.instance_service(endpoint).representation()
+            return {t: json.loads(rep.latest(t)) for t in rep.thing_ids()}
+
+        texts = [text for _, text in log_contents(svc.store, second.run_id)]
+        assert things(svc, second) == things(fresh, expected) == {
+            t: json.loads(text) for t, text in thing_texts_from_boms(map(parse_bom, texts)).items()}
+
+    def test_a_refused_create_is_recorded_as_a_create(self, tmp_path, env):
+        class NoDeploys:
+            def deploy_instance(self, sdt_id, tokens):
+                raise RuntimeError("injected: no room for another instance")
+
+        prefix = "/ams-refusing"
+        manager = SdtManager(runtimes=[NoDeploys()])
+        env.server.mount(prefix, ManagerService(manager))
+        env.mounted.append((prefix, manager))
+        svc, _ = self.three_hosts(tmp_path, env)
+        svc.manager = ManagerClient(env.server.url_for(prefix))
+        run = svc.run_audit("p")
+        assert (run.state, run.error) == (RunState.FAILED, "create_rejected:deploy")
+        assert svc.load_run(run.run_id).error == "create_rejected:deploy"

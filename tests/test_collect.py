@@ -478,6 +478,48 @@ class TestScanHost:
         assert settings["net.ipv4.ip_forward"] == "0"
         assert settings["crypto.fips_enabled"] == "0"
 
+    def test_sysctl_lines_starting_with_a_semicolon_are_comments(self, tmp_path):
+        """sysctl.conf(5): lines that start with `#` or `;` are comments."""
+        tree = write_tree(tmp_path / "h", {
+            "facts.json": json.dumps({"hostname": "h"}),
+            "etc/sysctl.conf": (
+                "# sysctl.conf sample\n"
+                "#\n"
+                "  kernel.domainname = example.com\n"
+                "; this one has a space which will be written to the sysctl!\n"
+                "  kernel.modprobe = /sbin/mod probe\n"
+                "; net.ipv4.ip_forward = 1\n"
+                "\t;vm.swappiness=10\n"
+            ),
+        })
+        bundle = scan_host(HostSnapshot.open(tree))
+        settings = {r.name: r.attribute("value")
+                    for r in of_category(bundle, EvidenceCategory.KERNEL_SETTING)}
+        assert settings == {"kernel.domainname": "example.com",
+                            "kernel.modprobe": "/sbin/mod probe"}
+
+    @pytest.mark.parametrize("path", ["etc/ssh/sshd_config", "etc/ssh/ssh_config"])
+    def test_ssh_directives_may_be_separated_by_one_equals_sign(self, tmp_path, path):
+        """sshd_config(5) and ssh_config(5): a keyword and its arguments are
+        separated by whitespace or by optional whitespace and exactly one `=`."""
+        tree = write_tree(tmp_path / "h", {
+            "facts.json": json.dumps({"hostname": "h"}),
+            path: (
+                "Ciphers=aes128-ctr\n"
+                "MACs = hmac-sha2-256\n"
+                "KexAlgorithms\t=\tcurve25519-sha256\n"
+                "HostKeyAlgorithms ssh-ed25519\n"
+                "PubkeyAcceptedAlgorithms =\n"
+            ),
+        })
+        bundle = scan_host(HostSnapshot.open(tree))
+        directives = {r.name: r.attribute("value")
+                      for r in of_category(bundle, EvidenceCategory.OPENSSL_CONFIG)
+                      if r.attribute("kind") == "directive"}
+        assert directives == {"Ciphers": "aes128-ctr", "MACs": "hmac-sha2-256",
+                              "KexAlgorithms": "curve25519-sha256",
+                              "HostKeyAlgorithms": "ssh-ed25519"}
+
     def test_log_events(self, bundle):
         events = of_category(bundle, EvidenceCategory.SYSTEM_LOG_EVENT)
         kinds = sorted(r.name for r in events)

@@ -27,9 +27,11 @@ from twinaudit.jsonhttp import (
     http_json,
 )
 from twinaudit.manager import core as manager_core
+from twinaudit.manager.core import text_digest
 from twinaudit.manager.adapter import DataAdapter
 from twinaudit.manager import (
     CREATE_STAGES,
+    HeldText,
     ID_PATTERN,
     InProcessRuntime,
     ManagerClient,
@@ -1439,10 +1441,10 @@ class TestSharedThings:
 class UnsharedManager(SdtManager):
     """The manager without its table: every text is parsed."""
 
-    def _parse_boms(self, texts):
+    def _parse_boms(self, texts, **kwargs):
         shared, self._shared = self._shared, {}
         try:
-            return super()._parse_boms(texts)
+            return super()._parse_boms(texts, **kwargs)
         finally:
             self._shared = shared
 
@@ -1579,3 +1581,229 @@ class TestSharedDocumentsProperty:
                 for descriptor in manager.list_descriptors():
                     manager.handle_destroy(descriptor["sdtId"])
         assert holds(shared) == {} and thing_holds(shared) == {}
+
+
+def named(texts, positions=None):
+    """The create items of these texts: each at `positions` (default: all)
+    as its {"sha256": digest}, the others as text."""
+    return [{"sha256": text_digest(t)} if positions is None or i in positions else t
+            for i, t in enumerate(texts)]
+
+
+def twin_state(manager, sdt_id):
+    """What a twin holds: its documents, their texts and thing keys, its
+    thing texts on the instance, and the manager's tables."""
+    record = manager._records[sdt_id]
+    rep = _PROP_ENV.runtime.instance_service(record.descriptor.endpoint).representation()
+    for serial, text in record.texts.items():
+        assert manager._shared[text].value is record.boms[serial]
+    return (dict(record.boms), dict(record.texts), dict(record.things),
+            {t: rep.latest(t) for t in rep.thing_ids()}, holds(manager), thing_holds(manager))
+
+
+# A create of a payload: the hosts, the SBOM version of each host (version
+# 2 drops a component), and the positions it names by digest.
+DIGEST_CREATES = st.tuples(st.just("create"), HOST_SETS,
+                           st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           st.sets(st.integers(0, 4)), st.booleans())
+DIGEST_OPS = st.one_of(
+    DIGEST_CREATES,
+    DIGEST_CREATES,
+    st.tuples(st.just("update"), st.integers(0, 7), st.sampled_from(HOSTS)),
+    st.tuples(st.just("destroy"), st.integers(0, 7)),
+)
+
+
+class TestDigestCreates:
+    """A create may name a document a live twin holds by the sha256 of its
+    text instead of sending the text."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(DIGEST_OPS, min_size=1, max_size=8))
+    def test_named_documents_answer_as_their_texts(self, ops):
+        """On one manager with live twins, a create that names some of its
+        documents by digest answers as the create that sends every text,
+        and leaves the same documents, thing texts and table holds. A
+        digest no live twin holds is refused, listing the missing digests,
+        and changes nothing; sent again with those texts, the create goes
+        through."""
+        manager = SdtManager(runtimes=[_PROP_ENV.runtime])
+        live: list[str] = []
+        try:
+            for kind, *args in ops:
+                if kind == "destroy" and live:
+                    manager.handle_destroy(live.pop(args[0] % len(live)))
+                elif kind == "update" and live:
+                    sdt_id = live[args[0] % len(live)]
+                    record = manager._records[sdt_id]
+                    serial = document_serial("sbom", args[1])
+                    if serial in record.boms:
+                        text = serialize_bom(revision(args[1], 0, record.boms[serial].version + 1))
+                        manager.handle_update(sdt_id, {
+                            "expectedVersion": record.descriptor.representation_version,
+                            "boms": [text]})
+                elif kind == "create":
+                    hosts, versions, positions, keep = args
+                    texts = [serialize_bom(b) for b in link_to_profile(
+                        [revision(h, 0, v) for h, v in zip(hosts, versions)]
+                        + [revision(h, 1, 1) for h in hosts], "profile-a")]
+                    items = named(texts, positions)
+                    before = holds(manager), thing_holds(manager), manager.list_descriptors()
+                    unheld = [text_digest(t) for i, t in enumerate(texts)
+                              if i in positions and t not in before[0]]
+                    try:
+                        mixed = manager.handle_create({"profileId": "profile-a", "boms": items})
+                    except HttpError as err:
+                        assert unheld
+                        assert (err.status, err.code, err.missing) == (
+                            409, "unknown_digest", tuple(dict.fromkeys(unheld)))
+                        assert (holds(manager), thing_holds(manager),
+                                manager.list_descriptors()) == before
+                        items = [texts[i] if isinstance(item, dict)
+                                 and item["sha256"] in err.missing else item
+                                 for i, item in enumerate(items)]
+                        mixed = manager.handle_create({"profileId": "profile-a", "boms": items})
+                    else:
+                        assert not unheld
+                    state = twin_state(manager, mixed["sdtId"])
+                    manager.handle_destroy(mixed["sdtId"])
+                    assert holds(manager) == before[0] and thing_holds(manager) == before[1]
+                    full = manager.handle_create({"profileId": "profile-a", "boms": texts})
+                    assert {k: v for k, v in mixed.items() if k not in VOLATILE} == {
+                        k: v for k, v in full.items() if k not in VOLATILE}
+                    assert twin_state(manager, full["sdtId"]) == state
+                    if keep:
+                        live.append(full["sdtId"])
+                    else:
+                        manager.handle_destroy(full["sdtId"])
+        finally:
+            for sdt_id in live:
+                manager.handle_destroy(sdt_id)
+        assert holds(manager) == {} and thing_holds(manager) == {}
+        assert manager._shared._digests == {} and manager._shared._unhashed == {}
+
+    def test_a_destroy_between_resolve_and_commit_keeps_the_holds(self, env, monkeypatch):
+        """The create holds the text and Bom its digests resolved to; when a
+        destroy of their only holder drops them before the create commits,
+        the commit enters them again."""
+        manager, _, runtime = env.make_manager()
+        texts = linked_texts("resolve-a")
+        holder = manager.handle_create({"profileId": "profile-a", "boms": texts})["sdtId"]
+        resolved, destroyed = threading.Event(), threading.Event()
+        parse = manager._parse_boms
+
+        def resolving(items, **kwargs):
+            parsed = parse(items, **kwargs)
+            resolved.set()
+            assert destroyed.wait(10)
+            return parsed
+
+        monkeypatch.setattr(manager, "_parse_boms", resolving)
+        created, errors = [], []
+
+        def create():
+            try:
+                payload = {"profileId": "profile-a", "boms": named(texts)}
+                created.append(manager.handle_create(payload))
+            except Exception as err:  # reported below
+                errors.append(err)
+
+        thread = threading.Thread(target=create)
+        thread.start()
+        assert resolved.wait(10)
+        manager.handle_destroy(holder)
+        assert holds(manager) == {} and thing_holds(manager) == {}
+        destroyed.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and errors == []
+        (descriptor,) = created
+        assert descriptor["state"] == "READY"
+        record = manager._records[descriptor["sdtId"]]
+        assert holds(manager) == dict.fromkeys(texts, 1)
+        assert thing_holds(manager) == dict.fromkeys(record.things.values(), 1)
+        rep = runtime.instance_service(descriptor["endpoint"]).representation()
+        assert {t: rep.latest(t) for t in rep.thing_ids()} == {
+            t: canonical(s) for t, s in thing_states_from_boms(map(parse_bom, texts)).items()}
+        monkeypatch.setattr(manager, "_parse_boms", parse)
+        again = manager.handle_create({"profileId": "profile-a", "boms": named(texts)})
+        assert holds(manager) == dict.fromkeys(texts, 2)
+        for sdt_id in (descriptor["sdtId"], again["sdtId"]):
+            manager.handle_destroy(sdt_id)
+        assert holds(manager) == {} and manager._shared._digests == {}
+
+    def test_a_held_text_with_a_lone_surrogate_is_named_too(self, env):
+        """JSON can carry a lone surrogate, which UTF-8 cannot encode; the
+        text is hashed as it stands, and lookups by digest keep working."""
+        manager, client, _ = env.make_manager()
+        texts = linked_texts("surrogate-a")
+        odd = [texts[0], texts[1].replace('"flask"', '"fl\ud800sk"'), *texts[2:]]
+        for payload, expected in ((odd, (201, "READY")), (named(odd), (201, "READY")),
+                                  (named(texts), (409, "unknown_digest"))):
+            status, answer = http_json("POST", client.base_url + "/sdts",
+                                       {"profileId": "profile-a", "boms": payload})
+            assert (status, answer.get("state", answer.get("code"))) == expected
+        assert holds(manager) == dict.fromkeys(odd, 2)
+
+    def test_refused_digests_change_nothing(self, env):
+        manager, client, runtime = env.make_manager(sabotage=True)
+        texts = linked_texts("refused-a")
+        sdt_id = client.create("profile-a", texts)["sdtId"]
+        before = (holds(manager), thing_holds(manager), manager.list_descriptors(),
+                  set(runtime.deployed))
+        digest = text_digest(texts[1])
+        for item in ({"sha256": digest.upper()}, {"sha256": digest[:-1]}, {"sha256": digest + "0"},
+                     {"sha256": 5}, {"sha256": digest, "text": texts[1]}, {}, 5, None, [digest]):
+            status, answer = http_json("POST", client.base_url + "/sdts",
+                                       {"profileId": "profile-a", "boms": [texts[0], item]})
+            assert (status, answer["code"]) == (400, "bad_request")
+            assert set(answer) == {"code", "message"}
+        unknown = text_digest(texts[1] + " ")
+        status, answer = http_json("POST", client.base_url + "/sdts", {
+            "profileId": "profile-a", "boms": [*named(texts[:2]), {"sha256": unknown}, texts[2]]})
+        assert (status, answer["code"], answer["missing"]) == (409, "unknown_digest", [unknown])
+        assert set(answer) == {"code", "message", "missing"}
+        assert (holds(manager), thing_holds(manager), manager.list_descriptors(),
+                set(runtime.deployed)) == before
+        # An update still takes texts only.
+        status, answer = http_json("PUT", f"{client.base_url}/sdts/{sdt_id}",
+                                   {"expectedVersion": 1, "boms": named(texts[1:2])})
+        assert (status, answer["code"]) == (400, "invalid_bom")
+        assert (holds(manager), manager.list_descriptors()) == (before[0], before[2])
+
+    def test_a_client_resends_what_the_manager_lacks(self, env, monkeypatch):
+        """A HeldText goes as its digest: one miss costs one more request
+        with the missing texts, and a digest lost to a destroy in between
+        costs a third request with every text."""
+        manager, client, _ = env.make_manager()
+        one, two = linked_texts("resend-a"), linked_texts("resend-a", "resend-b")
+        three = linked_texts("resend-a", "resend-b", "resend-c")
+        first = client.create("profile-a", one)["sdtId"]
+        bodies = []
+        handle_create = manager.handle_create
+
+        def recording(payload, span=None):
+            bodies.append(payload["boms"])
+            return handle_create(payload, span)
+
+        monkeypatch.setattr(manager, "handle_create", recording)
+        held = [HeldText(t) for t in two]
+        second = client.create("profile-a", held)["sdtId"]
+        kept = {i for i, t in enumerate(two) if t in one}
+        assert bodies == [named(two), named(two, kept)]
+        assert held == two and all(type(t) is HeldText for t in held)
+        client.destroy(first)
+        del bodies[:]
+
+        def destroying(payload, span=None):
+            if len(bodies) == 1:
+                manager.handle_destroy(second)
+            return recording(payload, span)
+
+        monkeypatch.setattr(manager, "handle_create", destroying)
+        third = client.create("profile-a", [HeldText(t) for t in three])
+        kept = {i for i, t in enumerate(three) if t in two}
+        assert bodies == [named(three), named(three, kept), three]
+        assert third["state"] == "READY" and holds(manager) == dict.fromkeys(three, 1)
+        del bodies[:]
+        client.create("profile-a", three)
+        assert bodies == [three]
